@@ -100,16 +100,21 @@ def _add_common(parser, *, d_default=2, count=None, degree=None):
 def cmd_verify(args) -> int:
     simplex = geom.EmbeddedSimplex(args.d, args.edge_sq)
     config = geom.SampleConfig(seed=args.seed, count=args.count, box=args.box)
-    samples = geom.sample_points(simplex, config)
+    # With a^2 = p/q and weights r_i/T every squared distance is
+    # (p/(2qT^2)) * N_j for an integer N_j, and a^2 is (p/(2qT^2)) * 2T^2, so
+    # the relation is (p/(2qT^2))^2 times an integer residual.
+    p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
     violations = []
-    for index, (point, sample) in enumerate(samples):
-        residual = poly.relation_residual_exact(args.d, simplex.edge_sq, sample.squared)
+    for index, (nums, den) in enumerate(geom._weight_draws(args.d + 1, config)):
+        residual = poly._relation_numerator(2 * den * den, geom._distance_numerators(nums, den))
         if residual != 0:
+            point = geom.BarycentricPoint(tuple(Fraction(r, den) for r in nums))
+            scaled = Fraction(p * p * residual, (2 * q * den * den) ** 2)
             violations.append(
-                {"sample": index, "weights": point.to_json(), "residual": frac_str(residual)}
+                {"sample": index, "weights": point.to_json(), "residual": frac_str(scaled)}
             )
     result = {
-        "checked": len(samples),
+        "checked": config.count,
         "violations": violations,
         "all_exactly_zero": not violations,
     }
@@ -121,7 +126,7 @@ def cmd_verify(args) -> int:
         "box": frac_str(config.box),
     }
     _emit(args, "verify", cfg, result, [
-        f"verify: {len(samples)} exact samples, {len(violations)} violations",
+        f"verify: {config.count} exact samples, {len(violations)} violations",
     ])
     return EXIT_OK if not violations else EXIT_FAIL
 

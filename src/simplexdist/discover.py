@@ -34,14 +34,18 @@ from typing import Sequence
 import numpy as np
 
 from .geom import (
-    BarycentricPoint,
     CartesianSimplex,
     EmbeddedSimplex,
     SampleConfig,
+    _distance_numerators,
+    _exact_squared,
     _rng_for,
+    _weight_draws,
     sample_circumsphere,
-    sample_points,
 )
+# bound but not called: bench/tracing.py patches a hooked function in every
+# module that binds it, and bench/test_bench.py checks this binding
+from .geom import sample_points  # noqa: F401
 from .poly import (
     MultiPoly,
     circumsphere_quadratic,
@@ -293,17 +297,26 @@ def _chebyshev_to_monomial(basis: MonomialBasis, tmax: float) -> np.ndarray:
     return full
 
 
+def _equilibrated_nullspace(
+    samples: np.ndarray, basis: MonomialBasis, threshold: float
+) -> tuple[NullspaceReport, np.ndarray, float]:
+    """Numeric nullspace of the Chebyshev-product evaluation matrix with
+    unit-norm columns, with the column norms and the scale ``tmax`` that
+    map its basis back to monomial coefficients."""
+    tmax = float(np.max(samples)) or 1.0
+    matrix = _chebyshev_eval_matrix(samples, basis, tmax)
+    norms = np.linalg.norm(matrix, axis=0)
+    norms[norms == 0] = 1.0
+    return numeric_nullspace(matrix / norms, threshold), norms, tmax
+
+
 def _conditioned_nullspace(
     samples: np.ndarray, basis: MonomialBasis, threshold: float
 ) -> tuple[NullspaceReport, np.ndarray]:
     """Numeric nullspace via the Chebyshev-product evaluation matrix with
     unit-norm columns; the returned candidate rows are already back in
     monomial coefficient space and in reduced row echelon form."""
-    tmax = float(np.max(samples)) or 1.0
-    matrix = _chebyshev_eval_matrix(samples, basis, tmax)
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0] = 1.0
-    report = numeric_nullspace(matrix / norms, threshold)
+    report, norms, tmax = _equilibrated_nullspace(samples, basis, threshold)
     if report.null_dim == 0:
         return report, np.zeros((0, len(basis)))
     cheb_rows = report.null_basis / norms[None, :]
@@ -311,13 +324,14 @@ def _conditioned_nullspace(
     return report, _rref(monomial_rows)
 
 
-def _even_exact_vanishing(p: MultiPoly, exact_squared: Sequence[Sequence[Fraction]]) -> bool:
+def _even_exact_vanishing(p: MultiPoly, edge_sq: Fraction, draws) -> bool:
     """Fallback certificate: an even-exponent candidate can be evaluated
-    exactly on the rational squared samples."""
+    exactly on the rational squared samples, built from the integer draws
+    only as far as the evaluation gets."""
     if any(k % 2 for e in p.terms for k in e):
         return False
     halved = MultiPoly(p.arity, {tuple(k // 2 for k in e): c for e, c in p.terms.items()})
-    return all(halved.eval(sq) == 0 for sq in exact_squared)
+    return all(halved.eval(_exact_squared(edge_sq, nums, den)) == 0 for nums, den in draws)
 
 
 def _drop_last_variable(p: MultiPoly) -> MultiPoly:
@@ -349,12 +363,12 @@ def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation: MultiPoly) ->
     )
 
 
-def _certify(p, generator, exact_squared) -> str:
+def _certify(p, generator, edge_sq, draws) -> str:
     if p.is_zero:
         return CERT_UNCERTIFIED
     if divide_last_variable(p, generator).remainder.is_zero:
         return CERT_DIVISIBLE
-    if exact_squared is not None and _even_exact_vanishing(p, exact_squared):
+    if _even_exact_vanishing(p, edge_sq, draws):
         return CERT_EXACT_SAMPLES
     return CERT_UNCERTIFIED
 
@@ -366,31 +380,45 @@ _DISCOVERY_BOX = Fraction(3, 2)
 _RADIAL_GRID = 64
 
 
-def _discovery_points(simplex: EmbeddedSimplex, seed: int, count: int) -> list[BarycentricPoint]:
-    base = sample_points(simplex, SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
-    points: list[BarycentricPoint] = []
-    n = simplex.dim + 1
-    for k, (point, _) in enumerate(base):
-        if k % 3 != 2:
-            points.append(point)
-            continue
-        vertex = (k // 3) % n
-        rng = _rng_for(seed, "radial", k)
-        pull = Fraction(rng.randint(1, _RADIAL_GRID), _RADIAL_GRID) ** rng.randint(1, 3)
-        weights = tuple(
-            (1 - pull) * (1 if i == vertex else 0) + pull * w
-            for i, w in enumerate(point.weights)
-        )
-        points.append(BarycentricPoint(weights))
-    return points
+def _discovery_draws(d: int, seed: int, count: int) -> list[tuple[tuple[int, ...], int]]:
+    """Integer weights ``(r, T)`` of the discovery samples.
+
+    Every third sample is pulled toward a vertex v by ``pull = (g/64)^e``:
+    its weights ``(1 - pull)*[i = v] + pull*r_i/T`` are the numerators
+    ``g^e*r_i + (64^e - g^e)*T*[i = v]`` over ``64^e*T``.
+    """
+    n = d + 1
+    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
+    draws = []
+    for k, (nums, den) in enumerate(_weight_draws(n, config)):
+        if k % 3 == 2:
+            vertex = (k // 3) % n
+            rng = _rng_for(seed, "radial", k)
+            grid = rng.randint(1, _RADIAL_GRID)
+            power = rng.randint(1, 3)
+            kept, full = grid**power, _RADIAL_GRID**power
+            nums = tuple(kept * r + (full - kept) * den * (i == vertex) for i, r in enumerate(nums))
+            den *= full
+        draws.append((nums, den))
+    return draws
 
 
 def _sample_distance_tuples(d, edge_sq, count, seed):
+    """Distances of the discovery samples as floats (one row per sample),
+    with the samples' integer weights for exact evaluation.
+
+    Each float is ``sqrt`` of the squared distance ``p*N_j / (2*q*T^2)``
+    divided as Python ints, which rounds correctly, so it equals
+    ``sqrt(float(Fraction))`` bit for bit.
+    """
     simplex = EmbeddedSimplex(d, edge_sq)
-    points = _discovery_points(simplex, seed, count)
-    exact_squared = [simplex.squared_distances(p) for p in points]
-    floats = np.array([[math.sqrt(float(s)) for s in sq] for sq in exact_squared])
-    return floats, exact_squared
+    p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
+    draws = _discovery_draws(d, seed, count)
+    floats = np.array([
+        [math.sqrt(p * n / (2 * q * den * den)) for n in _distance_numerators(nums, den)]
+        for nums, den in draws
+    ])
+    return floats, draws
 
 
 def discover_vanishing(
@@ -426,13 +454,13 @@ def discover_vanishing(
         generator = distance_relation(d, a2)
     basis = enumerate_monomials(d + 1, max_degree)
     count = n_samples if n_samples is not None else 3 * len(basis)
-    floats, exact_squared = _sample_distance_tuples(d, a2, count, seed)
+    floats, draws = _sample_distance_tuples(d, a2, count, seed)
     report, rows = _conditioned_nullspace(floats, basis, threshold)
     candidates = []
     for row in rows:
         coeffs = rationalize(row, max_denominator)
         p = _poly_from_coeffs(basis, coeffs)
-        candidates.append(CertifiedCandidate(p, _certify(p, generator, exact_squared)))
+        candidates.append(CertifiedCandidate(p, _certify(p, generator, a2, draws)))
     config = {
         "operation": "discover",
         "d": d,
@@ -603,11 +631,13 @@ def discover_on_sphere(
         else:
             extras.append(CertifiedCandidate(p, CERT_UNCERTIFIED))
 
-    null_by_degree = {}
-    for degree in range(1, max_degree + 1):
-        sub_basis = enumerate_monomials(d + 1, degree)
-        sub_report, _ = _conditioned_nullspace(floats, sub_basis, threshold)
-        null_by_degree[degree] = sub_report.null_dim
+    # lower degrees need only the null dimension, not the candidate rows
+    null_by_degree = {
+        degree: report.null_dim if degree == max_degree else _equilibrated_nullspace(
+            floats, enumerate_monomials(d + 1, degree), threshold
+        )[0].null_dim
+        for degree in range(1, max_degree + 1)
+    }
 
     config = {
         "operation": "sphere",

@@ -12,6 +12,9 @@ Two representations cover every need of the toolkit:
 
 All sampling is reproducible: the randomness of sample ``k`` is derived
 from ``(seed, k)`` alone, so runs are identical regardless of batching.
+Exact samples are drawn as integers over one denominator (weights
+``r_i / T``, squared distances ``a^2 * N_j / (2*T^2)`` with integer
+``N_j``); ``Fraction`` values are built only where a caller needs them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -64,52 +68,25 @@ class BarycentricPoint:
 
 @dataclass(frozen=True)
 class DistanceSample:
-    """One point's distances to all vertices, exact or floating.
+    """One point's exact squared distances to all vertices.
 
-    In exact mode the rational squared distances are stored, so the entries
-    are the squares of the true distances by construction; float mode keeps
-    the distances themselves.
+    The rational squared distances are stored, so the entries are the
+    squares of the true distances by construction.
     """
 
-    mode: str
-    squared: tuple[Fraction, ...] | None = None
-    values: tuple[float, ...] | None = None
+    squared: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.mode == "exact":
-            if self.squared is None or self.values is not None:
-                raise ValueError("exact mode stores 'squared' only")
-            sq = tuple(as_fraction(s) for s in self.squared)
-            if any(s < 0 for s in sq):
-                raise ValueError("squared distances must be non-negative")
-            object.__setattr__(self, "squared", sq)
-        elif self.mode == "float":
-            if self.values is None or self.squared is not None:
-                raise ValueError("float mode stores 'values' only")
-            vals = tuple(float(v) for v in self.values)
-            if any(v < 0 for v in vals):
-                raise ValueError("distances must be non-negative")
-            object.__setattr__(self, "values", vals)
-        else:
-            raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
-
-    @classmethod
-    def exact(cls, squared) -> "DistanceSample":
-        return cls(mode="exact", squared=tuple(squared))
-
-    @classmethod
-    def floating(cls, values) -> "DistanceSample":
-        return cls(mode="float", values=tuple(values))
+        sq = tuple(as_fraction(s) for s in self.squared)
+        if any(s < 0 for s in sq):
+            raise ValueError("squared distances must be non-negative")
+        object.__setattr__(self, "squared", sq)
 
     def float_distances(self) -> tuple[float, ...]:
-        if self.mode == "exact":
-            return tuple(math.sqrt(float(s)) for s in self.squared)
-        return self.values
+        return tuple(math.sqrt(float(s)) for s in self.squared)
 
     def to_json(self) -> dict:
-        if self.mode == "exact":
-            return {"mode": "exact", "squared": [frac_str(s) for s in self.squared]}
-        return {"mode": "float", "values": list(self.values)}
+        return {"mode": "exact", "squared": [frac_str(s) for s in self.squared]}
 
 
 @dataclass(frozen=True)
@@ -248,32 +225,60 @@ class CartesianSimplex:
         return self.edge * math.sqrt(self.dim / (2.0 * (self.dim + 1)))
 
 
+def _weight_draws(n: int, config: SampleConfig) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Exact sample weights in integer form, one ``(r, T)`` per sample:
+    weight ``i`` is ``r_i / T`` with ``T = sum(r) > 0``.
+
+    Raw numerators ``r_i`` are drawn on a 1/64 grid inside ``[-box, box]``.
+    Draws whose sum is below 1/2 in absolute value (``|T| < 32``), or whose
+    renormalised weights escape the box (``q*|r_i| > p*|T|`` for
+    ``box = p/q``), are redrawn under a derived sub-seed; sample k therefore
+    depends only on ``(seed, k)``.
+    """
+    hi = int(config.box * _WEIGHT_GRID)
+    p, q = config.box.numerator, config.box.denominator
+    for k in range(config.count):
+        for attempt in itertools.count():
+            rng = _rng_for(config.seed, "weights", k, attempt)
+            raw = [rng.randint(-hi, hi) for _ in range(n)]
+            total = sum(raw)
+            bound = p * abs(total)
+            if 2 * abs(total) >= _WEIGHT_GRID and all(q * abs(r) <= bound for r in raw):
+                break
+        if total < 0:
+            yield tuple(-r for r in raw), -total
+        else:
+            yield tuple(raw), total
+
+
+def _distance_numerators(nums: tuple[int, ...], den: int) -> tuple[int, ...]:
+    """``N_j = sum(r^2) - 2*r_j*T + T^2`` for weights ``r / T``: the squared
+    distance to vertex j is ``a^2 * N_j / (2*T^2)`` (see
+    :meth:`EmbeddedSimplex.squared_distances`)."""
+    base = sum(r * r for r in nums) + den * den
+    return tuple(base - 2 * den * r for r in nums)
+
+
+def _exact_squared(edge_sq: Fraction, nums: tuple[int, ...], den: int) -> tuple[Fraction, ...]:
+    """Exact squared distances of the point with weights ``nums / den``."""
+    scale = 2 * edge_sq.denominator * den * den
+    return tuple(Fraction(edge_sq.numerator * n, scale) for n in _distance_numerators(nums, den))
+
+
 def sample_points(
     simplex: EmbeddedSimplex, config: SampleConfig
 ) -> list[tuple[BarycentricPoint, DistanceSample]]:
     """Deterministic exact samples of the distance map.
 
     Raw weights are drawn on a 1/64 grid inside ``[-box, box]`` and divided
-    by their sum so they add to exactly 1.  Draws whose sum is below 1/2 in
-    absolute value, or whose renormalised weights escape the box, are
-    redrawn under a derived sub-seed; sample k therefore depends only on
-    ``(seed, k)``.
+    by their sum so they add to exactly 1, with the redraw rules of
+    :func:`_weight_draws`; sample k depends only on ``(seed, k)``.  The
+    draws are integers; this is where their ``Fraction`` form is built.
     """
-    n = simplex.dim + 1
-    hi = int(config.box * _WEIGHT_GRID)
     out = []
-    for k in range(config.count):
-        for attempt in itertools.count():
-            rng = _rng_for(config.seed, "weights", k, attempt)
-            raw = [Fraction(rng.randint(-hi, hi), _WEIGHT_GRID) for _ in range(n)]
-            total = sum(raw)
-            if abs(total) < Fraction(1, 2):
-                continue
-            weights = tuple(r / total for r in raw)
-            if all(abs(w) <= config.box for w in weights):
-                break
-        point = BarycentricPoint(weights)
-        out.append((point, DistanceSample.exact(simplex.squared_distances(point))))
+    for nums, den in _weight_draws(simplex.dim + 1, config):
+        point = BarycentricPoint(tuple(Fraction(r, den) for r in nums))
+        out.append((point, DistanceSample(_exact_squared(simplex.edge_sq, nums, den))))
     return out
 
 

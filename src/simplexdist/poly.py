@@ -36,6 +36,7 @@ is exactly ``remainder == 0``; no term-order machinery is required.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -431,20 +432,33 @@ def reduce_by_relation(g: MultiPoly, d: int, edge_sq) -> DivisionResult:
     return divide_last_variable(g, relation)
 
 
+def _relation_numerator(edge_num: int, nums: Sequence[int]) -> int:
+    """The quartic relation in integers.
+
+    The relation is homogeneous of degree 2 in ``(a^2, s_1, ..., s_n)``, so
+    with ``a^2 = A/D`` and ``s_j = N_j/D`` over one denominator its value is
+    ``R / D^2`` for the integer ``R = n*(A^2 + sum N_j^2) - (A + sum N_j)^2``,
+    returned here for ``A = edge_num`` and ``N = nums``.
+    """
+    lin = edge_num + sum(nums)
+    return len(nums) * (edge_num * edge_num + sum(x * x for x in nums)) - lin * lin
+
+
 def relation_residual_exact(d: int, edge_sq, squared: Sequence) -> Fraction:
     """Evaluate the quartic relation on exact squared distances.
 
     Because the relation contains only even powers, it is a polynomial in
     the squared distances, so rational squared inputs give an exact value:
-    ``(d+1)*(a^4 + sum s_j^2) - (a^2 + sum s_j)^2``.
+    ``(d+1)*(a^4 + sum s_j^2) - (a^2 + sum s_j)^2``, computed by clearing
+    denominators and evaluating :func:`_relation_numerator`.
     """
     a2 = _validate_dim_edge(d, edge_sq)
     s = [as_fraction(x) for x in squared]
     if len(s) != d + 1:
         raise ValueError(f"expected {d + 1} squared distances, got {len(s)}")
-    lin = sum(s, _ZERO)
-    sq = sum((x * x for x in s), _ZERO)
-    return (d + 1) * (a2 * a2 + sq) - (a2 + lin) ** 2
+    den = math.lcm(a2.denominator, *(x.denominator for x in s))
+    nums = [x.numerator * (den // x.denominator) for x in s]
+    return Fraction(_relation_numerator(a2.numerator * (den // a2.denominator), nums), den * den)
 
 
 # -- the segment (d = 1) case ------------------------------------------------

@@ -248,3 +248,32 @@ def test_json_to_stdout_without_out_flag(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "cm"
     assert doc["result"]["determinant"] == "-3"
+
+
+def test_verify_reports_violation_exactly(tmp_path, monkeypatch):
+    # real samples always satisfy the relation, so knock one integer
+    # distance numerator off it: the report must carry the weights and the
+    # residual that the Fraction evaluation gives on the perturbed tuple
+    from fractions import Fraction
+
+    from simplexdist import geom
+    from simplexdist.poly import relation_residual_exact
+
+    exact_numerators = geom._distance_numerators
+
+    def perturbed(nums, den):
+        first, *rest = exact_numerators(nums, den)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(geom, "_distance_numerators", perturbed)
+    code, doc = run(tmp_path, "verify", "--d", "3", "--edge-sq", "7/3", "--count", "5", "--seed", "2")
+    assert code == 1 and doc["result"]["all_exactly_zero"] is False
+    expected = []
+    for index, (nums, den) in enumerate(geom._weight_draws(4, geom.SampleConfig(seed=2, count=5))):
+        squared = [Fraction(7 * n, 6 * den * den) for n in perturbed(nums, den)]
+        expected.append({
+            "sample": index,
+            "weights": [str(Fraction(r, den)) for r in nums],
+            "residual": str(relation_residual_exact(3, Fraction(7, 3), squared)),
+        })
+    assert doc["result"]["violations"] == expected

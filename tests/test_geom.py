@@ -1,6 +1,8 @@
 """Simplex representations, exact distance queries, and samplers."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,18 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexdist import discover
 from simplexdist.geom import (
     BarycentricPoint,
     CartesianSimplex,
     DistanceSample,
     EmbeddedSimplex,
     SampleConfig,
+    _distance_numerators,
+    _exact_squared,
+    _rng_for,
+    _weight_draws,
     circle_distance_profile,
     sample_circumsphere,
     sample_document,
     sample_points,
 )
-from simplexdist.poly import relation_residual_exact
+from simplexdist.poly import _relation_numerator, relation_residual_exact
 
 
 def bp(*weights):
@@ -196,13 +203,104 @@ def test_samples_satisfy_relation_exactly(d):
 
 
 def test_exact_sample_mode_invariants():
-    sample = DistanceSample.exact([Fraction(1, 4), Fraction(1)])
+    sample = DistanceSample([Fraction(1, 4), Fraction(1)])
     dists = sample.float_distances()
     assert dists == (0.5, 1.0)
+    assert sample.to_json() == {"mode": "exact", "squared": ["1/4", "1"]}
     with pytest.raises(ValueError):
-        DistanceSample.exact([Fraction(-1)])
-    with pytest.raises(ValueError):
-        DistanceSample(mode="weird", squared=(Fraction(1),))
+        DistanceSample([Fraction(-1)])
+
+
+# -- the integer core against the Fraction reference ----------------------------
+
+
+def reference_weights(config, n):
+    """The Fraction sampler that the integer draws replaced: weights on the
+    1/64 grid, renormalised by their sum, with the same redraw rules."""
+    hi = int(config.box * 64)
+    out = []
+    for k in range(config.count):
+        for attempt in itertools.count():
+            rng = _rng_for(config.seed, "weights", k, attempt)
+            raw = [Fraction(rng.randint(-hi, hi), 64) for _ in range(n)]
+            total = sum(raw)
+            if abs(total) < Fraction(1, 2):
+                continue
+            weights = tuple(r / total for r in raw)
+            if all(abs(w) <= config.box for w in weights):
+                break
+        out.append(weights)
+    return out
+
+
+def reference_discovery_weights(d, seed, count):
+    """Fraction form of the discovery samples: every third one pulled
+    toward a vertex by a random power of a 1/64 grid value."""
+    base = reference_weights(SampleConfig(seed=seed, count=count, box=Fraction(3, 2)), d + 1)
+    out = []
+    for k, weights in enumerate(base):
+        if k % 3 == 2:
+            vertex = (k // 3) % (d + 1)
+            rng = _rng_for(seed, "radial", k)
+            pull = Fraction(rng.randint(1, 64), 64) ** rng.randint(1, 3)
+            weights = tuple(
+                (1 - pull) * (1 if i == vertex else 0) + pull * w for i, w in enumerate(weights)
+            )
+        out.append(weights)
+    return out
+
+
+EDGES_SQ = (Fraction(1), Fraction(4, 9), Fraction(7, 3))
+
+
+@pytest.mark.parametrize("box", [Fraction(3), Fraction(3, 2), Fraction(5, 2)])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_integer_draws_match_fraction_reference(d, box):
+    config = SampleConfig(seed=d, count=120, box=box)
+    expected = reference_weights(config, d + 1)
+    draws = list(_weight_draws(d + 1, config))
+    assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == expected
+    assert all(den > 0 for _, den in draws)
+    for a2 in EDGES_SQ:
+        s = EmbeddedSimplex(d, a2)
+        samples = sample_points(s, config)
+        assert [point.weights for point, _ in samples] == expected
+        for (point, sample), (nums, den) in zip(samples, draws):
+            assert sample.squared == s.squared_distances(point)
+            assert _exact_squared(a2, nums, den) == sample.squared
+            assert _relation_numerator(2 * den * den, _distance_numerators(nums, den)) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_discovery_pull_matches_fraction_reference(d):
+    expected = reference_discovery_weights(d, seed=d + 40, count=30)
+    draws = discover._discovery_draws(d, d + 40, 30)
+    assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == expected
+    for a2 in EDGES_SQ:
+        s = EmbeddedSimplex(d, a2)
+        floats, _ = discover._sample_distance_tuples(d, a2, 30, d + 40)
+        reference = [
+            [math.sqrt(float(x)) for x in s.squared_distances(BarycentricPoint(w))]
+            for w in expected
+        ]
+        assert np.array_equal(floats, np.array(reference))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_integer_residual_matches_exact_off_relation(d):
+    # arbitrary integer numerators are off the relation: the integer form,
+    # scaled back by (p / (2 q T^2))^2, must equal the Fraction residual
+    rng = random.Random(f"off-relation|{d}")
+    for a2 in EDGES_SQ:
+        p, q = a2.numerator, a2.denominator
+        for _ in range(20):
+            den = rng.randint(1, 10**9)
+            nums = [rng.randint(0, 10**12) for _ in range(d + 1)]
+            scale = Fraction(p, 2 * q * den * den)
+            residual = _relation_numerator(2 * den * den, nums)
+            assert residual != 0
+            exact = relation_residual_exact(d, a2, [scale * n for n in nums])
+            assert exact == scale * scale * residual
 
 
 # -- consistency between the two representations -------------------------------
