@@ -28,7 +28,6 @@ from .discover import (
     MonomialBasis,
     NullspaceReport,
     SphereDiscoveryReport,
-    build_eval_matrix,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,

@@ -78,11 +78,6 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    def prefix_size(self, degree: int) -> int:
-        """Number of monomials of total degree <= degree (a prefix, since
-        the list is graded)."""
-        return sum(1 for e in self.exponents if sum(e) <= degree)
-
 
 def enumerate_monomials(arity: int, max_degree: int) -> MonomialBasis:
     if not isinstance(arity, int) or arity < 1:
@@ -102,17 +97,6 @@ def enumerate_monomials(arity: int, max_degree: int) -> MonomialBasis:
     exps = sorted(gen(arity, max_degree), key=lambda e: (sum(e), e))
     assert len(exps) == math.comb(max_degree + arity, arity)
     return MonomialBasis(arity, max_degree, tuple(exps))
-
-
-def build_eval_matrix(samples: Sequence[Sequence[float]], basis: MonomialBasis) -> np.ndarray:
-    """Entry (i, j) is monomial j evaluated at sample i."""
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need a non-empty 2-D array of samples")
-    if pts.shape[1] != basis.arity:
-        raise ValueError(f"samples have {pts.shape[1]} coordinates, basis has arity {basis.arity}")
-    exps = np.asarray(basis.exponents, dtype=float)
-    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
 
 
 @dataclass(frozen=True)
@@ -181,16 +165,29 @@ def rationalize(vector: Sequence[float], max_denominator: int = 10**6) -> tuple[
     """Best bounded-denominator rational for each entry (continued
     fractions), then scaled so the first nonzero entry is 1.
 
+    Entries below the noise floor ``|x| < 1/(2*max_denominator)`` become 0
+    without a continued fraction.  This is exact: for such x the continued
+    fraction ends between the bounds 0 and ``+-1/max_denominator``, and 0 is
+    strictly nearer, so ``Fraction(x).limit_denominator`` returns 0 too.
+    The floor is a correctly rounded float, so no float lies between it and
+    the exact value.  Only the entries above it, and NaN or infinities
+    (which raise as before), go through ``limit_denominator``.
+
     Wrong guesses are not detected here; they surface downstream as
     certification failures.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    fracs = [Fraction(float(x)).limit_denominator(max_denominator) for x in vector]
-    lead = next((f for f in fracs if f != 0), None)
-    if lead is None:
-        return tuple(fracs)
-    return tuple(f / lead for f in fracs)
+    values = np.asarray(vector, dtype=float)
+    survivors = np.flatnonzero(~(np.abs(values) < 1 / (2 * max_denominator))).tolist()
+    fracs = [Fraction(0)] * len(values)
+    for i, x in zip(survivors, values[survivors].tolist()):
+        fracs[i] = Fraction(x).limit_denominator(max_denominator)
+    lead = next((fracs[i] for i in survivors if fracs[i] != 0), None)
+    if lead is not None and lead != 1:
+        for i in survivors:
+            fracs[i] /= lead
+    return tuple(fracs)
 
 
 def _rref(rows: np.ndarray, tol: float = _RREF_TOL) -> np.ndarray:
@@ -215,9 +212,9 @@ def _rref(rows: np.ndarray, tol: float = _RREF_TOL) -> np.ndarray:
             continue
         a[[rank, pivot]] = a[[pivot, rank]]
         a[rank] = a[rank] / a[rank, col]
-        for i in range(a.shape[0]):
-            if i != rank:
-                a[i] = a[i] - a[i, col] * a[rank]
+        # the pivot row stays out: subtracting 0*x would turn -0.0 into +0.0
+        others = np.arange(a.shape[0]) != rank
+        a[others] -= a[others, col][:, None] * a[rank][None, :]
         rank += 1
     return a[:rank]
 

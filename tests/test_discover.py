@@ -6,12 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from simplexdist import discover
 from simplexdist.discover import (
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
+    _chebyshev_eval_matrix,
     _in_sphere_ideal,
-    build_eval_matrix,
+    _rref,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,
@@ -55,35 +59,21 @@ def test_monomials_graded_and_strictly_ordered():
     assert len(set(basis.exponents)) == len(basis)
 
 
-def test_prefix_size():
-    basis = enumerate_monomials(3, 4)
-    assert basis.prefix_size(2) == math.comb(5, 3)
-
-
 # -- evaluation matrix ---------------------------------------------------------------
 
 
-def test_matrix_entries():
-    basis = enumerate_monomials(3, 2)
-    matrix = build_eval_matrix([[0.0, 1.0, 1.0]], basis)
-    idx = {e: j for j, e in enumerate(basis.exponents)}
-    assert matrix[0, idx[(0, 1, 1)]] == 1.0  # T2*T3
-    assert matrix[0, idx[(1, 0, 0)]] == 0.0  # T1
-    assert matrix[0, idx[(0, 0, 0)]] == 1.0  # constant
-
-
-def test_matrix_arity_checked():
-    with pytest.raises(ValueError):
-        build_eval_matrix([[1.0, 2.0]], enumerate_monomials(3, 2))
+def _degree_four_matrix():
+    # Chebyshev products span the same space as the degree-<=4 monomials
+    simplex = EmbeddedSimplex(2, 1)
+    samples = sample_points(simplex, SampleConfig(seed=2, count=105))
+    floats = np.array([s.float_distances() for _, s in samples])
+    return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), float(np.max(floats)))
 
 
 def test_rank_of_degree_four_matrix():
     # the degree-<=4 slice of the vanishing ideal is one-dimensional, so a
     # 105 x 35 evaluation matrix has rank 35 - 1
-    simplex = EmbeddedSimplex(2, 1)
-    samples = sample_points(simplex, SampleConfig(seed=2, count=105))
-    floats = np.array([s.float_distances() for _, s in samples])
-    matrix = build_eval_matrix(floats, enumerate_monomials(3, 4))
+    matrix = _degree_four_matrix()
     assert matrix.shape == (105, 35)
     assert np.linalg.matrix_rank(matrix, tol=1e-8 * np.linalg.norm(matrix, 2)) == 34
 
@@ -92,11 +82,7 @@ def test_rank_of_degree_four_matrix():
 
 
 def test_nullspace_of_degree_four_matrix():
-    simplex = EmbeddedSimplex(2, 1)
-    samples = sample_points(simplex, SampleConfig(seed=2, count=105))
-    floats = np.array([s.float_distances() for _, s in samples])
-    matrix = build_eval_matrix(floats, enumerate_monomials(3, 4))
-    report = numeric_nullspace(matrix, 1e-8)
+    report = numeric_nullspace(_degree_four_matrix(), 1e-8)
     assert report.null_dim == 1
     assert report.gap > 1e4
     assert not report.inconclusive
@@ -155,6 +141,155 @@ def test_rationalize_respects_denominator_cap():
     (value,) = rationalize([1 / math.sqrt(2)], max_denominator=1000)
     assert value.denominator <= 1000
     assert value != Fraction(1, 2) ** Fraction(1, 2)  # no exact match exists
+
+
+def _rationalize_reference(vector, max_denominator=10**6):
+    """The per-entry rationalize that the noise-floor version replaced."""
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
+    fracs = [Fraction(float(x)).limit_denominator(max_denominator) for x in vector]
+    lead = next((f for f in fracs if f != 0), None)
+    if lead is None:
+        return tuple(fracs)
+    return tuple(f / lead for f in fracs)
+
+
+_DENOMINATOR_CAPS = (1, 1000, 10**6)
+
+
+def _around_floor(cap, steps=3):
+    """Floats next to +-1/(2*cap) and their nextafter neighbours."""
+    values = []
+    for sign in (1.0, -1.0):
+        x = sign / (2 * cap)
+        below = above = x
+        values.append(x)
+        for _ in range(steps):
+            below = float(np.nextafter(below, 0.0))
+            above = float(np.nextafter(above, sign * math.inf))
+            values += [below, above]
+    return values
+
+
+def _entries(cap):
+    floor = 1 / (2 * cap)
+    return st.one_of(
+        st.sampled_from(_around_floor(cap)),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+        st.floats(min_value=-floor, max_value=floor),  # noise, subnormals included
+        st.floats(min_value=-4 * floor, max_value=4 * floor),
+        st.fractions(max_denominator=2 * cap).map(float),  # near-rational coefficients
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def _rows(draw):
+    cap = draw(st.sampled_from(_DENOMINATOR_CAPS))
+    floor = 1 / (2 * cap)
+    entry = draw(st.sampled_from([
+        _entries(cap),
+        st.sampled_from([0.0, -0.0]),  # all-zero rows
+        st.floats(min_value=-floor, max_value=floor, exclude_min=True, exclude_max=True),
+    ]))
+    row = draw(st.lists(entry, max_size=12))
+    if draw(st.booleans()):
+        row = np.array(row, dtype=float)  # rows from _rref are numpy arrays
+    return row, cap
+
+
+@settings(max_examples=600, deadline=None)
+@given(_rows())
+@example(([1e-12, 0.5, 0.25], 10**6))  # lead 1/2, not 1
+@example(([-0.0, 0.0, 4.9e-7, -4.9e-7], 10**6))
+@example(([0.5, -0.5, 0.25], 1))  # ties at the floor of cap 1
+@example(([], 1000))
+def test_rationalize_matches_per_entry_reference(case):
+    row, cap = case
+    got = rationalize(row, cap)
+    want = _rationalize_reference(row, cap)
+    assert got == want
+    assert [str(f) for f in got] == [str(f) for f in want]
+    assert all(type(f) is Fraction for f in got)
+
+
+def _reference_error(row, cap):
+    with pytest.raises(Exception) as info:
+        _rationalize_reference(row, cap)
+    return info.type
+
+
+@pytest.mark.parametrize("cap", _DENOMINATOR_CAPS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rationalize_non_finite_raises_like_reference(bad, cap):
+    for row in ([bad], [0.0, 1e-12, bad], [0.5, bad, 0.25]):
+        with pytest.raises(_reference_error(row, cap)):
+            rationalize(row, cap)
+        with pytest.raises(_reference_error(row, cap)):
+            rationalize(np.array(row), cap)
+
+
+def test_rationalize_rejects_zero_cap():
+    with pytest.raises(ValueError):
+        rationalize([0.5], 0)
+
+
+def _rref_reference(rows, tol=discover._RREF_TOL):
+    """The row-by-row elimination that the one-step update replaced."""
+    a = np.array(rows, dtype=float)
+    if a.size == 0:
+        return a
+    scale = np.max(np.abs(a), axis=1, keepdims=True)
+    scale[scale == 0] = 1.0
+    a = a / scale
+    rank = 0
+    for col in range(a.shape[1]):
+        if rank == a.shape[0]:
+            break
+        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
+        if abs(a[pivot, col]) <= tol:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] / a[rank, col]
+        for i in range(a.shape[0]):
+            if i != rank:
+                a[i] = a[i] - a[i, col] * a[rank]
+        rank += 1
+    return a[:rank]
+
+
+def _assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rref_matches_reference_on_rank_deficient_matrices():
+    rng = np.random.default_rng(3)
+    for rows, rank, cols in [(3, 1, 4), (5, 3, 8), (8, 5, 12), (12, 12, 12), (6, 2, 30)]:
+        a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        a[:, rng.integers(0, cols, size=cols // 3)] = 0.0  # empty columns skip pivots
+        _assert_bit_identical(_rref(a), _rref_reference(a))
+        # small-integer rows give exact cancellations, and so signed zeros
+        b = rng.integers(-2, 3, size=(rows, rank)) @ rng.integers(-2, 3, size=(rank, cols))
+        b = b.astype(float)
+        b[0] = -0.0 * np.abs(b[0]) if rows > 2 else b[0]
+        _assert_bit_identical(_rref(b), _rref_reference(b))
+    _assert_bit_identical(_rref(np.zeros((0, 4))), _rref_reference(np.zeros((0, 4))))
+
+
+def test_rref_matches_reference_on_discovery_rows(monkeypatch):
+    seen = []
+
+    def recording(rows, tol=discover._RREF_TOL):
+        seen.append(np.array(rows))
+        return _rref(rows, tol)
+
+    monkeypatch.setattr(discover, "_rref", recording)
+    discover_vanishing(3, 1, 5, seed=1)
+    (rows,) = seen
+    assert rows.shape == (5, math.comb(9, 4))
+    _assert_bit_identical(_rref(rows), _rref_reference(rows))
 
 
 # -- full-space discovery ------------------------------------------------------------------
