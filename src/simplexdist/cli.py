@@ -285,7 +285,7 @@ def cmd_cm(args) -> int:
         "determinant": frac_str(det) if matrix.exact else det,
     }
     try:
-        result["volume"] = cmgeom.simplex_volume(matrix)
+        result["volume"] = cmgeom._volume_from_det(matrix, det)
     except ValueError as exc:
         result["volume"] = None
         result["volume_error"] = str(exc)

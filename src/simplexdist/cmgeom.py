@@ -8,8 +8,9 @@ for a genuine (n-1)-simplex it carries the squared volume:
 
     volume^2 = (-1)^n / (2^(n-1) * ((n-1)!)^2) * det(bordered)
 
-Rational inputs go through fraction-free (Bareiss) elimination so the
-determinant is exact; floating inputs use LAPACK.
+Rational inputs give an exact determinant: the denominators of each row
+are cleared and fraction-free (Bareiss) elimination runs on integers.
+Floating inputs use LAPACK.
 """
 
 from __future__ import annotations
@@ -113,11 +114,21 @@ class SquaredDistanceMatrix:
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Gaussian elimination; every division is exact."""
-    m = [row[:] for row in rows]
+    """Exact determinant of a rational (``int`` or ``Fraction``) matrix.
+
+    Each row is multiplied by the lcm of its entries' denominators, which
+    scales the determinant by that lcm, so fraction-free (Bareiss)
+    elimination then runs on Python ints, where every division is exact.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (lcm // x.denominator) for x in row])
+        scale *= lcm
     n = len(m)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -127,12 +138,16 @@ def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = m[i]
+            lead = row[k]
+            row[k + 1 :] = [
+                (x * pivot - lead * y) // prev for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def cayley_menger_det(matrix: SquaredDistanceMatrix):
@@ -152,9 +167,13 @@ def simplex_volume(matrix: SquaredDistanceMatrix) -> float:
     Raises when the determinant has the wrong sign, meaning no Euclidean
     point set realises the distance data; degenerate (flat) data gives 0.
     """
+    return _volume_from_det(matrix, cayley_menger_det(matrix))
+
+
+def _volume_from_det(matrix: SquaredDistanceMatrix, det) -> float:
+    """``simplex_volume`` given the matrix's Cayley-Menger determinant."""
     n = matrix.n
     d = n - 1
-    det = cayley_menger_det(matrix)
     scaled = (-1) ** (d + 1) * det
     denom = 2**d * math.factorial(d) ** 2
     if matrix.exact:

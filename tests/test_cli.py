@@ -207,6 +207,22 @@ def test_cm_matrix_file(tmp_path):
     assert doc["result"]["volume"] == 0.0
 
 
+def test_cm_computes_determinant_once(tmp_path, monkeypatch):
+    from simplexdist import cmgeom
+
+    calls = []
+    det = cmgeom.cayley_menger_det
+
+    def counted(matrix):
+        calls.append(matrix.n)
+        return det(matrix)
+
+    monkeypatch.setattr(cmgeom, "cayley_menger_det", counted)
+    code, doc = run(tmp_path, "cm", "--edges-equilateral", "4", "--a", "1")
+    assert code == 0 and calls == [4]
+    assert doc["result"]["volume"] == pytest.approx(1 / (6 * math.sqrt(2)), abs=1e-15)
+
+
 def test_cm_requires_exactly_one_source(capsys):
     assert main(["cm"]) == 2
     assert main(["cm", "--edges-equilateral", "3", "--matrix", "x.json"]) == 2

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexdist.cmgeom import (
     SquaredDistanceMatrix,
+    _bareiss_det,
     cayley_menger_det,
     complete_distance_tuple,
     probe_realizability,
@@ -39,6 +42,80 @@ def test_collinear_points_degenerate():
     # points at 0, 1, 2 on a line
     m = SquaredDistanceMatrix([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
     assert cayley_menger_det(m) == 0
+
+
+def reference_bareiss_det(rows):
+    """The Fraction elimination that the integer one replaced."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+entries = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 60)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 8))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["generic", "zero row", "zero pivot", "singular"]))
+    if shape == "zero row":
+        m[draw(st.integers(0, n - 1))] = [0] * n
+    elif shape == "zero pivot":
+        # the leading (k+1)-minor vanishes, so after k steps the pivot is 0
+        # and elimination has to swap in a later row (or return 0)
+        k = draw(st.integers(0, n - 1))
+        coeffs = [draw(entries) for _ in range(k)]
+        for j in range(k + 1):
+            m[k][j] = sum((c * m[i][j] for i, c in enumerate(coeffs)), Fraction(0))
+    elif shape == "singular" and n > 1:
+        r = draw(st.integers(0, n - 1))
+        coeffs = [draw(entries) for _ in range(n)]
+        m[r] = [
+            sum((c * m[i][j] for i, c in enumerate(coeffs) if i != r), Fraction(0))
+            for j in range(n)
+        ]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+@example([[Fraction(2, 3)]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [0, 1]])
+@example([[1, 2, 3], [2, 4, 7], [1, 1, 1]])
+@example([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(5, 6), Fraction(7, 4)]])
+def test_integer_bareiss_matches_fraction_reference(m):
+    det = _bareiss_det(m)
+    assert isinstance(det, Fraction)
+    assert det == reference_bareiss_det(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 25, 40])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(3, 7), Fraction(8, 9), Fraction(5, 3)])
+def test_regular_determinant_closed_form(n, a):
+    # n points at common squared distance a^2
+    det = cayley_menger_det(SquaredDistanceMatrix.regular(n, a * a))
+    assert det == (-1) ** n * n * a ** (2 * (n - 1))
 
 
 def test_float_matrix_uses_float_path():
@@ -114,6 +191,17 @@ def test_relation_vs_cm_on_exact_samples():
         for _, sample in sample_points(s, SampleConfig(seed=d, count=10)):
             rel, cm = relation_vs_cayley_menger(d, Fraction(4, 9), sample.squared)
             assert rel == 0 and cm == 0
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("a2", [Fraction(1), Fraction(3, 2), Fraction(4, 9), Fraction(7, 3)])
+def test_relation_proportional_to_cm(d, a2):
+    # relation = (-1)^(d+1) a^(-2(d-1)) CM on every tuple, realizable or not
+    rng = random.Random(f"{d}|{a2}")
+    for _ in range(20):
+        squared = [Fraction(rng.randint(0, 200), rng.randint(1, 30)) for _ in range(d + 1)]
+        rel, cm = relation_vs_cayley_menger(d, a2, squared)
+        assert rel * a2 ** (d - 1) == (-1) ** (d + 1) * cm
 
 
 def test_relation_vs_cm_on_off_surface_tuple():

@@ -4,8 +4,10 @@ Sample k depends only on ``(seed, k)``, and every report built from samples
 inherits that stream.  These SHA-256 digests were recorded from the
 ``Fraction`` sampler that the integer draws replaced, so any drift in the
 draws, the weights, the exact squared distances, the discovery floats or
-the ``verify`` report fails here.  Nothing downstream of an SVD is pinned:
-those values depend on the BLAS build.
+the ``verify`` report fails here.  The ``realize-probe`` reports are pinned
+too: the exact ``cm`` report and the pure-Python part of ``probe63`` (its
+draws and the roots of the completing quadratic).  Nothing downstream of an
+SVD or other LAPACK call is pinned: those values depend on the BLAS build.
 """
 
 import contextlib
@@ -23,6 +25,13 @@ from simplexdist.geom import EmbeddedSimplex, SampleConfig, sample_document, sam
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize(
@@ -68,10 +77,35 @@ def test_discovery_floats_stream(d, edge_sq, count, seed, expected):
     ],
 )
 def test_verify_report_stream(argv, expected):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    doc = json.loads(out.getvalue())
+    code, doc = run_cli(argv)
     del doc["generated_at"]
     assert code == 0
     assert digest(json.dumps(doc, sort_keys=True).encode()) == expected
+
+
+def test_cm_report_stream():
+    code, doc = run_cli(["cm", "--edges-equilateral", "25", "--a", "3/7"])
+    del doc["generated_at"]
+    assert code == 0
+    expected = "d9525582cd38c4a2cb8e0f5c4824457c44aa647fe9bc7e60ec1f74003507f23a"
+    assert digest(json.dumps(doc, sort_keys=True).encode()) == expected
+
+
+@pytest.mark.parametrize(
+    "d, expected",
+    [
+        (2, "4ff4c7461b6f122e8a8889bc6e4f16edb18d0f187d34c1709ff14d123ba34f73"),
+        (3, "bec338b166d355d1e02f94b4997bfc5f69593c01c256de1504585affe4fccd19"),
+    ],
+)
+def test_probe_report_stream(d, expected):
+    # each verdict's point and residual come from a LAPACK solve, so only
+    # the draws, the roots and the counts are pinned
+    code, doc = run_cli(["probe63", "--d", str(d), "--count", "200", "--seed", "5"])
+    result = doc["result"]
+    pinned = {
+        "counts": result["counts"],
+        "trials": [{"t_first": t["t_first"], "roots": t["roots"]} for t in result["trials"]],
+    }
+    assert code == 0
+    assert digest(json.dumps(pinned, sort_keys=True).encode()) == expected
