@@ -19,7 +19,6 @@ from .cmgeom import (
 )
 from .discover import (
     CERT_DIVISIBLE,
-    CERT_EXACT_SAMPLES,
     CERT_SPHERE_IDEAL,
     CERT_UNCERTIFIED,
     CertifiedCandidate,

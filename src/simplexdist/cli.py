@@ -131,16 +131,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_FAIL
 
 
+def _discovery_kwargs(args) -> dict:
+    """Keyword arguments of the three discovery entry points from the
+    options that ``_add_common(..., degree=...)`` defines."""
+    return {
+        "d": args.d,
+        "edge_sq": args.edge_sq,
+        "max_degree": args.max_degree,
+        "n_samples": args.samples,
+        "seed": args.seed,
+        "threshold": args.threshold,
+        "max_denominator": args.max_denominator,
+    }
+
+
 def cmd_discover(args) -> int:
-    report = discover.discover_vanishing(
-        args.d,
-        args.edge_sq,
-        args.max_degree,
-        n_samples=args.samples,
-        seed=args.seed,
-        threshold=args.threshold,
-        max_denominator=args.max_denominator,
-    )
+    report = discover.discover_vanishing(**_discovery_kwargs(args))
     doc = report.to_json()
     summary = [
         f"discover: null dimension {report.nullspace.null_dim} at degree {args.max_degree}, "
@@ -151,16 +157,7 @@ def cmd_discover(args) -> int:
 
 
 def cmd_independence(args) -> int:
-    report = discover.independence_test(
-        args.d,
-        args.edge_sq,
-        args.subset,
-        args.max_degree,
-        n_samples=args.samples,
-        seed=args.seed,
-        threshold=args.threshold,
-        max_denominator=args.max_denominator,
-    )
+    report = discover.independence_test(subset=args.subset, **_discovery_kwargs(args))
     doc = report.to_json()
     summary = [f"independence: subset {args.subset} at degree {args.max_degree}: {report.verdict}"]
     _emit(args, "independence", doc["config"], doc, summary)
@@ -169,15 +166,7 @@ def cmd_independence(args) -> int:
 
 
 def cmd_sphere(args) -> int:
-    report = discover.discover_on_sphere(
-        args.d,
-        args.edge_sq,
-        args.max_degree,
-        n_samples=args.samples,
-        seed=args.seed,
-        threshold=args.threshold,
-        max_denominator=args.max_denominator,
-    )
+    report = discover.discover_on_sphere(**_discovery_kwargs(args))
     doc = report.to_json()
     summary = [
         f"sphere: null dimensions by degree {report.null_dim_by_degree}, "
@@ -273,6 +262,8 @@ def cmd_cm(args) -> int:
     if args.edges_equilateral is not None:
         n = args.edges_equilateral
         a = as_fraction(args.a)
+        if a <= 0:
+            raise ValueError(f"edge length must be positive, got {frac_str(a)}")
         matrix = cmgeom.SquaredDistanceMatrix.regular(n, a * a)
         cfg = {"points": n, "edge": frac_str(a)}
     else:

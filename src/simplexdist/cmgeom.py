@@ -184,7 +184,8 @@ def _volume_from_det(matrix: SquaredDistanceMatrix, det) -> float:
             )
         return math.sqrt(float(v2))
     v2 = float(scaled) / denom
-    if v2 < 0:
+    # a flat float configuration can give v2 = -0.0, whose sqrt is -0.0
+    if v2 <= 0:
         scale = max(abs(x) for r in matrix.rows for x in r) or 1.0
         if v2 > -1e-9 * scale**d:
             return 0.0

@@ -12,8 +12,11 @@ rigor is restored afterwards by exact certification:
    reduced row echelon form, so each basis vector approximates a canonical
    rational one, then reconstruct exact rational coefficients by continued
    fractions,
-4. certify each candidate with exact arithmetic, primarily by exact
-   division by the known generator of the ambient ideal.
+4. certify each candidate exactly, with one certificate per ideal: exact
+   division by the generator of the vanishing ideal (the quartic relation
+   for d >= 2, the segment cubic for d = 1) in ``discover_vanishing``, and
+   membership in the ideal of the circumsphere quadratic and the quartic
+   (``_in_sphere_ideal``) in ``discover_on_sphere``.
 
 Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
 Hilbert-like), so internally the pipeline evaluates scaled Chebyshev
@@ -38,7 +41,6 @@ from .geom import (
     EmbeddedSimplex,
     SampleConfig,
     _distance_numerators,
-    _exact_squared,
     _rng_for,
     _weight_draws,
     sample_circumsphere,
@@ -57,7 +59,6 @@ from .poly import (
 from .rationals import as_fraction, frac_str, rational_sqrt
 
 CERT_DIVISIBLE = "divisible-by-relation"
-CERT_EXACT_SAMPLES = "exact-vanishing-on-exact-samples"
 CERT_SPHERE_IDEAL = "in-circumsphere-ideal"
 CERT_UNCERTIFIED = "uncertified"
 
@@ -321,52 +322,38 @@ def _conditioned_nullspace(
     return report, _rref(monomial_rows)
 
 
-def _even_exact_vanishing(p: MultiPoly, edge_sq: Fraction, draws) -> bool:
-    """Fallback certificate: an even-exponent candidate can be evaluated
-    exactly on the rational squared samples, built from the integer draws
-    only as far as the evaluation gets."""
-    if any(k % 2 for e in p.terms for k in e):
-        return False
-    halved = MultiPoly(p.arity, {tuple(k // 2 for k in e): c for e, c in p.terms.items()})
-    return all(halved.eval(_exact_squared(edge_sq, nums, den)) == 0 for nums, den in draws)
+def _relation_mod_quadratic(relation: MultiPoly, quadratic: MultiPoly) -> MultiPoly:
+    """The quartic relation's image modulo the circumsphere quadratic, which
+    has no ``T_last`` term (the relation is even in the last variable), as a
+    polynomial in the other variables; a run computes it once."""
+    image = divide_last_variable(relation, quadratic).remainder
+    assert image.is_zero or image.degree_in(image.arity - 1) == 0
+    return MultiPoly(image.arity - 1, {e[:-1]: c for e, c in image.terms.items()})
 
 
-def _drop_last_variable(p: MultiPoly) -> MultiPoly:
-    assert p.is_zero or p.degree_in(p.arity - 1) == 0
-    return MultiPoly(p.arity - 1, {e[:-1]: c for e, c in p.terms.items()})
-
-
-def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation: MultiPoly) -> bool:
+def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation_image: MultiPoly) -> bool:
     """Exact membership test for the ideal generated by the circumsphere
-    quadratic and the quartic relation.
+    quadratic and the quartic relation, given the relation's image
+    ``_relation_mod_quadratic(relation, quadratic)``.
 
     Reducing by the quadratic (monic in the last variable) leaves
-    ``A + B*T_last``; modulo the quadratic the relation becomes a
-    polynomial in the remaining variables alone (it is even in the last
-    one), and because that image has no ``T_last`` component, membership
-    is equivalent to it dividing both A and B.  Sequential division by the
-    two generators would be sound but blind: after the quadratic the
-    remainder's degree is always below the quartic's.
+    ``A + B*T_last``; because the relation's image modulo the quadratic has
+    no ``T_last`` component, membership is equivalent to it dividing both A
+    and B.  Sequential division by the two generators would be sound but
+    blind: after the quadratic the remainder's degree is always below the
+    quartic's.
     """
     reduced = divide_last_variable(p, quadratic).remainder
-    relation_mod = divide_last_variable(relation, quadratic).remainder
-    relation_small = _drop_last_variable(relation_mod)
-    n = p.arity
-    part_a = MultiPoly(n - 1, {e[:-1]: c for e, c in reduced.terms.items() if e[-1] == 0})
-    part_b = MultiPoly(n - 1, {e[:-1]: c for e, c in reduced.terms.items() if e[-1] == 1})
-    return (
-        divide_last_variable(part_a, relation_small).remainder.is_zero
-        and divide_last_variable(part_b, relation_small).remainder.is_zero
+    parts = (
+        MultiPoly(p.arity - 1, {e[:-1]: c for e, c in reduced.terms.items() if e[-1] == k})
+        for k in (0, 1)
     )
+    return all(divide_last_variable(part, relation_image).remainder.is_zero for part in parts)
 
 
-def _certify(p, generator, edge_sq, draws) -> str:
-    if p.is_zero:
-        return CERT_UNCERTIFIED
-    if divide_last_variable(p, generator).remainder.is_zero:
+def _certify(p: MultiPoly, generator: MultiPoly) -> str:
+    if not p.is_zero and divide_last_variable(p, generator).remainder.is_zero:
         return CERT_DIVISIBLE
-    if _even_exact_vanishing(p, edge_sq, draws):
-        return CERT_EXACT_SAMPLES
     return CERT_UNCERTIFIED
 
 
@@ -400,9 +387,8 @@ def _discovery_draws(d: int, seed: int, count: int) -> list[tuple[tuple[int, ...
     return draws
 
 
-def _sample_distance_tuples(d, edge_sq, count, seed):
-    """Distances of the discovery samples as floats (one row per sample),
-    with the samples' integer weights for exact evaluation.
+def _sample_distance_tuples(d, edge_sq, count, seed) -> np.ndarray:
+    """Distances of the discovery samples as floats, one row per sample.
 
     Each float is ``sqrt`` of the squared distance ``p*N_j / (2*q*T^2)``
     divided as Python ints, which rounds correctly, so it equals
@@ -410,12 +396,58 @@ def _sample_distance_tuples(d, edge_sq, count, seed):
     """
     simplex = EmbeddedSimplex(d, edge_sq)
     p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
-    draws = _discovery_draws(d, seed, count)
-    floats = np.array([
+    return np.array([
         [math.sqrt(p * n / (2 * q * den * den)) for n in _distance_numerators(nums, den)]
-        for nums, den in draws
+        for nums, den in _discovery_draws(d, seed, count)
     ])
-    return floats, draws
+
+
+_STRATIFIED_SAMPLING = "stratified(box=3/2, radial-third)"
+
+
+def _discovery_run(
+    operation: str,
+    d: int,
+    a2: Fraction,
+    arity: int,
+    max_degree: int,
+    n_samples: int | None,
+    seed: int,
+    threshold: float,
+    max_denominator: int,
+    sample,
+    sampling: str,
+    **extra_config,
+) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[MultiPoly]]:
+    """The steps all discovery runs share: check the degree, draw
+    ``n_samples`` rows of ``arity`` float distances with ``sample(count)``
+    (three per basis monomial by default), take the conditioned nullspace
+    and rationalize each of its rows into a candidate polynomial.
+
+    Returns the config block, the basis, the sample rows, the nullspace and
+    the candidates; classifying the candidates is left to the caller.
+    """
+    if not isinstance(max_degree, int) or max_degree < 1:
+        raise ValueError("max_degree must be a positive integer")
+    basis = enumerate_monomials(arity, max_degree)
+    count = n_samples if n_samples is not None else 3 * len(basis)
+    floats = sample(count)
+    report, rows = _conditioned_nullspace(floats, basis, threshold)
+    polys = [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
+    config = {
+        "operation": operation,
+        "d": d,
+        "edge_sq": frac_str(a2),
+        **extra_config,
+        "max_degree": max_degree,
+        "n_samples": count,
+        "seed": seed,
+        "threshold": threshold,
+        "max_denominator": max_denominator,
+        "matrix_basis": "chebyshev-equilibrated",
+        "sampling": sampling,
+    }
+    return config, basis, floats, report, polys
 
 
 def discover_vanishing(
@@ -436,8 +468,6 @@ def discover_vanishing(
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
-    if not isinstance(max_degree, int) or max_degree < 1:
-        raise ValueError("max_degree must be a positive integer")
     a2 = as_fraction(edge_sq)
     if d == 1:
         edge = rational_sqrt(a2)
@@ -449,27 +479,12 @@ def discover_vanishing(
         generator = segment_generator(edge)
     else:
         generator = distance_relation(d, a2)
-    basis = enumerate_monomials(d + 1, max_degree)
-    count = n_samples if n_samples is not None else 3 * len(basis)
-    floats, draws = _sample_distance_tuples(d, a2, count, seed)
-    report, rows = _conditioned_nullspace(floats, basis, threshold)
-    candidates = []
-    for row in rows:
-        coeffs = rationalize(row, max_denominator)
-        p = _poly_from_coeffs(basis, coeffs)
-        candidates.append(CertifiedCandidate(p, _certify(p, generator, a2, draws)))
-    config = {
-        "operation": "discover",
-        "d": d,
-        "edge_sq": frac_str(a2),
-        "max_degree": max_degree,
-        "n_samples": count,
-        "seed": seed,
-        "threshold": threshold,
-        "max_denominator": max_denominator,
-        "matrix_basis": "chebyshev-equilibrated",
-        "sampling": "stratified(box=3/2, radial-third)",
-    }
+    config, basis, _, report, polys = _discovery_run(
+        "discover", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
+        sample=lambda count: _sample_distance_tuples(d, a2, count, seed),
+        sampling=_STRATIFIED_SAMPLING,
+    )
+    candidates = [CertifiedCandidate(p, _certify(p, generator)) for p in polys]
     return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
 
 
@@ -531,28 +546,14 @@ def independence_test(
             "always satisfies the quartic relation"
         )
     a2 = as_fraction(edge_sq)
-    basis = enumerate_monomials(len(labels), max_degree)
-    count = n_samples if n_samples is not None else 3 * len(basis)
-    floats, _ = _sample_distance_tuples(d, a2, count, seed)
-    restricted = floats[:, [j - 1 for j in labels]]
-    report, rows = _conditioned_nullspace(restricted, basis, threshold)
-    candidates = [
-        CertifiedCandidate(_poly_from_coeffs(basis, rationalize(row, max_denominator)), CERT_UNCERTIFIED)
-        for row in rows
-    ]
-    config = {
-        "operation": "independence",
-        "d": d,
-        "edge_sq": frac_str(a2),
-        "subset": labels,
-        "max_degree": max_degree,
-        "n_samples": count,
-        "seed": seed,
-        "threshold": threshold,
-        "max_denominator": max_denominator,
-        "matrix_basis": "chebyshev-equilibrated",
-        "sampling": "stratified(box=3/2, radial-third)",
-    }
+    columns = [j - 1 for j in labels]
+    config, _, _, report, polys = _discovery_run(
+        "independence", d, a2, len(labels), max_degree, n_samples, seed, threshold, max_denominator,
+        sample=lambda count: _sample_distance_tuples(d, a2, count, seed)[:, columns],
+        sampling=_STRATIFIED_SAMPLING,
+        subset=labels,
+    )
+    candidates = [CertifiedCandidate(p, CERT_UNCERTIFIED) for p in polys]
     return IndependenceReport(config=config, nullspace=report, candidates=candidates)
 
 
@@ -605,25 +606,25 @@ def discover_on_sphere(
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError("circumsphere discovery needs dimension >= 2")
-    if not isinstance(max_degree, int) or max_degree < 1:
-        raise ValueError("max_degree must be a positive integer")
     a2 = as_fraction(edge_sq)
     if a2 <= 0:
         raise ValueError("squared edge length must be positive")
-    basis = enumerate_monomials(d + 1, max_degree)
-    count = n_samples if n_samples is not None else 3 * len(basis)
-    simplex = CartesianSimplex.build(d, math.sqrt(float(a2)))
-    points = sample_circumsphere(simplex, SampleConfig(seed=seed, count=count))
-    floats = np.array([simplex.distances(p) for p in points])
 
+    def sample(count):
+        simplex = CartesianSimplex.build(d, math.sqrt(float(a2)))
+        points = sample_circumsphere(simplex, SampleConfig(seed=seed, count=count))
+        return np.array([simplex.distances(p) for p in points])
+
+    config, _, floats, report, polys = _discovery_run(
+        "sphere", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
+        sample=sample,
+        sampling="circumsphere(gaussian-direction)",
+    )
     quadratic = circumsphere_quadratic(d, a2)
-    relation = distance_relation(d, a2)
-    report, rows = _conditioned_nullspace(floats, basis, threshold)
-
+    relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)
     certified, extras = [], []
-    for row in rows:
-        p = _poly_from_coeffs(basis, rationalize(row, max_denominator))
-        if not p.is_zero and _in_sphere_ideal(p, quadratic, relation):
+    for p in polys:
+        if not p.is_zero and _in_sphere_ideal(p, quadratic, relation_image):
             certified.append(CertifiedCandidate(p, CERT_SPHERE_IDEAL))
         else:
             extras.append(CertifiedCandidate(p, CERT_UNCERTIFIED))
@@ -634,19 +635,6 @@ def discover_on_sphere(
             floats, enumerate_monomials(d + 1, degree), threshold
         )[0].null_dim
         for degree in range(1, max_degree + 1)
-    }
-
-    config = {
-        "operation": "sphere",
-        "d": d,
-        "edge_sq": frac_str(a2),
-        "max_degree": max_degree,
-        "n_samples": count,
-        "seed": seed,
-        "threshold": threshold,
-        "max_denominator": max_denominator,
-        "matrix_basis": "chebyshev-equilibrated",
-        "sampling": "circumsphere(gaussian-direction)",
     }
     return SphereDiscoveryReport(
         config=config,

@@ -209,12 +209,6 @@ class CartesianSimplex:
             raise ValueError(f"point must have {self.dim} coordinates, got shape {p.shape}")
         return np.linalg.norm(self.vertices - p, axis=1)
 
-    def point_from_weights(self, weights) -> np.ndarray:
-        w = np.asarray([float(x) for x in weights])
-        if w.shape != (self.dim + 1,):
-            raise ValueError("one weight per vertex required")
-        return w @ self.vertices
-
     @property
     def circumcenter(self) -> np.ndarray:
         # centroid, by symmetry of the regular simplex

@@ -78,6 +78,18 @@ def test_independence_rejects_oversize_subset(capsys):
     assert main(["independence", "--d", "2", "--subset", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["discover", "--d", "2"],
+    ["independence", "--d", "2", "--subset", "1,2"],
+    ["sphere", "--d", "2"],
+])
+def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    assert main([*command, "--max-degree", "0", "--out", str(out)]) == 2
+    assert "max_degree must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sphere_subcommand(tmp_path):
     code, doc = run(tmp_path, "sphere", "--d", "2", "--max-degree", "2")
     assert code == 0
@@ -205,6 +217,24 @@ def test_cm_matrix_file(tmp_path):
     assert code == 0
     assert doc["result"]["determinant"] == "0"
     assert doc["result"]["volume"] == 0.0
+
+
+def test_cm_flat_float_matrix_reports_positive_zero_volume(tmp_path):
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]))
+    code, doc = run(tmp_path, "cm", "--matrix", str(matrix_file))
+    assert code == 0
+    assert doc["result"]["exact"] is False and doc["result"]["determinant"] == 0.0
+    volume = doc["result"]["volume"]
+    assert volume == 0.0 and math.copysign(1.0, volume) == 1.0
+
+
+@pytest.mark.parametrize("edge", ["-1", "-3/7", "0"])
+def test_cm_rejects_non_positive_edge(tmp_path, capsys, edge):
+    out = tmp_path / "report.json"
+    assert main(["cm", "--edges-equilateral", "3", f"--a={edge}", "--out", str(out)]) == 2
+    assert "edge length must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cm_computes_determinant_once(tmp_path, monkeypatch):

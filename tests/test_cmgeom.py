@@ -160,6 +160,15 @@ def test_regular_tetrahedron_volume():
 def test_collinear_volume_zero():
     m = SquaredDistanceMatrix([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
     assert simplex_volume(m) == 0.0
+    assert math.copysign(1.0, simplex_volume(m)) == 1.0
+
+
+def test_collinear_float_volume_is_positive_zero():
+    # the float determinant is 0.0 and (-1)^(d+1) * 0.0 is -0.0 for even d;
+    # the float path must report +0.0 like the exact one
+    m = SquaredDistanceMatrix([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+    assert simplex_volume(m) == 0.0
+    assert math.copysign(1.0, simplex_volume(m)) == 1.0
 
 
 def test_non_embeddable_distances_rejected():

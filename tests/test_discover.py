@@ -15,6 +15,7 @@ from simplexdist.discover import (
     CERT_SPHERE_IDEAL,
     _chebyshev_eval_matrix,
     _in_sphere_ideal,
+    _relation_mod_quadratic,
     _rref,
     discover_on_sphere,
     discover_vanishing,
@@ -390,6 +391,13 @@ def test_independence_rejects_bad_labels():
         independence_test(2, 1, (), 4)
 
 
+@pytest.mark.parametrize("max_degree", [0, -1, 2.0])
+def test_independence_rejects_bad_degree(max_degree):
+    # the same degree check as discover_vanishing and discover_on_sphere
+    with pytest.raises(ValueError, match="max_degree must be a positive integer"):
+        independence_test(2, 1, (1, 2), max_degree)
+
+
 # -- circumsphere discovery ------------------------------------------------------------------
 
 
@@ -424,13 +432,23 @@ def test_sphere_ideal_membership_is_complete():
     rel = distance_relation(2, 1)
     quart = circumsphere_quartic(2, 1)
     t1 = MultiPoly.variable(0, 3)
-    assert _in_sphere_ideal(quad, quad, rel)
-    assert _in_sphere_ideal(rel, quad, rel)
+    image = _relation_mod_quadratic(rel, quad)
+    assert _in_sphere_ideal(quad, quad, image)
+    assert _in_sphere_ideal(rel, quad, image)
     # the other circumsphere quartic is generated by the two, by the exact
     # polynomial identity linking the three
-    assert _in_sphere_ideal(quart, quad, rel)
-    assert _in_sphere_ideal(quad * t1 + rel * (t1**2), quad, rel)
-    assert not _in_sphere_ideal(t1, quad, rel)
+    assert _in_sphere_ideal(quart, quad, image)
+    assert _in_sphere_ideal(quad * t1 + rel * (t1**2), quad, image)
+    assert not _in_sphere_ideal(t1, quad, image)
+
+
+def test_sphere_ideal_membership_checks_the_last_variable_part():
+    # T3 reduces to A + B*T3 with A = 0 and B = 1: only B shows it is not a member
+    quad = circumsphere_quadratic(2, 1)
+    image = _relation_mod_quadratic(distance_relation(2, 1), quad)
+    t3 = MultiPoly.variable(2, 3)
+    assert not _in_sphere_ideal(t3, quad, image)
+    assert _in_sphere_ideal(quad * t3, quad, image)
 
 
 def test_sphere_degree_four_certifies_quartic_span():
@@ -442,8 +460,9 @@ def test_sphere_degree_four_certifies_quartic_span():
     assert report.null_dim_by_degree[4] >= 11  # 10 quadratic multiples + the relation
     quad = circumsphere_quadratic(2, 1)
     rel = distance_relation(2, 1)
+    image = _relation_mod_quadratic(rel, quad)
     for candidate in report.certified:
-        assert _in_sphere_ideal(candidate.poly, quad, rel)
+        assert _in_sphere_ideal(candidate.poly, quad, image)
     assert report.extras  # the Pompeiu-type directions
 
 
@@ -452,7 +471,7 @@ def test_pompeiu_cubic_vanishes_on_circle_but_outside_ideal():
     pompeiu = (t1 + t2 - t3) * (t1 - t2 + t3) * (t2 + t3 - t1)
     quad = circumsphere_quadratic(2, 1)
     rel = distance_relation(2, 1)
-    assert not _in_sphere_ideal(pompeiu, quad, rel)
+    assert not _in_sphere_ideal(pompeiu, quad, _relation_mod_quadratic(rel, quad))
     from simplexdist.geom import CartesianSimplex, sample_circumsphere
 
     simplex = CartesianSimplex.build(2, 1.0)

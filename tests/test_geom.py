@@ -278,7 +278,7 @@ def test_discovery_pull_matches_fraction_reference(d):
     assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == expected
     for a2 in EDGES_SQ:
         s = EmbeddedSimplex(d, a2)
-        floats, _ = discover._sample_distance_tuples(d, a2, 30, d + 40)
+        floats = discover._sample_distance_tuples(d, a2, 30, d + 40)
         reference = [
             [math.sqrt(float(x)) for x in s.squared_distances(BarycentricPoint(w))]
             for w in expected
@@ -317,7 +317,7 @@ def test_cartesian_matches_embedded_squared_distances():
     for weights in rng_weights:
         point = BarycentricPoint(tuple(Fraction(w) for w in weights))
         exact = [float(x) for x in emb.squared_distances(point)]
-        approx = cart.distances(cart.point_from_weights(weights)) ** 2
+        approx = cart.distances(np.array([float(w) for w in weights]) @ cart.vertices) ** 2
         assert np.allclose(approx, exact, rtol=1e-9)
 
 
@@ -325,7 +325,7 @@ def test_cartesian_matches_embedded_on_samples():
     emb = EmbeddedSimplex(2, 1)
     cart = CartesianSimplex.build(2, 1.0)
     for point, sample in sample_points(emb, SampleConfig(seed=5, count=25)):
-        approx = cart.distances(cart.point_from_weights(point.weights)) ** 2
+        approx = cart.distances(np.array([float(w) for w in point.weights]) @ cart.vertices) ** 2
         assert np.allclose(approx, [float(x) for x in sample.squared], rtol=1e-9)
 
 

@@ -58,7 +58,7 @@ def test_sample_points_stream(d, edge_sq, seed, count, box, expected):
     ],
 )
 def test_discovery_floats_stream(d, edge_sq, count, seed, expected):
-    floats = discover._sample_distance_tuples(d, Fraction(edge_sq), count, seed)[0]
+    floats = discover._sample_distance_tuples(d, Fraction(edge_sq), count, seed)
     assert floats.dtype == np.float64 and floats.shape == (count, d + 1)
     assert digest(floats.astype("<f8").tobytes()) == expected
 
