@@ -217,13 +217,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_probe63(args) -> int:
-    report = cmgeom.probe_realizability(
-        args.d, args.edge_sq, trials=args.count, seed=args.seed, tol=args.tol
-    )
+    report = cmgeom.probe_realizability(args.d, args.edge_sq, trials=args.count, seed=args.seed)
     _emit(args, "probe63", report.config, report.to_json(), [
         f"probe63: {args.count} trials, counts {report.counts}",
     ])
-    return EXIT_OK  # findings are data, not pass/fail
+    return EXIT_OK  # every completed root is realizable, so the probe cannot fail
 
 
 def cmd_soddy(args) -> int:
@@ -335,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe63", help="probe realizability of relation-satisfying tuples")
     _add_common(p, count=100)
-    p.add_argument("--tol", type=float, default=None, help="feasibility tolerance (default 1e-9 * a^2)")
     p.set_defaults(func=cmd_probe63)
 
     p = sub.add_parser("soddy", help="Descartes curvature roots and tangent-circle construction")

@@ -419,16 +419,19 @@ def _discovery_run(
     sampling: str,
     **extra_config,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[MultiPoly]]:
-    """The steps all discovery runs share: check the degree, draw
-    ``n_samples`` rows of ``arity`` float distances with ``sample(count)``
-    (three per basis monomial by default), take the conditioned nullspace
-    and rationalize each of its rows into a candidate polynomial.
+    """The steps all discovery runs share: check the degree and the
+    denominator bound, draw ``n_samples`` rows of ``arity`` float distances
+    with ``sample(count)`` (three per basis monomial by default), take the
+    conditioned nullspace and rationalize each of its rows into a candidate
+    polynomial.
 
     Returns the config block, the basis, the sample rows, the nullspace and
     the candidates; classifying the candidates is left to the caller.
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError("max_degree must be a positive integer")
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
     basis = enumerate_monomials(arity, max_degree)
     count = n_samples if n_samples is not None else 3 * len(basis)
     floats = sample(count)

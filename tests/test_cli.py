@@ -90,6 +90,19 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["discover", "--d", "2", "--max-degree", "3", "--max-denominator", "0"],
+    ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "4", "--max-denominator", "-7"],
+    ["sphere", "--d", "2", "--max-degree", "1", "--max-denominator", "0"],
+])
+def test_discovery_commands_reject_bad_max_denominator(tmp_path, capsys, command):
+    # these runs find no candidate, so the bound must be checked up front
+    out = tmp_path / "report.json"
+    assert main([*command, "--out", str(out)]) == 2
+    assert "max_denominator must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sphere_subcommand(tmp_path):
     code, doc = run(tmp_path, "sphere", "--d", "2", "--max-degree", "2")
     assert code == 0
@@ -176,6 +189,20 @@ def test_probe63_completes(tmp_path):
     counts = doc["result"]["counts"]
     assert set(counts) == {"no_real_root", "feasible", "infeasible"}
     assert len(doc["result"]["trials"]) == 60
+    assert "tol" not in doc["config"]
+
+
+def test_probe63_rejects_d0(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["probe63", "--d", "0", "--out", str(out)]) == 2
+    assert "dimension must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_probe63_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe63", "--d", "2", "--tol", "1e-6"])
+    assert exc.value.code == 2
 
 
 # -- soddy / cm ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from simplexdist.cmgeom import (
     simplex_volume,
 )
 from simplexdist.geom import CartesianSimplex, EmbeddedSimplex, SampleConfig, sample_points
+from simplexdist.poly import MultiPoly, distance_relation, relation_residual_exact
 
 
 # -- determinants ---------------------------------------------------------------
@@ -133,15 +134,6 @@ def test_matrix_validation():
         SquaredDistanceMatrix([[1, 1], [1, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         SquaredDistanceMatrix([[0]])  # single point
-
-
-def test_from_points_matches_regular():
-    s = CartesianSimplex.build(3, 1.0)
-    m = SquaredDistanceMatrix.from_points(s.vertices)
-    exact = SquaredDistanceMatrix.regular(4, 1)
-    for i in range(4):
-        for j in range(4):
-            assert abs(m.rows[i][j] - float(exact.rows[i][j])) < 1e-12
 
 
 # -- volumes ----------------------------------------------------------------------
@@ -285,6 +277,69 @@ def test_residual_grows_with_last_distance_perturbation():
         assert residuals[0] < residuals[1] < residuals[2]
 
 
+# -- the realizability identity ------------------------------------------------------
+
+
+def _invert(m):
+    """Gauss-Jordan inverse of a nonsingular Fraction matrix."""
+    n = len(m)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if aug[i][k] != 0)
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                aug[i] = [x - aug[i][k] * y for x, y in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
+
+
+def _relation_in_squares(d, a2):
+    # every exponent of the relation in the distances is even
+    rel = distance_relation(d, a2)
+    return MultiPoly(d + 1, {tuple(e // 2 for e in exps): c for exps, c in rel.terms.items()})
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("a2", [Fraction(1), Fraction(4, 9), Fraction(7, 3)])
+def test_height_above_solution_is_relation(d, a2):
+    # u_j = v_j - v_0 has Gram entries (|u_i|^2 + |u_j|^2 - |v_i - v_j|^2)/2;
+    # the linear solve gives u_j . y = b_j, so |y|^2 = b^T G^{-1} b, and
+    # s_0 - |y|^2 is the relation on the squared distances up to a constant
+    rows = SquaredDistanceMatrix.regular(d + 1, a2).rows
+    labels = range(1, d + 1)
+    gram = [[(rows[0][i] + rows[0][j] - rows[i][j]) / 2 for j in labels] for i in labels]
+    inverse = _invert(gram)
+    assert inverse == [
+        [(2 / a2) * (int(i == j) - Fraction(1, d + 1)) for j in range(d)] for i in range(d)
+    ]
+    s = [MultiPoly.variable(j, d + 1) for j in range(d + 1)]
+    b = [(MultiPoly.constant(a2, d + 1) + s[0] - s[j]).scale(Fraction(1, 2)) for j in labels]
+    height_sq = MultiPoly.zero(d + 1)
+    for i in range(d):
+        for j in range(d):
+            height_sq = height_sq + (b[i] * b[j]).scale(inverse[i][j])
+    relation = _relation_in_squares(d, a2)
+    assert s[0] - height_sq == relation.scale(Fraction(-1, 2 * (d + 1)) / a2)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_reconstruction_residual_is_relation(d):
+    a2 = Fraction(7, 3)
+    simplex = CartesianSimplex.build(d, math.sqrt(a2))
+    rng = random.Random(f"residual|{d}")
+    for _ in range(100):
+        t = [rng.uniform(0.0, 3.0) * simplex.edge for _ in range(d + 1)]
+        exact = relation_residual_exact(d, a2, [Fraction(x) ** 2 for x in t])
+        expected = float(abs(exact) / (2 * (d + 1) * a2))
+        residual = reconstruct_point(simplex, t).residual
+        # the residual is a difference of terms of size t_0^2 + a^2, whose
+        # rounding error stays relative to that size when the difference
+        # is tiny, i.e. next to a tuple that satisfies the relation
+        scale = max(expected, t[0] ** 2 + float(a2))
+        assert abs(residual - expected) <= 1e-12 * scale
+
+
 # -- completing a tuple through the quadratic ---------------------------------------
 
 
@@ -340,3 +395,21 @@ def test_probe_counts_trials_without_roots():
 def test_probe_validates_trials():
     with pytest.raises(ValueError):
         probe_realizability(2, 1, trials=0)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.0])
+def test_probe_validates_dimension(d):
+    with pytest.raises(ValueError):
+        probe_realizability(d, 1, 10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_probe_verdicts_follow_the_identity(d):
+    # every real non-negative completion satisfies the relation, so the
+    # probe marks each root feasible and never reconstructs a point
+    rep = probe_realizability(d, Fraction(4, 9), trials=60, seed=2)
+    assert rep.counts["infeasible"] == 0
+    assert rep.counts["feasible"] == sum(len(t["roots"]) for t in rep.trials)
+    for trial in rep.trials:
+        assert trial["verdicts"] == [{"t_last": r, "status": "feasible"} for r in trial["roots"]]
+    assert "tol" not in rep.config
