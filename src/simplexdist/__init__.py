@@ -40,7 +40,6 @@ from .geom import (
     DistanceSample,
     EmbeddedSimplex,
     SampleConfig,
-    circle_distance_profile,
     sample_circumsphere,
     sample_document,
     sample_points,

@@ -40,6 +40,17 @@ def _int_list_arg(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; a file that cannot be read
+    or parsed is bad configuration."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _emit(args, command: str, config: dict, result: dict, summary: list[str]) -> None:
     doc = {
         "tool": "simplexdist",
@@ -177,13 +188,7 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        doc = json.loads(Path(args.poly).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.poly}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.poly} is not valid JSON: {exc}") from exc
-    candidate = poly.poly_from_dict(doc)
+    candidate = poly.poly_from_dict(_read_json(args.poly))
     division = poly.reduce_by_relation(candidate, args.d, args.edge_sq)
     member = division.remainder.is_zero
     result = {
@@ -200,12 +205,15 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    edge = math.sqrt(float(as_fraction(args.edge_sq)))
+    a2 = as_fraction(args.edge_sq)
+    if a2 <= 0:
+        raise ValueError(f"squared edge length must be positive, got {frac_str(a2)}")
+    edge = math.sqrt(float(a2))
     simplex = geom.CartesianSimplex.build(args.d, edge)
     result = cmgeom.reconstruct_point(simplex, args.t, args.tol)
     cfg = {
         "d": args.d,
-        "edge_sq": frac_str(as_fraction(args.edge_sq)),
+        "edge_sq": frac_str(a2),
         "t": args.t,
         "tol": args.tol if args.tol is not None else 1e-9 * edge**2,
     }
@@ -265,8 +273,7 @@ def cmd_cm(args) -> int:
         matrix = cmgeom.SquaredDistanceMatrix.regular(n, a * a)
         cfg = {"points": n, "edge": frac_str(a)}
     else:
-        rows = json.loads(Path(args.matrix).read_text())
-        matrix = cmgeom.SquaredDistanceMatrix(rows)
+        matrix = cmgeom.SquaredDistanceMatrix(_read_json(args.matrix))
         cfg = {"matrix": args.matrix, "points": matrix.n}
     det = cmgeom.cayley_menger_det(matrix)
     result = {

@@ -34,14 +34,29 @@ through the relation is realizable, with no tolerance involved.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .geom import CartesianSimplex, _rng_for
 from .rationals import as_fraction, frac_str
+
+
+def _is_sequence(value) -> bool:
+    return isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, (str, bytes))
+
+
+def _real_entry(value, i: int, j: int) -> float:
+    try:
+        x = float(value) if isinstance(value, (numbers.Real, str)) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"entry ({i},{j}) is not a finite real number: {value!r}")
+    return x
 
 
 class SquaredDistanceMatrix:
@@ -50,12 +65,15 @@ class SquaredDistanceMatrix:
     Exactness is inferred from the entries: ints, Fractions, and "p/q"
     strings give an exact matrix, anything floating gives a float one.
     The diagonal must be zero and every entry non-negative; asymmetric or
-    negative input is rejected.
+    negative input is rejected, and so are rows that are not sequences and
+    entries that are neither rational nor finite reals.
     """
 
     __slots__ = ("n", "rows", "exact")
 
     def __init__(self, rows: Sequence[Sequence]):
+        if not _is_sequence(rows) or not all(_is_sequence(r) for r in rows):
+            raise ValueError("matrix must be a sequence of rows, each a sequence of entries")
         data = [list(r) for r in rows]
         n = len(data)
         if n < 2:
@@ -70,7 +88,7 @@ class SquaredDistanceMatrix:
         if exact:
             mat = [[as_fraction(x) for x in r] for r in data]
         else:
-            mat = [[float(x) for x in r] for r in data]
+            mat = [[_real_entry(x, i, j) for j, x in enumerate(r)] for i, r in enumerate(data)]
         for i in range(n):
             if mat[i][i] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be zero")
@@ -114,11 +132,6 @@ class SquaredDistanceMatrix:
         zero = Fraction(0) if self.exact else 0.0
         top = [zero] + [one] * self.n
         return [top] + [[one] + list(r) for r in self.rows]
-
-    def to_json(self) -> list[list]:
-        if self.exact:
-            return [[frac_str(x) for x in r] for r in self.rows]
-        return [list(r) for r in self.rows]
 
 
 def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:

@@ -25,6 +25,13 @@ monomial coordinates happens before any rationalization, leaving the exact
 side untouched.  Candidates that fail certification are reported as
 uncertified, never silently dropped; a singular-value gap under 10 marks
 the whole run inconclusive rather than pretending to a clean answer.
+
+Sphere runs also report the null dimension at every degree k below the
+bound D, and read it from a column prefix of the one degree-D matrix.  The
+basis is graded, so its degree <= k part is its first ``C(k + n, n)``
+monomials; each Chebyshev column depends only on its exponent and on the
+scale ``tmax``, and each column is normalised on its own, so those first
+columns of the equilibrated degree-D matrix are exactly the degree-k one.
 """
 
 from __future__ import annotations
@@ -191,7 +198,7 @@ def rationalize(vector: Sequence[float], max_denominator: int = 10**6) -> tuple[
     return tuple(fracs)
 
 
-def _rref(rows: np.ndarray, tol: float = _RREF_TOL) -> np.ndarray:
+def _rref(rows: np.ndarray) -> np.ndarray:
     """Reduced row echelon form with leftmost-pivot selection.
 
     Rows are max-normalised first so the pivot tolerance is scale-free.
@@ -209,7 +216,7 @@ def _rref(rows: np.ndarray, tol: float = _RREF_TOL) -> np.ndarray:
         if rank == a.shape[0]:
             break
         pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= tol:
+        if abs(a[pivot, col]) <= _RREF_TOL:
             continue
         a[[rank, pivot]] = a[[pivot, rank]]
         a[rank] = a[rank] / a[rank, col]
@@ -295,31 +302,27 @@ def _chebyshev_to_monomial(basis: MonomialBasis, tmax: float) -> np.ndarray:
     return full
 
 
-def _equilibrated_nullspace(
+def _conditioned_nullspace(
     samples: np.ndarray, basis: MonomialBasis, threshold: float
-) -> tuple[NullspaceReport, np.ndarray, float]:
-    """Numeric nullspace of the Chebyshev-product evaluation matrix with
-    unit-norm columns, with the column norms and the scale ``tmax`` that
-    map its basis back to monomial coefficients."""
+) -> tuple[NullspaceReport, np.ndarray, np.ndarray]:
+    """Numeric nullspace via the Chebyshev-product evaluation matrix with
+    unit-norm columns; the returned candidate rows are already back in
+    monomial coefficient space and in reduced row echelon form.
+
+    Also returns that equilibrated matrix, whose column prefixes are the
+    matrices of the lower-degree bases (see the module docstring).
+    """
     tmax = float(np.max(samples)) or 1.0
     matrix = _chebyshev_eval_matrix(samples, basis, tmax)
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
-    return numeric_nullspace(matrix / norms, threshold), norms, tmax
-
-
-def _conditioned_nullspace(
-    samples: np.ndarray, basis: MonomialBasis, threshold: float
-) -> tuple[NullspaceReport, np.ndarray]:
-    """Numeric nullspace via the Chebyshev-product evaluation matrix with
-    unit-norm columns; the returned candidate rows are already back in
-    monomial coefficient space and in reduced row echelon form."""
-    report, norms, tmax = _equilibrated_nullspace(samples, basis, threshold)
+    matrix /= norms
+    report = numeric_nullspace(matrix, threshold)
     if report.null_dim == 0:
-        return report, np.zeros((0, len(basis)))
+        return report, np.zeros((0, len(basis))), matrix
     cheb_rows = report.null_basis / norms[None, :]
     monomial_rows = cheb_rows @ _chebyshev_to_monomial(basis, tmax).T
-    return report, _rref(monomial_rows)
+    return report, _rref(monomial_rows), matrix
 
 
 def _relation_mod_quadratic(relation: MultiPoly, quadratic: MultiPoly) -> MultiPoly:
@@ -425,8 +428,9 @@ def _discovery_run(
     conditioned nullspace and rationalize each of its rows into a candidate
     polynomial.
 
-    Returns the config block, the basis, the sample rows, the nullspace and
-    the candidates; classifying the candidates is left to the caller.
+    Returns the config block, the basis, the equilibrated evaluation matrix,
+    the nullspace and the candidates; classifying the candidates is left to
+    the caller.
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError("max_degree must be a positive integer")
@@ -434,8 +438,7 @@ def _discovery_run(
         raise ValueError("max_denominator must be at least 1")
     basis = enumerate_monomials(arity, max_degree)
     count = n_samples if n_samples is not None else 3 * len(basis)
-    floats = sample(count)
-    report, rows = _conditioned_nullspace(floats, basis, threshold)
+    report, rows, matrix = _conditioned_nullspace(sample(count), basis, threshold)
     polys = [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
     config = {
         "operation": operation,
@@ -450,7 +453,7 @@ def _discovery_run(
         "matrix_basis": "chebyshev-equilibrated",
         "sampling": sampling,
     }
-    return config, basis, floats, report, polys
+    return config, basis, matrix, report, polys
 
 
 def discover_vanishing(
@@ -618,7 +621,7 @@ def discover_on_sphere(
         points = sample_circumsphere(simplex, SampleConfig(seed=seed, count=count))
         return np.array([simplex.distances(p) for p in points])
 
-    config, _, floats, report, polys = _discovery_run(
+    config, _, matrix, report, polys = _discovery_run(
         "sphere", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
         sample=sample,
         sampling="circumsphere(gaussian-direction)",
@@ -632,13 +635,13 @@ def discover_on_sphere(
         else:
             extras.append(CertifiedCandidate(p, CERT_UNCERTIFIED))
 
-    # lower degrees need only the null dimension, not the candidate rows
+    # lower degrees need only the null dimension, and the graded basis makes
+    # each lower-degree matrix a column prefix of the full one
     null_by_degree = {
-        degree: report.null_dim if degree == max_degree else _equilibrated_nullspace(
-            floats, enumerate_monomials(d + 1, degree), threshold
-        )[0].null_dim
-        for degree in range(1, max_degree + 1)
+        k: numeric_nullspace(matrix[:, : math.comb(k + d + 1, d + 1)], threshold).null_dim
+        for k in range(1, max_degree)
     }
+    null_by_degree[max_degree] = report.null_dim
     return SphereDiscoveryReport(
         config=config,
         null_dim_by_degree=null_by_degree,

@@ -82,9 +82,6 @@ class DistanceSample:
             raise ValueError("squared distances must be non-negative")
         object.__setattr__(self, "squared", sq)
 
-    def float_distances(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(float(s)) for s in self.squared)
-
     def to_json(self) -> dict:
         return {"mode": "exact", "squared": [frac_str(s) for s in self.squared]}
 
@@ -297,35 +294,6 @@ def sample_circumsphere(simplex: CartesianSimplex, config: SampleConfig) -> list
                 break
         out.append(center + radius * direction / norm)
     return out
-
-
-def circle_distance_profile(center, radius: float, external, n: int) -> np.ndarray:
-    """Distances from a fixed point to points sweeping one semicircle.
-
-    The sweep starts at the circle point nearest to the external point along
-    the line through the centre and ends at the far intersection, sampling
-    angles ``k*pi/(n-1)``.  Classical circle geometry (Euclid III.7 and
-    III.8) makes the sequence strictly increasing whenever the external
-    point differs from the centre; that point coinciding with the centre is
-    rejected, since then every distance is the radius.
-    """
-    c = np.asarray(center, dtype=float)
-    b = np.asarray(external, dtype=float)
-    if c.shape != (2,) or b.shape != (2,):
-        raise ValueError("profile is planar: center and external point must be 2-D")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("need at least 3 sample angles")
-    offset = b - c
-    dist = float(np.linalg.norm(offset))
-    if dist < 1e-12:
-        raise ValueError("external point must differ from the circle centre")
-    u = offset / dist
-    perp = np.array([-u[1], u[0]])
-    thetas = np.arange(n) * (math.pi / (n - 1))
-    points = c + radius * (np.cos(thetas)[:, None] * u + np.sin(thetas)[:, None] * perp)
-    return np.linalg.norm(points - b, axis=1)
 
 
 def sample_document(simplex: EmbeddedSimplex, config: SampleConfig, samples) -> dict:

@@ -95,11 +95,6 @@ class MultiPoly:
         exps = tuple(1 if i == index else 0 for i in range(arity))
         return cls(arity, {exps: 1})
 
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff=1) -> "MultiPoly":
-        e = tuple(exps)
-        return cls(len(e), {e: coeff})
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -17,6 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+# largest centre-distance defect a mutually tangent configuration may have
+_TANGENCY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Sphere:
@@ -72,7 +75,6 @@ class TangentConfig:
 
     dim: int
     spheres: tuple[Sphere, ...]
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "spheres", tuple(self.spheres))
@@ -81,7 +83,7 @@ class TangentConfig:
         if any(len(s.center) != self.dim for s in self.spheres):
             raise ValueError("sphere centre dimension mismatch")
         worst = max((r for _, _, r in tangency_residuals(self.spheres)), default=0.0)
-        if worst > self.tol:
+        if worst > _TANGENCY_TOL:
             raise ValueError(f"configuration is not mutually tangent (residual {worst:.3e})")
 
     def curvatures(self) -> list[float]:

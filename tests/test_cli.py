@@ -176,6 +176,12 @@ def test_reconstruct_vertex(tmp_path):
     assert doc["result"]["point"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("edge_sq", ["-1", "0"])
+def test_reconstruct_rejects_non_positive_edge(capsys, edge_sq):
+    assert main(["reconstruct", f"--edge-sq={edge_sq}", "--t", "1,1,1"]) == 2
+    assert "squared edge length must be positive" in capsys.readouterr().err
+
+
 def test_reconstruct_infeasible(tmp_path):
     code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", "1,1,1")
     assert code == 0
@@ -278,6 +284,21 @@ def test_cm_computes_determinant_once(tmp_path, monkeypatch):
     code, doc = run(tmp_path, "cm", "--edges-equilateral", "4", "--a", "1")
     assert code == 0 and calls == [4]
     assert doc["result"]["volume"] == pytest.approx(1 / (6 * math.sqrt(2)), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "[[0, null], [null, 0]]", "5", "[[0, Infinity], [Infinity, 0]]"],
+    ids=["missing", "null-entries", "bare-number", "infinite-entries"],
+)
+def test_cm_rejects_malformed_matrix_file(tmp_path, capsys, content):
+    matrix_file = tmp_path / "matrix.json"
+    if content is not None:
+        matrix_file.write_text(content)
+    out = tmp_path / "report.json"
+    assert main(["cm", "--matrix", str(matrix_file), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cm_requires_exactly_one_source(capsys):

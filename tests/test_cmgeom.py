@@ -134,6 +134,16 @@ def test_matrix_validation():
         SquaredDistanceMatrix([[1, 1], [1, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         SquaredDistanceMatrix([[0]])  # single point
+    with pytest.raises(ValueError):
+        SquaredDistanceMatrix(5)  # not a sequence of rows
+    with pytest.raises(ValueError):
+        SquaredDistanceMatrix(["01", "10"])  # rows that are strings
+    with pytest.raises(ValueError):
+        SquaredDistanceMatrix([[0, None], [None, 0]])  # neither rational nor real
+    with pytest.raises(ValueError):
+        SquaredDistanceMatrix([[0.0, math.inf], [math.inf, 0.0]])  # not finite
+    with pytest.raises(ValueError):
+        SquaredDistanceMatrix([[0.0, 10**400], [10**400, 0.0]])  # beyond the float range
 
 
 # -- volumes ----------------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_monomials_graded_and_strictly_ordered():
     assert len(set(basis.exponents)) == len(basis)
 
 
+@pytest.mark.parametrize("arity", range(1, 6))
+def test_lower_degree_monomials_are_a_prefix(arity):
+    # discover_on_sphere reads each lower-degree matrix as a column prefix
+    bases = [enumerate_monomials(arity, degree).exponents for degree in range(9)]
+    for top in range(1, 9):
+        for k in range(top):
+            assert bases[k] == bases[top][: math.comb(k + arity, arity)]
+
+
 # -- evaluation matrix ---------------------------------------------------------------
 
 
@@ -67,7 +76,7 @@ def _degree_four_matrix():
     # Chebyshev products span the same space as the degree-<=4 monomials
     simplex = EmbeddedSimplex(2, 1)
     samples = sample_points(simplex, SampleConfig(seed=2, count=105))
-    floats = np.array([s.float_distances() for _, s in samples])
+    floats = np.array([[math.sqrt(float(x)) for x in s.squared] for _, s in samples])
     return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), float(np.max(floats)))
 
 
@@ -282,9 +291,9 @@ def test_rref_matches_reference_on_rank_deficient_matrices():
 def test_rref_matches_reference_on_discovery_rows(monkeypatch):
     seen = []
 
-    def recording(rows, tol=discover._RREF_TOL):
+    def recording(rows):
         seen.append(np.array(rows))
-        return _rref(rows, tol)
+        return _rref(rows)
 
     monkeypatch.setattr(discover, "_rref", recording)
     discover_vanishing(3, 1, 5, seed=1)
@@ -478,6 +487,36 @@ def test_pompeiu_cubic_vanishes_on_circle_but_outside_ideal():
     points = sample_circumsphere(simplex, SampleConfig(seed=8, count=40))
     values = [pompeiu.eval_float(simplex.distances(p)) for p in points]
     assert max(abs(v) for v in values) < 1e-12
+
+
+@pytest.mark.parametrize("d, max_degree", [(2, 6), (3, 4)])
+def test_sphere_lower_degrees_match_rebuilt_matrices(monkeypatch, d, max_degree):
+    # every lower degree is read from a column prefix of the degree-D matrix;
+    # its spectrum must equal that of the degree-k matrix built from scratch
+    evaluate, nullspace = discover._chebyshev_eval_matrix, discover.numeric_nullspace
+    samples, reports = [], {}
+
+    def recording_eval(floats, basis, tmax):
+        samples.append(floats)
+        return evaluate(floats, basis, tmax)
+
+    def recording_nullspace(matrix, threshold):
+        reports[matrix.shape[1]] = nullspace(matrix, threshold)
+        return reports[matrix.shape[1]]
+
+    monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
+    monkeypatch.setattr(discover, "numeric_nullspace", recording_nullspace)
+    report = discover_on_sphere(d, 1, max_degree, seed=2)
+    (floats,) = samples
+    for k in range(1, max_degree):
+        basis = enumerate_monomials(d + 1, k)
+        matrix = _chebyshev_eval_matrix(floats, basis, float(np.max(floats)))
+        norms = np.linalg.norm(matrix, axis=0)
+        norms[norms == 0] = 1.0
+        rebuilt = numeric_nullspace(matrix / norms, 1e-8)
+        prefix = reports[len(basis)]
+        assert prefix.singular_values == rebuilt.singular_values
+        assert report.null_dim_by_degree[k] == prefix.null_dim == rebuilt.null_dim
 
 
 def test_sphere_deterministic():

@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from simplexdist import discover
 from simplexdist.geom import (
@@ -21,7 +19,6 @@ from simplexdist.geom import (
     _exact_squared,
     _rng_for,
     _weight_draws,
-    circle_distance_profile,
     sample_circumsphere,
     sample_document,
     sample_points,
@@ -204,8 +201,6 @@ def test_samples_satisfy_relation_exactly(d):
 
 def test_exact_sample_mode_invariants():
     sample = DistanceSample([Fraction(1, 4), Fraction(1)])
-    dists = sample.float_distances()
-    assert dists == (0.5, 1.0)
     assert sample.to_json() == {"mode": "exact", "squared": ["1/4", "1"]}
     with pytest.raises(ValueError):
         DistanceSample([Fraction(-1)])
@@ -368,50 +363,6 @@ def test_sphere_sampling_rejects_segment():
     s = CartesianSimplex.build(1, 1.0)
     with pytest.raises(ValueError):
         sample_circumsphere(s, SampleConfig(seed=0, count=1))
-
-
-# -- circle distance profile -----------------------------------------------------
-
-
-def test_profile_matches_closed_form():
-    # distances from (-3.6, 0) to the circle of radius 5 about the origin:
-    # sqrt(37.96 - 36*cos(theta)), from 1.4 at the near crossing to 8.6
-    profile = circle_distance_profile((0, 0), 5.0, (-3.6, 0), 5)
-    thetas = [k * math.pi / 4 for k in range(5)]
-    expected = [math.sqrt(37.96 - 36 * math.cos(t)) for t in thetas]
-    assert np.allclose(profile, expected, atol=1e-12)
-    assert abs(profile[0] - 1.4) < 1e-12
-    assert abs(profile[-1] - 8.6) < 1e-12
-    assert np.all(np.diff(profile) > 0)
-
-
-def test_profile_starts_at_zero_on_circle():
-    profile = circle_distance_profile((0, 0), 5.0, (-5.0, 0), 7)
-    assert profile[0] == 0.0
-    assert np.all(np.diff(profile) > 0)
-
-
-def test_profile_rejects_center():
-    with pytest.raises(ValueError):
-        circle_distance_profile((1, 2), 3.0, (1, 2), 5)
-    with pytest.raises(ValueError):
-        circle_distance_profile((0, 0), 3.0, (1, 0), 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=0.1, max_value=10),
-    st.floats(min_value=-4, max_value=4),
-    st.floats(min_value=-4, max_value=4),
-    st.integers(min_value=3, max_value=12),
-)
-def test_profile_strictly_increasing(radius, bx, by, n):
-    # interior or exterior points away from the centre
-    off = math.hypot(bx, by)
-    if off < 1e-3 or abs(off - radius) < 1e-3:
-        return
-    profile = circle_distance_profile((0, 0), radius, (bx, by), n)
-    assert np.all(np.diff(profile) > 0)
 
 
 # -- serialization ----------------------------------------------------------------
