@@ -278,6 +278,8 @@ def reconstruct_point(
     t = np.asarray(distances, dtype=float)
     if t.shape != (simplex.dim + 1,):
         raise ValueError(f"need {simplex.dim + 1} distances, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("distances must be finite")
     if np.any(t < 0):
         raise ValueError("distances must be non-negative")
     if tol is None:

@@ -7,7 +7,9 @@ rigor is restored afterwards by exact certification:
 1. evaluate a degree-bounded polynomial basis at many sampled distance
    tuples (rows: samples, columns: basis elements),
 2. take the numeric nullspace of the column-equilibrated matrix by SVD,
-   recording the full singular spectrum and the gap at the cut,
+   one exponent-parity block of columns at a time where the ideal allows
+   it (see below), recording the full singular spectrum and the gap at
+   the cut,
 3. map the nullspace basis back to monomial coefficients and bring it to
    reduced row echelon form, so each basis vector approximates a canonical
    rational one, then reconstruct exact rational coefficients by continued
@@ -25,6 +27,23 @@ monomial coordinates happens before any rationalization, leaving the exact
 side untouched.  Candidates that fail certification are reported as
 uncertified, never silently dropped; a singular-value gap under 10 marks
 the whole run inconclusive rather than pretending to a clean answer.
+
+When the vanishing ideal is invariant under every sign flip ``t_j -> -t_j``
+it is the direct sum of its parts in each exponent-parity class
+``e mod 2``, so the nullspace splits into one nullspace per class.  That
+holds for ``discover_vanishing`` at d >= 2, whose ideal is generated by
+the even quartic ``R(t^2)``, and for ``independence_test``, whose sampled
+set is dense in the whole space.  These runs scale each variable as
+``t / tmax``; then every Chebyshev product has the exact parity of its
+exponent, each block of columns gets its own SVD with its own relative
+threshold, and the null vectors are scattered back to full width before
+the back-transform, which at centre 0 keeps parity classes apart.  The
+blocks are far smaller than the whole matrix, and each is better
+conditioned than it.  The reported spectrum is the descending union of
+the block spectra, the null dimension their sum and the gap their
+minimum.  Sphere runs and d = 1 keep one block and the ``[0, tmax]``
+scaling: the Pompeiu cubic on the circumsphere and the segment cubic mix
+parities, so their ideals do not split.
 
 Sphere runs also report the null dimension at every degree k below the
 bound D, and read it from a column prefix of the one degree-D matrix.  The
@@ -114,7 +133,8 @@ class NullspaceReport:
     ``gap`` measures how decisively the spectrum separates at the cut:
     smallest kept singular value over largest discarded one when the
     nullspace is non-trivial, and smallest singular value over the absolute
-    threshold when it is empty.  ``inconclusive`` flags gaps under 10.
+    threshold when it is empty.  A nullspace taken in parity blocks reports
+    the smallest block gap.  ``inconclusive`` flags gaps under 10.
     """
 
     singular_values: tuple[float, ...]
@@ -267,10 +287,12 @@ def _poly_from_coeffs(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> Multi
     return MultiPoly(basis.arity, terms)
 
 
-def _chebyshev_eval_matrix(samples: np.ndarray, basis: MonomialBasis, tmax: float) -> np.ndarray:
+def _chebyshev_eval_matrix(
+    samples: np.ndarray, basis: MonomialBasis, center: float, half: float
+) -> np.ndarray:
     """Evaluate products of Chebyshev polynomials in the variables rescaled
-    from [0, tmax] to [-1, 1]; column j spans the same space as monomial j."""
-    scaled = (samples - tmax / 2.0) / (tmax / 2.0)
+    to ``(t - center) / half``; column j spans the same space as monomial j."""
+    scaled = (samples - center) / half
     vander = np.polynomial.chebyshev.chebvander(scaled, basis.max_degree)
     exps = np.asarray(basis.exponents)
     cols = np.ones((samples.shape[0], len(basis)))
@@ -279,12 +301,11 @@ def _chebyshev_eval_matrix(samples: np.ndarray, basis: MonomialBasis, tmax: floa
     return cols
 
 
-def _chebyshev_to_monomial(basis: MonomialBasis, tmax: float) -> np.ndarray:
+def _chebyshev_to_monomial(basis: MonomialBasis, center: float, half: float) -> np.ndarray:
     """Change-of-basis matrix B with B[m, e] = coefficient of monomial m in
-    the Chebyshev product element e; graded, hence triangular and invertible."""
+    the Chebyshev product element e; graded, hence triangular and invertible.
+    At ``center = 0`` it has no entries between different parity classes."""
     degree = basis.max_degree
-    center = tmax / 2.0
-    half = tmax / 2.0
     one_d = np.zeros((degree + 1, degree + 1))
     for k in range(degree + 1):
         unit = np.zeros(k + 1)
@@ -302,26 +323,54 @@ def _chebyshev_to_monomial(basis: MonomialBasis, tmax: float) -> np.ndarray:
     return full
 
 
+def _parity_blocks(basis: MonomialBasis) -> list[np.ndarray]:
+    """Column indices of the basis grouped by exponent parity class
+    ``e mod 2``, classes in order of first appearance."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for j, e in enumerate(basis.exponents):
+        classes.setdefault(tuple(x % 2 for x in e), []).append(j)
+    return [np.array(cols) for cols in classes.values()]
+
+
 def _conditioned_nullspace(
-    samples: np.ndarray, basis: MonomialBasis, threshold: float
+    samples: np.ndarray, basis: MonomialBasis, threshold: float, parity_split: bool
 ) -> tuple[NullspaceReport, np.ndarray, np.ndarray]:
     """Numeric nullspace via the Chebyshev-product evaluation matrix with
     unit-norm columns; the returned candidate rows are already back in
     monomial coefficient space and in reduced row echelon form.
 
+    With ``parity_split`` the variables are scaled by ``t / tmax``, so each
+    column has the exact parity of its exponent, and the nullspace is taken
+    one parity class of columns at a time (see the module docstring);
+    otherwise they are scaled from ``[0, tmax]`` and the matrix is one block.
+
     Also returns that equilibrated matrix, whose column prefixes are the
     matrices of the lower-degree bases (see the module docstring).
     """
     tmax = float(np.max(samples)) or 1.0
-    matrix = _chebyshev_eval_matrix(samples, basis, tmax)
+    center, half = (0.0, tmax) if parity_split else (tmax / 2.0, tmax / 2.0)
+    matrix = _chebyshev_eval_matrix(samples, basis, center, half)
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
     matrix /= norms
-    report = numeric_nullspace(matrix, threshold)
+    blocks = _parity_blocks(basis) if parity_split else [slice(None)]
+    reports = [numeric_nullspace(matrix[:, cols], threshold) for cols in blocks]
+    null_rows = np.zeros((sum(r.null_dim for r in reports), len(basis)))
+    start = 0
+    for cols, block in zip(blocks, reports):
+        null_rows[start : start + block.null_dim][:, cols] = block.null_basis
+        start += block.null_dim
+    report = NullspaceReport(
+        tuple(sorted((s for r in reports for s in r.singular_values), reverse=True)),
+        len(null_rows),
+        null_rows,
+        min(r.gap for r in reports),
+        threshold,
+    )
     if report.null_dim == 0:
-        return report, np.zeros((0, len(basis))), matrix
-    cheb_rows = report.null_basis / norms[None, :]
-    monomial_rows = cheb_rows @ _chebyshev_to_monomial(basis, tmax).T
+        return report, null_rows, matrix
+    cheb_rows = null_rows / norms[None, :]
+    monomial_rows = cheb_rows @ _chebyshev_to_monomial(basis, center, half).T
     return report, _rref(monomial_rows), matrix
 
 
@@ -420,13 +469,15 @@ def _discovery_run(
     max_denominator: int,
     sample,
     sampling: str,
+    parity_split: bool,
     **extra_config,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[MultiPoly]]:
     """The steps all discovery runs share: check the degree and the
     denominator bound, draw ``n_samples`` rows of ``arity`` float distances
     with ``sample(count)`` (three per basis monomial by default), take the
-    conditioned nullspace and rationalize each of its rows into a candidate
-    polynomial.
+    conditioned nullspace, split into exponent-parity blocks when
+    ``parity_split`` holds, and rationalize each of its rows into a
+    candidate polynomial.
 
     Returns the config block, the basis, the equilibrated evaluation matrix,
     the nullspace and the candidates; classifying the candidates is left to
@@ -438,7 +489,7 @@ def _discovery_run(
         raise ValueError("max_denominator must be at least 1")
     basis = enumerate_monomials(arity, max_degree)
     count = n_samples if n_samples is not None else 3 * len(basis)
-    report, rows, matrix = _conditioned_nullspace(sample(count), basis, threshold)
+    report, rows, matrix = _conditioned_nullspace(sample(count), basis, threshold, parity_split)
     polys = [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
     config = {
         "operation": operation,
@@ -450,7 +501,9 @@ def _discovery_run(
         "seed": seed,
         "threshold": threshold,
         "max_denominator": max_denominator,
-        "matrix_basis": "chebyshev-equilibrated",
+        "matrix_basis": (
+            "chebyshev-equilibrated(exponent-parity-blocks)" if parity_split else "chebyshev-equilibrated"
+        ),
         "sampling": sampling,
     }
     return config, basis, matrix, report, polys
@@ -489,6 +542,8 @@ def discover_vanishing(
         "discover", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
         sample=lambda count: _sample_distance_tuples(d, a2, count, seed),
         sampling=_STRATIFIED_SAMPLING,
+        # the segment cubic mixes parities, so d = 1 keeps one block
+        parity_split=d >= 2,
     )
     candidates = [CertifiedCandidate(p, _certify(p, generator)) for p in polys]
     return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
@@ -557,6 +612,7 @@ def independence_test(
         "independence", d, a2, len(labels), max_degree, n_samples, seed, threshold, max_denominator,
         sample=lambda count: _sample_distance_tuples(d, a2, count, seed)[:, columns],
         sampling=_STRATIFIED_SAMPLING,
+        parity_split=True,
         subset=labels,
     )
     candidates = [CertifiedCandidate(p, CERT_UNCERTIFIED) for p in polys]
@@ -625,6 +681,8 @@ def discover_on_sphere(
         "sphere", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
         sample=sample,
         sampling="circumsphere(gaussian-direction)",
+        # the Pompeiu cubic mixes parities, so sphere runs keep one block
+        parity_split=False,
     )
     quadratic = circumsphere_quadratic(d, a2)
     relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)

@@ -258,3 +258,25 @@ def test_criterion_8_descartes():
     if worst_vieta >= 1e-10:
         failures.append(f"worst Vieta defect {worst_vieta:.2e}")
     conclude(8, "Descartes curvature relation", failures)
+
+
+def test_criterion_9_discovery_at_scale_frontier():
+    """d = 2 at degree 10: 84 candidates, all certified, gap >= 1e3, not
+    inconclusive; d = 3 at degree 8, seeds 1 and 7: 70 certified, none
+    uncertified."""
+    failures = []
+    start = time.perf_counter()
+    report = discover_vanishing(2, 1, 10, seed=1)
+    certified = sum(c.certificate == CERT_DIVISIBLE for c in report.candidates)
+    if len(report.candidates) != 84 or certified != 84:
+        failures.append(f"d=2 degree=10: {certified} of {len(report.candidates)} certified, expected 84")
+    if report.nullspace.gap < 1e3 or report.inconclusive:
+        failures.append(f"d=2 degree=10: gap {report.nullspace.gap:.1e}")
+    for seed in (1, 7):
+        report = discover_vanishing(3, 1, 8, seed=seed)
+        certified = sum(c.certificate == CERT_DIVISIBLE for c in report.candidates)
+        uncertified = len(report.candidates) - certified
+        if certified != 70 or uncertified:
+            failures.append(f"d=3 degree=8 seed={seed}: {certified} certified, {uncertified} uncertified")
+    elapsed = time.perf_counter() - start
+    conclude(9, "discovery at the scale frontier", failures, elapsed)

@@ -182,6 +182,14 @@ def test_reconstruct_rejects_non_positive_edge(capsys, edge_sq):
     assert "squared edge length must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_reconstruct_rejects_non_finite_distance(tmp_path, capsys, bad):
+    # a NaN in the report would not be valid JSON
+    code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", f"1,{bad},1")
+    assert code == 2 and doc is None
+    assert "error: distances must be finite" in capsys.readouterr().err
+
+
 def test_reconstruct_infeasible(tmp_path):
     code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", "1,1,1")
     assert code == 0

@@ -258,6 +258,9 @@ def test_reconstruct_validates_input():
         reconstruct_point(s, [1.0, 1.0])
     with pytest.raises(ValueError):
         reconstruct_point(s, [-1.0, 1.0, 1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_point(s, [1.0, bad, 1.0])
     with pytest.raises(ValueError):
         reconstruct_point(s, [1.0, 1.0, 1.0], tol=0.0)
 

@@ -1,8 +1,13 @@
 """The numeric-then-exact vanishing-polynomial pipeline."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +19,11 @@ from simplexdist.discover import (
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
     _chebyshev_eval_matrix,
+    _chebyshev_to_monomial,
     _in_sphere_ideal,
     _relation_mod_quadratic,
     _rref,
+    _sample_distance_tuples,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,
@@ -77,7 +84,8 @@ def _degree_four_matrix():
     simplex = EmbeddedSimplex(2, 1)
     samples = sample_points(simplex, SampleConfig(seed=2, count=105))
     floats = np.array([[math.sqrt(float(x)) for x in s.squared] for _, s in samples])
-    return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), float(np.max(floats)))
+    half = float(np.max(floats)) / 2
+    return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), half, half)
 
 
 def test_rank_of_degree_four_matrix():
@@ -371,6 +379,146 @@ def test_discover_sample_count_defaults_to_thrice_basis():
     assert custom.config["n_samples"] == 150
 
 
+# -- exponent-parity blocks ----------------------------------------------------------------
+
+
+def _parity(exponent):
+    return tuple(e % 2 for e in exponent)
+
+
+def test_centre_zero_columns_have_exponent_parity():
+    # T_k(-x) = (-1)^k T_k(x), and the Chebyshev recurrence and the column
+    # products round symmetrically, so flipping t_j flips exactly the columns
+    # with odd e_j
+    samples = _sample_distance_tuples(3, 1, 60, seed=4)
+    basis = enumerate_monomials(4, 5)
+    tmax = float(np.max(samples))
+    matrix = _chebyshev_eval_matrix(samples, basis, 0.0, tmax)
+    exps = np.asarray(basis.exponents)
+    for var in range(4):
+        flipped = samples.copy()
+        flipped[:, var] *= -1
+        signs = (-1.0) ** exps[:, var]
+        assert np.array_equal(_chebyshev_eval_matrix(flipped, basis, 0.0, tmax), matrix * signs)
+
+
+def test_centre_zero_back_transform_keeps_parity_classes():
+    basis = enumerate_monomials(3, 6)
+    samples = _sample_distance_tuples(2, 1, 40, seed=2)
+    tmax = float(np.max(samples))
+    change = _chebyshev_to_monomial(basis, 0.0, tmax)
+    for m, em in enumerate(basis.exponents):
+        for e, ee in enumerate(basis.exponents):
+            if _parity(em) != _parity(ee):
+                assert change[m, e] == 0.0
+    # and it is the change of basis: each Chebyshev column is its monomial image
+    monomials = np.prod(samples[:, None, :] ** np.asarray(basis.exponents)[None], axis=2)
+    cheb = _chebyshev_eval_matrix(samples, basis, 0.0, tmax)
+    assert np.allclose(monomials @ change, cheb, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d, degree, seed", [(2, 10, 1), (2, 12, 1), (3, 8, 1), (3, 8, 7), (5, 6, 1)])
+def test_parity_split_finds_the_ideal_dimension(d, degree, seed):
+    # the quartic generates the ideal, so its degree-D part has dimension
+    # C(D - 4 + n, n), and every candidate must divide by it
+    n = d + 1
+    report = discover_vanishing(d, 1, degree, seed=seed)
+    assert report.config["matrix_basis"] == "chebyshev-equilibrated(exponent-parity-blocks)"
+    assert report.nullspace.null_dim == len(report.candidates) == math.comb(degree - 4 + n, n)
+    assert all(c.certificate == CERT_DIVISIBLE for c in report.candidates)
+    assert not report.inconclusive
+    spectrum = report.nullspace.singular_values
+    assert len(spectrum) == len(report.basis)
+    assert list(spectrum) == sorted(spectrum, reverse=True)
+
+
+def _candidates_digest(report):
+    doc = json.dumps([c.to_json() for c in report.candidates], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d, degree, expected", [
+    (5, 6, "d4710f5ea72a1cc677d768168419c3cf6a92a21a90fc5bd07e4efc062af4839c"),
+    (4, 7, "b973fe01d9886b275e53cca936269a46008fc688f3f013f4023d0d7b34619e50"),
+])
+def test_parity_split_keeps_certified_candidate_lists(d, degree, expected):
+    # recorded from the one-block pipeline, which certified every candidate of
+    # these runs: the RREF basis of the ideal slice is canonical, so the split
+    # must give the same exact polynomials
+    report = discover_vanishing(d, 1, degree, seed=1)
+    assert report.all_certified
+    assert _candidates_digest(report) == expected
+
+
+def _one_block_matrix(samples, basis):
+    """The equilibrated matrix of the one-block recipe: variables scaled
+    from [0, tmax] to [-1, 1]."""
+    tmax = float(np.max(samples))
+    scaled = (samples - tmax / 2.0) / (tmax / 2.0)
+    vander = np.polynomial.chebyshev.chebvander(scaled, basis.max_degree)
+    exps = np.asarray(basis.exponents)
+    matrix = np.ones((samples.shape[0], len(basis)))
+    for var in range(samples.shape[1]):
+        matrix *= vander[:, var, exps[:, var]]
+    norms = np.linalg.norm(matrix, axis=0)
+    norms[norms == 0] = 1.0
+    return matrix / norms
+
+
+@pytest.mark.parametrize("run, args, expected", [
+    (discover_on_sphere, (2, 1, 4), "e9c7a20be6d910b1c2562e2a9f5b8c5dfdef1899c22d47d84053cd361c59695b"),
+    (discover_on_sphere, (3, 1, 3), "d7542db23465420adf1bdf4645a558d6b5cbb1ee1230ebce9039657e58909b4f"),
+    (discover_vanishing, (1, 1, 5), "73efa7f4b6fa2139bcdfbc02810cd9d6f65c51f939992325213ece354384b59b"),
+])
+def test_one_block_runs_keep_their_reports(monkeypatch, run, args, expected):
+    # sphere and d = 1 runs keep one block and the [0, tmax] scaling: their
+    # SVD input is bit for bit the old matrix, and the rest of the report is
+    # pinned by a digest recorded before the split (the spectrum and gap are
+    # left out of it, as they depend on the BLAS build)
+    evaluate, nullspace = discover._chebyshev_eval_matrix, discover.numeric_nullspace
+    samples, inputs = [], []
+
+    def recording_eval(floats, basis, *scale):
+        samples.append(floats)
+        return evaluate(floats, basis, *scale)
+
+    def recording_nullspace(matrix, threshold):
+        inputs.append(matrix)
+        return nullspace(matrix, threshold)
+
+    monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
+    monkeypatch.setattr(discover, "numeric_nullspace", recording_nullspace)
+    report = run(*args, seed=3)
+    (floats,) = samples
+    old = _one_block_matrix(floats, enumerate_monomials(floats.shape[1], args[2]))
+    assert np.array_equal(inputs[0], old)
+    assert report.nullspace.singular_values == nullspace(old, 1e-8).singular_values
+    doc = report.to_json()
+    assert doc["config"]["matrix_basis"] == "chebyshev-equilibrated"
+    del doc["nullspace"]["singular_values"], doc["nullspace"]["gap"]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == expected
+
+
+def _discover_with_blas_threads(threads):
+    src = str(Path(discover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    argv = ["discover", "--d", "3", "--max-degree", "8", "--seed", "7"]
+    done = subprocess.run(
+        [sys.executable, "-m", "simplexdist.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)["result"]["candidates"]
+
+
+def test_discovery_counts_do_not_depend_on_blas_threads():
+    one, two = _discover_with_blas_threads(1), _discover_with_blas_threads(2)
+    assert one == two
+    assert sum(c["certificate"] == CERT_DIVISIBLE for c in one) == 70
+
+
 # -- independence ---------------------------------------------------------------------------
 
 
@@ -496,9 +644,9 @@ def test_sphere_lower_degrees_match_rebuilt_matrices(monkeypatch, d, max_degree)
     evaluate, nullspace = discover._chebyshev_eval_matrix, discover.numeric_nullspace
     samples, reports = [], {}
 
-    def recording_eval(floats, basis, tmax):
+    def recording_eval(floats, basis, *scale):
         samples.append(floats)
-        return evaluate(floats, basis, tmax)
+        return evaluate(floats, basis, *scale)
 
     def recording_nullspace(matrix, threshold):
         reports[matrix.shape[1]] = nullspace(matrix, threshold)
@@ -510,7 +658,8 @@ def test_sphere_lower_degrees_match_rebuilt_matrices(monkeypatch, d, max_degree)
     (floats,) = samples
     for k in range(1, max_degree):
         basis = enumerate_monomials(d + 1, k)
-        matrix = _chebyshev_eval_matrix(floats, basis, float(np.max(floats)))
+        half = float(np.max(floats)) / 2
+        matrix = _chebyshev_eval_matrix(floats, basis, half, half)
         norms = np.linalg.norm(matrix, axis=0)
         norms[norms == 0] = 1.0
         rebuilt = numeric_nullspace(matrix / norms, 1e-8)
