@@ -100,7 +100,13 @@ def _add_common(parser, *, d_default=2, count=None, degree=None):
             help="denominator bound for rational reconstruction (default %(default)s)",
         )
         parser.add_argument(
-            "--samples", type=int, default=None, help="sample count (default: 3x basis size)"
+            "--samples",
+            type=int,
+            default=None,
+            help=(
+                "sample count (default: 3x the largest exponent-parity block of the basis; "
+                "3x the whole basis for sphere and d=1, whose basis is one block)"
+            ),
         )
     parser.add_argument("--out", type=str, default=None, metavar="FILE", help="write the JSON report here")
 
@@ -235,6 +241,8 @@ def cmd_probe63(args) -> int:
 def cmd_soddy(args) -> int:
     if len(args.radii) != args.d + 1:
         raise ValueError(f"need {args.d + 1} radii for dimension {args.d}, got {len(args.radii)}")
+    if not all(math.isfinite(r) and r > 0 for r in args.radii):
+        raise ValueError("radii must be finite and positive")
     curvatures = [1.0 / r for r in args.radii]
     roots = soddy.solve_missing_curvature(curvatures, args.d)
     result: dict = {"known_curvatures": curvatures}

@@ -36,14 +36,18 @@ the even quartic ``R(t^2)``, and for ``independence_test``, whose sampled
 set is dense in the whole space.  These runs scale each variable as
 ``t / tmax``; then every Chebyshev product has the exact parity of its
 exponent, each block of columns gets its own SVD with its own relative
-threshold, and the null vectors are scattered back to full width before
-the back-transform, which at centre 0 keeps parity classes apart.  The
+threshold, and each block's null vectors go back to monomials through
+that block's own change of basis (at centre 0 the change of basis keeps
+parity classes apart) before they are scattered back to full width.  The
 blocks are far smaller than the whole matrix, and each is better
-conditioned than it.  The reported spectrum is the descending union of
-the block spectra, the null dimension their sum and the gap their
-minimum.  Sphere runs and d = 1 keep one block and the ``[0, tmax]``
-scaling: the Pompeiu cubic on the circumsphere and the segment cubic mix
-parities, so their ideals do not split.
+conditioned than it.  A block's SVD needs only a few times as many rows
+as it has columns, so these runs draw three samples per column of the
+largest block by default, not three per basis monomial.  The reported
+spectrum is the descending union of the block spectra, the null
+dimension their sum and the gap their minimum.  Sphere runs and d = 1
+keep one block and the ``[0, tmax]`` scaling: the Pompeiu cubic on the
+circumsphere and the segment cubic mix parities, so their ideals do not
+split.
 
 Sphere runs also report the null dimension at every degree k below the
 bound D, and read it from a column prefix of the one degree-D matrix.  The
@@ -301,11 +305,14 @@ def _chebyshev_eval_matrix(
     return cols
 
 
-def _chebyshev_to_monomial(basis: MonomialBasis, center: float, half: float) -> np.ndarray:
-    """Change-of-basis matrix B with B[m, e] = coefficient of monomial m in
-    the Chebyshev product element e; graded, hence triangular and invertible.
-    At ``center = 0`` it has no entries between different parity classes."""
-    degree = basis.max_degree
+def _chebyshev_to_monomial(exponents: np.ndarray, center: float, half: float) -> np.ndarray:
+    """Change-of-basis matrix B among the basis elements whose exponents
+    are the rows of ``exponents``: B[m, e] is the coefficient of monomial m
+    in the Chebyshev product element e.  Over a whole graded basis it is
+    triangular and invertible.  At ``center = 0`` it has no entries between
+    different parity classes, so over one parity class it is that class's
+    block of the whole basis's matrix."""
+    degree = int(exponents.max())
     one_d = np.zeros((degree + 1, degree + 1))
     for k in range(degree + 1):
         unit = np.zeros(k + 1)
@@ -316,11 +323,10 @@ def _chebyshev_to_monomial(basis: MonomialBasis, center: float, half: float) -> 
                 continue
             for i in range(j + 1):
                 one_d[i, k] += cj * math.comb(j, i) * (-center) ** (j - i) / half**j
-    exps = np.asarray(basis.exponents)
-    full = np.ones((len(basis), len(basis)))
-    for var in range(basis.arity):
-        full *= one_d[np.ix_(exps[:, var], exps[:, var])]
-    return full
+    change = np.ones((len(exponents), len(exponents)))
+    for var in range(exponents.shape[1]):
+        change *= one_d[np.ix_(exponents[:, var], exponents[:, var])]
+    return change
 
 
 def _parity_blocks(basis: MonomialBasis) -> list[np.ndarray]:
@@ -333,32 +339,41 @@ def _parity_blocks(basis: MonomialBasis) -> list[np.ndarray]:
 
 
 def _conditioned_nullspace(
-    samples: np.ndarray, basis: MonomialBasis, threshold: float, parity_split: bool
+    samples: np.ndarray, basis: MonomialBasis, blocks: Sequence[np.ndarray | slice], threshold: float
 ) -> tuple[NullspaceReport, np.ndarray, np.ndarray]:
     """Numeric nullspace via the Chebyshev-product evaluation matrix with
-    unit-norm columns; the returned candidate rows are already back in
-    monomial coefficient space and in reduced row echelon form.
+    unit-norm columns, taken one block of columns at a time; the returned
+    candidate rows are already back in monomial coefficient space and in
+    reduced row echelon form.
 
-    With ``parity_split`` the variables are scaled by ``t / tmax``, so each
-    column has the exact parity of its exponent, and the nullspace is taken
-    one parity class of columns at a time (see the module docstring);
-    otherwise they are scaled from ``[0, tmax]`` and the matrix is one block.
+    ``blocks`` partitions the column indices.  Several blocks must be the
+    parity classes (``_parity_blocks``): the variables are then scaled by
+    ``t / tmax``, so each column has the exact parity of its exponent and
+    each block's null vectors go back to monomials through that block's
+    own change of basis (see the module docstring).  One block,
+    ``slice(None)``, scales them from ``[0, tmax]``.
 
     Also returns that equilibrated matrix, whose column prefixes are the
     matrices of the lower-degree bases (see the module docstring).
     """
     tmax = float(np.max(samples)) or 1.0
-    center, half = (0.0, tmax) if parity_split else (tmax / 2.0, tmax / 2.0)
+    center, half = (0.0, tmax) if len(blocks) > 1 else (tmax / 2.0, tmax / 2.0)
     matrix = _chebyshev_eval_matrix(samples, basis, center, half)
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
     matrix /= norms
-    blocks = _parity_blocks(basis) if parity_split else [slice(None)]
     reports = [numeric_nullspace(matrix[:, cols], threshold) for cols in blocks]
     null_rows = np.zeros((sum(r.null_dim for r in reports), len(basis)))
+    monomial_rows = np.zeros_like(null_rows)
+    exps = np.asarray(basis.exponents)
     start = 0
     for cols, block in zip(blocks, reports):
-        null_rows[start : start + block.null_dim][:, cols] = block.null_basis
+        if block.null_dim == 0:
+            continue
+        rows = slice(start, start + block.null_dim)
+        null_rows[rows, cols] = block.null_basis
+        change = _chebyshev_to_monomial(exps[cols], center, half)
+        monomial_rows[rows, cols] = (block.null_basis / norms[cols]) @ change.T
         start += block.null_dim
     report = NullspaceReport(
         tuple(sorted((s for r in reports for s in r.singular_values), reverse=True)),
@@ -367,10 +382,6 @@ def _conditioned_nullspace(
         min(r.gap for r in reports),
         threshold,
     )
-    if report.null_dim == 0:
-        return report, null_rows, matrix
-    cheb_rows = null_rows / norms[None, :]
-    monomial_rows = cheb_rows @ _chebyshev_to_monomial(basis, center, half).T
     return report, _rref(monomial_rows), matrix
 
 
@@ -473,11 +484,16 @@ def _discovery_run(
     **extra_config,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[MultiPoly]]:
     """The steps all discovery runs share: check the degree and the
-    denominator bound, draw ``n_samples`` rows of ``arity`` float distances
-    with ``sample(count)`` (three per basis monomial by default), take the
-    conditioned nullspace, split into exponent-parity blocks when
-    ``parity_split`` holds, and rationalize each of its rows into a
-    candidate polynomial.
+    denominator bound, split the basis into exponent-parity blocks when
+    ``parity_split`` holds (else it is one block), draw ``n_samples`` rows
+    of ``arity`` float distances with ``sample(count)``, take the
+    conditioned nullspace one block at a time, and rationalize each of its
+    rows into a candidate polynomial.
+
+    By default the run draws three samples per column of the largest
+    block, which is three per basis monomial for a one-block run.  Sample
+    k depends only on the seed and k, so any count draws a prefix of the
+    same stream.
 
     Returns the config block, the basis, the equilibrated evaluation matrix,
     the nullspace and the candidates; classifying the candidates is left to
@@ -488,8 +504,11 @@ def _discovery_run(
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     basis = enumerate_monomials(arity, max_degree)
-    count = n_samples if n_samples is not None else 3 * len(basis)
-    report, rows, matrix = _conditioned_nullspace(sample(count), basis, threshold, parity_split)
+    # one block is a slice, so its columns are a view, not a copy
+    blocks = _parity_blocks(basis) if parity_split else [slice(None)]
+    exps = np.asarray(basis.exponents)
+    count = n_samples if n_samples is not None else 3 * max(len(exps[cols]) for cols in blocks)
+    report, rows, matrix = _conditioned_nullspace(sample(count), basis, blocks, threshold)
     polys = [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
     config = {
         "operation": operation,

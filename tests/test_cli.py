@@ -244,6 +244,16 @@ def test_soddy_wrong_radii_count(capsys):
     assert main(["soddy", "--radii", "1,1", "--d", "2"]) == 2
 
 
+@pytest.mark.parametrize("d, radii", [
+    ("3", "1,2,3,nan"), ("3", "1,2,3,inf"), ("3", "1,2,3,-4"), ("2", "1,2,0"), ("2", "1,-2,3"),
+])
+def test_soddy_rejects_non_finite_or_non_positive_radii(tmp_path, capsys, d, radii):
+    # checked before any 1/r: a NaN in the report would not be valid JSON
+    code, doc = run(tmp_path, "soddy", "--d", d, "--radii", radii)
+    assert code == 2 and doc is None
+    assert "error: radii must be finite and positive" in capsys.readouterr().err
+
+
 def test_cm_equilateral(tmp_path):
     code, doc = run(tmp_path, "cm", "--edges-equilateral", "3", "--a", "1")
     assert code == 0

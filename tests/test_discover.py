@@ -372,11 +372,18 @@ def test_discover_validates_input():
         discover_vanishing(2, 1, 0)
 
 
-def test_discover_sample_count_defaults_to_thrice_basis():
+def test_discover_sample_count_defaults_to_thrice_largest_block():
+    # degree <= 3 in three variables: the largest parity classes, such as
+    # {1, t1^2, t2^2, t3^2}, have 4 of the 20 monomials
     report = discover_vanishing(2, 1, 3, seed=0)
-    assert report.config["n_samples"] == 3 * math.comb(3 + 3, 3)
+    assert report.config["n_samples"] == 3 * 4 == 12
     custom = discover_vanishing(2, 1, 3, seed=0, n_samples=150)
     assert custom.config["n_samples"] == 150
+    # two variables to degree 6: the even-even class has 10 of 28 monomials
+    assert independence_test(2, 1, (1, 2), 6, seed=0).config["n_samples"] == 30
+    # one-block runs: the largest block is the whole basis
+    assert discover_vanishing(1, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 2, 2)
+    assert discover_on_sphere(2, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 3, 3)
 
 
 # -- exponent-parity blocks ----------------------------------------------------------------
@@ -402,19 +409,53 @@ def test_centre_zero_columns_have_exponent_parity():
         assert np.array_equal(_chebyshev_eval_matrix(flipped, basis, 0.0, tmax), matrix * signs)
 
 
+def _whole_chebyshev_to_monomial(basis, center, half):
+    """Reference: the change of basis over the whole basis at once (the
+    pipeline builds it one block of columns at a time)."""
+    degree = basis.max_degree
+    one_d = np.zeros((degree + 1, degree + 1))
+    for k in range(degree + 1):
+        unit = np.zeros(k + 1)
+        unit[k] = 1.0
+        in_scaled = np.polynomial.chebyshev.cheb2poly(unit)
+        for j, cj in enumerate(in_scaled):
+            if cj == 0.0:
+                continue
+            for i in range(j + 1):
+                one_d[i, k] += cj * math.comb(j, i) * (-center) ** (j - i) / half**j
+    exps = np.asarray(basis.exponents)
+    full = np.ones((len(basis), len(basis)))
+    for var in range(basis.arity):
+        full *= one_d[np.ix_(exps[:, var], exps[:, var])]
+    return full
+
+
 def test_centre_zero_back_transform_keeps_parity_classes():
     basis = enumerate_monomials(3, 6)
     samples = _sample_distance_tuples(2, 1, 40, seed=2)
     tmax = float(np.max(samples))
-    change = _chebyshev_to_monomial(basis, 0.0, tmax)
+    whole = _whole_chebyshev_to_monomial(basis, 0.0, tmax)
     for m, em in enumerate(basis.exponents):
         for e, ee in enumerate(basis.exponents):
             if _parity(em) != _parity(ee):
-                assert change[m, e] == 0.0
-    # and it is the change of basis: each Chebyshev column is its monomial image
-    monomials = np.prod(samples[:, None, :] ** np.asarray(basis.exponents)[None], axis=2)
+                assert whole[m, e] == 0.0
+    # so each parity block's own change of basis is that block of the whole
+    # one, and it maps each Chebyshev column of the block to its monomial image
+    exps = np.asarray(basis.exponents)
+    monomials = np.prod(samples[:, None, :] ** exps[None], axis=2)
     cheb = _chebyshev_eval_matrix(samples, basis, 0.0, tmax)
-    assert np.allclose(monomials @ change, cheb, rtol=0, atol=1e-9)
+    blocks = discover._parity_blocks(basis)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(len(basis)))
+    for cols in blocks:
+        change = _chebyshev_to_monomial(exps[cols], 0.0, tmax)
+        assert np.array_equal(change, whole[np.ix_(cols, cols)])
+        assert np.allclose(monomials[:, cols] @ change, cheb[:, cols], rtol=0, atol=1e-9)
+
+
+def test_one_block_back_transform_is_the_whole_one():
+    basis = enumerate_monomials(4, 5)
+    change = _chebyshev_to_monomial(np.asarray(basis.exponents), 0.7, 0.7)
+    assert np.array_equal(change, _whole_chebyshev_to_monomial(basis, 0.7, 0.7))
 
 
 @pytest.mark.parametrize("d, degree, seed", [(2, 10, 1), (2, 12, 1), (3, 8, 1), (3, 8, 7), (5, 6, 1)])
@@ -430,6 +471,12 @@ def test_parity_split_finds_the_ideal_dimension(d, degree, seed):
     spectrum = report.nullspace.singular_values
     assert len(spectrum) == len(report.basis)
     assert list(spectrum) == sorted(spectrum, reverse=True)
+    # the default draws three samples per column of the largest block; three
+    # per basis monomial, a longer prefix of the same stream, finds the same
+    # exact polynomials
+    full = discover_vanishing(d, 1, degree, seed=seed, n_samples=3 * len(report.basis))
+    assert report.config["n_samples"] < full.config["n_samples"]
+    assert [c.to_json() for c in full.candidates] == [c.to_json() for c in report.candidates]
 
 
 def _candidates_digest(report):
