@@ -29,7 +29,10 @@ EXIT_CONFIG = 2
 
 
 def _fraction_arg(text: str) -> Fraction:
-    return as_fraction(text)
+    try:
+        return as_fraction(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def _float_list_arg(text: str) -> list[float]:
@@ -104,8 +107,8 @@ def _add_common(parser, *, d_default=2, count=None, degree=None):
             type=int,
             default=None,
             help=(
-                "sample count (default: 3x the largest exponent-parity block of the basis; "
-                "3x the whole basis for sphere and d=1, whose basis is one block)"
+                "sample count (default: 3 per monomial of degree <= max-degree/2 in the squared "
+                "distances; 3 per basis monomial for sphere and d=1, which stay in the distances)"
             ),
         )
     parser.add_argument("--out", type=str, default=None, metavar="FILE", help="write the JSON report here")
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

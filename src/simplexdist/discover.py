@@ -7,9 +7,8 @@ rigor is restored afterwards by exact certification:
 1. evaluate a degree-bounded polynomial basis at many sampled distance
    tuples (rows: samples, columns: basis elements),
 2. take the numeric nullspace of the column-equilibrated matrix by SVD,
-   one exponent-parity block of columns at a time where the ideal allows
-   it (see below), recording the full singular spectrum and the gap at
-   the cut,
+   at each column prefix the run needs (see below), recording the full
+   singular spectrum and the gap at the cut,
 3. map the nullspace basis back to monomial coefficients and bring it to
    reduced row echelon form, so each basis vector approximates a canonical
    rational one, then reconstruct exact rational coefficients by continued
@@ -21,44 +20,44 @@ rigor is restored afterwards by exact certification:
    (``_in_sphere_ideal``) in ``discover_on_sphere``.
 
 Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
-Hilbert-like), so internally the pipeline evaluates scaled Chebyshev
-products, which span the same polynomial space; the basis change back to
-monomial coordinates happens before any rationalization, leaving the exact
-side untouched.  Candidates that fail certification are reported as
-uncertified, never silently dropped; a singular-value gap under 10 marks
-the whole run inconclusive rather than pretending to a clean answer.
+Hilbert-like), so internally the pipeline evaluates Chebyshev products in
+the variables scaled from ``[0, max]`` to ``[-1, 1]``, which span the same
+polynomial space; the basis change back to monomial coordinates happens
+before any rationalization, leaving the exact side untouched.  Candidates
+that fail certification are reported as uncertified, never silently
+dropped; a singular-value gap under 10 marks the whole run inconclusive
+rather than pretending to a clean answer.
 
-When the vanishing ideal is invariant under every sign flip ``t_j -> -t_j``
-it is the direct sum of its parts in each exponent-parity class
-``e mod 2``, so the nullspace splits into one nullspace per class.  That
-holds for ``discover_vanishing`` at d >= 2, whose ideal is generated by
-the even quartic ``R(t^2)``, and for ``independence_test``, whose sampled
-set is dense in the whole space.  These runs scale each variable as
-``t / tmax``; then every Chebyshev product has the exact parity of its
-exponent, each block of columns gets its own SVD with its own relative
-threshold, and each block's null vectors go back to monomials through
-that block's own change of basis (at centre 0 the change of basis keeps
-parity classes apart) before they are scattered back to full width.  The
-blocks are far smaller than the whole matrix, and each is better
-conditioned than it.  A block's SVD needs only a few times as many rows
-as it has columns, so these runs draw three samples per column of the
-largest block by default, not three per basis monomial.  The reported
-spectrum is the descending union of the block spectra, the null
-dimension their sum and the gap their minimum.  Sphere runs and d = 1
-keep one block and the ``[0, tmax]`` scaling: the Pompeiu cubic on the
-circumsphere and the segment cubic mix parities, so their ideals do not
-split.
-
-Sphere runs also report the null dimension at every degree k below the
-bound D, and read it from a column prefix of the one degree-D matrix.  The
-basis is graded, so its degree <= k part is its first ``C(k + n, n)``
+The basis is graded, so its degree <= k part is its first ``C(k + n, n)``
 monomials; each Chebyshev column depends only on its exponent and on the
-scale ``tmax``, and each column is normalised on its own, so those first
-columns of the equilibrated degree-D matrix are exactly the degree-k one.
+scale, and each column is normalised on its own, so those first columns of
+the equilibrated degree-D matrix are exactly the degree-k one.  Sphere
+runs read the null dimension at every degree below D from these prefixes.
+
+The quartic has only even powers of the distances, so for d >= 2 it is a
+quadric ``R(s)`` in ``s = t^2``.  Its ideal, like the whole space that
+``independence_test`` samples, is invariant under every flip ``t_j -> -t_j``,
+so it is the direct sum of its parts in each exponent-parity class e, whose
+members are ``t^e * q(t^2)``; away from zero distances such a member
+vanishes where q vanishes at the squares.  So these runs evaluate one
+matrix in s of degree ``D // 2``, and the class-e part of the vanishing
+space is ``t^e`` times the nullspace of its prefix of degree
+``(D - |e|) // 2``.  Each vector q of a prefix nullspace is rationalized and
+certified once, by dividing by ``R(s)``: from ``q = R*g + r`` with r of
+degree <= 1 in the last s, ``t^e * r(t^2)``, of degree <= 3 < 4 in the last
+t, is the remainder of ``t^e * q(t^2)`` by ``R(t^2)``.  Classes have disjoint
+columns and ``f -> e + 2f`` keeps the graded order, so the lifted rows
+sorted by pivot are the RREF of the whole space.  The reported spectrum is
+the descending union over the classes of their prefix spectra, the null
+dimension their sum and the gap the least over the prefixes.  Sphere runs
+and d = 1 stay in t: the Pompeiu cubic on the circumsphere and the segment
+cubic mix parities, so their ideals do not split.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -137,13 +136,15 @@ class NullspaceReport:
     ``gap`` measures how decisively the spectrum separates at the cut:
     smallest kept singular value over largest discarded one when the
     nullspace is non-trivial, and smallest singular value over the absolute
-    threshold when it is empty.  A nullspace taken in parity blocks reports
-    the smallest block gap.  ``inconclusive`` flags gaps under 10.
+    threshold when it is empty.  A run's nullspace, merged over the column
+    prefixes it takes, reports the smallest prefix gap and has no
+    ``null_basis``.
+    ``inconclusive`` flags gaps under 10.
     """
 
     singular_values: tuple[float, ...]
     null_dim: int
-    null_basis: np.ndarray
+    null_basis: np.ndarray | None
     gap: float
     threshold: float
 
@@ -291,12 +292,11 @@ def _poly_from_coeffs(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> Multi
     return MultiPoly(basis.arity, terms)
 
 
-def _chebyshev_eval_matrix(
-    samples: np.ndarray, basis: MonomialBasis, center: float, half: float
-) -> np.ndarray:
+def _chebyshev_eval_matrix(samples: np.ndarray, basis: MonomialBasis, half: float) -> np.ndarray:
     """Evaluate products of Chebyshev polynomials in the variables rescaled
-    to ``(t - center) / half``; column j spans the same space as monomial j."""
-    scaled = (samples - center) / half
+    from ``[0, 2*half]`` to ``[-1, 1]``; column j spans the same space as
+    monomial j."""
+    scaled = (samples - half) / half
     vander = np.polynomial.chebyshev.chebvander(scaled, basis.max_degree)
     exps = np.asarray(basis.exponents)
     cols = np.ones((samples.shape[0], len(basis)))
@@ -305,13 +305,12 @@ def _chebyshev_eval_matrix(
     return cols
 
 
-def _chebyshev_to_monomial(exponents: np.ndarray, center: float, half: float) -> np.ndarray:
+def _chebyshev_to_monomial(exponents: np.ndarray, half: float) -> np.ndarray:
     """Change-of-basis matrix B among the basis elements whose exponents
     are the rows of ``exponents``: B[m, e] is the coefficient of monomial m
-    in the Chebyshev product element e.  Over a whole graded basis it is
-    triangular and invertible.  At ``center = 0`` it has no entries between
-    different parity classes, so over one parity class it is that class's
-    block of the whole basis's matrix."""
+    in the Chebyshev product element e of ``_chebyshev_eval_matrix`` with
+    the same ``half``.  Over a whole graded basis it is triangular and
+    invertible."""
     degree = int(exponents.max())
     one_d = np.zeros((degree + 1, degree + 1))
     for k in range(degree + 1):
@@ -322,67 +321,40 @@ def _chebyshev_to_monomial(exponents: np.ndarray, center: float, half: float) ->
             if cj == 0.0:
                 continue
             for i in range(j + 1):
-                one_d[i, k] += cj * math.comb(j, i) * (-center) ** (j - i) / half**j
+                one_d[i, k] += cj * math.comb(j, i) * (-half) ** (j - i) / half**j
     change = np.ones((len(exponents), len(exponents)))
     for var in range(exponents.shape[1]):
         change *= one_d[np.ix_(exponents[:, var], exponents[:, var])]
     return change
 
 
-def _parity_blocks(basis: MonomialBasis) -> list[np.ndarray]:
-    """Column indices of the basis grouped by exponent parity class
-    ``e mod 2``, classes in order of first appearance."""
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for j, e in enumerate(basis.exponents):
-        classes.setdefault(tuple(x % 2 for x in e), []).append(j)
-    return [np.array(cols) for cols in classes.values()]
+def _prefix_nullspaces(matrix, arity: int, degrees, threshold: float) -> dict[int, NullspaceReport]:
+    """The nullspace of each column prefix: for each k of ``degrees``, in
+    that order, of the first ``C(k + arity, arity)`` columns of the
+    equilibrated matrix of a graded basis, the degree-k basis's matrix."""
+    return {k: numeric_nullspace(matrix[:, : math.comb(k + arity, arity)], threshold) for k in degrees}
 
 
-def _conditioned_nullspace(
-    samples: np.ndarray, basis: MonomialBasis, blocks: Sequence[np.ndarray | slice], threshold: float
-) -> tuple[NullspaceReport, np.ndarray, np.ndarray]:
-    """Numeric nullspace via the Chebyshev-product evaluation matrix with
-    unit-norm columns, taken one block of columns at a time; the returned
-    candidate rows are already back in monomial coefficient space and in
-    reduced row echelon form.
+def _null_polys(
+    report: NullspaceReport, basis: MonomialBasis, norms: np.ndarray, half: float, max_denominator: int
+) -> list[MultiPoly]:
+    """The null vectors of one prefix of the equilibrated Chebyshev matrix
+    of ``basis``, taken back to monomial coefficients, brought to reduced
+    row echelon form and rationalized."""
+    if report.null_dim == 0:
+        return []
+    width = report.null_basis.shape[1]
+    change = _chebyshev_to_monomial(np.asarray(basis.exponents[:width]), half)
+    rows = _rref((report.null_basis / norms[:width]) @ change.T)
+    return [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
 
-    ``blocks`` partitions the column indices.  Several blocks must be the
-    parity classes (``_parity_blocks``): the variables are then scaled by
-    ``t / tmax``, so each column has the exact parity of its exponent and
-    each block's null vectors go back to monomials through that block's
-    own change of basis (see the module docstring).  One block,
-    ``slice(None)``, scales them from ``[0, tmax]``.
 
-    Also returns that equilibrated matrix, whose column prefixes are the
-    matrices of the lower-degree bases (see the module docstring).
-    """
-    tmax = float(np.max(samples)) or 1.0
-    center, half = (0.0, tmax) if len(blocks) > 1 else (tmax / 2.0, tmax / 2.0)
-    matrix = _chebyshev_eval_matrix(samples, basis, center, half)
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0] = 1.0
-    matrix /= norms
-    reports = [numeric_nullspace(matrix[:, cols], threshold) for cols in blocks]
-    null_rows = np.zeros((sum(r.null_dim for r in reports), len(basis)))
-    monomial_rows = np.zeros_like(null_rows)
-    exps = np.asarray(basis.exponents)
-    start = 0
-    for cols, block in zip(blocks, reports):
-        if block.null_dim == 0:
-            continue
-        rows = slice(start, start + block.null_dim)
-        null_rows[rows, cols] = block.null_basis
-        change = _chebyshev_to_monomial(exps[cols], center, half)
-        monomial_rows[rows, cols] = (block.null_basis / norms[cols]) @ change.T
-        start += block.null_dim
-    report = NullspaceReport(
-        tuple(sorted((s for r in reports for s in r.singular_values), reverse=True)),
-        len(null_rows),
-        null_rows,
-        min(r.gap for r in reports),
-        threshold,
-    )
-    return report, _rref(monomial_rows), matrix
+def _lift(q: MultiPoly, parity: tuple[int, ...], power: int) -> MultiPoly:
+    """``t^parity * q(t^power)``; at power 1 the only class is 0 and this is q."""
+    if power == 1:
+        return q
+    terms = {tuple(e + power * f for e, f in zip(parity, fs)): c for fs, c in q.terms.items()}
+    return MultiPoly(q.arity, terms)
 
 
 def _relation_mod_quadratic(relation: MultiPoly, quadratic: MultiPoly) -> MultiPoly:
@@ -480,36 +452,62 @@ def _discovery_run(
     max_denominator: int,
     sample,
     sampling: str,
-    parity_split: bool,
+    certify,
+    in_squares: bool,
     **extra_config,
-) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[MultiPoly]]:
+) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
     """The steps all discovery runs share: check the degree and the
-    denominator bound, split the basis into exponent-parity blocks when
-    ``parity_split`` holds (else it is one block), draw ``n_samples`` rows
-    of ``arity`` float distances with ``sample(count)``, take the
-    conditioned nullspace one block at a time, and rationalize each of its
-    rows into a candidate polynomial.
+    denominator bound, draw ``n_samples`` rows of ``arity`` float distances
+    t with ``sample(count)``, evaluate the equilibrated Chebyshev matrix of
+    the degree ``D // 2`` basis in ``s = t^2`` if ``in_squares`` (else of
+    the degree-D basis in t), and take the nullspace of each column prefix
+    that a parity class needs.  Each RREF row becomes a polynomial q,
+    labelled ``certify(q)`` once and lifted to ``t^e * q(t^2)`` for every
+    class e (see the module docstring).
 
-    By default the run draws three samples per column of the largest
-    block, which is three per basis monomial for a one-block run.  Sample
-    k depends only on the seed and k, so any count draws a prefix of the
-    same stream.
+    By default the run draws three samples per column of its matrix.
+    Sample k depends only on the seed and k, so any count draws a prefix of
+    the same stream.
 
-    Returns the config block, the basis, the equilibrated evaluation matrix,
-    the nullspace and the candidates; classifying the candidates is left to
-    the caller.
+    Returns the config block, the degree-D basis in t, the equilibrated
+    evaluation matrix, the nullspace and the candidates sorted by pivot.
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError("max_degree must be a positive integer")
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     basis = enumerate_monomials(arity, max_degree)
-    # one block is a slice, so its columns are a view, not a copy
-    blocks = _parity_blocks(basis) if parity_split else [slice(None)]
-    exps = np.asarray(basis.exponents)
-    count = n_samples if n_samples is not None else 3 * max(len(exps[cols]) for cols in blocks)
-    report, rows, matrix = _conditioned_nullspace(sample(count), basis, blocks, threshold)
-    polys = [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
+    power = 2 if in_squares else 1
+    # exponents mod power, and the degree in t^power that each class allows
+    classes = [e for e in itertools.product(range(power), repeat=arity) if sum(e) <= max_degree]
+    degrees = [(max_degree - sum(e)) // power for e in classes]
+    columns = enumerate_monomials(arity, degrees[0])
+    count = n_samples if n_samples is not None else 3 * len(columns)
+    t = sample(count)
+    values = t * t if in_squares else t
+    half = (float(np.max(values)) or 1.0) / 2.0
+    matrix = _chebyshev_eval_matrix(values, columns, half)
+    norms = np.linalg.norm(matrix, axis=0)
+    norms[norms == 0] = 1.0
+    matrix /= norms
+    reports = _prefix_nullspaces(matrix, arity, sorted(set(degrees), reverse=True), threshold)
+    found = {
+        k: [(q, certify(q)) for q in _null_polys(report, columns, norms, half, max_denominator)]
+        for k, report in reports.items()
+    }
+    per_class = [reports[k] for k in degrees]
+    nullspace = NullspaceReport(
+        tuple(sorted((x for r in per_class for x in r.singular_values), reverse=True)),
+        sum(r.null_dim for r in per_class),
+        None,
+        min(r.gap for r in reports.values()),
+        threshold,
+    )
+    lifted = (
+        [CertifiedCandidate(_lift(q, e, power), c) for q, c in found[k]] for e, k in zip(classes, degrees)
+    )
+    # an RREF row's pivot is its lowest monomial in the graded order
+    candidates = list(heapq.merge(*lifted, key=lambda c: min((sum(e), e) for e in c.poly.terms)))
     config = {
         "operation": operation,
         "d": d,
@@ -521,11 +519,11 @@ def _discovery_run(
         "threshold": threshold,
         "max_denominator": max_denominator,
         "matrix_basis": (
-            "chebyshev-equilibrated(exponent-parity-blocks)" if parity_split else "chebyshev-equilibrated"
+            "chebyshev-equilibrated(squared-distances)" if in_squares else "chebyshev-equilibrated"
         ),
         "sampling": sampling,
     }
-    return config, basis, matrix, report, polys
+    return config, basis, matrix, nullspace, candidates
 
 
 def discover_vanishing(
@@ -539,10 +537,11 @@ def discover_vanishing(
 ) -> DiscoveryReport:
     """Full discovery pipeline over the whole ambient space.
 
-    For d >= 2 certification divides by the quartic relation; in the
-    segment case d = 1 the relation is not the generator and division is by
-    the cubic segment generator instead, which requires the edge length
-    (the exact square root of ``edge_sq``) to be rational.
+    For d >= 2 certification divides by the quartic relation, in the
+    squared distances; in the segment case d = 1 the relation is not the
+    generator and division is by the cubic segment generator instead, which
+    requires the edge length (the exact square root of ``edge_sq``) to be
+    rational.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
@@ -556,15 +555,17 @@ def discover_vanishing(
             )
         generator = segment_generator(edge)
     else:
-        generator = distance_relation(d, a2)
-    config, basis, _, report, polys = _discovery_run(
+        # every exponent of the quartic is even: this is R(s) with R(t^2) the quartic
+        terms = distance_relation(d, a2).terms.items()
+        generator = MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in terms})
+    config, basis, _, report, candidates = _discovery_run(
         "discover", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
         sample=lambda count: _sample_distance_tuples(d, a2, count, seed),
         sampling=_STRATIFIED_SAMPLING,
-        # the segment cubic mixes parities, so d = 1 keeps one block
-        parity_split=d >= 2,
+        certify=lambda q: _certify(q, generator),
+        # the segment cubic mixes parities, so d = 1 stays in t
+        in_squares=d >= 2,
     )
-    candidates = [CertifiedCandidate(p, _certify(p, generator)) for p in polys]
     return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
 
 
@@ -627,14 +628,14 @@ def independence_test(
         )
     a2 = as_fraction(edge_sq)
     columns = [j - 1 for j in labels]
-    config, _, _, report, polys = _discovery_run(
+    config, _, _, report, candidates = _discovery_run(
         "independence", d, a2, len(labels), max_degree, n_samples, seed, threshold, max_denominator,
         sample=lambda count: _sample_distance_tuples(d, a2, count, seed)[:, columns],
         sampling=_STRATIFIED_SAMPLING,
-        parity_split=True,
+        certify=lambda q: CERT_UNCERTIFIED,
+        in_squares=True,
         subset=labels,
     )
-    candidates = [CertifiedCandidate(p, CERT_UNCERTIFIED) for p in polys]
     return IndependenceReport(config=config, nullspace=report, candidates=candidates)
 
 
@@ -696,28 +697,26 @@ def discover_on_sphere(
         points = sample_circumsphere(simplex, SampleConfig(seed=seed, count=count))
         return np.array([simplex.distances(p) for p in points])
 
-    config, _, matrix, report, polys = _discovery_run(
+    quadratic = circumsphere_quadratic(d, a2)
+    relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)
+
+    def certify(p):
+        member = not p.is_zero and _in_sphere_ideal(p, quadratic, relation_image)
+        return CERT_SPHERE_IDEAL if member else CERT_UNCERTIFIED
+
+    config, _, matrix, report, candidates = _discovery_run(
         "sphere", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
         sample=sample,
         sampling="circumsphere(gaussian-direction)",
-        # the Pompeiu cubic mixes parities, so sphere runs keep one block
-        parity_split=False,
+        certify=certify,
+        # the Pompeiu cubic mixes parities, so sphere runs stay in t
+        in_squares=False,
     )
-    quadratic = circumsphere_quadratic(d, a2)
-    relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)
-    certified, extras = [], []
-    for p in polys:
-        if not p.is_zero and _in_sphere_ideal(p, quadratic, relation_image):
-            certified.append(CertifiedCandidate(p, CERT_SPHERE_IDEAL))
-        else:
-            extras.append(CertifiedCandidate(p, CERT_UNCERTIFIED))
-
-    # lower degrees need only the null dimension, and the graded basis makes
-    # each lower-degree matrix a column prefix of the full one
-    null_by_degree = {
-        k: numeric_nullspace(matrix[:, : math.comb(k + d + 1, d + 1)], threshold).null_dim
-        for k in range(1, max_degree)
-    }
+    certified = [c for c in candidates if c.certificate == CERT_SPHERE_IDEAL]
+    extras = [c for c in candidates if c.certificate == CERT_UNCERTIFIED]
+    # lower degrees need only the null dimension
+    lower = _prefix_nullspaces(matrix, d + 1, range(1, max_degree), threshold)
+    null_by_degree = {k: r.null_dim for k, r in lower.items()}
     null_by_degree[max_degree] = report.null_dim
     return SphereDiscoveryReport(
         config=config,

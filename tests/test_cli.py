@@ -333,6 +333,39 @@ def test_cm_non_embeddable_reports_error_field(tmp_path):
     assert "volume_error" in doc["result"]
 
 
+# -- bad rationals ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["discover", "--edge-sq", "1/0"], "--edge-sq"),
+    (["verify", "--box", "1/0"], "--box"),
+    (["cm", "--edges-equilateral", "3", "--a", "1/0"], "--a"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv, option):
+    # exit 1 means a run that failed its own check, so a bad option exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: zero denominator in '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["discover", "--d", "2"],
+    ["sphere", "--d", "2"],
+    ["probe63", "--d", "2", "--count", "5"],
+    ["reconstruct", "--d", "2", "--t", "1,1,1"],
+])
+def test_edge_sq_too_large_for_a_float_is_bad_configuration(tmp_path, capsys, argv):
+    code, doc = run(tmp_path, *argv, "--edge-sq", "1e400")
+    assert code == 2 and doc is None
+    assert "error: integer division result too large for a float" in capsys.readouterr().err
+
+
+def test_verify_stays_exact_for_a_huge_edge(tmp_path):
+    code, doc = run(tmp_path, "verify", "--d", "2", "--edge-sq", "1e400", "--count", "5")
+    assert code == 0 and doc["result"]["all_exactly_zero"] is True
+
+
 # -- reproducibility -------------------------------------------------------------------
 
 

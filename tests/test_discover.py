@@ -23,7 +23,6 @@ from simplexdist.discover import (
     _in_sphere_ideal,
     _relation_mod_quadratic,
     _rref,
-    _sample_distance_tuples,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,
@@ -85,7 +84,7 @@ def _degree_four_matrix():
     samples = sample_points(simplex, SampleConfig(seed=2, count=105))
     floats = np.array([[math.sqrt(float(x)) for x in s.squared] for _, s in samples])
     half = float(np.max(floats)) / 2
-    return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), half, half)
+    return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), half)
 
 
 def test_rank_of_degree_four_matrix():
@@ -304,10 +303,12 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
         return _rref(rows)
 
     monkeypatch.setattr(discover, "_rref", recording)
-    discover_vanishing(3, 1, 5, seed=1)
-    (rows,) = seen
-    assert rows.shape == (5, math.comb(9, 4))
-    _assert_bit_identical(_rref(rows), _rref_reference(rows))
+    discover_vanishing(3, 1, 8, seed=1)
+    # one RREF per prefix of the matrix in s = t^2 with null vectors: the
+    # multiples of the quadric R(s) of degree <= 4, 3 and 2 in four variables
+    assert [rows.shape for rows in seen] == [(15, 70), (5, 35), (1, 15)]
+    for rows in seen:
+        _assert_bit_identical(_rref(rows), _rref_reference(rows))
 
 
 # -- full-space discovery ------------------------------------------------------------------
@@ -386,32 +387,16 @@ def test_discover_sample_count_defaults_to_thrice_largest_block():
     assert discover_on_sphere(2, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 3, 3)
 
 
-# -- exponent-parity blocks ----------------------------------------------------------------
+# -- discovery in the squared distances -----------------------------------------------------
 
 
 def _parity(exponent):
     return tuple(e % 2 for e in exponent)
 
 
-def test_centre_zero_columns_have_exponent_parity():
-    # T_k(-x) = (-1)^k T_k(x), and the Chebyshev recurrence and the column
-    # products round symmetrically, so flipping t_j flips exactly the columns
-    # with odd e_j
-    samples = _sample_distance_tuples(3, 1, 60, seed=4)
-    basis = enumerate_monomials(4, 5)
-    tmax = float(np.max(samples))
-    matrix = _chebyshev_eval_matrix(samples, basis, 0.0, tmax)
-    exps = np.asarray(basis.exponents)
-    for var in range(4):
-        flipped = samples.copy()
-        flipped[:, var] *= -1
-        signs = (-1.0) ** exps[:, var]
-        assert np.array_equal(_chebyshev_eval_matrix(flipped, basis, 0.0, tmax), matrix * signs)
-
-
 def _whole_chebyshev_to_monomial(basis, center, half):
     """Reference: the change of basis over the whole basis at once (the
-    pipeline builds it one block of columns at a time)."""
+    pipeline builds it from the exponent rows of a column prefix)."""
     degree = basis.max_degree
     one_d = np.zeros((degree + 1, degree + 1))
     for k in range(degree + 1):
@@ -430,31 +415,9 @@ def _whole_chebyshev_to_monomial(basis, center, half):
     return full
 
 
-def test_centre_zero_back_transform_keeps_parity_classes():
-    basis = enumerate_monomials(3, 6)
-    samples = _sample_distance_tuples(2, 1, 40, seed=2)
-    tmax = float(np.max(samples))
-    whole = _whole_chebyshev_to_monomial(basis, 0.0, tmax)
-    for m, em in enumerate(basis.exponents):
-        for e, ee in enumerate(basis.exponents):
-            if _parity(em) != _parity(ee):
-                assert whole[m, e] == 0.0
-    # so each parity block's own change of basis is that block of the whole
-    # one, and it maps each Chebyshev column of the block to its monomial image
-    exps = np.asarray(basis.exponents)
-    monomials = np.prod(samples[:, None, :] ** exps[None], axis=2)
-    cheb = _chebyshev_eval_matrix(samples, basis, 0.0, tmax)
-    blocks = discover._parity_blocks(basis)
-    assert sorted(np.concatenate(blocks).tolist()) == list(range(len(basis)))
-    for cols in blocks:
-        change = _chebyshev_to_monomial(exps[cols], 0.0, tmax)
-        assert np.array_equal(change, whole[np.ix_(cols, cols)])
-        assert np.allclose(monomials[:, cols] @ change, cheb[:, cols], rtol=0, atol=1e-9)
-
-
 def test_one_block_back_transform_is_the_whole_one():
     basis = enumerate_monomials(4, 5)
-    change = _chebyshev_to_monomial(np.asarray(basis.exponents), 0.7, 0.7)
+    change = _chebyshev_to_monomial(np.asarray(basis.exponents), 0.7)
     assert np.array_equal(change, _whole_chebyshev_to_monomial(basis, 0.7, 0.7))
 
 
@@ -464,16 +427,16 @@ def test_parity_split_finds_the_ideal_dimension(d, degree, seed):
     # C(D - 4 + n, n), and every candidate must divide by it
     n = d + 1
     report = discover_vanishing(d, 1, degree, seed=seed)
-    assert report.config["matrix_basis"] == "chebyshev-equilibrated(exponent-parity-blocks)"
+    assert report.config["matrix_basis"] == "chebyshev-equilibrated(squared-distances)"
     assert report.nullspace.null_dim == len(report.candidates) == math.comb(degree - 4 + n, n)
     assert all(c.certificate == CERT_DIVISIBLE for c in report.candidates)
     assert not report.inconclusive
     spectrum = report.nullspace.singular_values
     assert len(spectrum) == len(report.basis)
     assert list(spectrum) == sorted(spectrum, reverse=True)
-    # the default draws three samples per column of the largest block; three
-    # per basis monomial, a longer prefix of the same stream, finds the same
-    # exact polynomials
+    # the default draws three samples per column of the matrix in s = t^2;
+    # three per basis monomial, a longer prefix of the same stream, finds the
+    # same exact polynomials
     full = discover_vanishing(d, 1, degree, seed=seed, n_samples=3 * len(report.basis))
     assert report.config["n_samples"] < full.config["n_samples"]
     assert [c.to_json() for c in full.candidates] == [c.to_json() for c in report.candidates]
@@ -484,17 +447,60 @@ def _candidates_digest(report):
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("d, degree, expected", [
-    (5, 6, "d4710f5ea72a1cc677d768168419c3cf6a92a21a90fc5bd07e4efc062af4839c"),
-    (4, 7, "b973fe01d9886b275e53cca936269a46008fc688f3f013f4023d0d7b34619e50"),
-])
-def test_parity_split_keeps_certified_candidate_lists(d, degree, expected):
-    # recorded from the one-block pipeline, which certified every candidate of
-    # these runs: the RREF basis of the ideal slice is canonical, so the split
-    # must give the same exact polynomials
-    report = discover_vanishing(d, 1, degree, seed=1)
+_PINNED_CANDIDATES = [  # d, degree, seed, sha256 of the candidate list
+    (5, 6, 1, "d4710f5ea72a1cc677d768168419c3cf6a92a21a90fc5bd07e4efc062af4839c"),
+    (4, 7, 1, "b973fe01d9886b275e53cca936269a46008fc688f3f013f4023d0d7b34619e50"),
+    (2, 10, 1, "2aa1309abfa73de7985baf4f8b4471d01ea86315001053c55f13fa2977e1e59c"),
+    (2, 12, 1, "cf646c422e1821bed0e2b8cbf533ae86e6f691dc69a13ae30e328a028c3779e5"),
+    (3, 8, 1, "14997317a95ad9ccb8c717d13d55f0c8a6d98c06e7d8ee3191051b54532eac8f"),
+    (3, 8, 7, "14997317a95ad9ccb8c717d13d55f0c8a6d98c06e7d8ee3191051b54532eac8f"),
+]
+
+
+@pytest.mark.parametrize(
+    "d, degree, seed, expected",
+    _PINNED_CANDIDATES,
+    ids=[
+        f"{d}-{degree}-{digest}" if seed == 1 else f"{d}-{degree}-seed{seed}-{digest}"
+        for d, degree, seed, digest in _PINNED_CANDIDATES
+    ],
+)
+def test_parity_split_keeps_certified_candidate_lists(d, degree, seed, expected):
+    # recorded from the earlier pipelines in t, which certified every
+    # candidate of these runs: the RREF basis of the ideal slice is
+    # canonical, so the runs in s = t^2 must give the same exact polynomials
+    report = discover_vanishing(d, 1, degree, seed=seed)
     assert report.all_certified
     assert _candidates_digest(report) == expected
+
+
+def test_squared_distance_run_takes_one_svd_per_prefix(monkeypatch):
+    # d=5 deg 6: the 64 parity classes e need the prefixes of degree
+    # (6 - |e|) // 2 = 3, 2, 1, 0 of one matrix in s over C(3 + 6, 6) = 84
+    # monomials; the report counts each prefix once per class
+    nullspace, reports = discover.numeric_nullspace, []
+
+    def recording_nullspace(matrix, threshold):
+        reports.append(nullspace(matrix, threshold))
+        return reports[-1]
+
+    monkeypatch.setattr(discover, "numeric_nullspace", recording_nullspace)
+    report = discover_vanishing(5, 1, 6, seed=1)
+    assert [len(r.singular_values) for r in reports] == [84, 28, 7, 1]
+    assert report.config["n_samples"] == 3 * 84
+    classes = [1, 6 + 15, 20 + 15, 6 + 1]  # classes by |e| in {0}, {1, 2}, {3, 4}, {5, 6}
+    union = [x for r, n in zip(reports, classes) for x in r.singular_values * n]
+    assert report.nullspace.singular_values == tuple(sorted(union, reverse=True))
+    assert len(union) == len(report.basis)
+    assert report.nullspace.null_dim == sum(r.null_dim * n for r, n in zip(reports, classes)) == 7 + 21
+    assert report.nullspace.gap == min(r.gap for r in reports)
+    assert all(c.certificate == CERT_DIVISIBLE for c in report.candidates)
+    # each candidate lies in one parity class, and the list is in pivot order
+    pivots = []
+    for candidate in report.candidates:
+        assert len({_parity(e) for e in candidate.poly.terms}) == 1
+        pivots.append(min((sum(e), e) for e in candidate.poly.terms))
+    assert pivots == sorted(pivots) and len(pivots) == 28
 
 
 def _one_block_matrix(samples, basis):
@@ -706,7 +712,7 @@ def test_sphere_lower_degrees_match_rebuilt_matrices(monkeypatch, d, max_degree)
     for k in range(1, max_degree):
         basis = enumerate_monomials(d + 1, k)
         half = float(np.max(floats)) / 2
-        matrix = _chebyshev_eval_matrix(floats, basis, half, half)
+        matrix = _chebyshev_eval_matrix(floats, basis, half)
         norms = np.linalg.norm(matrix, axis=0)
         norms[norms == 0] = 1.0
         rebuilt = numeric_nullspace(matrix / norms, 1e-8)

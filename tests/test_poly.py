@@ -284,6 +284,51 @@ def test_membership_soundness(q, r):
     assert divide_last_variable(q * rel, rel).remainder.is_zero
 
 
+def _lift(q, parity):
+    """``t^parity * q(t^2)``."""
+    return MultiPoly(q.arity, {tuple(e + 2 * f for e, f in zip(parity, fs)): c for fs, c in q.terms.items()})
+
+
+def _random_poly(rng, arity, degree, last_degree):
+    terms = {}
+    for _ in range(5):
+        exps = [0] * arity
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(arity)] += 1
+        if exps[-1] <= last_degree:
+            terms[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((-1, 1))
+    return MultiPoly(arity, terms)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_certificate_transfers_from_squared_distances(d):
+    # discovery certifies q(s) by the quadric R(s) in s = t^2 and reports
+    # every t^e * q(t^2) with that certificate: dividing the lift by the
+    # quartic R(t^2) leaves the lift of q's remainder, so both vanish together
+    import itertools
+    import random
+
+    rng = random.Random(d)
+    n, a2 = d + 1, Fraction(2, 3)
+    s = [T(i, n) for i in range(n)]
+    linear = C(a2, n) + sum(s[1:], s[0])
+    quadric = (d + 1) * (C(a2 * a2, n) + sum((x * x for x in s[1:]), s[0] * s[0])) - linear * linear
+    quartic = distance_relation(d, a2)
+    assert _lift(quadric, (0,) * n) == quartic
+    parities = [e for e in itertools.product((0, 1), repeat=n) if sum(e) <= 2]
+    for _ in range(3):
+        multiple = quadric * _random_poly(rng, n, 2, 2)
+        offset = _random_poly(rng, n, 3, 1) + T(0, n)  # degree <= 1 in the last s, nonzero
+        cases = [(multiple, True), (multiple + offset, False), (_random_poly(rng, n, 4, 4), None)]
+        for q, divisible in cases:
+            remainder = divide_last_variable(q, quadric).remainder
+            assert divisible is None or remainder.is_zero == divisible
+            for e in parities:
+                lifted = divide_last_variable(_lift(q, e), quartic).remainder
+                assert lifted == _lift(remainder, e)
+                assert lifted.is_zero == remainder.is_zero
+
+
 # -- the segment case ---------------------------------------------------------
 
 
