@@ -247,6 +247,12 @@ def cmd_soddy(args) -> int:
     if not all(math.isfinite(r) and r > 0 for r in args.radii):
         raise ValueError("radii must be finite and positive")
     curvatures = [1.0 / r for r in args.radii]
+    # the Descartes relation squares the curvatures
+    for r, k in zip(args.radii, curvatures):
+        if math.isinf(k * k):
+            raise ValueError(
+                f"radius {r!r} is too small: the square of its curvature 1/r overflows a float"
+            )
     roots = soddy.solve_missing_curvature(curvatures, args.d)
     result: dict = {"known_curvatures": curvatures}
     if roots is None:

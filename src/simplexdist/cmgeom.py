@@ -203,7 +203,10 @@ def _volume_from_det(matrix: SquaredDistanceMatrix, det) -> float:
             raise ValueError(
                 f"distance data is not embeddable: volume^2 = {v2} is negative"
             )
-        return math.sqrt(float(v2))
+        try:
+            return math.sqrt(float(v2))
+        except OverflowError:
+            raise ValueError("volume^2 is too large for a float") from None
     v2 = float(scaled) / denom
     # a flat float configuration can give v2 = -0.0, whose sqrt is -0.0
     if v2 <= 0:
@@ -274,6 +277,9 @@ def reconstruct_point(
     solution satisfies ``t_0^2 - |x - v_0|^2 = -R(t^2) / (2*(d+1)*a^2)`` for
     the quartic relation ``R``, so ``residual`` is ``|R(t^2)| / (2*(d+1)*a^2)``
     up to rounding, and the tuple is realizable exactly when ``R(t^2) = 0``.
+
+    Distances whose squares, or whose point, overflow a float raise
+    ``ValueError`` naming them.
     """
     t = np.asarray(distances, dtype=float)
     if t.shape != (simplex.dim + 1,):
@@ -282,6 +288,11 @@ def reconstruct_point(
         raise ValueError("distances must be finite")
     if np.any(t < 0):
         raise ValueError("distances must be non-negative")
+    with np.errstate(over="ignore"):
+        squares = t * t
+    if not np.all(np.isfinite(squares)):
+        big = float(t[~np.isfinite(squares)][0])
+        raise ValueError(f"distance {big!r} is too large: its square overflows a float")
     if tol is None:
         tol = 1e-9 * simplex.edge**2
     elif not tol > 0:
@@ -289,12 +300,17 @@ def reconstruct_point(
     v = simplex.vertices
     lhs = 2.0 * (v[1:] - v[0])
     norms = np.einsum("ij,ij->i", v, v)
-    rhs = (norms[1:] - norms[0]) - (t[1:] ** 2 - t[0] ** 2)
+    rhs = (norms[1:] - norms[0]) - (squares[1:] - squares[0])
     try:
         x = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:  # unreachable for a valid simplex
         raise RuntimeError("linearised system was singular") from exc
-    residual = abs(float(np.dot(x - v[0], x - v[0])) - float(t[0]) ** 2)
+    with np.errstate(over="ignore"):
+        residual = abs(float(np.dot(x - v[0], x - v[0])) - float(t[0]) ** 2)
+    if not math.isfinite(residual):
+        raise ValueError(
+            f"distances {t.tolist()} are too large: the point they give overflows a float"
+        )
     return ReconstructionResult(feasible=residual <= tol, point=x, residual=residual)
 
 

@@ -17,7 +17,16 @@ rigor is restored afterwards by exact certification:
    division by the generator of the vanishing ideal (the quartic relation
    for d >= 2, the segment cubic for d = 1) in ``discover_vanishing``, and
    membership in the ideal of the circumsphere quadratic and the quartic
-   (``_in_sphere_ideal``) in ``discover_on_sphere``.
+   (``_in_sphere_ideal``) in ``discover_on_sphere``.  Most sphere
+   candidates are not members, so a screen refutes them first without
+   any division (``_sphere_screen``): a member's image modulo the prime
+   ``q = 2^61 - 1`` vanishes on the circumsphere variety over the field of
+   q elements, so a nonzero value at one of eight fixed points of it proves
+   non-membership.  This is sound when q is a unit for ``a^2``, for the
+   constant leads of the two divisors and for every denominator of the
+   candidate, since then the exact normal form reduces modulo q step by
+   step; otherwise, and for every candidate that the screen does not
+   refute, the exact division decides.
 
 Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
 Hilbert-like), so internally the pipeline evaluates Chebyshev products in
@@ -59,6 +68,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -194,6 +205,36 @@ def numeric_nullspace(matrix: np.ndarray, threshold: float = 1e-8) -> NullspaceR
     return NullspaceReport(tuple(float(s) for s in sigmas), k, basis, float(gap), threshold)
 
 
+def _limit_denominator(x: float, max_denominator: int) -> Fraction:
+    """``Fraction(x).limit_denominator(max_denominator)``, computed in ints.
+
+    The same continued-fraction recurrence runs on ``x.as_integer_ratio()``.
+    The last convergent ``p1/q1`` and the semiconvergent ``(p0 + k*p1) /
+    (q0 + k*q1)`` bracket x; the convergent is at distance ``d/(q1*den)``
+    from x and the two are ``1/(q1*(q0 + k*q1))`` apart, so the convergent
+    is at least as near exactly when ``2*d*(q0 + k*q1) <= den`` (the
+    comparison CPython 3.12 makes, ties going to the convergent as in
+    every version).  Both bounds are in lowest terms.  NaN and infinities
+    raise ``ValueError`` and ``OverflowError``, as ``Fraction(x)`` does.
+    """
+    n, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        return Fraction(n, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    d = den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def rationalize(vector: Sequence[float], max_denominator: int = 10**6) -> tuple[Fraction, ...]:
     """Best bounded-denominator rational for each entry (continued
     fractions), then scaled so the first nonzero entry is 1.
@@ -204,7 +245,7 @@ def rationalize(vector: Sequence[float], max_denominator: int = 10**6) -> tuple[
     strictly nearer, so ``Fraction(x).limit_denominator`` returns 0 too.
     The floor is a correctly rounded float, so no float lies between it and
     the exact value.  Only the entries above it, and NaN or infinities
-    (which raise as before), go through ``limit_denominator``.
+    (which raise as before), go through ``_limit_denominator``.
 
     Wrong guesses are not detected here; they surface downstream as
     certification failures.
@@ -215,7 +256,7 @@ def rationalize(vector: Sequence[float], max_denominator: int = 10**6) -> tuple[
     survivors = np.flatnonzero(~(np.abs(values) < 1 / (2 * max_denominator))).tolist()
     fracs = [Fraction(0)] * len(values)
     for i, x in zip(survivors, values[survivors].tolist()):
-        fracs[i] = Fraction(x).limit_denominator(max_denominator)
+        fracs[i] = _limit_denominator(x, max_denominator)
     lead = next((fracs[i] for i in survivors if fracs[i] != 0), None)
     if lead is not None and lead != 1:
         for i in survivors:
@@ -386,6 +427,116 @@ def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation_image: MultiPo
     return all(divide_last_variable(part, relation_image).remainder.is_zero for part in parts)
 
 
+# The membership screen works modulo this prime.  It is 3 mod 4, so a square
+# x has the square root x^((q + 1) / 4).
+_SCREEN_PRIME = 2**61 - 1
+_SCREEN_POINTS = 8
+_SCREEN_ATTEMPTS = 1024
+_SCREEN_SEED = 20160101
+
+
+def _residues(coeffs: Sequence[Fraction], prime: int) -> list[int] | None:
+    """Each rational reduced modulo ``prime``, or None if a denominator is
+    divisible by it.  One modular inverse serves all of them: the inverse
+    of the product of the denominators, unwound from the back."""
+    prefix, product = [], 1
+    for c in coeffs:
+        prefix.append(product)
+        product = product * c.denominator % prime
+    if product == 0:
+        return None
+    inverse = pow(product, -1, prime)
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        c = coeffs[i]
+        out[i] = c.numerator * inverse * prefix[i] % prime
+        inverse = inverse * c.denominator % prime
+    return out
+
+
+def _sqrt_mod(x: int, prime: int) -> int | None:
+    """A square root of x modulo a prime that is 3 mod 4, or None if x is
+    not a square."""
+    root = pow(x, (prime + 1) // 4, prime)
+    return root if root * root % prime == x else None
+
+
+def _sphere_points_mod(d: int, a2: Fraction, count: int) -> list[tuple[int, ...]]:
+    """Up to ``count`` points of the circumsphere variety ``V(Q, R)`` over
+    the field of ``_SCREEN_PRIME`` elements, which must be a unit for
+    ``a2``.
+
+    In ``s = t^2`` the variety is ``{sum s = d*a^2, sum s^2 = d*a^4}``.  The
+    first ``d - 1`` coordinates are drawn from a fixed seed; the last two
+    squares then have a known sum S and sum of squares P, so they are
+    ``(S +- sqrt(2P - S^2)) / 2``.  An attempt that meets a non-square is
+    dropped, and at most ``_SCREEN_ATTEMPTS`` are made.
+    """
+    n, prime = d + 1, _SCREEN_PRIME
+    a2_mod = a2.numerator * pow(a2.denominator, -1, prime) % prime
+    total, total_sq = d * a2_mod % prime, d * a2_mod * a2_mod % prime
+    half = (prime + 1) // 2
+    rng = random.Random(_SCREEN_SEED)
+    points = []
+    for _ in range(_SCREEN_ATTEMPTS):
+        if len(points) == count:
+            break
+        free = [rng.randrange(prime) for _ in range(n - 2)]
+        squares = [t * t % prime for t in free]
+        s = (total - sum(squares)) % prime
+        p = (total_sq - sum(x * x for x in squares)) % prime
+        root = _sqrt_mod((2 * p - s * s) % prime, prime)
+        if root is None:
+            continue
+        last = [_sqrt_mod((s + sign * root) * half % prime, prime) for sign in (1, -1)]
+        if None not in last:
+            points.append((*free, *last))
+    return points
+
+
+def _sphere_screen(d: int, a2: Fraction, quadratic: MultiPoly, relation_image: MultiPoly, max_degree: int):
+    """A test ``refutes(p)`` that proves p is not in the ideal (Q, R) of
+    the circumsphere quadratic and the quartic, without any division, or
+    returns False when it cannot tell.
+
+    ``_in_sphere_ideal`` is a normal form made of last-variable divisions by
+    Q and by the relation's image, whose leads are the constants 1 and
+    ``2(d + 1)``.  When a prime q is a unit for those leads, for ``a^2`` (so
+    for every coefficient of Q and of the image) and for every denominator
+    of p, each division step maps to the same step modulo q.  A member p is
+    then ``G*Q + H*R`` with G and H free of q in their denominators, so its
+    image modulo q vanishes at every point of ``V(Q, R)`` over the field of
+    q elements.  A nonzero value at one of ``_SCREEN_POINTS`` such points
+    refutes p; all zeros prove nothing, and ``_in_sphere_ideal`` decides.
+    If q is not a unit where it must be, or too few points turn up, nothing
+    is refuted.
+    """
+    prime = _SCREEN_PRIME
+    last = relation_image.arity - 1
+    lead = relation_image.terms[(0,) * last + (relation_image.degree_in(last),)]
+    denominators = [c.denominator for p in (quadratic, relation_image) for c in p.terms.values()]
+    units = all(x % prime for x in (a2.numerator, a2.denominator, lead.numerator, *denominators))
+    points = _sphere_points_mod(d, a2, _SCREEN_POINTS) if units else []
+    if len(points) < _SCREEN_POINTS:
+        return lambda p: False
+    # the value of every monomial of the basis at each point
+    exponents = enumerate_monomials(d + 1, max_degree).exponents
+    tables = []
+    for point in points:
+        powers = [[pow(t, k, prime) for k in range(max_degree + 1)] for t in point]
+        tables.append({e: math.prod(pw[k] for pw, k in zip(powers, e)) % prime for e in exponents})
+
+    def refutes(p: MultiPoly) -> bool:
+        coeffs = _residues(list(p.terms.values()), prime)
+        if coeffs is None:
+            return False
+        exps = list(p.terms)
+        values = (sum(map(operator.mul, coeffs, map(table.__getitem__, exps))) for table in tables)
+        return any(value % prime for value in values)
+
+    return refutes
+
+
 def _certify(p: MultiPoly, generator: MultiPoly) -> str:
     if not p.is_zero and divide_last_variable(p, generator).remainder.is_zero:
         return CERT_DIVISIBLE
@@ -458,10 +609,11 @@ def _discovery_run(
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
     """The steps all discovery runs share: check the degree and the
     denominator bound, draw ``n_samples`` rows of ``arity`` float distances
-    t with ``sample(count)``, evaluate the equilibrated Chebyshev matrix of
-    the degree ``D // 2`` basis in ``s = t^2`` if ``in_squares`` (else of
-    the degree-D basis in t), and take the nullspace of each column prefix
-    that a parity class needs.  Each RREF row becomes a polynomial q,
+    t with ``sample(count)`` (a set that is all 0 or not all finite is bad
+    configuration: a float cannot carry the edge), evaluate the
+    equilibrated Chebyshev matrix of the degree ``D // 2`` basis in
+    ``s = t^2`` if ``in_squares`` (else of the degree-D basis in t), and
+    take the nullspace of each column prefix that a parity class needs.  Each RREF row becomes a polynomial q,
     labelled ``certify(q)`` once and lifted to ``t^e * q(t^2)`` for every
     class e (see the module docstring).
 
@@ -484,6 +636,11 @@ def _discovery_run(
     columns = enumerate_monomials(arity, degrees[0])
     count = n_samples if n_samples is not None else 3 * len(columns)
     t = sample(count)
+    if not np.all(np.isfinite(t)) or not np.any(t):
+        raise ValueError(
+            "degenerate sample set: the sampled distances are all 0 as floats, or not all "
+            "finite, so edge_sq is out of float range"
+        )
     values = t * t if in_squares else t
     half = (float(np.max(values)) or 1.0) / 2.0
     matrix = _chebyshev_eval_matrix(values, columns, half)
@@ -700,8 +857,10 @@ def discover_on_sphere(
     quadratic = circumsphere_quadratic(d, a2)
     relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)
 
+    refutes = _sphere_screen(d, a2, quadratic, relation_image, max_degree)
+
     def certify(p):
-        member = not p.is_zero and _in_sphere_ideal(p, quadratic, relation_image)
+        member = not p.is_zero and not refutes(p) and _in_sphere_ideal(p, quadratic, relation_image)
         return CERT_SPHERE_IDEAL if member else CERT_UNCERTIFIED
 
     config, _, matrix, report, candidates = _discovery_run(

@@ -103,6 +103,17 @@ def test_discovery_commands_reject_bad_max_denominator(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["discover", "--d", "2", "--max-degree", "4"],
+    ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "3"],
+])
+def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
+    # every float distance of edge_sq 1e-400 is 0, so the samples say nothing
+    code, doc = run(tmp_path, *argv, "--edge-sq", "1e-400")
+    assert code == 2 and doc is None
+    assert "error: degenerate sample set" in capsys.readouterr().err
+
+
 def test_sphere_subcommand(tmp_path):
     code, doc = run(tmp_path, "sphere", "--d", "2", "--max-degree", "2")
     assert code == 0
@@ -190,6 +201,19 @@ def test_reconstruct_rejects_non_finite_distance(tmp_path, capsys, bad):
     assert "error: distances must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t, message", [
+    ("1e308,1e308,1e308", "error: distance 1e+308 is too large: its square overflows a float"),
+    ("1,1e200,1", "error: distance 1e+200 is too large: its square overflows a float"),
+    ("1e150,1,1", "error: distances [1e+150, 1.0, 1.0] are too large: the point they give overflows"),
+])
+def test_reconstruct_names_a_distance_that_overflows(tmp_path, capsys, t, message):
+    # pytest turns warnings into errors, so this also checks that none is raised
+    code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", t)
+    assert code == 2 and doc is None
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
+
+
 def test_reconstruct_infeasible(tmp_path):
     code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", "1,1,1")
     assert code == 0
@@ -252,6 +276,16 @@ def test_soddy_rejects_non_finite_or_non_positive_radii(tmp_path, capsys, d, rad
     code, doc = run(tmp_path, "soddy", "--d", d, "--radii", radii)
     assert code == 2 and doc is None
     assert "error: radii must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", ["1e-320,1,1", "1,1e-308,1"])
+def test_soddy_names_a_radius_whose_curvature_overflows(tmp_path, capsys, radii):
+    code, doc = run(tmp_path, "soddy", "--radii", radii)
+    assert code == 2 and doc is None
+    small = next(r for r in radii.split(",") if r != "1")
+    err = capsys.readouterr().err
+    assert f"error: radius {small} is too small: the square of its curvature 1/r overflows" in err
+    assert "nan" not in err and "Warning" not in err
 
 
 def test_cm_equilateral(tmp_path):
@@ -331,6 +365,16 @@ def test_cm_non_embeddable_reports_error_field(tmp_path):
     assert code == 0
     assert doc["result"]["volume"] is None
     assert "volume_error" in doc["result"]
+
+
+def test_cm_volume_too_large_for_a_float_reports_error_field(tmp_path):
+    code, doc = run(tmp_path, "cm", "--edges-equilateral", "3", "--a", "1e400")
+    assert code == 0
+    result = doc["result"]
+    # the exact determinant of N = 3 points is -3 a^4
+    assert result["exact"] is True and result["determinant"] == str(-3 * 10**1600)
+    assert result["volume"] is None
+    assert result["volume_error"] == "volume^2 is too large for a float"
 
 
 # -- bad rationals ---------------------------------------------------------------------

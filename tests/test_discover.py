@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,11 +19,16 @@ from simplexdist import discover
 from simplexdist.discover import (
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
+    _SCREEN_POINTS,
+    _SCREEN_PRIME,
     _chebyshev_eval_matrix,
     _chebyshev_to_monomial,
     _in_sphere_ideal,
+    _limit_denominator,
     _relation_mod_quadratic,
     _rref,
+    _sphere_points_mod,
+    _sphere_screen,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,
@@ -249,6 +255,41 @@ def test_rationalize_non_finite_raises_like_reference(bad, cap):
 def test_rationalize_rejects_zero_cap():
     with pytest.raises(ValueError):
         rationalize([0.5], 0)
+
+
+_CF_CAPS = (1, 2, 3, 1000, 10**6, 10**15)
+
+
+@st.composite
+def _cf_cases(draw):
+    cap = draw(st.sampled_from(_CF_CAPS))
+    x = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),  # every magnitude and sign
+        st.floats(min_value=-10, max_value=10),
+        st.fractions(max_denominator=64).map(float),  # exact small rationals
+        # halfway between two neighbours k/2 of the Farey sequence of order 2
+        st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 4),
+        st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 2),
+    ))
+    return x, cap
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_cf_cases())
+@example((0.5, 1))  # ties at cap 1 go to the convergent
+@example((-0.5, 1))
+@example((2.5, 1))
+@example((0.75, 2))
+@example((-1.25, 2))
+@example((math.pi, 10**15))
+@example((-1e-300, 10**15))
+@example((1e300, 1))
+@example((5e-324, 10**6))
+def test_limit_denominator_in_ints_equals_the_stdlib(case):
+    x, cap = case
+    got, want = _limit_denominator(x, cap), Fraction(x).limit_denominator(cap)
+    assert got == want and type(got) is Fraction
+    assert rationalize([x, 0.25, -x], cap) == _rationalize_reference([x, 0.25, -x], cap)
 
 
 def _rref_reference(rows, tol=discover._RREF_TOL):
@@ -738,3 +779,90 @@ def test_discovery_report_json_round_trips_through_dumps():
     assert parsed["nullspace"]["null_dim"] == 1
     assert parsed["config"]["d"] == 2
     assert parsed["candidates"][0]["certificate"] == CERT_DIVISIBLE
+
+
+# -- the modular membership screen ------------------------------------------------------
+
+
+def _value_mod(p, point):
+    total = 0
+    for e, c in p.terms.items():
+        term = c.numerator * pow(c.denominator, -1, _SCREEN_PRIME)
+        for x, k in zip(point, e):
+            term = term * pow(x, k, _SCREEN_PRIME) % _SCREEN_PRIME
+        total += term
+    return total % _SCREEN_PRIME
+
+
+def _screen(d, a2, max_degree):
+    quad = circumsphere_quadratic(d, a2)
+    image = _relation_mod_quadratic(distance_relation(d, a2), quad)
+    return _sphere_screen(d, Fraction(a2), quad, image, max_degree), quad, image
+
+
+_SCREEN_EDGES = (Fraction(1), Fraction(7, 3), Fraction(12345, 677))
+
+
+@pytest.mark.parametrize("a2", _SCREEN_EDGES)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_screen_points_lie_on_the_circumsphere_variety(d, a2):
+    points = _sphere_points_mod(d, a2, _SCREEN_POINTS)
+    assert len(points) == _SCREEN_POINTS == len(set(points))
+    for point in points:
+        assert len(point) == d + 1
+        assert all(0 <= x < _SCREEN_PRIME for x in point)
+        assert _value_mod(circumsphere_quadratic(d, a2), point) == 0
+        assert _value_mod(distance_relation(d, a2), point) == 0
+
+
+def _random_poly(rng, arity, degree):
+    terms = {}
+    for e in enumerate_monomials(arity, degree).exponents:
+        if rng.random() < 0.5:
+            terms[e] = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+    return MultiPoly(arity, terms)
+
+
+@pytest.mark.parametrize("a2", _SCREEN_EDGES)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_screen_never_refutes_a_member(d, a2):
+    rng = random.Random(d * 1000 + a2.denominator)
+    refutes, quad, image = _screen(d, a2, 6)
+    rel = distance_relation(d, a2)
+    for _ in range(4):
+        member = _random_poly(rng, d + 1, 2) * rel + _random_poly(rng, d + 1, 4) * quad
+        assert _in_sphere_ideal(member, quad, image)
+        assert not refutes(member)
+    t1 = MultiPoly.variable(0, d + 1)
+    assert refutes(t1) and refutes(MultiPoly.variable(d, d + 1))
+    assert refutes(quad * t1 + t1**3)
+
+
+def test_screen_refutes_only_non_members_of_a_run():
+    refutes, quad, image = _screen(2, 1, 6)
+    report = discover_on_sphere(2, 1, 6, seed=1)
+    refuted = [c.poly for c in report.certified + report.extras if refutes(c.poly)]
+    assert refuted  # the screen is not vacuous on a real run
+    assert not any(_in_sphere_ideal(p, quad, image) for p in refuted)
+
+
+def test_screen_falls_back_when_the_prime_is_not_a_unit():
+    t1 = MultiPoly.variable(0, 3)
+    # q divides a^2: nothing is refuted, every candidate is divided
+    refutes, _, _ = _screen(2, _SCREEN_PRIME, 4)
+    assert not refutes(t1)
+    # q divides a denominator of the candidate
+    refutes, _, _ = _screen(2, 1, 4)
+    assert refutes(t1) and not refutes(t1.scale(Fraction(1, _SCREEN_PRIME)))
+
+
+@pytest.mark.parametrize("d, max_degree", [(2, 8), (3, 6)])
+def test_screened_labels_equal_the_exact_membership_test(d, max_degree):
+    quad = circumsphere_quadratic(d, 1)
+    image = _relation_mod_quadratic(distance_relation(d, 1), quad)
+    report = discover_on_sphere(d, 1, max_degree, seed=1)
+    candidates = report.certified + report.extras
+    assert len(candidates) == report.nullspace.null_dim
+    for candidate in candidates:
+        member = _in_sphere_ideal(candidate.poly, quad, image)
+        assert (candidate.certificate == CERT_SPHERE_IDEAL) == member
