@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,10 +204,19 @@ def _volume_from_det(matrix: SquaredDistanceMatrix, det) -> float:
             raise ValueError(
                 f"distance data is not embeddable: volume^2 = {v2} is negative"
             )
+        if v2 == 0:
+            return 0.0
+        # v2 / 4^k lies in [1/2, 4), so its float is normal and its root is
+        # right to one ulp before the exact scaling by 2^k; where float(v2)
+        # is normal this is sqrt(float(v2)) bit for bit
+        k = (v2.numerator.bit_length() - v2.denominator.bit_length()) // 2
         try:
-            return math.sqrt(float(v2))
+            volume = math.ldexp(math.sqrt(v2 / Fraction(4) ** k), k)
         except OverflowError:
             raise ValueError("volume^2 is too large for a float") from None
+        if volume == 0.0:
+            raise ValueError("volume is too small for a float: it rounds to 0")
+        return volume
     v2 = float(scaled) / denom
     # a flat float configuration can give v2 = -0.0, whose sqrt is -0.0
     if v2 <= 0:
@@ -374,6 +384,11 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     module docstring every real non-negative root is realizable, so each
     root gets the verdict ``feasible`` and ``infeasible`` stays 0; the
     report also counts the trials with no real non-negative root at all.
+
+    The relation is homogeneous in ``(a^2, t^2)``, so the completion runs in
+    units of the edge, where no power of a can overflow or underflow, and
+    the counts do not depend on a.  An ``edge_sq`` below the normal floats
+    is rejected: its float edge would not carry the draws.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
@@ -382,13 +397,17 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     a2 = as_fraction(edge_sq)
     if a2 <= 0:
         raise ValueError("squared edge length must be positive")
+    if float(a2) < sys.float_info.min:
+        raise ValueError("edge_sq is below the normal float range: its float edge cannot carry the draws")
     edge = math.sqrt(float(a2))
+    unit = Fraction(1)  # once: complete_distance_tuple would convert an int 1 per trial
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
     rows = []
     for i in range(trials):
         rng = _rng_for(seed, "probe", i)
-        first = [edge * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(d)]
-        roots = complete_distance_tuple(d, a2, first)
+        units = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(d)]
+        first = [edge * u for u in units]
+        roots = [edge * r for r in complete_distance_tuple(d, unit, units)]
         verdicts = [{"t_last": t_last, "status": "feasible"} for t_last in roots]
         counts["feasible"] += len(roots)
         if not roots:

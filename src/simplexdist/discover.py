@@ -1,11 +1,12 @@
 """Discovery of vanishing polynomials of the distance map from samples.
 
-The pipeline is numeric-then-exact.  Distances involve square roots, so
-odd monomials are irrational and the evaluation matrix must be floating;
-rigor is restored afterwards by exact certification:
+The pipeline is numeric-then-exact: the evaluation matrix is floating,
+and rigor is restored afterwards by exact certification:
 
-1. evaluate a degree-bounded polynomial basis at many sampled distance
-   tuples (rows: samples, columns: basis elements),
+1. evaluate a degree-bounded polynomial basis at many sampled values
+   (rows: samples, columns: basis elements): the squared distances s of
+   the exact box-3/2 samples of ``sample_points``, each rounded once from
+   its integer form, or for sphere runs and d = 1 the distances t,
 2. take the numeric nullspace of the column-equilibrated matrix by SVD,
    at each column prefix the run needs (see below), recording the full
    singular spectrum and the gap at the cut,
@@ -32,7 +33,9 @@ Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
 Hilbert-like), so internally the pipeline evaluates Chebyshev products in
 the variables scaled from ``[0, max]`` to ``[-1, 1]``, which span the same
 polynomial space; the basis change back to monomial coordinates happens
-before any rationalization, leaving the exact side untouched.  Candidates
+before any rationalization, leaving the exact side untouched.  It divides
+by powers of the scale up to the degree, so a run whose scale has such a
+power outside the normal floats is bad configuration.  Candidates
 that fail certification are reported as uncertified, never silently
 dropped; a singular-value gap under 10 marks the whole run inconclusive
 rather than pretending to a clean answer.
@@ -49,18 +52,20 @@ quadric ``R(s)`` in ``s = t^2``.  Its ideal, like the whole space that
 so it is the direct sum of its parts in each exponent-parity class e, whose
 members are ``t^e * q(t^2)``; away from zero distances such a member
 vanishes where q vanishes at the squares.  So these runs evaluate one
-matrix in s of degree ``D // 2``, and the class-e part of the vanishing
-space is ``t^e`` times the nullspace of its prefix of degree
-``(D - |e|) // 2``.  Each vector q of a prefix nullspace is rationalized and
-certified once, by dividing by ``R(s)``: from ``q = R*g + r`` with r of
-degree <= 1 in the last s, ``t^e * r(t^2)``, of degree <= 3 < 4 in the last
-t, is the remainder of ``t^e * q(t^2)`` by ``R(t^2)``.  Classes have disjoint
-columns and ``f -> e + 2f`` keeps the graded order, so the lifted rows
-sorted by pivot are the RREF of the whole space.  The reported spectrum is
-the descending union over the classes of their prefix spectra, the null
-dimension their sum and the gap the least over the prefixes.  Sphere runs
-and d = 1 stay in t: the Pompeiu cubic on the circumsphere and the segment
-cubic mix parities, so their ideals do not split.
+matrix in s of degree ``D // 2``, at values that need no square root: an
+exact sample has ``s_j = a^2 * N_j / (2*T^2)`` with integers ``N_j`` and
+``T``.  The class-e part of the vanishing space is ``t^e`` times the
+nullspace of its prefix of degree ``(D - |e|) // 2``.  Each vector q of a
+prefix nullspace is rationalized and certified once, by dividing by
+``R(s)``: from ``q = R*g + r`` with r of degree <= 1 in the last s,
+``t^e * r(t^2)``, of degree <= 3 < 4 in the last t, is the remainder of
+``t^e * q(t^2)`` by ``R(t^2)``.  Classes have disjoint columns and
+``f -> e + 2f`` keeps the graded order, so the lifted rows sorted by pivot
+are the RREF of the whole space.  The reported spectrum is the descending
+union over the classes of their prefix spectra, the null dimension their
+sum and the gap the least over the prefixes.  Sphere runs and d = 1 stay in
+t: the Pompeiu cubic on the circumsphere and the segment cubic mix
+parities, so their ideals do not split.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ from .geom import (
     EmbeddedSimplex,
     SampleConfig,
     _distance_numerators,
-    _rng_for,
     _weight_draws,
     sample_circumsphere,
 )
@@ -543,52 +547,27 @@ def _certify(p: MultiPoly, generator: MultiPoly) -> str:
     return CERT_UNCERTIFIED
 
 
-# sampling knobs tuned for matrix conditioning: a barycentric box of 3/2
-# keeps the distance cloud from stretching into a thin tube, and every
-# third sample is contracted toward a vertex so small distances are covered
+# a barycentric box of 3/2 keeps the distance cloud from stretching into a
+# thin tube, which conditions the evaluation matrix
 _DISCOVERY_BOX = Fraction(3, 2)
-_RADIAL_GRID = 64
+_DISCOVERY_SAMPLING = f"weights(box={frac_str(_DISCOVERY_BOX)})"
 
 
-def _discovery_draws(d: int, seed: int, count: int) -> list[tuple[tuple[int, ...], int]]:
-    """Integer weights ``(r, T)`` of the discovery samples.
+def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
+    """Squared distances of the discovery samples as floats, one row per
+    sample: the exact samples of ``sample_points`` at box 3/2.
 
-    Every third sample is pulled toward a vertex v by ``pull = (g/64)^e``:
-    its weights ``(1 - pull)*[i = v] + pull*r_i/T`` are the numerators
-    ``g^e*r_i + (64^e - g^e)*T*[i = v]`` over ``64^e*T``.
-    """
-    n = d + 1
-    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
-    draws = []
-    for k, (nums, den) in enumerate(_weight_draws(n, config)):
-        if k % 3 == 2:
-            vertex = (k // 3) % n
-            rng = _rng_for(seed, "radial", k)
-            grid = rng.randint(1, _RADIAL_GRID)
-            power = rng.randint(1, 3)
-            kept, full = grid**power, _RADIAL_GRID**power
-            nums = tuple(kept * r + (full - kept) * den * (i == vertex) for i, r in enumerate(nums))
-            den *= full
-        draws.append((nums, den))
-    return draws
-
-
-def _sample_distance_tuples(d, edge_sq, count, seed) -> np.ndarray:
-    """Distances of the discovery samples as floats, one row per sample.
-
-    Each float is ``sqrt`` of the squared distance ``p*N_j / (2*q*T^2)``
-    divided as Python ints, which rounds correctly, so it equals
-    ``sqrt(float(Fraction))`` bit for bit.
+    Each float is the squared distance ``p*N_j / (2*q*T^2)`` divided as
+    Python ints, which rounds correctly, so it equals ``float(Fraction)``
+    bit for bit.
     """
     simplex = EmbeddedSimplex(d, edge_sq)
     p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
+    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
     return np.array([
-        [math.sqrt(p * n / (2 * q * den * den)) for n in _distance_numerators(nums, den)]
-        for nums, den in _discovery_draws(d, seed, count)
+        [p * n / (2 * q * den * den) for n in _distance_numerators(nums, den)]
+        for nums, den in _weight_draws(d + 1, config)
     ])
-
-
-_STRATIFIED_SAMPLING = "stratified(box=3/2, radial-third)"
 
 
 def _discovery_run(
@@ -608,14 +587,15 @@ def _discovery_run(
     **extra_config,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
     """The steps all discovery runs share: check the degree and the
-    denominator bound, draw ``n_samples`` rows of ``arity`` float distances
-    t with ``sample(count)`` (a set that is all 0 or not all finite is bad
+    denominator bound, draw ``n_samples`` rows of ``arity`` float values
+    with ``sample(count)``, the squared distances s if ``in_squares`` and
+    the distances t otherwise (a set that is all 0 or not all finite is bad
     configuration: a float cannot carry the edge), evaluate the
-    equilibrated Chebyshev matrix of the degree ``D // 2`` basis in
-    ``s = t^2`` if ``in_squares`` (else of the degree-D basis in t), and
-    take the nullspace of each column prefix that a parity class needs.  Each RREF row becomes a polynomial q,
-    labelled ``certify(q)`` once and lifted to ``t^e * q(t^2)`` for every
-    class e (see the module docstring).
+    equilibrated Chebyshev matrix of the degree ``D // 2`` basis in s if
+    ``in_squares`` (else of the degree-D basis in t), and take the
+    nullspace of each column prefix that a parity class needs.  Each RREF
+    row becomes a polynomial q, labelled ``certify(q)`` once and lifted to
+    ``t^e * q(t^2)`` for every class e (see the module docstring).
 
     By default the run draws three samples per column of its matrix.
     Sample k depends only on the seed and k, so any count draws a prefix of
@@ -635,19 +615,26 @@ def _discovery_run(
     degrees = [(max_degree - sum(e)) // power for e in classes]
     columns = enumerate_monomials(arity, degrees[0])
     count = n_samples if n_samples is not None else 3 * len(columns)
-    t = sample(count)
-    if not np.all(np.isfinite(t)) or not np.any(t):
+    values = sample(count)
+    if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError(
-            "degenerate sample set: the sampled distances are all 0 as floats, or not all "
+            "degenerate sample set: the sampled values are all 0 as floats, or not all "
             "finite, so edge_sq is out of float range"
         )
-    values = t * t if in_squares else t
-    half = (float(np.max(values)) or 1.0) / 2.0
+    half = float(np.max(values)) / 2.0
     matrix = _chebyshev_eval_matrix(values, columns, half)
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
     matrix /= norms
     reports = _prefix_nullspaces(matrix, arity, sorted(set(degrees), reverse=True), threshold)
+    # the back-transform (_chebyshev_to_monomial) of the prefixes with null
+    # vectors divides by half**k for |k| up to back: keep each a normal float
+    back = max((k for k, r in reports.items() if r.null_dim), default=0)
+    if back * abs(math.log2(half)) > 1022:
+        raise ValueError(
+            f"edge_sq is out of float range at max_degree {max_degree}: the back-transform to "
+            f"monomials needs the sample scale {half:.3g} to the powers +-{back} as normal floats"
+        )
     found = {
         k: [(q, certify(q)) for q in _null_polys(report, columns, norms, half, max_denominator)]
         for k, report in reports.items()
@@ -715,12 +702,17 @@ def discover_vanishing(
         # every exponent of the quartic is even: this is R(s) with R(t^2) the quartic
         terms = distance_relation(d, a2).terms.items()
         generator = MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in terms})
+
+    def sample(count):
+        squares = _sample_squared_distances(d, a2, count, seed)
+        # the segment cubic mixes parities, so d = 1 stays in t
+        return squares if d >= 2 else np.sqrt(squares)
+
     config, basis, _, report, candidates = _discovery_run(
         "discover", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
-        sample=lambda count: _sample_distance_tuples(d, a2, count, seed),
-        sampling=_STRATIFIED_SAMPLING,
+        sample=sample,
+        sampling=_DISCOVERY_SAMPLING,
         certify=lambda q: _certify(q, generator),
-        # the segment cubic mixes parities, so d = 1 stays in t
         in_squares=d >= 2,
     )
     return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
@@ -787,8 +779,8 @@ def independence_test(
     columns = [j - 1 for j in labels]
     config, _, _, report, candidates = _discovery_run(
         "independence", d, a2, len(labels), max_degree, n_samples, seed, threshold, max_denominator,
-        sample=lambda count: _sample_distance_tuples(d, a2, count, seed)[:, columns],
-        sampling=_STRATIFIED_SAMPLING,
+        sample=lambda count: _sample_squared_distances(d, a2, count, seed)[:, columns],
+        sampling=_DISCOVERY_SAMPLING,
         certify=lambda q: CERT_UNCERTIFIED,
         in_squares=True,
         subset=labels,

@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -112,6 +114,27 @@ def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, ar
     code, doc = run(tmp_path, *argv, "--edge-sq", "1e-400")
     assert code == 2 and doc is None
     assert "error: degenerate sample set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
+    ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
+    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-300"],
+])
+def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsys, argv):
+    # the back-transform to monomials divides by powers of the sample scale,
+    # which overflow (or underflow, zeroing a coefficient) for such edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run(tmp_path, *argv)
+    assert code == 2 and doc is None
+    assert "error: edge_sq is out of float range at max_degree 4" in capsys.readouterr().err
+
+
+def test_independence_without_candidates_needs_no_back_transform(tmp_path):
+    argv = ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "4", "--edge-sq", "1e-300"]
+    code, doc = run(tmp_path, *argv)
+    assert code == 0 and doc["result"]["verdict"] == "no-relation-found"
 
 
 def test_sphere_subcommand(tmp_path):
@@ -228,6 +251,23 @@ def test_probe63_completes(tmp_path):
     assert set(counts) == {"no_real_root", "feasible", "infeasible"}
     assert len(doc["result"]["trials"]) == 60
     assert "tol" not in doc["config"]
+
+
+def test_probe63_counts_do_not_depend_on_the_edge(tmp_path):
+    # the relation is homogeneous in (a^2, t^2): no power of a may underflow
+    # or overflow into the counts
+    counts = []
+    for edge_sq in ("1", "1e-200", "1e300"):
+        code, doc = run(tmp_path, "probe63", "--d", "2", "--count", "4", "--seed", "3", "--edge-sq", edge_sq)
+        assert code == 0
+        counts.append(doc["result"]["counts"])
+    assert counts == [{"no_real_root": 3, "feasible": 2, "infeasible": 0}] * 3
+
+
+def test_probe63_rejects_an_edge_below_the_float_range(tmp_path, capsys):
+    code, doc = run(tmp_path, "probe63", "--d", "2", "--count", "4", "--edge-sq", "1e-400")
+    assert code == 2 and doc is None
+    assert "error: edge_sq is below the normal float range" in capsys.readouterr().err
 
 
 def test_probe63_rejects_d0(tmp_path, capsys):
@@ -375,6 +415,26 @@ def test_cm_volume_too_large_for_a_float_reports_error_field(tmp_path):
     assert result["exact"] is True and result["determinant"] == str(-3 * 10**1600)
     assert result["volume"] is None
     assert result["volume_error"] == "volume^2 is too large for a float"
+
+
+@pytest.mark.parametrize("a", ["1e100", "1e-100", "1e-80"])
+def test_cm_volume_is_right_wherever_it_is_a_float(tmp_path, a):
+    # volume^2 of these triangles overflows or is subnormal as a float, yet
+    # the area sqrt(3)/4 * a^2 is a normal float
+    code, doc = run(tmp_path, "cm", "--edges-equilateral", "3", "--a", a)
+    assert code == 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        expected = float(Decimal(3).sqrt() / 4 * Decimal(a) ** 2)
+    assert abs(doc["result"]["volume"] - expected) <= math.ulp(expected)
+
+
+def test_cm_volume_too_small_for_a_float_reports_error_field(tmp_path):
+    # a real triangle, so 0.0, the flat verdict, would be wrong
+    code, doc = run(tmp_path, "cm", "--edges-equilateral", "3", "--a", "1e-200")
+    assert code == 0
+    assert doc["result"]["volume"] is None
+    assert doc["result"]["volume_error"] == "volume is too small for a float: it rounds to 0"
 
 
 # -- bad rationals ---------------------------------------------------------------------

@@ -24,6 +24,7 @@ from simplexdist.geom import (
     sample_points,
 )
 from simplexdist.poly import _relation_numerator, relation_residual_exact
+from simplexdist.rationals import rational_sqrt
 
 
 def bp(*weights):
@@ -228,23 +229,6 @@ def reference_weights(config, n):
     return out
 
 
-def reference_discovery_weights(d, seed, count):
-    """Fraction form of the discovery samples: every third one pulled
-    toward a vertex by a random power of a 1/64 grid value."""
-    base = reference_weights(SampleConfig(seed=seed, count=count, box=Fraction(3, 2)), d + 1)
-    out = []
-    for k, weights in enumerate(base):
-        if k % 3 == 2:
-            vertex = (k // 3) % (d + 1)
-            rng = _rng_for(seed, "radial", k)
-            pull = Fraction(rng.randint(1, 64), 64) ** rng.randint(1, 3)
-            weights = tuple(
-                (1 - pull) * (1 if i == vertex else 0) + pull * w for i, w in enumerate(weights)
-            )
-        out.append(weights)
-    return out
-
-
 EDGES_SQ = (Fraction(1), Fraction(4, 9), Fraction(7, 3))
 
 
@@ -267,18 +251,27 @@ def test_integer_draws_match_fraction_reference(d, box):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_discovery_pull_matches_fraction_reference(d):
-    expected = reference_discovery_weights(d, seed=d + 40, count=30)
-    draws = discover._discovery_draws(d, d + 40, 30)
-    assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == expected
+def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
+    # the rows are the squared distances of the box-3/2 samples of
+    # sample_points, each rounded once and never through a square root; runs
+    # in s evaluate them as they are, and d = 1 takes the root of each entry
+    evaluate, evaluated = discover._chebyshev_eval_matrix, []
+
+    def recording_eval(values, *rest):
+        evaluated.append(values)
+        return evaluate(values, *rest)
+
+    monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
+    config = SampleConfig(seed=d + 40, count=30, box=Fraction(3, 2))
     for a2 in EDGES_SQ:
-        s = EmbeddedSimplex(d, a2)
-        floats = discover._sample_distance_tuples(d, a2, 30, d + 40)
-        reference = [
-            [math.sqrt(float(x)) for x in s.squared_distances(BarycentricPoint(w))]
-            for w in expected
-        ]
-        assert np.array_equal(floats, np.array(reference))
+        rows = discover._sample_squared_distances(d, a2, 30, d + 40)
+        exact = sample_points(EmbeddedSimplex(d, a2), config)
+        assert rows.tobytes() == np.array([[float(x) for x in s.squared] for _, s in exact]).tobytes()
+        if d == 1 and rational_sqrt(a2) is None:
+            continue  # d = 1 certifies only rational edges
+        discover.discover_vanishing(d, a2, 1, n_samples=30, seed=d + 40)
+        values = rows if d >= 2 else np.array([[math.sqrt(x) for x in row] for row in rows.tolist()])
+        assert evaluated.pop().tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, 9))

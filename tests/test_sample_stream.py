@@ -1,10 +1,11 @@
 """Golden digests of the deterministic sample stream.
 
 Sample k depends only on ``(seed, k)``, and every report built from samples
-inherits that stream.  These SHA-256 digests were recorded from the
-``Fraction`` sampler that the integer draws replaced, so any drift in the
-draws, the weights, the exact squared distances, the discovery floats or
-the ``verify`` report fails here.  The ``realize-probe`` reports are pinned
+inherits that stream.  The sample digests were recorded from the
+``Fraction`` sampler that the integer draws replaced, and the discovery
+floats are the squared distances of the box-3/2 samples, each rounded once,
+so any drift in the draws, the weights, the exact squared distances, the
+discovery floats or the ``verify`` report fails here.  The ``realize-probe`` reports are pinned
 too: the exact ``cm`` report and the pure-Python part of ``probe63`` (its
 draws and the roots of the completing quadratic).  Nothing downstream of an
 SVD or other LAPACK call is pinned: those values depend on the BLAS build.
@@ -52,13 +53,13 @@ def test_sample_points_stream(d, edge_sq, seed, count, box, expected):
 @pytest.mark.parametrize(
     "d, edge_sq, count, seed, expected",
     [
-        (3, "3/2", 300, 5, "9f9f7ca91a246ba34d726149da53e33d8110e7cd0b7db17b6fb81c9f50208994"),
-        (5, "4/9", 200, 0, "f162db8256e6255110af105c9986be3352cbe7b55fb2abf0fc9afaa9ad53e095"),
-        (1, "1", 90, 2, "50be8c35fecaf76ad286093c94ef216728da29e74885fb279942e4223f646f27"),
+        (3, "3/2", 300, 5, "8ea08151f778acbb318df76a5220838f7a9bcb90031aedb6c109f52a25a84535"),
+        (5, "4/9", 200, 0, "e2eedbefcbb0cca0378fa3ee514470e36f3c788b80accae2431bd32f9057ffee"),
+        (1, "1", 90, 2, "0277cc888ba22d5c4dbac5d129ab372198eed249ef715d3de2bc5fc134e704ae"),
     ],
 )
 def test_discovery_floats_stream(d, edge_sq, count, seed, expected):
-    floats = discover._sample_distance_tuples(d, Fraction(edge_sq), count, seed)
+    floats = discover._sample_squared_distances(d, Fraction(edge_sq), count, seed)
     assert floats.dtype == np.float64 and floats.shape == (count, d + 1)
     assert digest(floats.astype("<f8").tobytes()) == expected
 
