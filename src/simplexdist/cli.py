@@ -264,16 +264,22 @@ def cmd_soddy(args) -> int:
         ]
     summary = [f"soddy: curvature roots {result['roots']}"]
     if args.d == 2:
-        config = soddy.build_tangent_circles_2d(*args.radii)
-        result["circles"] = config.to_json()
-        built = []
-        for k4 in [args.k4] if args.k4 is not None else list(roots or []):
-            sphere, residual = soddy.build_soddy_circle_2d(config, k4)
-            built.append(
-                {"curvature": k4, "sphere": sphere.to_json(), "third_tangency_residual": residual}
-            )
-            summary.append(f"  k={k4:.6f}: third-tangency residual {residual:.3e}")
-        result["constructed"] = built
+        try:
+            config = soddy.build_tangent_circles_2d(*args.radii)
+        except ValueError as exc:
+            # radii too far apart for a float placement: the roots still stand
+            result["circles"] = None
+            result["circles_error"] = str(exc)
+        else:
+            result["circles"] = config.to_json()
+            built = []
+            for k4 in [args.k4] if args.k4 is not None else list(roots or []):
+                sphere, residual = soddy.build_soddy_circle_2d(config, k4)
+                built.append(
+                    {"curvature": k4, "sphere": sphere.to_json(), "third_tangency_residual": residual}
+                )
+                summary.append(f"  k={k4:.6f}: third-tangency residual {residual:.3e}")
+            result["constructed"] = built
     cfg = {"d": args.d, "radii": list(args.radii), "k4": args.k4}
     _emit(args, "soddy", cfg, result, summary)
     return EXIT_OK
@@ -292,13 +298,18 @@ def cmd_cm(args) -> int:
     else:
         matrix = cmgeom.SquaredDistanceMatrix(_read_json(args.matrix))
         cfg = {"matrix": args.matrix, "points": matrix.n}
-    det = cmgeom.cayley_menger_det(matrix)
-    result = {
-        "exact": matrix.exact,
-        "determinant": frac_str(det) if matrix.exact else det,
-    }
+    result = {"exact": matrix.exact}
     try:
-        result["volume"] = cmgeom._volume_from_det(matrix, det)
+        det = cmgeom.cayley_menger_det(matrix)
+        result["determinant"] = frac_str(det) if matrix.exact else det
+    except ValueError as exc:  # a float determinant outside the float range
+        result["determinant"] = None
+        result["determinant_error"] = str(exc)
+    try:
+        if matrix.exact:
+            result["volume"] = cmgeom._exact_volume(matrix, det)
+        else:  # from the rescaled determinant, in range where det may not be
+            result["volume"] = cmgeom.simplex_volume(matrix)
     except ValueError as exc:
         result["volume"] = None
         result["volume_error"] = str(exc)

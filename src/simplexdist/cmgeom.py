@@ -10,7 +10,8 @@ for a genuine (n-1)-simplex it carries the squared volume:
 
 Rational inputs give an exact determinant: the denominators of each row
 are cleared and fraction-free (Bareiss) elimination runs on integers.
-Floating inputs use LAPACK.
+Floating inputs use LAPACK, on the matrix divided by a power of 4 near its
+largest entry where the determinant would otherwise leave the float range.
 
 Realizability is decided by the quartic relation
 ``R(s) = (d+1)*(a^4 + sum_j s_j^2) - (a^2 + sum_j s_j)^2`` on the squared
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import CartesianSimplex, _rng_for
+from .geom import CartesianSimplex, _digest_ints
 from .rationals import as_fraction, frac_str
 
 
@@ -175,12 +176,42 @@ def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
 def cayley_menger_det(matrix: SquaredDistanceMatrix):
     """Determinant of the bordered squared-distance matrix.
 
-    Exact (a ``Fraction``) for exact input, floating otherwise.
+    Exact (a ``Fraction``) for exact input, floating otherwise; a float
+    determinant outside the float range raises ``ValueError``.
     """
-    bordered = matrix.bordered()
     if matrix.exact:
-        return _bareiss_det(bordered)
-    return float(np.linalg.det(np.asarray(bordered, dtype=float)))
+        return _bareiss_det(matrix.bordered())
+    det, k = _float_det(matrix)
+    return _rescaled(det, 2 * k * (matrix.n - 1), "determinant")
+
+
+def _float_det(matrix: SquaredDistanceMatrix) -> tuple[float, int]:
+    """``(det, k)``: the LAPACK determinant of the float matrix divided by
+    ``4^k``, so the matrix's own determinant is ``det * 4^(k*d)``.
+
+    The determinant is homogeneous of degree d in the squared distances, so
+    its scale is ``m^d`` for the largest entry m.  Where that is beyond
+    ``2^(+-512)``, ``m / 4^k`` lies in [1/2, 2) and the division by a power
+    of 2 is exact; elsewhere k = 0 and LAPACK sees the matrix as it is.
+    """
+    d = matrix.n - 1
+    e = math.frexp(max(map(max, matrix.rows)))[1]
+    k = e // 2 if d * abs(e) > 512 else 0
+    bordered = np.asarray(matrix.bordered(), dtype=float)
+    bordered[1:, 1:] = np.ldexp(bordered[1:, 1:], -2 * k)
+    return float(np.linalg.det(bordered)), k
+
+
+def _rescaled(x: float, exp: int, what: str) -> float:
+    """``x * 2^exp``, or ``ValueError`` naming ``what`` where that is
+    outside the float range."""
+    try:
+        y = math.ldexp(x, exp)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if y == 0.0 and x != 0.0:
+        raise ValueError(f"{what} is too small for a float: it rounds to 0")
+    return y
 
 
 def simplex_volume(matrix: SquaredDistanceMatrix) -> float:
@@ -189,42 +220,48 @@ def simplex_volume(matrix: SquaredDistanceMatrix) -> float:
     Raises when the determinant has the wrong sign, meaning no Euclidean
     point set realises the distance data; degenerate (flat) data gives 0.
     """
-    return _volume_from_det(matrix, cayley_menger_det(matrix))
-
-
-def _volume_from_det(matrix: SquaredDistanceMatrix, det) -> float:
-    """``simplex_volume`` given the matrix's Cayley-Menger determinant."""
-    n = matrix.n
-    d = n - 1
-    scaled = (-1) ** (d + 1) * det
-    denom = 2**d * math.factorial(d) ** 2
     if matrix.exact:
-        v2 = Fraction(scaled, denom)
-        if v2 < 0:
-            raise ValueError(
-                f"distance data is not embeddable: volume^2 = {v2} is negative"
-            )
-        if v2 == 0:
-            return 0.0
-        # v2 / 4^k lies in [1/2, 4), so its float is normal and its root is
-        # right to one ulp before the exact scaling by 2^k; where float(v2)
-        # is normal this is sqrt(float(v2)) bit for bit
-        k = (v2.numerator.bit_length() - v2.denominator.bit_length()) // 2
-        try:
-            volume = math.ldexp(math.sqrt(v2 / Fraction(4) ** k), k)
-        except OverflowError:
-            raise ValueError("volume^2 is too large for a float") from None
-        if volume == 0.0:
-            raise ValueError("volume is too small for a float: it rounds to 0")
-        return volume
-    v2 = float(scaled) / denom
+        return _exact_volume(matrix, cayley_menger_det(matrix))
+    return _float_volume(matrix)
+
+
+def _exact_volume(matrix: SquaredDistanceMatrix, det: Fraction) -> float:
+    """``simplex_volume`` of an exact matrix given its Cayley-Menger
+    determinant."""
+    d = matrix.n - 1
+    v2 = Fraction((-1) ** (d + 1) * det, 2**d * math.factorial(d) ** 2)
+    if v2 < 0:
+        raise ValueError(f"distance data is not embeddable: volume^2 = {v2} is negative")
+    if v2 == 0:
+        return 0.0
+    # v2 / 4^k lies in [1/2, 4), so its float is normal and its root is
+    # right to one ulp before the exact scaling by 2^k; where float(v2)
+    # is normal this is sqrt(float(v2)) bit for bit
+    k = (v2.numerator.bit_length() - v2.denominator.bit_length()) // 2
+    try:
+        volume = math.ldexp(math.sqrt(v2 / Fraction(4) ** k), k)
+    except OverflowError:
+        raise ValueError("volume^2 is too large for a float") from None
+    if volume == 0.0:
+        raise ValueError("volume is too small for a float: it rounds to 0")
+    return volume
+
+
+def _float_volume(matrix: SquaredDistanceMatrix) -> float:
+    """``simplex_volume`` of a float matrix, from the determinant of the
+    matrix divided by ``4^k`` (``_float_det``): the volume is that of the
+    divided matrix times ``2^(k*d)``."""
+    d = matrix.n - 1
+    det, k = _float_det(matrix)
+    v2 = (-1) ** (d + 1) * det / (2**d * math.factorial(d) ** 2)
     # a flat float configuration can give v2 = -0.0, whose sqrt is -0.0
     if v2 <= 0:
-        scale = max(abs(x) for r in matrix.rows for x in r) or 1.0
+        scale = math.ldexp(max(map(max, matrix.rows)), -2 * k) or 1.0
         if v2 > -1e-9 * scale**d:
             return 0.0
-        raise ValueError(f"distance data is not embeddable: volume^2 = {v2} is negative")
-    return math.sqrt(v2)
+        shown = f"{v2} * 4^{k * d}" if k else f"{v2}"
+        raise ValueError(f"distance data is not embeddable: volume^2 = {shown} is negative")
+    return _rescaled(math.sqrt(v2), k * d, "volume")
 
 
 def relation_vs_cayley_menger(d: int, edge_sq, squared_t: Sequence):
@@ -379,11 +416,13 @@ class ProbeReport:
 def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeReport:
     """Do positive tuples satisfying the relation come from actual points?
 
-    Each trial draws the first d distances log-uniformly in [a/10, 10a] and
-    completes the tuple through the quadratic.  By the identity in the
-    module docstring every real non-negative root is realizable, so each
-    root gets the verdict ``feasible`` and ``infeasible`` stays 0; the
-    report also counts the trials with no real non-negative root at all.
+    Each trial draws the first d distances log-uniformly in [a/10, 10a],
+    from the 8-byte digest chunks of the key ``seed|probe|i`` (see
+    ``geom._digest_ints``), and completes the tuple through the quadratic.
+    By the identity in the module docstring every real non-negative root is
+    realizable, so each root gets the verdict ``feasible`` and
+    ``infeasible`` stays 0; the report also counts the trials with no real
+    non-negative root at all.
 
     The relation is homogeneous in ``(a^2, t^2)``, so the completion runs in
     units of the edge, where no power of a can overflow or underflow, and
@@ -404,8 +443,9 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
     rows = []
     for i in range(trials):
-        rng = _rng_for(seed, "probe", i)
-        units = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(d)]
+        # the top 53 bits of each 8-byte chunk make a uniform u in [0, 1)
+        chunks = _digest_ints(f"{seed}|probe|{i}", d, 8, 1 << 64)
+        units = [10.0 ** (-1.0 + 2.0 * ((v >> 11) * 2.0**-53)) for v in chunks]
         first = [edge * u for u in units]
         roots = [edge * r for r in complete_distance_tuple(d, unit, units)]
         verdicts = [{"t_last": t_last, "status": "feasible"} for t_last in roots]

@@ -6,7 +6,8 @@ and rigor is restored afterwards by exact certification:
 1. evaluate a degree-bounded polynomial basis at many sampled values
    (rows: samples, columns: basis elements): the squared distances s of
    the exact box-3/2 samples of ``sample_points``, each rounded once from
-   its integer form, or for sphere runs and d = 1 the distances t,
+   its integer form, or for sphere runs and d = 1 the distances t (the
+   d = 1 samples spread evenly over the three branches of the segment),
 2. take the numeric nullspace of the column-equilibrated matrix by SVD,
    at each column prefix the run needs (see below), recording the full
    singular spectrum and the gap at the cut,
@@ -553,9 +554,22 @@ _DISCOVERY_BOX = Fraction(3, 2)
 _DISCOVERY_SAMPLING = f"weights(box={frac_str(_DISCOVERY_BOX)})"
 
 
+def _segment_branch(k: int, nums: tuple[int, ...]) -> bool:
+    """Whether the d = 1 weights ``nums`` lie on branch ``k mod 3`` of the
+    segment image: inside the segment (``t1 + t2 = a``), beyond vertex 1
+    (``t1 - t2 = a``, a negative weight on vertex 0) or before vertex 0
+    (``t2 - t1 = a``).  A curve of degree D meets a branch line in at most D
+    points unless it contains it, so each branch needs D+1 samples."""
+    r0, r1 = nums
+    return (1 if r0 < 0 else 2 if r1 < 0 else 0) == k % 3
+
+
 def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
     """Squared distances of the discovery samples as floats, one row per
-    sample: the exact samples of ``sample_points`` at box 3/2.
+    sample: the exact samples of ``sample_points`` at box 3/2, except that
+    for d = 1 sample k is redrawn until it lies on branch ``k mod 3`` of the
+    segment image (``_segment_branch``), so the three branches share the
+    samples evenly.
 
     Each float is the squared distance ``p*N_j / (2*q*T^2)`` divided as
     Python ints, which rounds correctly, so it equals ``float(Fraction)``
@@ -566,7 +580,7 @@ def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
     config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
     return np.array([
         [p * n / (2 * q * den * den) for n in _distance_numerators(nums, den)]
-        for nums, den in _weight_draws(d + 1, config)
+        for nums, den in _weight_draws(d + 1, config, _segment_branch if d == 1 else None)
     ])
 
 

@@ -15,6 +15,14 @@ from ``(seed, k)`` alone, so runs are identical regardless of batching.
 Exact samples are drawn as integers over one denominator (weights
 ``r_i / T``, squared distances ``a^2 * N_j / (2*T^2)`` with integer
 ``N_j``); ``Fraction`` values are built only where a caller needs them.
+
+The integers come from a counter-based generator (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011): each attempt at a sample
+hashes its key ``seed|weights|k|attempt`` once with BLAKE2b, and the 64-byte
+digest is cut into little-endian chunks that rejection sampling turns into
+uniform integers (:func:`_digest_ints`).  No generator state is seeded
+per sample.  The circumsphere sampler still draws its Gaussians from a
+string-seeded ``random.Random`` (:func:`_rng_for`).
 """
 
 from __future__ import annotations
@@ -22,9 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+# the builtin module, as ``random`` imports ``_sha512``: ``hashlib`` would
+# load OpenSSL, which costs every command megabytes and milliseconds
+from _blake2 import blake2b
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,9 +46,42 @@ _WEIGHT_GRID = 64
 
 
 def _rng_for(seed: int, *stream) -> random.Random:
-    # string seeding hashes via SHA-512 internally: stable across runs,
-    # platforms, and PYTHONHASHSEED
+    # the Gaussian stream of sample_circumsphere only; string seeding hashes
+    # via SHA-512 internally: stable across runs, platforms, and PYTHONHASHSEED
     return random.Random("|".join(str(part) for part in (seed, *stream)))
+
+
+def _digest_ints(key: str, n: int, size: int, limit: int) -> list[int]:
+    """The first n values below ``limit`` among the little-endian
+    ``size``-byte chunks of the BLAKE2b digest of ``key``, then of the
+    digests of ``key|1``, ``key|2``, ... once the previous one runs out."""
+    bits = 8 * size
+    mask = (1 << bits) - 1
+    out = []
+    for block in itertools.count():
+        digest = blake2b((f"{key}|{block}" if block else key).encode()).digest()
+        chunks = int.from_bytes(digest, "little")
+        for _ in range(len(digest) // size):
+            v = chunks & mask
+            if v < limit:
+                out.append(v)
+                if len(out) == n:
+                    return out
+            chunks >>= bits
+
+
+def _uniform_rule(hi: int) -> tuple[int, int]:
+    """``(size, limit)`` for uniform integers in ``[-hi, hi]`` from
+    ``size``-byte chunks: a chunk ``v < limit`` gives ``v % width - hi``,
+    ``width = 2*hi + 1``, and a larger one is rejected.  ``limit`` is the
+    largest multiple of ``width`` below ``256**size``, so every value is
+    equally likely, and ``size`` is the least that rejects fewer than one
+    chunk in 64."""
+    width = 2 * hi + 1
+    size = 1
+    while 64 * (256**size % width) >= 256**size:
+        size += 1
+    return size, 256**size - 256**size % width
 
 
 @dataclass(frozen=True)
@@ -216,30 +260,35 @@ class CartesianSimplex:
         return self.edge * math.sqrt(self.dim / (2.0 * (self.dim + 1)))
 
 
-def _weight_draws(n: int, config: SampleConfig) -> Iterator[tuple[tuple[int, ...], int]]:
+def _weight_draws(
+    n: int, config: SampleConfig, accept: Callable[[int, tuple[int, ...]], bool] | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Exact sample weights in integer form, one ``(r, T)`` per sample:
     weight ``i`` is ``r_i / T`` with ``T = sum(r) > 0``.
 
-    Raw numerators ``r_i`` are drawn on a 1/64 grid inside ``[-box, box]``.
-    Draws whose sum is below 1/2 in absolute value (``|T| < 32``), or whose
-    renormalised weights escape the box (``q*|r_i| > p*|T|`` for
-    ``box = p/q``), are redrawn under a derived sub-seed; sample k therefore
-    depends only on ``(seed, k)``.
+    Raw numerators ``r_i`` are drawn on a 1/64 grid inside ``[-box, box]``,
+    uniformly from the digest chunks of the key ``seed|weights|k|attempt``
+    (see :func:`_uniform_rule`).  Draws whose sum is below 1/2 in absolute
+    value (``|T| < 32``), or whose renormalised weights escape the box
+    (``q*|r_i| > p*|T|`` for ``box = p/q``), or that ``accept(k, r)`` turns
+    down, are redrawn at the next attempt; sample k therefore depends only
+    on ``(seed, k)``.
     """
     hi = int(config.box * _WEIGHT_GRID)
+    width = 2 * hi + 1
+    size, limit = _uniform_rule(hi)
     p, q = config.box.numerator, config.box.denominator
     for k in range(config.count):
         for attempt in itertools.count():
-            rng = _rng_for(config.seed, "weights", k, attempt)
-            raw = [rng.randint(-hi, hi) for _ in range(n)]
+            key = f"{config.seed}|weights|{k}|{attempt}"
+            raw = [v % width - hi for v in _digest_ints(key, n, size, limit)]
             total = sum(raw)
-            bound = p * abs(total)
-            if 2 * abs(total) >= _WEIGHT_GRID and all(q * abs(r) <= bound for r in raw):
+            if 2 * abs(total) < _WEIGHT_GRID or q * max(map(abs, raw)) > p * abs(total):
+                continue
+            nums = tuple(raw) if total > 0 else tuple(-r for r in raw)
+            if accept is None or accept(k, nums):
                 break
-        if total < 0:
-            yield tuple(-r for r in raw), -total
-        else:
-            yield tuple(raw), total
+        yield nums, abs(total)
 
 
 def _distance_numerators(nums: tuple[int, ...], den: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -131,7 +132,17 @@ def solve_missing_curvature(known: Sequence[float], dim: int) -> tuple[float, fl
     if disc < 0:
         return None
     root = math.sqrt(disc)
-    return ((s1 + root) / (dim - 1), (s1 - root) / (dim - 1))
+    roots = [(s1 + root) / (dim - 1), (s1 - root) / (dim - 1)]
+    # the root of sign opposite to S1 comes from |S1| - root; where that
+    # cancels more than half of the 53 bits (one huge radius among small
+    # ones), it is formed from the product of the roots (Vieta) instead,
+    # (d*S2 - S1^2) / (d-1), whose numerator is exact in the float curvatures
+    if abs(abs(s1) - root) < abs(s1) * 2.0**-26:
+        near = 1 if s1 > 0 else 0
+        exact = [Fraction(k) for k in ks]
+        product = Fraction(dim * sum(k * k for k in exact) - sum(exact) ** 2, dim - 1)
+        roots[near] = float(product / Fraction(roots[1 - near]))
+    return roots[0], roots[1]
 
 
 def build_tangent_circles_2d(r1: float, r2: float, r3: float) -> TangentConfig:
@@ -147,6 +158,8 @@ def build_tangent_circles_2d(r1: float, r2: float, r3: float) -> TangentConfig:
     s12 = radii[0] + radii[1]
     s13 = radii[0] + radii[2]
     s23 = radii[1] + radii[2]
+    if math.isinf(s12 * s12 + s13 * s13):
+        raise ValueError("radii are too large to place: the squares of their sums overflow a float")
     x3 = (s12 * s12 + s13 * s13 - s23 * s23) / (2.0 * s12)
     y3 = math.sqrt(max(s13 * s13 - x3 * x3, 0.0))
     spheres = (

@@ -261,7 +261,7 @@ def test_probe63_counts_do_not_depend_on_the_edge(tmp_path):
         code, doc = run(tmp_path, "probe63", "--d", "2", "--count", "4", "--seed", "3", "--edge-sq", edge_sq)
         assert code == 0
         counts.append(doc["result"]["counts"])
-    assert counts == [{"no_real_root": 3, "feasible": 2, "infeasible": 0}] * 3
+    assert counts == [{"no_real_root": 4, "feasible": 0, "infeasible": 0}] * 3
 
 
 def test_probe63_rejects_an_edge_below_the_float_range(tmp_path, capsys):
@@ -302,6 +302,22 @@ def test_soddy_explicit_curvature(tmp_path):
     assert code == 0
     (built,) = doc["result"]["constructed"]
     assert built["curvature"] == 0.5
+
+
+@pytest.mark.parametrize("radius, error", [
+    ("1e100", "configuration is not mutually tangent"),
+    ("1e200", "radii are too large to place"),
+], ids=["1e100", "1e200"])
+def test_soddy_huge_radius_keeps_its_small_root(tmp_path, radius, error):
+    # the small root of curvatures (1/r, 1, 1) is about -1/r; S1 - root
+    # cancels to 0.0 there, which used to sink the whole report
+    code, doc = run(tmp_path, "soddy", "--radii", f"{radius},1,1")
+    assert code == 0
+    result = doc["result"]
+    assert result["roots"][0] == 4.0
+    assert result["roots"][1] == pytest.approx(-1 / float(radius), rel=1e-12)
+    assert result["circles"] is None and result["circles_error"].startswith(error)
+    assert "constructed" not in result
 
 
 def test_soddy_wrong_radii_count(capsys):
@@ -352,6 +368,26 @@ def test_cm_flat_float_matrix_reports_positive_zero_volume(tmp_path):
     assert doc["result"]["exact"] is False and doc["result"]["determinant"] == 0.0
     volume = doc["result"]["volume"]
     assert volume == 0.0 and math.copysign(1.0, volume) == 1.0
+
+
+@pytest.mark.parametrize("side_sq, error", [
+    ("1e300", "determinant is too large for a float"),
+    ("1e-300", "determinant is too small for a float: it rounds to 0"),
+], ids=["1e300", "1e-300"])
+def test_cm_float_matrix_at_extreme_scales(tmp_path, side_sq, error):
+    # the determinant -3 s^2 of the equilateral triangle is outside the float
+    # range, its area sqrt(3)/4 * s is not; warnings are errors here
+    s = float(side_sq)
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps([[0.0, s, s], [s, 0.0, s], [s, s, 0.0]]))
+    code, doc = run(tmp_path, "cm", "--matrix", str(matrix_file))
+    assert code == 0
+    result = doc["result"]
+    assert result["determinant"] is None and result["determinant_error"] == error
+    with localcontext() as ctx:
+        ctx.prec = 50
+        expected = float(Decimal(3).sqrt() / 4 * Decimal(s))
+    assert abs(result["volume"] - expected) <= 4 * math.ulp(expected)
 
 
 @pytest.mark.parametrize("edge", ["-1", "-3/7", "0"])

@@ -1,8 +1,11 @@
 """Simplex representations, exact distance queries, and samplers."""
 
+import hashlib
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +20,8 @@ from simplexdist.geom import (
     SampleConfig,
     _distance_numerators,
     _exact_squared,
-    _rng_for,
+    _digest_ints,
+    _uniform_rule,
     _weight_draws,
     sample_circumsphere,
     sample_document,
@@ -210,20 +214,36 @@ def test_exact_sample_mode_invariants():
 # -- the integer core against the Fraction reference ----------------------------
 
 
-def reference_weights(config, n):
-    """The Fraction sampler that the integer draws replaced: weights on the
-    1/64 grid, renormalised by their sum, with the same redraw rules."""
+def reference_chunks(key, size):
+    """The digest stream of the weight draws, by the letter of its
+    definition: the ``size``-byte little-endian chunks of ``blake2b(key)``,
+    then of ``blake2b(key|1)``, ``blake2b(key|2)``, ..."""
+    for block in itertools.count():
+        digest = hashlib.blake2b((key if block == 0 else f"{key}|{block}").encode()).digest()
+        for i in range(len(digest) // size):
+            yield sum(byte << (8 * j) for j, byte in enumerate(digest[i * size : (i + 1) * size]))
+
+
+def reference_weights(config, n, accept=None):
+    """Fraction weights of the digest rule: raw numerators on the 1/64 grid,
+    uniform in [-box, box] by rejection, renormalised by their sum, with the
+    redraw rules of ``_weight_draws``."""
     hi = int(config.box * 64)
+    width = 2 * hi + 1
+    size = next(c for c in itertools.count(1) if Fraction(256**c % width, 256**c) < Fraction(1, 64))
+    limit = 256**size // width * width
     out = []
     for k in range(config.count):
         for attempt in itertools.count():
-            rng = _rng_for(config.seed, "weights", k, attempt)
-            raw = [Fraction(rng.randint(-hi, hi), 64) for _ in range(n)]
+            chunks = (v for v in reference_chunks(f"{config.seed}|weights|{k}|{attempt}", size) if v < limit)
+            raw = [Fraction(next(chunks) % width - hi, 64) for _ in range(n)]
             total = sum(raw)
             if abs(total) < Fraction(1, 2):
                 continue
             weights = tuple(r / total for r in raw)
-            if all(abs(w) <= config.box for w in weights):
+            if all(abs(w) <= config.box for w in weights) and (
+                accept is None or accept(k, weights)
+            ):
                 break
         out.append(weights)
     return out
@@ -250,11 +270,75 @@ def test_integer_draws_match_fraction_reference(d, box):
             assert _relation_numerator(2 * den * den, _distance_numerators(nums, den)) == 0
 
 
+@pytest.mark.parametrize("d, box", [(40, Fraction(3)), (40, Fraction(1000)), (25, Fraction(1000))])
+def test_draws_run_past_one_digest(d, box):
+    # d+1 chunks do not fit in one 64-byte digest: the draws go on in the
+    # digests of key|1, key|2, ...
+    size, _ = _uniform_rule(int(box * 64))
+    assert d + 1 > 64 // size
+    config = SampleConfig(seed=d, count=20, box=box)
+    draws = list(_weight_draws(d + 1, config))
+    assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == reference_weights(config, d + 1)
+
+
+def test_uniform_rule_makes_every_value_equally_likely():
+    for hi in [*range(300), 2**20, 64000, 64 * 10**6, 2**64, 3**70]:
+        size, limit = _uniform_rule(hi)
+        width = 2 * hi + 1
+        # limit is the largest multiple of width within the chunk range, so
+        # each of the width values takes limit // width chunk values
+        assert limit % width == 0 and 0 < limit <= 256**size < limit + width
+        # fewer than one chunk in 64 is rejected, and a smaller chunk would not do
+        assert 64 * (256**size - limit) < 256**size
+        assert size == 1 or 64 * (256 ** (size - 1) % width) >= 256 ** (size - 1)
+
+
+def test_digest_ints_follow_the_reference():
+    for size in (1, 2, 3, 8, 13):
+        limit = 256**size * 5 // 7  # rejects about two chunks in seven
+        expected = [v for v in itertools.islice(reference_chunks("7|probe|3", size), 200) if v < limit]
+        assert _digest_ints("7|probe|3", len(expected), size, limit) == expected
+
+
+def _segment_branch_of(weights):
+    # 0 inside the segment, 1 beyond vertex 1, 2 before vertex 0
+    w0, w1 = weights
+    return 0 if 0 <= w1 <= 1 else 1 if w1 > 1 else 2
+
+
+@pytest.mark.parametrize("degree", range(3, 9))
+def test_segment_samples_spread_over_the_three_branches(degree):
+    # a d = 1 discovery of degree D draws 3 * C(D+2, 2) samples, sample k on
+    # branch k mod 3, so each branch line holds C(D+2, 2) >= D+1 of them
+    count = 3 * math.comb(degree + 2, 2)
+    config = SampleConfig(seed=degree, count=count, box=Fraction(3, 2))
+    draws = list(_weight_draws(2, config, discover._segment_branch))
+    weights = [tuple(Fraction(r, den) for r in nums) for nums, den in draws]
+    assert weights == reference_weights(config, 2, lambda k, w: _segment_branch_of(w) == k % 3)
+    branches = [_segment_branch_of(w) for w in weights]
+    assert branches == [k % 3 for k in range(count)]
+    assert [branches.count(b) for b in range(3)] == [count // 3] * 3 and count // 3 >= degree + 1
+    # on the branch lines t1 + t2 = a, t1 - t2 = a and t2 - t1 = a
+    for (w0, w1), branch in zip(weights, branches):
+        t1, t2 = abs(w1), abs(w0)
+        assert (t1 + t2, t1 - t2, t2 - t1)[branch] == 1
+
+
+def test_import_leaves_hashlib_out():
+    # hashlib loads OpenSSL; the draws take BLAKE2b from the builtin module
+    code = (
+        "import sys, simplexdist, simplexdist.cli; "
+        "sys.exit(bool({'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
     # the rows are the squared distances of the box-3/2 samples of
-    # sample_points, each rounded once and never through a square root; runs
-    # in s evaluate them as they are, and d = 1 takes the root of each entry
+    # sample_points (for d = 1, of the draws redrawn onto branch k mod 3),
+    # each rounded once and never through a square root; runs in s evaluate
+    # them as they are, and d = 1 takes the root of each entry
     evaluate, evaluated = discover._chebyshev_eval_matrix, []
 
     def recording_eval(values, *rest):
@@ -265,8 +349,12 @@ def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
     config = SampleConfig(seed=d + 40, count=30, box=Fraction(3, 2))
     for a2 in EDGES_SQ:
         rows = discover._sample_squared_distances(d, a2, 30, d + 40)
-        exact = sample_points(EmbeddedSimplex(d, a2), config)
-        assert rows.tobytes() == np.array([[float(x) for x in s.squared] for _, s in exact]).tobytes()
+        if d == 1:
+            draws = _weight_draws(2, config, discover._segment_branch)
+            exact = [_exact_squared(a2, nums, den) for nums, den in draws]
+        else:
+            exact = [sample.squared for _, sample in sample_points(EmbeddedSimplex(d, a2), config)]
+        assert rows.tobytes() == np.array([[float(x) for x in squared] for squared in exact]).tobytes()
         if d == 1 and rational_sqrt(a2) is None:
             continue  # d = 1 certifies only rational edges
         discover.discover_vanishing(d, a2, 1, n_samples=30, seed=d + 40)

@@ -1,11 +1,12 @@
 """Golden digests of the deterministic sample stream.
 
 Sample k depends only on ``(seed, k)``, and every report built from samples
-inherits that stream.  The sample digests were recorded from the
-``Fraction`` sampler that the integer draws replaced, and the discovery
-floats are the squared distances of the box-3/2 samples, each rounded once,
-so any drift in the draws, the weights, the exact squared distances, the
-discovery floats or the ``verify`` report fails here.  The ``realize-probe`` reports are pinned
+inherits that stream.  The sample digests were recorded from the BLAKE2b
+digest draws (``geom._weight_draws``), and the discovery floats are the
+squared distances of the box-3/2 samples, each rounded once (for d = 1,
+drawn onto branch k mod 3 of the segment), so any drift in the draws, the
+weights, the exact squared distances, the discovery floats or the
+``verify`` report fails here.  The ``realize-probe`` reports are pinned
 too: the exact ``cm`` report and the pure-Python part of ``probe63`` (its
 draws and the roots of the completing quadratic).  Nothing downstream of an
 SVD or other LAPACK call is pinned: those values depend on the BLAS build.
@@ -38,10 +39,11 @@ def run_cli(argv):
 @pytest.mark.parametrize(
     "d, edge_sq, seed, count, box, expected",
     [
-        (2, "1", 3, 60, "3", "22e68361bd669066ae21388fcd46e983d9d4d9b59ba9f093b45e74f7e9015feb"),
-        (5, "4/9", 7, 40, "3/2", "2a0bf2d21ec5010715a7dbba108b515f2994b6a2ec9ea5b15d3f0de6a7cf0df8"),
-        (8, "7/3", 11, 30, "5/2", "0550db599900800c5b275ef4db220a60e68413702807d54eee3e696996ab9048"),
+        (2, "1", 3, 60, "3", "511a9849f4b927bd28080ca692f275131d1099e42a0fcc627932adb444176b8f"),
+        (5, "4/9", 7, 40, "3/2", "63037b96769fc354fc2a2b24c83eb90637edcd5990e78476e68d89bd860ce907"),
+        (8, "7/3", 11, 30, "5/2", "0fa13660f36704c3d6a3a59800d8000cf158b9033252198596c4889e430ff451"),
     ],
+    ids=["d2", "d5", "d8"],
 )
 def test_sample_points_stream(d, edge_sq, seed, count, box, expected):
     simplex = EmbeddedSimplex(d, Fraction(edge_sq))
@@ -53,10 +55,11 @@ def test_sample_points_stream(d, edge_sq, seed, count, box, expected):
 @pytest.mark.parametrize(
     "d, edge_sq, count, seed, expected",
     [
-        (3, "3/2", 300, 5, "8ea08151f778acbb318df76a5220838f7a9bcb90031aedb6c109f52a25a84535"),
-        (5, "4/9", 200, 0, "e2eedbefcbb0cca0378fa3ee514470e36f3c788b80accae2431bd32f9057ffee"),
-        (1, "1", 90, 2, "0277cc888ba22d5c4dbac5d129ab372198eed249ef715d3de2bc5fc134e704ae"),
+        (3, "3/2", 300, 5, "904ae0d03a548e898d91685d183ba6a34fa3ee2a9108a10ee474f780f73d714e"),
+        (5, "4/9", 200, 0, "d55ab640f5b90b9b9f8e50326a8bfd3f80568d4a8760602fc57b5c4de355ce9b"),
+        (1, "1", 90, 2, "9d08ac504d42935644e323e786ccafa22b5d20eb53eed31e046a4bbd1db75ef5"),
     ],
+    ids=["d3", "d5", "d1"],
 )
 def test_discovery_floats_stream(d, edge_sq, count, seed, expected):
     floats = discover._sample_squared_distances(d, Fraction(edge_sq), count, seed)
@@ -95,9 +98,10 @@ def test_cm_report_stream():
 @pytest.mark.parametrize(
     "d, expected",
     [
-        (2, "4ff4c7461b6f122e8a8889bc6e4f16edb18d0f187d34c1709ff14d123ba34f73"),
-        (3, "bec338b166d355d1e02f94b4997bfc5f69593c01c256de1504585affe4fccd19"),
+        (2, "efac479c121a9284977474b32bda9dc88dadf9c7534e1abfa1ce11c0fff2a5b8"),
+        (3, "65e3fe1849d22fb57e8f6bb26b8debd2b3bd0de17543c0b0f66a85302106dfcf"),
     ],
+    ids=["d2", "d3"],
 )
 def test_probe_report_stream(d, expected):
     # each verdict's point and residual come from a LAPACK solve, so only

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def test_solver_rejects_dimension_one():
 def test_solver_rejects_wrong_arity():
     with pytest.raises(ValueError):
         solve_missing_curvature([1, 1], 2)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-100, 1e-200, 1e-300])
+def test_small_root_survives_cancellation(eps):
+    # curvatures (eps, 1, 1): the roots are 2 + eps +- 2*sqrt(1 + 2*eps), so
+    # the small one is -eps + eps^2 + O(eps^3), while S1 - root cancels to 0
+    with localcontext() as ctx:
+        ctx.prec = 700  # 2 + eps must keep every digit of eps
+        e = Decimal(eps)
+        expected = [float(2 + e + s * 2 * (1 + 2 * e).sqrt()) for s in (1, -1)]
+    roots = solve_missing_curvature([eps, 1.0, 1.0], 2)
+    assert roots[0] == expected[0]
+    assert abs(roots[1] - expected[1]) <= 2 * math.ulp(expected[1])
+    # negated curvatures negate and swap the roots: there S1 + root cancels
+    assert solve_missing_curvature([-eps, -1.0, -1.0], 2) == (-roots[1], -roots[0])
 
 
 def positive_curvatures(n):
