@@ -81,7 +81,9 @@ def _add_common(parser, *, d_default=2, count=None, degree=None):
         metavar="P/Q",
         help="squared edge length as a rational (default 1)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    if count is not None or degree is not None:
+        # only the commands that draw samples take a seed
+        parser.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     if count is not None:
         parser.add_argument(
             "--count", type=int, default=count, help="number of samples/trials (default %(default)s)"
@@ -89,18 +91,6 @@ def _add_common(parser, *, d_default=2, count=None, degree=None):
     if degree is not None:
         parser.add_argument(
             "--max-degree", type=int, default=degree, help="monomial degree bound (default %(default)s)"
-        )
-        parser.add_argument(
-            "--threshold",
-            type=float,
-            default=1e-8,
-            help="relative singular-value cutoff (default %(default)s)",
-        )
-        parser.add_argument(
-            "--max-denominator",
-            type=int,
-            default=10**6,
-            help="denominator bound for rational reconstruction (default %(default)s)",
         )
         parser.add_argument(
             "--samples",
@@ -160,18 +150,18 @@ def _discovery_kwargs(args) -> dict:
         "max_degree": args.max_degree,
         "n_samples": args.samples,
         "seed": args.seed,
-        "threshold": args.threshold,
-        "max_denominator": args.max_denominator,
     }
 
 
 def cmd_discover(args) -> int:
     report = discover.discover_vanishing(**_discovery_kwargs(args))
     doc = report.to_json()
-    summary = [
-        f"discover: null dimension {report.nullspace.null_dim} at degree {args.max_degree}, "
-        f"gap {report.nullspace.gap:.3e}",
-    ] + [f"  candidate ({c.certificate}): {c.poly}" for c in report.candidates]
+    summary = []
+    if args.out:  # only a report written to a file prints the summary
+        summary = [
+            f"discover: null dimension {report.nullspace.null_dim} at degree {args.max_degree}, "
+            f"gap {report.nullspace.gap:.3e}",
+        ] + [f"  candidate ({c.certificate}): {c.poly}" for c in report.candidates]
     _emit(args, "discover", doc["config"], doc, summary)
     return EXIT_OK if report.all_certified and not report.inconclusive else EXIT_FAIL
 

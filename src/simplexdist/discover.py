@@ -110,6 +110,10 @@ CERT_UNCERTIFIED = "uncertified"
 # a spectral gap below this flags the run as inconclusive
 _GAP_FLOOR = 10.0
 _RREF_TOL = 1e-6
+# the relative singular-value cutoff and the denominator bound of every
+# discovery run, which its report echoes as ``threshold`` and ``max_denominator``
+_THRESHOLD = 1e-8
+_MAX_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class NullspaceReport:
         }
 
 
-def numeric_nullspace(matrix: np.ndarray, threshold: float = 1e-8) -> NullspaceReport:
+def numeric_nullspace(matrix: np.ndarray, threshold: float = _THRESHOLD) -> NullspaceReport:
     """SVD nullspace: singular values at or below ``threshold`` times the
     largest one count as zero.
 
@@ -240,7 +244,7 @@ def _limit_denominator(x: float, max_denominator: int) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-def rationalize(vector: Sequence[float], max_denominator: int = 10**6) -> tuple[Fraction, ...]:
+def rationalize(vector: Sequence[float], max_denominator: int = _MAX_DENOMINATOR) -> tuple[Fraction, ...]:
     """Best bounded-denominator rational for each entry (continued
     fractions), then scaled so the first nonzero entry is 1.
 
@@ -374,15 +378,15 @@ def _chebyshev_to_monomial(exponents: np.ndarray, half: float) -> np.ndarray:
     return change
 
 
-def _prefix_nullspaces(matrix, arity: int, degrees, threshold: float) -> dict[int, NullspaceReport]:
+def _prefix_nullspaces(matrix, arity: int, degrees) -> dict[int, NullspaceReport]:
     """The nullspace of each column prefix: for each k of ``degrees``, in
     that order, of the first ``C(k + arity, arity)`` columns of the
     equilibrated matrix of a graded basis, the degree-k basis's matrix."""
-    return {k: numeric_nullspace(matrix[:, : math.comb(k + arity, arity)], threshold) for k in degrees}
+    return {k: numeric_nullspace(matrix[:, : math.comb(k + arity, arity)], _THRESHOLD) for k in degrees}
 
 
 def _null_polys(
-    report: NullspaceReport, basis: MonomialBasis, norms: np.ndarray, half: float, max_denominator: int
+    report: NullspaceReport, basis: MonomialBasis, norms: np.ndarray, half: float
 ) -> list[MultiPoly]:
     """The null vectors of one prefix of the equilibrated Chebyshev matrix
     of ``basis``, taken back to monomial coefficients, brought to reduced
@@ -392,7 +396,7 @@ def _null_polys(
     width = report.null_basis.shape[1]
     change = _chebyshev_to_monomial(np.asarray(basis.exponents[:width]), half)
     rows = _rref((report.null_basis / norms[:width]) @ change.T)
-    return [_poly_from_coeffs(basis, rationalize(row, max_denominator)) for row in rows]
+    return [_poly_from_coeffs(basis, rationalize(row, _MAX_DENOMINATOR)) for row in rows]
 
 
 def _lift(q: MultiPoly, parity: tuple[int, ...], power: int) -> MultiPoly:
@@ -592,24 +596,22 @@ def _discovery_run(
     max_degree: int,
     n_samples: int | None,
     seed: int,
-    threshold: float,
-    max_denominator: int,
     sample,
     sampling: str,
     certify,
     in_squares: bool,
     **extra_config,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
-    """The steps all discovery runs share: check the degree and the
-    denominator bound, draw ``n_samples`` rows of ``arity`` float values
-    with ``sample(count)``, the squared distances s if ``in_squares`` and
-    the distances t otherwise (a set that is all 0 or not all finite is bad
-    configuration: a float cannot carry the edge), evaluate the
-    equilibrated Chebyshev matrix of the degree ``D // 2`` basis in s if
-    ``in_squares`` (else of the degree-D basis in t), and take the
-    nullspace of each column prefix that a parity class needs.  Each RREF
-    row becomes a polynomial q, labelled ``certify(q)`` once and lifted to
-    ``t^e * q(t^2)`` for every class e (see the module docstring).
+    """The steps all discovery runs share: check the degree, draw
+    ``n_samples`` rows of ``arity`` float values with ``sample(count)``, the
+    squared distances s if ``in_squares`` and the distances t otherwise (a
+    set that is all 0 or not all finite is bad configuration: a float
+    cannot carry the edge), evaluate the equilibrated Chebyshev matrix of
+    the degree ``D // 2`` basis in s if ``in_squares`` (else of the
+    degree-D basis in t), and take the nullspace of each column prefix that
+    a parity class needs.  Each RREF row becomes a polynomial q, labelled
+    ``certify(q)`` once and lifted to ``t^e * q(t^2)`` for every class e
+    (see the module docstring).
 
     By default the run draws three samples per column of its matrix.
     Sample k depends only on the seed and k, so any count draws a prefix of
@@ -620,8 +622,6 @@ def _discovery_run(
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError("max_degree must be a positive integer")
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
     basis = enumerate_monomials(arity, max_degree)
     power = 2 if in_squares else 1
     # exponents mod power, and the degree in t^power that each class allows
@@ -640,7 +640,7 @@ def _discovery_run(
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
     matrix /= norms
-    reports = _prefix_nullspaces(matrix, arity, sorted(set(degrees), reverse=True), threshold)
+    reports = _prefix_nullspaces(matrix, arity, sorted(set(degrees), reverse=True))
     # the back-transform (_chebyshev_to_monomial) of the prefixes with null
     # vectors divides by half**k for |k| up to back: keep each a normal float
     back = max((k for k, r in reports.items() if r.null_dim), default=0)
@@ -650,7 +650,7 @@ def _discovery_run(
             f"monomials needs the sample scale {half:.3g} to the powers +-{back} as normal floats"
         )
     found = {
-        k: [(q, certify(q)) for q in _null_polys(report, columns, norms, half, max_denominator)]
+        k: [(q, certify(q)) for q in _null_polys(report, columns, norms, half)]
         for k, report in reports.items()
     }
     per_class = [reports[k] for k in degrees]
@@ -659,7 +659,7 @@ def _discovery_run(
         sum(r.null_dim for r in per_class),
         None,
         min(r.gap for r in reports.values()),
-        threshold,
+        _THRESHOLD,
     )
     lifted = (
         [CertifiedCandidate(_lift(q, e, power), c) for q, c in found[k]] for e, k in zip(classes, degrees)
@@ -674,8 +674,8 @@ def _discovery_run(
         "max_degree": max_degree,
         "n_samples": count,
         "seed": seed,
-        "threshold": threshold,
-        "max_denominator": max_denominator,
+        "threshold": _THRESHOLD,
+        "max_denominator": _MAX_DENOMINATOR,
         "matrix_basis": (
             "chebyshev-equilibrated(squared-distances)" if in_squares else "chebyshev-equilibrated"
         ),
@@ -690,8 +690,6 @@ def discover_vanishing(
     max_degree: int,
     n_samples: int | None = None,
     seed: int = 0,
-    threshold: float = 1e-8,
-    max_denominator: int = 10**6,
 ) -> DiscoveryReport:
     """Full discovery pipeline over the whole ambient space.
 
@@ -723,7 +721,7 @@ def discover_vanishing(
         return squares if d >= 2 else np.sqrt(squares)
 
     config, basis, _, report, candidates = _discovery_run(
-        "discover", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
+        "discover", d, a2, d + 1, max_degree, n_samples, seed,
         sample=sample,
         sampling=_DISCOVERY_SAMPLING,
         certify=lambda q: _certify(q, generator),
@@ -764,8 +762,6 @@ def independence_test(
     max_degree: int,
     n_samples: int | None = None,
     seed: int = 0,
-    threshold: float = 1e-8,
-    max_denominator: int = 10**6,
 ) -> IndependenceReport:
     """Hunt for a polynomial relation among the distances to a subset of at
     most d vertices (labels 1..d+1).
@@ -792,7 +788,7 @@ def independence_test(
     a2 = as_fraction(edge_sq)
     columns = [j - 1 for j in labels]
     config, _, _, report, candidates = _discovery_run(
-        "independence", d, a2, len(labels), max_degree, n_samples, seed, threshold, max_denominator,
+        "independence", d, a2, len(labels), max_degree, n_samples, seed,
         sample=lambda count: _sample_squared_distances(d, a2, count, seed)[:, columns],
         sampling=_DISCOVERY_SAMPLING,
         certify=lambda q: CERT_UNCERTIFIED,
@@ -838,8 +834,6 @@ def discover_on_sphere(
     max_degree: int,
     n_samples: int | None = None,
     seed: int = 0,
-    threshold: float = 1e-8,
-    max_denominator: int = 10**6,
 ) -> SphereDiscoveryReport:
     """Discovery pipeline with samples restricted to the circumsphere.
 
@@ -870,7 +864,7 @@ def discover_on_sphere(
         return CERT_SPHERE_IDEAL if member else CERT_UNCERTIFIED
 
     config, _, matrix, report, candidates = _discovery_run(
-        "sphere", d, a2, d + 1, max_degree, n_samples, seed, threshold, max_denominator,
+        "sphere", d, a2, d + 1, max_degree, n_samples, seed,
         sample=sample,
         sampling="circumsphere(gaussian-direction)",
         certify=certify,
@@ -880,7 +874,7 @@ def discover_on_sphere(
     certified = [c for c in candidates if c.certificate == CERT_SPHERE_IDEAL]
     extras = [c for c in candidates if c.certificate == CERT_UNCERTIFIED]
     # lower degrees need only the null dimension
-    lower = _prefix_nullspaces(matrix, d + 1, range(1, max_degree), threshold)
+    lower = _prefix_nullspaces(matrix, d + 1, range(1, max_degree))
     null_by_degree = {k: r.null_dim for k, r in lower.items()}
     null_by_degree[max_degree] = report.null_dim
     return SphereDiscoveryReport(

@@ -273,8 +273,18 @@ def _weight_draws(
     (``q*|r_i| > p*|T|`` for ``box = p/q``), or that ``accept(k, r)`` turns
     down, are redrawn at the next attempt; sample k therefore depends only
     on ``(seed, k)``.
+
+    No draw can pass when ``n*hi < 32`` for ``hi = int(64*box)``, since then
+    ``|T| < 32``, or when ``n*box < 1``, since the largest ``|r_i|`` is at
+    least ``|T|/n``; such a box raises ``ValueError``.  Otherwise n raw
+    numerators of hi pass the first two rules.
     """
     hi = int(config.box * _WEIGHT_GRID)
+    if 2 * n * hi < _WEIGHT_GRID or n * config.box < 1:
+        raise ValueError(
+            f"box {frac_str(config.box)} is too small for d = {n - 1}: no {n} raw weights on the "
+            f"1/64 grid in [-box, box] sum to at least 1/2 and stay inside the box when divided by the sum"
+        )
     width = 2 * hi + 1
     size, limit = _uniform_rule(hi)
     p, q = config.box.numerator, config.box.denominator

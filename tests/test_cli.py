@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
 from simplexdist.cli import main
 from simplexdist.poly import distance_relation, poly_to_dict
 from simplexdist.poly import MultiPoly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(tmp_path, *argv):
@@ -51,6 +57,20 @@ def test_verify_rational_edge(tmp_path):
     assert code == 0 and doc["config"]["edge_sq"] == "4/9"
 
 
+@pytest.mark.parametrize("d, box", [("2", "1/100"), ("31", "1/64"), ("40", "1/64"), ("99", "1/100")])
+def test_verify_rejects_a_box_no_draw_can_pass(d, box):
+    # a box that no draw can pass would redraw forever, so the run is a
+    # subprocess with a timeout: a regression fails here instead of hanging.
+    # At d = 99 and box 1/100 every raw weight is 0 (int(64*box) = 0); in
+    # the others (d + 1)*box < 1, so the largest weight leaves the box.
+    argv = ["verify", "--d", d, "--count", "3", "--box", box]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "simplexdist.cli", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: box {box} is too small for d = {d}:")
+
+
 # -- discover family --------------------------------------------------------------
 
 
@@ -89,19 +109,6 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
     out = tmp_path / "report.json"
     assert main([*command, "--max-degree", "0", "--out", str(out)]) == 2
     assert "max_degree must be a positive integer" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", [
-    ["discover", "--d", "2", "--max-degree", "3", "--max-denominator", "0"],
-    ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "4", "--max-denominator", "-7"],
-    ["sphere", "--d", "2", "--max-degree", "1", "--max-denominator", "0"],
-])
-def test_discovery_commands_reject_bad_max_denominator(tmp_path, capsys, command):
-    # these runs find no candidate, so the bound must be checked up front
-    out = tmp_path / "report.json"
-    assert main([*command, "--out", str(out)]) == 2
-    assert "max_denominator must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -275,12 +282,6 @@ def test_probe63_rejects_d0(tmp_path, capsys):
     assert main(["probe63", "--d", "0", "--out", str(out)]) == 2
     assert "dimension must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_probe63_has_no_tol_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["probe63", "--d", "2", "--tol", "1e-6"])
-    assert exc.value.code == 2
 
 
 # -- soddy / cm ----------------------------------------------------------------------
@@ -487,6 +488,36 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, option):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {option}: zero denominator in '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["discover", "--threshold", "1e-6"],
+    ["discover", "--max-denominator", "1000"],
+    ["independence", "--subset", "1,2", "--threshold", "1e-6"],
+    ["independence", "--subset", "1,2", "--max-denominator", "1000"],
+    ["sphere", "--threshold", "1e-6"],
+    ["sphere", "--max-denominator", "1000"],
+    ["reduce", "--poly", "p.json", "--seed", "1"],
+    ["reconstruct", "--t", "1,1,1", "--seed", "1"],
+    ["probe63", "--tol", "1e-6"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_removed_option_is_a_usage_error(capsys, argv):
+    # discovery runs at a fixed cutoff and denominator bound, reduce and
+    # reconstruct draw no samples, and probe63 makes no float check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "verify", "discover", "independence", "sphere", "reduce", "reconstruct", "probe63", "soddy", "cm",
+])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: simplexdist {command} ")
 
 
 @pytest.mark.parametrize("argv", [

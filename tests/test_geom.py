@@ -324,6 +324,12 @@ def test_segment_samples_spread_over_the_three_branches(degree):
         assert (t1 + t2, t1 - t2, t2 - t1)[branch] == 1
 
 
+def test_weight_draws_accept_a_box_of_exactly_1_over_n():
+    # n*box = 1 leaves only the draws of n equal weights, which still pass
+    config = SampleConfig(seed=1, count=5, box=Fraction(1, 2))
+    assert [Fraction(nums[0], den) for nums, den in _weight_draws(2, config)] == [Fraction(1, 2)] * 5
+
+
 def test_import_leaves_hashlib_out():
     # hashlib loads OpenSSL; the draws take BLAKE2b from the builtin module
     code = (
