@@ -3,7 +3,7 @@
 Dropping any one vertex breaks the quartic identity's closure: the
 remaining d distance functions are algebraically independent.  The search
 below goes up to degree 6 and finds nothing, with a wide spectral gap at
-the decision threshold, for every subset.
+the fixed 10^-8 cutoff, for every subset.
 """
 
 import itertools

@@ -288,18 +288,15 @@ def cmd_cm(args) -> int:
     else:
         matrix = cmgeom.SquaredDistanceMatrix(_read_json(args.matrix))
         cfg = {"matrix": args.matrix, "points": matrix.n}
+    det = cmgeom.cayley_menger_det(matrix)
     result = {"exact": matrix.exact}
     try:
-        det = cmgeom.cayley_menger_det(matrix)
-        result["determinant"] = frac_str(det) if matrix.exact else det
+        result["determinant"] = frac_str(det) if matrix.exact else cmgeom._float_of(det, "determinant")
     except ValueError as exc:  # a float determinant outside the float range
         result["determinant"] = None
         result["determinant_error"] = str(exc)
     try:
-        if matrix.exact:
-            result["volume"] = cmgeom._exact_volume(matrix, det)
-        else:  # from the rescaled determinant, in range where det may not be
-            result["volume"] = cmgeom.simplex_volume(matrix)
+        result["volume"] = cmgeom._exact_volume(matrix, det)
     except ValueError as exc:
         result["volume"] = None
         result["volume_error"] = str(exc)

@@ -126,23 +126,21 @@ def solve_missing_curvature(known: Sequence[float], dim: int) -> tuple[float, fl
     ks = [float(k) for k in known]
     if len(ks) != dim + 1:
         raise ValueError(f"need {dim + 1} known curvatures in dimension {dim}, got {len(ks)}")
-    s1 = sum(ks)
-    s2 = sum(k * k for k in ks)
+    # the sums are exact in the float curvatures; the root of the sign of S1
+    # comes from |S1| + root, free of cancellation, and the other from the
+    # product of the roots (Vieta), (d*S2 - S1^2) / (d-1), where |S1| - root
+    # would cancel when one radius dwarfs the others
+    exact = [Fraction(k) for k in ks]
+    s1 = sum(exact)
+    s2 = sum(k * k for k in exact)
     disc = dim * (s1 * s1 - (dim - 1) * s2)
     if disc < 0:
         return None
-    root = math.sqrt(disc)
-    roots = [(s1 + root) / (dim - 1), (s1 - root) / (dim - 1)]
-    # the root of sign opposite to S1 comes from |S1| - root; where that
-    # cancels more than half of the 53 bits (one huge radius among small
-    # ones), it is formed from the product of the roots (Vieta) instead,
-    # (d*S2 - S1^2) / (d-1), whose numerator is exact in the float curvatures
-    if abs(abs(s1) - root) < abs(s1) * 2.0**-26:
-        near = 1 if s1 > 0 else 0
-        exact = [Fraction(k) for k in ks]
-        product = Fraction(dim * sum(k * k for k in exact) - sum(exact) ** 2, dim - 1)
-        roots[near] = float(product / Fraction(roots[1 - near]))
-    return roots[0], roots[1]
+    far = (float(s1) + math.copysign(math.sqrt(disc), s1)) / (dim - 1)
+    if far == 0:  # every known curvature is 0, and so are both roots
+        return 0.0, 0.0
+    near = float(Fraction(dim * s2 - s1 * s1, dim - 1) / Fraction(far))
+    return max(far, near), min(far, near)
 
 
 def build_tangent_circles_2d(r1: float, r2: float, r3: float) -> TangentConfig:

@@ -7,11 +7,14 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from simplexdist.cli import main
+from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
 from simplexdist.poly import distance_relation, poly_to_dict
 from simplexdist.poly import MultiPoly
 
@@ -69,6 +72,20 @@ def test_verify_rejects_a_box_no_draw_can_pass(d, box):
     done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith(f"error: box {box} is too small for d = {d}:")
+
+
+@pytest.mark.parametrize("d, box", [("31", "1/32"), ("63", "1/64")])
+def test_verify_gives_up_on_a_box_almost_no_draw_passes(d, box):
+    # at (d + 1)*box = 1 only d + 1 equal raw weights pass, about one draw
+    # in 129^(d + 1): each sample stops after a bounded number of attempts
+    argv = ["verify", "--d", d, "--count", "2", "--box", box]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "simplexdist.cli", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        f"error: box {box} is too small for d = {d}: sample 0 found no passing draw in 65536 attempts\n"
+    )
 
 
 # -- discover family --------------------------------------------------------------
@@ -321,6 +338,21 @@ def test_soddy_huge_radius_keeps_its_small_root(tmp_path, radius, error):
     assert "constructed" not in result
 
 
+def test_soddy_places_circles_around_a_large_radius(tmp_path):
+    # the small root of (1e-6, 1, 1) is formed without cancellation, close
+    # enough for the fourth circle to be placed against the first two
+    code, doc = run(tmp_path, "soddy", "--radii", "1e6,1,1")
+    assert code == 0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        ks = [Decimal(1 / 1e6), Decimal(1), Decimal(1)]
+        s1, s2 = sum(ks), sum(k * k for k in ks)
+        expected = float(s1 - (2 * (s1 * s1 - s2)).sqrt())
+    small = doc["result"]["roots"][1]
+    assert abs(small - expected) <= 1e-15 * abs(expected)
+    assert [c["curvature"] for c in doc["result"]["constructed"]] == doc["result"]["roots"]
+
+
 def test_soddy_wrong_radii_count(capsys):
     assert main(["soddy", "--radii", "1,1", "--d", "2"]) == 2
 
@@ -389,6 +421,47 @@ def test_cm_float_matrix_at_extreme_scales(tmp_path, side_sq, error):
         ctx.prec = 50
         expected = float(Decimal(3).sqrt() / 4 * Decimal(s))
     assert abs(result["volume"] - expected) <= 4 * math.ulp(expected)
+
+
+def test_cm_float_volume_of_90_integer_points_in_89_space(tmp_path):
+    # a volume of about 1e-8 from a bordered determinant of about 2e283; the
+    # oracle is |det(v_i - v_0)| / 89!, from the coordinates in integers
+    points = np.random.default_rng(7).integers(-8, 9, (90, 89)).tolist()
+    squared = [[float(sum((a - b) ** 2 for a, b in zip(p, q))) for q in points] for p in points]
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(squared))
+    code, doc = run(tmp_path, "cm", "--matrix", str(matrix_file))
+    assert code == 0 and doc["result"]["exact"] is False
+    span = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
+    expected = float(abs(_bareiss_det(span)) / math.factorial(89))
+    assert expected == pytest.approx(1.1221319930459448e-08, rel=1e-15)
+    assert abs(doc["result"]["volume"] - expected) <= math.ulp(expected)
+
+
+def test_cm_float_volume_of_the_regular_100_point_matrix(tmp_path):
+    # 2^d * d!^2 is beyond the float range at d = 99
+    n = 100
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps([[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]))
+    code, doc = run(tmp_path, "cm", "--matrix", str(matrix_file))
+    assert code == 0
+    assert doc["result"]["determinant"] == float(n)  # (-1)^n * n
+    with localcontext() as ctx:
+        ctx.prec = 50
+        expected = float(Decimal(n).sqrt() / (Decimal(math.factorial(n - 1)) * Decimal(2) ** Decimal("49.5")))
+    assert abs(doc["result"]["volume"] - expected) <= math.ulp(expected)
+
+
+def test_cm_float_determinant_is_the_exact_one_rounded_once(tmp_path):
+    points = np.random.default_rng(3).integers(-50, 51, (12, 11)).tolist()
+    squared = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points]
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps([[float(x) for x in row] for row in squared]))
+    code, doc = run(tmp_path, "cm", "--matrix", str(matrix_file))
+    assert code == 0 and doc["result"]["exact"] is False
+    exact = cayley_menger_det(SquaredDistanceMatrix(squared))
+    assert doc["result"]["determinant"] == float(exact)
+    assert doc["result"]["volume"] == simplex_volume(SquaredDistanceMatrix(squared))
 
 
 @pytest.mark.parametrize("edge", ["-1", "-3/7", "0"])

@@ -119,10 +119,20 @@ def test_regular_determinant_closed_form(n, a):
     assert det == (-1) ** n * n * a ** (2 * (n - 1))
 
 
-def test_float_matrix_uses_float_path():
+def test_float_matrix_determinant_is_exact():
     m = SquaredDistanceMatrix([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     assert not m.exact
-    assert abs(cayley_menger_det(m) + 3.0) < 1e-12
+    det = cayley_menger_det(m)
+    assert isinstance(det, Fraction) and det == -3
+
+
+def test_float_entries_are_kept_as_the_fractions_they_equal():
+    m = SquaredDistanceMatrix([[0.0, 0.1], [0.1, 0.0]])
+    assert m.rows[0][1] == Fraction(0.1) != Fraction(1, 10)
+    assert cayley_menger_det(m) == 2 * Fraction(0.1)
+    # a rational phantom point does not make a float matrix exact
+    assert not m.extended_with([Fraction(1, 4), Fraction(1, 4)]).exact
+    assert SquaredDistanceMatrix.regular(2, 1).extended_with(["1/4", 1]).exact
 
 
 def test_matrix_validation():
@@ -171,6 +181,23 @@ def test_collinear_float_volume_is_positive_zero():
     m = SquaredDistanceMatrix([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
     assert simplex_volume(m) == 0.0
     assert math.copysign(1.0, simplex_volume(m)) == 1.0
+
+
+def test_flat_rule_applies_to_float_input_only():
+    # points 0, 0.1 and 0.1 + 0.2 on a line: rounding in the squared
+    # distances leaves volume^2 at about -3.5e-20, inside -1e-9 * max^2
+    a, b = 0.1, 0.2
+    rows = [[0.0, a * a, (a + b) ** 2], [a * a, 0.0, b * b], [(a + b) ** 2, b * b, 0.0]]
+    m = SquaredDistanceMatrix(rows)
+    v2 = -cayley_menger_det(m) / 16
+    assert -Fraction(1, 10**9) * max(map(max, m.rows)) ** 2 < v2 < 0
+    assert simplex_volume(m) == 0.0
+    # the same numbers as rationals are exact input, and not flat
+    with pytest.raises(ValueError, match="is negative"):
+        simplex_volume(SquaredDistanceMatrix([[Fraction(x) for x in r] for r in rows]))
+    # far below the rule, float input is rejected too
+    with pytest.raises(ValueError, match="volume\\^2 = -45/16 is negative"):
+        simplex_volume(SquaredDistanceMatrix([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]))
 
 
 def test_non_embeddable_distances_rejected():

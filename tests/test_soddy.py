@@ -62,7 +62,7 @@ def test_solver_rejects_wrong_arity():
         solve_missing_curvature([1, 1], 2)
 
 
-@pytest.mark.parametrize("eps", [1e-10, 1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10, 1e-100, 1e-200, 1e-300])
 def test_small_root_survives_cancellation(eps):
     # curvatures (eps, 1, 1): the roots are 2 + eps +- 2*sqrt(1 + 2*eps), so
     # the small one is -eps + eps^2 + O(eps^3), while S1 - root cancels to 0
