@@ -1,11 +1,13 @@
 """Reproducible, JSON-emitting command line interface.
 
 Every subcommand echoes its full effective configuration into the output
-document, so a report is rerunnable from its own header.  With ``--out``
-the JSON goes to the file and a short human summary to stdout; without it
-the JSON document itself is printed.  Exit codes: 0 success, 1 the run
-completed but failed its own check (a nonzero residual, an uncertified
-candidate, an inconclusive spectral gap), 2 bad configuration.
+document, so a report is rerunnable from its own header.  A report is one
+line of compact JSON with sorted keys; ``python -m json.tool FILE``
+pretty-prints it.  With ``--out`` the JSON goes to the file and a short
+human summary to stdout; without it the JSON document itself is printed.
+Exit codes: 0 success, 1 the run completed but failed its own check (a
+nonzero residual, an uncertified candidate, an inconclusive spectral gap),
+2 bad configuration.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _emit(args, command: str, config: dict, result: dict, summary: list[str]) ->
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "result": result,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # no indent and no json.dump: either one leaves CPython's C encoder
+    text = json.dumps(doc, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
         for line in summary:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,12 +27,6 @@ def run(tmp_path, *argv):
     code = main([*argv, "--out", str(out)])
     doc = json.loads(out.read_text()) if out.exists() else None
     return code, doc
-
-
-def strip_timestamp(doc):
-    doc = dict(doc)
-    doc.pop("generated_at", None)
-    return doc
 
 
 # -- verify ---------------------------------------------------------------------
@@ -613,6 +608,21 @@ def test_verify_stays_exact_for_a_huge_edge(tmp_path):
 # -- reproducibility -------------------------------------------------------------------
 
 
+def cut_timestamp(text):
+    """``text`` with the value of its one ``generated_at`` key emptied."""
+    cut, count = re.subn(r'"generated_at": "[^"]*"', '"generated_at": ""', text)
+    assert count == 1
+    return cut
+
+
+def with_poly_file(tmp_path, argv):
+    """``argv`` with its ``{poly}`` placeholder replaced by the path of a
+    file holding the quartic relation at d = 2."""
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(json.dumps(poly_to_dict(distance_relation(2, 1))))
+    return [str(poly_file) if arg == "{poly}" else arg for arg in argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -620,15 +630,59 @@ def test_verify_stays_exact_for_a_huge_edge(tmp_path):
         ["discover", "--d", "2", "--max-degree", "4", "--seed", "3"],
         ["probe63", "--d", "2", "--count", "20", "--seed", "3"],
         ["soddy", "--radii", "1,2,3"],
+        ["sphere", "--d", "2", "--max-degree", "4"],
     ],
 )
 def test_reports_byte_identical_modulo_timestamp(tmp_path, argv):
-    code_a, doc_a = run(tmp_path, *argv)
-    code_b, doc_b = run(tmp_path, *argv)
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    code_a = main([*argv, "--out", str(out_a)])
+    code_b = main([*argv, "--out", str(out_b)])
     assert code_a == code_b
-    assert json.dumps(strip_timestamp(doc_a), sort_keys=True) == json.dumps(
-        strip_timestamp(doc_b), sort_keys=True
-    )
+    assert cut_timestamp(out_a.read_text()) == cut_timestamp(out_b.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d", "2", "--count", "20", "--seed", "3"],
+        ["discover", "--d", "2", "--max-degree", "4", "--seed", "3"],
+        ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "3"],
+        ["sphere", "--d", "2", "--max-degree", "2"],
+        ["reduce", "--poly", "{poly}", "--d", "2"],
+        ["reconstruct", "--d", "2", "--t", "0,1,1"],
+        ["probe63", "--d", "2", "--count", "20", "--seed", "3"],
+        ["soddy", "--radii", "1,2,3"],
+        ["cm", "--edges-equilateral", "3", "--a", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_is_one_line_of_compact_sorted_json(tmp_path, capsys, argv):
+    argv = with_poly_file(tmp_path, argv)
+    code = main(argv)
+    line, newline, rest = capsys.readouterr().out.partition("\n")
+    assert newline == "\n" and rest == ""
+    assert line == json.dumps(json.loads(line), sort_keys=True)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert cut_timestamp(out.read_text()) == cut_timestamp(line + "\n")
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this interpreter has no C JSON encoder")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe63", "--d", "2", "--count", "20", "--seed", "3"],
+        ["discover", "--d", "2", "--max-degree", "4", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_never_reach_the_pure_python_encoder(monkeypatch, capsys, argv):
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("report sent to the pure-Python JSON encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
 def test_json_to_stdout_without_out_flag(capsys):
