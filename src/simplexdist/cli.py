@@ -212,13 +212,8 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"squared edge length must be positive, got {frac_str(a2)}")
     edge = math.sqrt(float(a2))
     simplex = geom.CartesianSimplex.build(args.d, edge)
-    result = cmgeom.reconstruct_point(simplex, args.t, args.tol)
-    cfg = {
-        "d": args.d,
-        "edge_sq": frac_str(a2),
-        "t": args.t,
-        "tol": args.tol if args.tol is not None else 1e-9 * edge**2,
-    }
+    result = cmgeom.reconstruct_point(simplex, args.t)
+    cfg = {"d": args.d, "edge_sq": frac_str(a2), "t": args.t, "tol": cmgeom._RECONSTRUCT_TOL * edge**2}
     _emit(args, "reconstruct", cfg, result.to_json(), [
         f"reconstruct: {result.status}, point {np.round(result.point, 9).tolist()}, "
         f"residual {result.residual:.3e}",
@@ -232,6 +227,11 @@ def cmd_probe63(args) -> int:
         f"probe63: {args.count} trials, counts {report.counts}",
     ])
     return EXIT_OK  # every completed root is realizable, so the probe cannot fail
+
+
+def _fourth_circle(config, k4: float) -> dict:
+    sphere, residual = soddy.build_soddy_circle_2d(config, k4)
+    return {"curvature": k4, "sphere": sphere.to_json(), "third_tangency_residual": residual}
 
 
 def cmd_soddy(args) -> int:
@@ -259,20 +259,21 @@ def cmd_soddy(args) -> int:
     if args.d == 2:
         try:
             config = soddy.build_tangent_circles_2d(*args.radii)
+            # the roots solve the Descartes relation, so a root with no
+            # circle is a failure of the float placement too
+            built = [_fourth_circle(config, k4) for k4 in roots or []] if args.k4 is None else None
         except ValueError as exc:
             # radii too far apart for a float placement: the roots still stand
             result["circles"] = None
             result["circles_error"] = str(exc)
         else:
             result["circles"] = config.to_json()
-            built = []
-            for k4 in [args.k4] if args.k4 is not None else list(roots or []):
-                sphere, residual = soddy.build_soddy_circle_2d(config, k4)
-                built.append(
-                    {"curvature": k4, "sphere": sphere.to_json(), "third_tangency_residual": residual}
-                )
-                summary.append(f"  k={k4:.6f}: third-tangency residual {residual:.3e}")
-            result["constructed"] = built
+            # a --k4 that no circle has is bad configuration
+            result["constructed"] = built if built is not None else [_fourth_circle(config, args.k4)]
+            summary += [
+                f"  k={b['curvature']:.6f}: third-tangency residual {b['third_tangency_residual']:.3e}"
+                for b in result["constructed"]
+            ]
     cfg = {"d": args.d, "radii": list(args.radii), "k4": args.k4}
     _emit(args, "soddy", cfg, result, summary)
     return EXIT_OK
@@ -353,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--t", type=_float_list_arg, required=True, metavar="T1,T2,...", help="distances to the vertices"
     )
-    p.add_argument("--tol", type=float, default=None, help="feasibility tolerance (default 1e-9 * a^2)")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("probe63", help="probe realizability of relation-satisfying tuples")

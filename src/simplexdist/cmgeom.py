@@ -47,11 +47,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import CartesianSimplex, _digest_ints
+from .geom import CartesianSimplex, _unit_floats
 from .rationals import as_fraction, frac_str
 
 # relative depth below 0 at which a float configuration's volume^2 is still flat
 _FLAT = Fraction(1, 10**9)
+# largest defect, relative to a^2, of a feasible reconstruction
+_RECONSTRUCT_TOL = 1e-9
 
 
 def _is_sequence(value) -> bool:
@@ -271,16 +273,14 @@ class ReconstructionResult:
         }
 
 
-def reconstruct_point(
-    simplex: CartesianSimplex, distances: Sequence[float], tol: float | None = None
-) -> ReconstructionResult:
+def reconstruct_point(simplex: CartesianSimplex, distances: Sequence[float]) -> ReconstructionResult:
     """Recover the point at the given distances from the simplex vertices.
 
     Subtracting the first sphere equation from the others leaves d linear
     equations ``2*(v_j - v_0) . x = (|v_j|^2 - |v_0|^2) - (t_j^2 - t_0^2)``
     whose matrix is nonsingular because the vertices affinely span; the
-    solution is then checked against the first sphere equation.  The
-    default tolerance is 1e-9 scaled by the squared edge length.
+    solution is then checked against the first sphere equation, to a
+    tolerance of 1e-9 scaled by the squared edge length.
 
     The defect of that check is known in closed form.  With
     ``G = (a^2/2)(I + J)`` the Gram matrix of the ``v_j - v_0`` and
@@ -304,10 +304,6 @@ def reconstruct_point(
     if not np.all(np.isfinite(squares)):
         big = float(t[~np.isfinite(squares)][0])
         raise ValueError(f"distance {big!r} is too large: its square overflows a float")
-    if tol is None:
-        tol = 1e-9 * simplex.edge**2
-    elif not tol > 0:
-        raise ValueError("tolerance must be positive")
     v = simplex.vertices
     lhs = 2.0 * (v[1:] - v[0])
     norms = np.einsum("ij,ij->i", v, v)
@@ -322,7 +318,8 @@ def reconstruct_point(
         raise ValueError(
             f"distances {t.tolist()} are too large: the point they give overflows a float"
         )
-    return ReconstructionResult(feasible=residual <= tol, point=x, residual=residual)
+    feasible = residual <= _RECONSTRUCT_TOL * simplex.edge**2
+    return ReconstructionResult(feasible=feasible, point=x, residual=residual)
 
 
 def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list[float]:
@@ -381,8 +378,8 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     """Do positive tuples satisfying the relation come from actual points?
 
     Each trial draws the first d distances log-uniformly in [a/10, 10a],
-    from the 8-byte digest chunks of the key ``seed|probe|i`` (see
-    ``geom._digest_ints``), and completes the tuple through the quadratic.
+    from the uniform floats of the key ``seed|probe|i`` (see
+    ``geom._unit_floats``), and completes the tuple through the quadratic.
     By the identity in the module docstring every real non-negative root is
     realizable, so each root gets the verdict ``feasible`` and
     ``infeasible`` stays 0; the report also counts the trials with no real
@@ -407,9 +404,7 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
     rows = []
     for i in range(trials):
-        # the top 53 bits of each 8-byte chunk make a uniform u in [0, 1)
-        chunks = _digest_ints(f"{seed}|probe|{i}", d, 8, 1 << 64)
-        units = [10.0 ** (-1.0 + 2.0 * ((v >> 11) * 2.0**-53)) for v in chunks]
+        units = [10.0 ** (-1.0 + 2.0 * u) for u in _unit_floats(f"{seed}|probe|{i}", d)]
         first = [edge * u for u in units]
         roots = [edge * r for r in complete_distance_tuple(d, unit, units)]
         verdicts = [{"t_last": t_last, "status": "feasible"} for t_last in roots]

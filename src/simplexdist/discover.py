@@ -7,7 +7,8 @@ and rigor is restored afterwards by exact certification:
    (rows: samples, columns: basis elements): the squared distances s of
    the exact box-3/2 samples of ``sample_points``, each rounded once from
    its integer form, or for sphere runs and d = 1 the distances t (the
-   d = 1 samples spread evenly over the three branches of the segment),
+   d = 1 samples spread evenly over the three branches of the segment, the
+   sphere ones taken from weights on the circumsphere, not coordinates),
 2. take the numeric nullspace of the column-equilibrated matrix by SVD,
    at each column prefix the run needs (see below), recording the full
    singular spectrum and the gap at the cut,
@@ -23,12 +24,12 @@ and rigor is restored afterwards by exact certification:
    candidates are not members, so a screen refutes them first without
    any division (``_sphere_screen``): a member's image modulo the prime
    ``q = 2^61 - 1`` vanishes on the circumsphere variety over the field of
-   q elements, so a nonzero value at one of eight fixed points of it proves
-   non-membership.  This is sound when q is a unit for ``a^2``, for the
-   constant leads of the two divisors and for every denominator of the
-   candidate, since then the exact normal form reduces modulo q step by
-   step; otherwise, and for every candidate that the screen does not
-   refute, the exact division decides.
+   q elements, so a nonzero value at one of eight points of it, drawn from
+   fixed digests, proves non-membership.  This is sound when q is a unit
+   for ``a^2``, for the constant leads of the two divisors and for every
+   denominator of the candidate, since then the exact normal form reduces
+   modulo q step by step; otherwise, and for every candidate that the
+   screen does not refute, the exact division decides.
 
 Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
 Hilbert-like), so internally the pipeline evaluates Chebyshev products in
@@ -75,7 +76,6 @@ import heapq
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -83,9 +83,9 @@ from typing import Sequence
 import numpy as np
 
 from .geom import (
-    CartesianSimplex,
     EmbeddedSimplex,
     SampleConfig,
+    _digest_ints,
     _distance_numerators,
     _weight_draws,
     sample_circumsphere,
@@ -441,7 +441,6 @@ def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation_image: MultiPo
 _SCREEN_PRIME = 2**61 - 1
 _SCREEN_POINTS = 8
 _SCREEN_ATTEMPTS = 1024
-_SCREEN_SEED = 20160101
 
 
 def _residues(coeffs: Sequence[Fraction], prime: int) -> list[int] | None:
@@ -476,21 +475,22 @@ def _sphere_points_mod(d: int, a2: Fraction, count: int) -> list[tuple[int, ...]
     ``a2``.
 
     In ``s = t^2`` the variety is ``{sum s = d*a^2, sum s^2 = d*a^4}``.  The
-    first ``d - 1`` coordinates are drawn from a fixed seed; the last two
-    squares then have a known sum S and sum of squares P, so they are
-    ``(S +- sqrt(2P - S^2)) / 2``.  An attempt that meets a non-square is
-    dropped, and at most ``_SCREEN_ATTEMPTS`` are made.
+    first ``d - 1`` coordinates of attempt i are drawn uniformly from the
+    8-byte digest chunks of the key ``screen|i`` (see ``geom._digest_ints``);
+    the last two squares then have a known sum S and sum of squares P, so
+    they are ``(S +- sqrt(2P - S^2)) / 2``.  An attempt that meets a
+    non-square is dropped, and at most ``_SCREEN_ATTEMPTS`` are made.
     """
     n, prime = d + 1, _SCREEN_PRIME
     a2_mod = a2.numerator * pow(a2.denominator, -1, prime) % prime
     total, total_sq = d * a2_mod % prime, d * a2_mod * a2_mod % prime
     half = (prime + 1) // 2
-    rng = random.Random(_SCREEN_SEED)
     points = []
-    for _ in range(_SCREEN_ATTEMPTS):
+    for attempt in range(_SCREEN_ATTEMPTS):
         if len(points) == count:
             break
-        free = [rng.randrange(prime) for _ in range(n - 2)]
+        # 8 * prime = 2^64 - 8 is the largest multiple of the prime in 8 bytes
+        free = [v % prime for v in _digest_ints(f"screen|{attempt}", n - 2, 8, 8 * prime)]
         squares = [t * t % prime for t in free]
         s = (total - sum(squares)) % prime
         p = (total_sq - sum(x * x for x in squares)) % prime
@@ -850,9 +850,7 @@ def discover_on_sphere(
         raise ValueError("squared edge length must be positive")
 
     def sample(count):
-        simplex = CartesianSimplex.build(d, math.sqrt(float(a2)))
-        points = sample_circumsphere(simplex, SampleConfig(seed=seed, count=count))
-        return np.array([simplex.distances(p) for p in points])
+        return sample_circumsphere(EmbeddedSimplex(d, a2), SampleConfig(seed=seed, count=count))
 
     quadratic = circumsphere_quadratic(d, a2)
     relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)

@@ -20,18 +20,16 @@ The integers come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): each attempt at a sample
 hashes its key ``seed|weights|k|attempt`` once with BLAKE2b, and the 64-byte
 digest is cut into little-endian chunks that rejection sampling turns into
-uniform integers (:func:`_digest_ints`).  No generator state is seeded
-per sample.  The circumsphere sampler still draws its Gaussians from a
-string-seeded ``random.Random`` (:func:`_rng_for`).
+uniform integers (:func:`_digest_ints`), or uniform floats
+(:func:`_unit_floats`).  No generator state is seeded per sample.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
-# the builtin module, as ``random`` imports ``_sha512``: ``hashlib`` would
-# load OpenSSL, which costs every command megabytes and milliseconds
+# the builtin module: ``hashlib`` would load OpenSSL, which costs every
+# command megabytes and milliseconds
 from _blake2 import blake2b
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,12 +43,6 @@ from .rationals import as_fraction, frac_str
 _WEIGHT_GRID = 64
 # attempts per sample before a box counts as too small to draw from
 _MAX_ATTEMPTS = 2**16
-
-
-def _rng_for(seed: int, *stream) -> random.Random:
-    # the Gaussian stream of sample_circumsphere only; string seeding hashes
-    # via SHA-512 internally: stable across runs, platforms, and PYTHONHASHSEED
-    return random.Random("|".join(str(part) for part in (seed, *stream)))
 
 
 def _digest_ints(key: str, n: int, size: int, limit: int) -> list[int]:
@@ -70,6 +62,11 @@ def _digest_ints(key: str, n: int, size: int, limit: int) -> list[int]:
                 if len(out) == n:
                     return out
             chunks >>= bits
+
+
+def _unit_floats(key: str, n: int) -> list[float]:
+    """n uniform floats in [0, 1): the top 53 bits of 8-byte digest chunks."""
+    return [(v >> 11) * 2.0**-53 for v in _digest_ints(key, n, 8, 1 << 64)]
 
 
 def _uniform_rule(hi: int) -> tuple[int, int]:
@@ -252,15 +249,6 @@ class CartesianSimplex:
             raise ValueError(f"point must have {self.dim} coordinates, got shape {p.shape}")
         return np.linalg.norm(self.vertices - p, axis=1)
 
-    @property
-    def circumcenter(self) -> np.ndarray:
-        # centroid, by symmetry of the regular simplex
-        return self.vertices.mean(axis=0)
-
-    @property
-    def circumradius(self) -> float:
-        return self.edge * math.sqrt(self.dim / (2.0 * (self.dim + 1)))
-
 
 def _weight_draws(
     n: int, config: SampleConfig, accept: Callable[[int, tuple[int, ...]], bool] | None = None
@@ -343,27 +331,34 @@ def sample_points(
     return out
 
 
-def sample_circumsphere(simplex: CartesianSimplex, config: SampleConfig) -> list[np.ndarray]:
-    """Deterministic points on the circumsphere (uniform by direction).
+def sample_circumsphere(simplex: EmbeddedSimplex, config: SampleConfig) -> np.ndarray:
+    """Vertex distances of deterministic points on the circumsphere, uniform
+    by direction: one row per sample.
 
-    Each sample is a normalised Gaussian direction scaled to the
-    circumradius around the centroid.  A 1-simplex is rejected: its
-    "circumsphere" degenerates to the two endpoints.
+    There the weights have ``sum w = sum w^2 = 1``, so ``u = w - 1/(d+1)``
+    sums to 0 with ``|u|^2 = d/(d+1)``, and ``t_j = a*sqrt(d/(d+1) - u_j)``.
+    Sample k takes u from d+1 Gaussians (Box-Muller on the uniforms of
+    ``seed|sphere|k|attempt``) with their mean removed, rescaled (Muller,
+    CACM 1959); an attempt too short to rescale is redrawn.  A 1-simplex,
+    whose "circumsphere" is its two endpoints, is rejected.
     """
-    if simplex.dim < 2:
+    d, n = simplex.dim, simplex.dim + 1
+    if d < 2:
         raise ValueError("circumsphere sampling needs dimension >= 2")
-    center = simplex.circumcenter
-    radius = simplex.circumradius
-    out = []
+    rows = []
     for k in range(config.count):
         for attempt in itertools.count():
-            rng = _rng_for(config.seed, "sphere", k, attempt)
-            direction = np.array([rng.gauss(0.0, 1.0) for _ in range(simplex.dim)])
-            norm = float(np.linalg.norm(direction))
+            v = _unit_floats(f"{config.seed}|sphere|{k}|{attempt}", n + n % 2)
+            polar = [(math.sqrt(-2.0 * math.log1p(-x)), 2.0 * math.pi * y) for x, y in zip(v[::2], v[1::2])]
+            gauss = [r * f(angle) for r, angle in polar for f in (math.cos, math.sin)][:n]
+            mean = math.fsum(gauss) / n
+            u = [g - mean for g in gauss]
+            norm = math.hypot(*u)
             if norm > 1e-9:
                 break
-        out.append(center + radius * direction / norm)
-    return out
+        rows.append([x / norm for x in u])
+    a = math.sqrt(float(simplex.edge_sq))
+    return a * np.sqrt(np.maximum(d / n - math.sqrt(d / n) * np.array(rows), 0.0))
 
 
 def sample_document(simplex: EmbeddedSimplex, config: SampleConfig, samples) -> dict:

@@ -11,6 +11,7 @@ only; in higher dimensions the algebra alone is exposed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +34,8 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(x) for x in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 (external) or -1 (enclosing)")
 
@@ -51,23 +52,34 @@ class Sphere:
         }
 
 
-def _tangency_target(a: Sphere, b: Sphere) -> float:
+def _tangency_target(a: Sphere, b: Sphere) -> Fraction:
+    """The centre distance at which a and b touch, exact in their radii."""
+    ra, rb = Fraction(a.radius), Fraction(b.radius)
     if a.orientation == 1 and b.orientation == 1:
-        return a.radius + b.radius
+        return ra + rb
     if a.orientation != b.orientation:
-        return abs(a.radius - b.radius)
+        return abs(ra - rb)
     raise ValueError("at most one sphere may be enclosing")
+
+
+def _tangency_residual(a: Sphere, b: Sphere) -> float:
+    """``|dist - target|`` as ``|dist^2 - target^2| / (dist + target)``, exact
+    in the float centres and radii up to the one rounding of ``dist`` in
+    the denominator: in floats the centre distance and the target round
+    alike once one radius dwarfs the others, and their difference reads 0."""
+    dist_sq = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a.center, b.center))
+    target = _tangency_target(a, b)
+    if dist_sq == target * target:
+        return 0.0
+    return float(abs(dist_sq - target * target) / (Fraction(math.dist(a.center, b.center)) + target))
 
 
 def tangency_residuals(spheres: Sequence[Sphere]) -> list[tuple[int, int, float]]:
     """For every pair, how far the centre distance is from exact tangency."""
-    out = []
-    for i in range(len(spheres)):
-        for j in range(i + 1, len(spheres)):
-            gap = np.subtract(spheres[i].center, spheres[j].center)
-            actual = float(np.linalg.norm(gap))
-            out.append((i, j, abs(actual - _tangency_target(spheres[i], spheres[j]))))
-    return out
+    return [
+        (i, j, _tangency_residual(spheres[i], spheres[j]))
+        for i, j in itertools.combinations(range(len(spheres)), 2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -155,15 +167,17 @@ def build_tangent_circles_2d(r1: float, r2: float, r3: float) -> TangentConfig:
         raise ValueError("all radii must be positive")
     s12 = radii[0] + radii[1]
     s13 = radii[0] + radii[2]
-    s23 = radii[1] + radii[2]
     if math.isinf(s12 * s12 + s13 * s13):
         raise ValueError("radii are too large to place: the squares of their sums overflow a float")
-    x3 = (s12 * s12 + s13 * s13 - s23 * s23) / (2.0 * s12)
-    y3 = math.sqrt(max(s13 * s13 - x3 * x3, 0.0))
+    # y3^2 = s13^2 - x3^2 in exact arithmetic on the float radii: in floats
+    # the difference of squares cancels when one radius dwarfs the others
+    e12, e13, e23 = (Fraction(a) + Fraction(b) for a, b in itertools.combinations(radii, 2))
+    x3 = (e12 * e12 + e13 * e13 - e23 * e23) / (2 * e12)
+    y3 = math.sqrt(e13 * e13 - x3 * x3)
     spheres = (
         Sphere((0.0, 0.0), radii[0]),
         Sphere((s12, 0.0), radii[1]),
-        Sphere((x3, y3), radii[2]),
+        Sphere((float(x3), y3), radii[2]),
     )
     return TangentConfig(dim=2, spheres=spheres)
 
@@ -187,7 +201,8 @@ def build_soddy_circle_2d(config: TangentConfig, k4: float) -> tuple[Sphere, flo
     r4 = 1.0 / abs(k4)
     orientation = 1 if k4 > 0 else -1
     new = Sphere((0.0, 0.0), r4, orientation)  # placeholder for target arithmetic
-    targets = [_tangency_target(s, new) for s in config.spheres]
+    exact = [_tangency_target(s, new) for s in config.spheres]
+    targets = [float(t) for t in exact]
     c1 = np.asarray(config.spheres[0].center)
     c2 = np.asarray(config.spheres[1].center)
     c3 = np.asarray(config.spheres[2].center)
@@ -196,8 +211,10 @@ def build_soddy_circle_2d(config: TangentConfig, k4: float) -> tuple[Sphere, flo
     u = axis / span
     perp = np.array([-u[1], u[0]])
     along = (span * span + targets[0] ** 2 - targets[1] ** 2) / (2.0 * span)
-    height_sq = targets[0] ** 2 - along * along
-    if height_sq < -1e-9 * (targets[0] ** 2 + 1.0):
+    # t0^2 - along^2, formed exactly for the reason given in build_tangent_circles_2d
+    e_span, e0, e1 = Fraction(span), exact[0], exact[1]
+    height_sq = (4 * e_span**2 * e0**2 - (e_span**2 + e0**2 - e1**2) ** 2) / (4 * e_span**2)
+    if height_sq < -1e-9 * (e0**2 + 1):
         raise ValueError(
             "no circle of that curvature is simultaneously tangent to the first two"
         )

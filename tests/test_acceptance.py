@@ -163,10 +163,9 @@ def test_criterion_5_circumsphere_ideal():
     for d in range(2, 9):
         if not verify_circumsphere_identity(d, 1):
             failures.append(f"identity failed at d={d}")
-    simplex = CartesianSimplex.build(2, 1.0)
     quartic = circumsphere_quartic(2, 1)
-    points = sample_circumsphere(simplex, SampleConfig(seed=6, count=500))
-    worst = max(abs(quartic.eval_float(simplex.distances(p))) for p in points)
+    rows = sample_circumsphere(EmbeddedSimplex(2, 1), SampleConfig(seed=6, count=500))
+    worst = max(abs(quartic.eval_float(t)) for t in rows)
     if worst >= 1e-9:
         failures.append(f"quartic residual {worst:.2e} on sphere samples")
     conclude(5, "circumsphere ideal", failures)

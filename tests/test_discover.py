@@ -723,11 +723,10 @@ def test_pompeiu_cubic_vanishes_on_circle_but_outside_ideal():
     quad = circumsphere_quadratic(2, 1)
     rel = distance_relation(2, 1)
     assert not _in_sphere_ideal(pompeiu, quad, _relation_mod_quadratic(rel, quad))
-    from simplexdist.geom import CartesianSimplex, sample_circumsphere
+    from simplexdist.geom import sample_circumsphere
 
-    simplex = CartesianSimplex.build(2, 1.0)
-    points = sample_circumsphere(simplex, SampleConfig(seed=8, count=40))
-    values = [pompeiu.eval_float(simplex.distances(p)) for p in points]
+    rows = sample_circumsphere(EmbeddedSimplex(2, 1), SampleConfig(seed=8, count=40))
+    values = [pompeiu.eval_float(t) for t in rows]
     assert max(abs(v) for v in values) < 1e-12
 
 

@@ -147,7 +147,7 @@ def test_distances_at_half_half():
 def test_distances_from_circumcenter():
     s = CartesianSimplex.build(2, 1.0)
     center = np.array([0.5, math.sqrt(3) / 6])
-    assert np.allclose(s.circumcenter, center, atol=1e-12)
+    assert np.allclose(s.vertices.mean(axis=0), center, atol=1e-12)
     assert np.allclose(s.distances(center), 1 / math.sqrt(3), atol=1e-12)
 
 
@@ -160,8 +160,9 @@ def test_distances_arity_checked():
 @pytest.mark.parametrize("d", range(2, 9))
 def test_circumradius_formula(d):
     s = CartesianSimplex.build(d, 1.0)
-    assert np.allclose(s.distances(s.circumcenter), s.circumradius, atol=1e-12)
-    assert abs(s.circumradius - math.sqrt(d / (2 * (d + 1)))) < 1e-15
+    radius = math.sqrt(d / (2 * (d + 1)))
+    assert np.allclose(s.distances(s.vertices.mean(axis=0)), radius, atol=1e-12)
+    assert abs(radius**2 - float(EmbeddedSimplex(d, 1).circumradius_sq)) < 1e-15
 
 
 # -- exact sampling -----------------------------------------------------------
@@ -416,9 +417,12 @@ def test_cartesian_matches_embedded_on_samples():
 
 def test_sphere_samples_on_sphere():
     s = CartesianSimplex.build(2, 1.0)
-    pts = sample_circumsphere(s, SampleConfig(seed=1, count=30))
+    rows = sample_circumsphere(EmbeddedSimplex(2, 1), SampleConfig(seed=1, count=30))
     center = np.array([0.5, math.sqrt(3) / 6])
-    for p in pts:
+    for t in rows:
+        # the point of weights w_j = 1 - t_j^2 / a^2, at distances t
+        p = (1 - t**2) @ s.vertices
+        assert np.allclose(s.distances(p), t, atol=1e-12)
         assert abs(np.linalg.norm(p - center) - 1 / math.sqrt(3)) < 1e-12
 
 
@@ -432,14 +436,12 @@ def test_sphere_vertex_tuple_power_sums():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_sphere_samples_power_sum_identity(d):
-    s = CartesianSimplex.build(d, 1.0)
-    for p in sample_circumsphere(s, SampleConfig(seed=4, count=20)):
-        t = s.distances(p)
+    for t in sample_circumsphere(EmbeddedSimplex(d, 1), SampleConfig(seed=4, count=20)):
         assert abs(np.sum(t**2) - d) < 1e-9
 
 
 def test_sphere_sampling_deterministic():
-    s = CartesianSimplex.build(3, 1.0)
+    s = EmbeddedSimplex(3, 1)
     cfg = SampleConfig(seed=9, count=5)
     a = sample_circumsphere(s, cfg)
     b = sample_circumsphere(s, cfg)
@@ -447,9 +449,29 @@ def test_sphere_sampling_deterministic():
 
 
 def test_sphere_sampling_rejects_segment():
-    s = CartesianSimplex.build(1, 1.0)
+    s = EmbeddedSimplex(1, 1)
     with pytest.raises(ValueError):
         sample_circumsphere(s, SampleConfig(seed=0, count=1))
+
+
+@pytest.mark.parametrize("edge_sq", [Fraction(1), Fraction(7, 3), Fraction(12345, 677)])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sphere_rows_satisfy_both_power_sums(d, edge_sq):
+    # on the circumsphere sum t^2 = d*a^2 and sum t^4 = d*a^4
+    a2 = float(edge_sq)
+    rows = sample_circumsphere(EmbeddedSimplex(d, edge_sq), SampleConfig(seed=d, count=50))
+    assert rows.shape == (50, d + 1)
+    for t in rows:
+        assert math.isclose(math.fsum(t**2), d * a2, rel_tol=1e-12)
+        assert math.isclose(math.fsum(t**4), d * a2 * a2, rel_tol=1e-12)
+
+
+def test_sphere_sample_k_depends_only_on_seed_and_k():
+    s = EmbeddedSimplex(4, Fraction(7, 3))
+    short = sample_circumsphere(s, SampleConfig(seed=5, count=5))
+    long = sample_circumsphere(s, SampleConfig(seed=5, count=20))
+    assert np.array_equal(short, long[:5])
+    assert not np.array_equal(long[:5], sample_circumsphere(s, SampleConfig(seed=6, count=5)))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -150,6 +150,31 @@ def test_enclosing_tangency_uses_radius_difference():
     TangentConfig(dim=2, spheres=(inner, outer))
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+def test_sphere_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        Sphere((0.0, 0.0), radius)
+
+
+def test_tangency_residuals_are_exact_in_the_float_centres():
+    # the centre (1e100 + 1, 0) rounds to (1e100, 0), and so does the target
+    # 1e100 + 1 in floats; exactly, the circles miss tangency by 1
+    big, unit = Sphere((0.0, 0.0), 1e100), Sphere((1e100 + 1, 0.0), 1.0)
+    assert tangency_residuals((big, unit)) == [(0, 1, 1.0)]
+    with pytest.raises(ValueError, match=r"not mutually tangent \(residual 1.000e\+00\)"):
+        TangentConfig(dim=2, spheres=(big, unit))
+
+
+@pytest.mark.parametrize("radius", [1e4, 1e6, 1e10, 1e12, 1e14])
+def test_construction_places_circles_around_a_large_radius(radius):
+    # s13^2 - x3^2 cancels in floats (residual 2 at 1e10 before it was exact)
+    cfg = build_tangent_circles_2d(radius, 1, 1)
+    assert max(r for _, _, r in tangency_residuals(cfg.spheres)) < 1e-9
+    k_plus, _ = solve_missing_curvature([1 / radius, 1, 1], 2)
+    _, residual = build_soddy_circle_2d(cfg, k_plus)
+    assert residual < 1e-9
+
+
 # -- the fourth circle --------------------------------------------------------------
 
 
