@@ -62,7 +62,9 @@ def _is_sequence(value) -> bool:
 
 def _real_entry(value, i: int, j: int) -> Fraction:
     try:
-        x = float(value) if isinstance(value, (numbers.Real, str)) else math.nan
+        # bool is a numbers.Real, but a JSON true or false is not a distance
+        real = isinstance(value, (numbers.Real, str)) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
     except OverflowError:  # an int beyond the float range
         x = math.inf
     if not math.isfinite(x):

@@ -49,10 +49,11 @@ the equilibrated degree-D matrix are exactly the degree-k one.  Sphere
 runs read the null dimension at every degree below D from these prefixes.
 
 The quartic has only even powers of the distances, so for d >= 2 it is a
-quadric ``R(s)`` in ``s = t^2``.  Its ideal, like the whole space that
-``independence_test`` samples, is invariant under every flip ``t_j -> -t_j``,
-so it is the direct sum of its parts in each exponent-parity class e, whose
-members are ``t^e * q(t^2)``; away from zero distances such a member
+quadric ``R(s)`` in ``s = t^2``.  Its ideal is invariant under every flip
+``t_j -> -t_j``, so it is the direct sum of its parts in each
+exponent-parity class e, whose members are ``t^e * q(t^2)``; degree D
+allows only the classes with at most D odd exponents, not all ``2^(d+1)``
+of them.  Away from zero distances such a member
 vanishes where q vanishes at the squares.  So these runs evaluate one
 matrix in s of degree ``D // 2``, at values that need no square root: an
 exact sample has ``s_j = a^2 * N_j / (2*T^2)`` with integers ``N_j`` and
@@ -106,6 +107,7 @@ from .rationals import as_fraction, frac_str, rational_sqrt
 CERT_DIVISIBLE = "divisible-by-relation"
 CERT_SPHERE_IDEAL = "in-circumsphere-ideal"
 CERT_UNCERTIFIED = "uncertified"
+CERT_JACOBIAN_RANK = "jacobian-rank"
 
 # a spectral gap below this flags the run as inconclusive
 _GAP_FLOOR = 10.0
@@ -592,43 +594,47 @@ def _discovery_run(
     operation: str,
     d: int,
     a2: Fraction,
-    arity: int,
     max_degree: int,
-    n_samples: int | None,
     seed: int,
     sample,
     sampling: str,
     certify,
     in_squares: bool,
-    **extra_config,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
-    """The steps all discovery runs share: check the degree, draw
-    ``n_samples`` rows of ``arity`` float values with ``sample(count)``, the
-    squared distances s if ``in_squares`` and the distances t otherwise (a
-    set that is all 0 or not all finite is bad configuration: a float
-    cannot carry the edge), evaluate the equilibrated Chebyshev matrix of
-    the degree ``D // 2`` basis in s if ``in_squares`` (else of the
-    degree-D basis in t), and take the nullspace of each column prefix that
-    a parity class needs.  Each RREF row becomes a polynomial q, labelled
-    ``certify(q)`` once and lifted to ``t^e * q(t^2)`` for every class e
-    (see the module docstring).
+    """The steps all discovery runs share: check the degree, draw rows of
+    ``d + 1`` float values with ``sample(count)``, the squared distances s
+    if ``in_squares`` and the distances t otherwise (a set that is all 0 or
+    not all finite is bad configuration: a float cannot carry the edge),
+    evaluate the equilibrated Chebyshev matrix of the degree ``D // 2``
+    basis in s if ``in_squares`` (else of the degree-D basis in t), and take
+    the nullspace of each column prefix that a parity class needs.  Each
+    RREF row becomes a polynomial q, labelled ``certify(q)`` once and lifted
+    to ``t^e * q(t^2)`` for every class e (see the module docstring).
 
-    By default the run draws three samples per column of its matrix.
-    Sample k depends only on the seed and k, so any count draws a prefix of
-    the same stream.
+    The run draws three samples per column of its matrix.  Sample k depends
+    only on the seed and k, so a larger count draws a longer prefix of the
+    same stream.
 
     Returns the config block, the degree-D basis in t, the equilibrated
     evaluation matrix, the nullspace and the candidates sorted by pivot.
     """
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError("max_degree must be a positive integer")
+    arity = d + 1
     basis = enumerate_monomials(arity, max_degree)
     power = 2 if in_squares else 1
-    # exponents mod power, and the degree in t^power that each class allows
-    classes = [e for e in itertools.product(range(power), repeat=arity) if sum(e) <= max_degree]
+    # the classes of exponents mod power that degree D allows, the zero class
+    # first: in s, the supports of at most D odd exponents; in t, only zero
+    supports = range(min(max_degree, arity) + 1) if in_squares else [0]
+    classes = [
+        tuple(int(i in odd) for i in range(arity))
+        for size in supports
+        for odd in itertools.combinations(range(arity), size)
+    ]
+    # the degree in t^power that each class allows
     degrees = [(max_degree - sum(e)) // power for e in classes]
     columns = enumerate_monomials(arity, degrees[0])
-    count = n_samples if n_samples is not None else 3 * len(columns)
+    count = 3 * len(columns)
     values = sample(count)
     if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError(
@@ -670,7 +676,6 @@ def _discovery_run(
         "operation": operation,
         "d": d,
         "edge_sq": frac_str(a2),
-        **extra_config,
         "max_degree": max_degree,
         "n_samples": count,
         "seed": seed,
@@ -688,7 +693,6 @@ def discover_vanishing(
     d: int,
     edge_sq,
     max_degree: int,
-    n_samples: int | None = None,
     seed: int = 0,
 ) -> DiscoveryReport:
     """Full discovery pipeline over the whole ambient space.
@@ -721,7 +725,7 @@ def discover_vanishing(
         return squares if d >= 2 else np.sqrt(squares)
 
     config, basis, _, report, candidates = _discovery_run(
-        "discover", d, a2, d + 1, max_degree, n_samples, seed,
+        "discover", d, a2, max_degree, seed,
         sample=sample,
         sampling=_DISCOVERY_SAMPLING,
         certify=lambda q: _certify(q, generator),
@@ -730,49 +734,51 @@ def discover_vanishing(
     return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndependenceReport:
-    """Outcome of the algebraic-independence probe for a vertex subset."""
+    """The proof that the distances to a vertex subset satisfy no
+    polynomial relation (see ``independence_test``): its certificate is the
+    Gram determinant ``gram_det`` of the subset's weight vectors."""
 
     config: dict
-    nullspace: NullspaceReport
-    candidates: list[CertifiedCandidate]
-
-    @property
-    def verdict(self) -> str:
-        return "no-relation-found" if self.nullspace.null_dim == 0 else "relation-found"
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.nullspace.inconclusive
+    gram_det: Fraction
+    verdict = "no-relation-found"
+    certificate = CERT_JACOBIAN_RANK
 
     def to_json(self) -> dict:
         return {
             "config": self.config,
             "verdict": self.verdict,
-            "nullspace": self.nullspace.to_json(),
-            "candidates": [c.to_json() for c in self.candidates],
+            "certificate": self.certificate,
+            "gram_det": frac_str(self.gram_det),
         }
 
 
-def independence_test(
-    d: int,
-    edge_sq,
-    subset: Sequence[int],
-    max_degree: int,
-    n_samples: int | None = None,
-    seed: int = 0,
-) -> IndependenceReport:
-    """Hunt for a polynomial relation among the distances to a subset of at
-    most d vertices (labels 1..d+1).
+def independence_test(d: int, edge_sq, subset: Sequence[int]) -> IndependenceReport:
+    """Prove that the distances to a subset S of k <= d of the d+1 vertices
+    (labels 1..d+1) satisfy no nonzero polynomial relation, of any degree.
 
-    Distances to any d of the vertices are algebraically independent, so
-    the expected verdict is no-relation-found at every degree.  Subsets of
-    all d+1 vertices are rejected: the full tuple always satisfies the
-    quartic relation, so the question only makes sense for proper subsets.
+    Proof.  At the centroid c every distance ``t_j = |c - v_j|`` is the
+    circumradius, which is positive, so each t_j is smooth near c with
+    gradient ``(c - v_j) / t_j``, and ``t_j^2`` has gradient ``2(c - v_j)``.
+    The d+1 vectors ``c - v_j`` sum to 0 and span d-space, so their linear
+    relations are the multiples of ``(1, ..., 1)``, and none is supported on
+    k <= d of them: the k gradients of ``t_S`` are independent.  So the map
+    ``x -> t_S(x)`` has rank k at c, it is a submersion near c, and its image
+    contains an open set of R^k.  A polynomial that vanishes on an open set
+    is zero.
+
+    The certificate is exact.  In barycentric weights the vectors
+    ``c - e_j`` have the Gram matrix ``I - J/(d+1)`` (``c = (1, ..., 1) /
+    (d+1)``), whose k-by-k minor has the determinant ``(d+1-k) / (d+1) > 0``.
+    Weight differences map to space with the inner product scaled by
+    ``a^2 / 2``, so the gradients ``2(c - v_j)`` have the Gram determinant
+    ``(2a^2)^k (d+1-k) / (d+1)``.
+
+    Subsets of all d+1 vertices are rejected: the full tuple always
+    satisfies the quartic relation.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    simplex = EmbeddedSimplex(d, edge_sq)
     labels = sorted(set(int(j) for j in subset))
     if len(labels) != len(list(subset)):
         raise ValueError("subset labels must be distinct")
@@ -785,17 +791,8 @@ def independence_test(
             f"subset of size {len(labels)} exceeds d = {d}: the full set of distances "
             "always satisfies the quartic relation"
         )
-    a2 = as_fraction(edge_sq)
-    columns = [j - 1 for j in labels]
-    config, _, _, report, candidates = _discovery_run(
-        "independence", d, a2, len(labels), max_degree, n_samples, seed,
-        sample=lambda count: _sample_squared_distances(d, a2, count, seed)[:, columns],
-        sampling=_DISCOVERY_SAMPLING,
-        certify=lambda q: CERT_UNCERTIFIED,
-        in_squares=True,
-        subset=labels,
-    )
-    return IndependenceReport(config=config, nullspace=report, candidates=candidates)
+    config = {"operation": "independence", "d": d, "edge_sq": frac_str(simplex.edge_sq), "subset": labels}
+    return IndependenceReport(config=config, gram_det=Fraction(d + 1 - len(labels), d + 1))
 
 
 @dataclass
@@ -832,7 +829,6 @@ def discover_on_sphere(
     d: int,
     edge_sq,
     max_degree: int,
-    n_samples: int | None = None,
     seed: int = 0,
 ) -> SphereDiscoveryReport:
     """Discovery pipeline with samples restricted to the circumsphere.
@@ -862,7 +858,7 @@ def discover_on_sphere(
         return CERT_SPHERE_IDEAL if member else CERT_UNCERTIFIED
 
     config, _, matrix, report, candidates = _discovery_run(
-        "sphere", d, a2, d + 1, max_degree, n_samples, seed,
+        "sphere", d, a2, max_degree, seed,
         sample=sample,
         sampling="circumsphere(gaussian-direction)",
         certify=certify,

@@ -557,7 +557,7 @@ def poly_from_dict(doc: Mapping) -> MultiPoly:
         if (
             not isinstance(exps, (list, tuple))
             or len(exps) != arity
-            or not all(isinstance(x, int) and x >= 0 for x in exps)
+            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in exps)
         ):
             raise ValueError(
                 f"term {i}: 'exps' must be {arity} non-negative integers, got {exps!r}"

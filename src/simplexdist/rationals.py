@@ -15,14 +15,15 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
     """Coerce ``value`` to an exact ``Fraction``.
 
     Accepts Fractions, ints, and strings such as ``"3/7"`` or ``"-2"``.
-    Floats are rejected on purpose: silently turning 0.1 into
-    3602879701896397/36028797018963968 is never what an exact pipeline
-    wants, so callers must convert explicitly (for example with
-    ``Fraction(x).limit_denominator``).
+    Booleans are rejected, although ``bool`` is a subclass of ``int``: a
+    JSON ``true`` is not the number 1.  Floats are rejected on purpose:
+    silently turning 0.1 into 3602879701896397/36028797018963968 is never
+    what an exact pipeline wants, so callers must convert explicitly (for
+    example with ``Fraction(x).limit_denominator``).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -136,15 +136,18 @@ def test_criterion_3_segment_exception():
 
 
 def test_criterion_4_algebraic_independence():
-    """Every size-d subset, d = 2, 3, at degree 6: no relation, gap >= 1e3."""
+    """Every size-d subset, d = 2, 3: no relation, proven by the Jacobian
+    rank with the Gram determinant 1/(d+1)."""
     failures = []
     for d in (2, 3):
         for subset in itertools.combinations(range(1, d + 2), d):
-            report = independence_test(d, 1, subset, 6, seed=5)
+            report = independence_test(d, 1, subset)
             if report.verdict != "no-relation-found":
                 failures.append(f"d={d} {subset}: {report.verdict}")
-            if report.nullspace.gap < 1e3:
-                failures.append(f"d={d} {subset}: gap {report.nullspace.gap:.1e}")
+            if report.certificate != "jacobian-rank":
+                failures.append(f"d={d} {subset}: certificate {report.certificate}")
+            if report.gram_det != Fraction(1, d + 1):
+                failures.append(f"d={d} {subset}: Gram determinant {report.gram_det}")
     conclude(4, "algebraic independence of d distances", failures)
 
 

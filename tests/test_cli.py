@@ -1,5 +1,6 @@
 """Subcommand exit codes, JSON reports, and reproducibility."""
 
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from simplexdist.cli import main
 from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
 from simplexdist.poly import distance_relation, poly_to_dict
 from simplexdist.poly import MultiPoly
+from simplexdist.rationals import frac_str
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -100,12 +102,48 @@ def test_discover_empty_at_cubic_degree(tmp_path):
     assert doc["result"]["candidates"] == []
 
 
+@pytest.mark.parametrize("d, degree", [("40", "1"), ("30", "2")])
+def test_discover_enumerates_only_the_parity_classes_the_degree_allows(d, degree):
+    # degree D allows the classes with at most D odd exponents, not all
+    # 2^(d+1) of them; a run that enumerates them all never ends here, so it
+    # is a subprocess with a timeout
+    argv = ["discover", "--d", d, "--max-degree", degree]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "simplexdist.cli", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["nullspace"]["null_dim"] == 0 and result["candidates"] == []
+    assert result["basis_size"] == math.comb(int(degree) + int(d) + 1, int(degree))
+
+
 def test_independence_subcommand(tmp_path):
-    code, doc = run(
-        tmp_path, "independence", "--d", "3", "--subset", "1,2,3", "--max-degree", "4"
-    )
+    code, doc = run(tmp_path, "independence", "--d", "3", "--subset", "1,2,3")
     assert code == 0
     assert doc["result"]["verdict"] == "no-relation-found"
+    assert doc["result"]["certificate"] == "jacobian-rank"
+    assert doc["result"]["gram_det"] == "1/4"
+    assert doc["config"] == {"d": 3, "edge_sq": "1", "operation": "independence", "subset": [1, 2, 3]}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_independence_proves_every_proper_subset(tmp_path, d):
+    for k in range(1, d + 1):
+        for subset in itertools.combinations(range(1, d + 2), k):
+            code, doc = run(tmp_path, "independence", "--d", str(d), "--subset", ",".join(map(str, subset)))
+            assert code == 0
+            assert doc["result"]["gram_det"] == frac_str(Fraction(d + 1 - k, d + 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "40", "--subset", "1,2,3"],
+    ["--d", "2", "--subset", "1,2", "--edge-sq", "1e-400"],
+])
+def test_independence_needs_no_samples(tmp_path, argv):
+    # the proof draws nothing, so neither a large d nor an edge below the
+    # floats matters
+    code, doc = run(tmp_path, "independence", *argv)
+    assert code == 0 and doc["result"]["certificate"] == "jacobian-rank"
 
 
 def test_independence_rejects_oversize_subset(capsys):
@@ -114,7 +152,6 @@ def test_independence_rejects_oversize_subset(capsys):
 
 @pytest.mark.parametrize("command", [
     ["discover", "--d", "2"],
-    ["independence", "--d", "2", "--subset", "1,2"],
     ["sphere", "--d", "2"],
 ])
 def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
@@ -126,7 +163,6 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["discover", "--d", "2", "--max-degree", "4"],
-    ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "3"],
     ["sphere", "--d", "2", "--max-degree", "4"],
 ])
 def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
@@ -152,7 +188,7 @@ def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsy
 
 
 def test_independence_without_candidates_needs_no_back_transform(tmp_path):
-    argv = ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "4", "--edge-sq", "1e-300"]
+    argv = ["independence", "--d", "2", "--subset", "1,2", "--edge-sq", "1e-300"]
     code, doc = run(tmp_path, *argv)
     assert code == 0 and doc["result"]["verdict"] == "no-relation-found"
 
@@ -214,6 +250,19 @@ def test_reduce_malformed_names_term_index(tmp_path, capsys):
     )
     assert main(["reduce", "--poly", str(poly_file), "--d", "2"]) == 2
     assert "term 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("term, message", [
+    ({"coeff": True, "exps": [1, 0, 0]}, "term 0: bad coefficient True"),
+    ({"coeff": 1, "exps": [True, False, False]}, "term 0: 'exps' must be 3 non-negative integers"),
+], ids=["coeff", "exps"])
+def test_reduce_rejects_json_booleans(tmp_path, capsys, term, message):
+    # bool is a subclass of int, but a JSON true is not the number 1
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(json.dumps({"vars": ["T1", "T2", "T3"], "terms": [term]}))
+    code, doc = run(tmp_path, "reduce", "--poly", str(poly_file), "--d", "2")
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_reduce_missing_file(capsys):
@@ -536,6 +585,15 @@ def test_cm_rejects_malformed_matrix_file(tmp_path, capsys, content):
     assert not out.exists()
 
 
+def test_cm_rejects_json_booleans(tmp_path, capsys):
+    # bool is a numbers.Real, but a JSON false is not the distance 0
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text("[[false, 1], [1, false]]")
+    code, doc = run(tmp_path, "cm", "--matrix", str(matrix_file))
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err == "error: entry (0,0) is not a finite real number: False\n"
+
+
 def test_cm_requires_exactly_one_source(capsys):
     assert main(["cm"]) == 2
     assert main(["cm", "--edges-equilateral", "3", "--matrix", "x.json"]) == 2
@@ -603,14 +661,20 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, option):
     ["independence", "--subset", "1,2", "--max-denominator", "1000"],
     ["sphere", "--threshold", "1e-6"],
     ["sphere", "--max-denominator", "1000"],
+    ["discover", "--samples", "5"],
+    ["sphere", "--samples", "5"],
+    ["independence", "--subset", "1,2", "--max-degree", "6"],
+    ["independence", "--subset", "1,2", "--samples", "3"],
+    ["independence", "--subset", "1,2", "--seed", "1"],
     ["reduce", "--poly", "p.json", "--seed", "1"],
     ["reconstruct", "--t", "1,1,1", "--seed", "1"],
     ["reconstruct", "--t", "1,1,1", "--tol", "inf"],
     ["probe63", "--tol", "1e-6"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_option_is_a_usage_error(capsys, argv):
-    # discovery runs at a fixed cutoff and denominator bound, reduce and
-    # reconstruct draw no samples, reconstruct checks feasibility at a fixed
+    # discovery runs at a fixed cutoff and denominator bound and draw three
+    # samples per column, independence draws none and has no degree, reduce
+    # and reconstruct draw no samples, reconstruct checks feasibility at a fixed
     # 1e-9 * a^2, and probe63 makes no float check
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -686,7 +750,7 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path, argv):
     [
         ["verify", "--d", "2", "--count", "20", "--seed", "3"],
         ["discover", "--d", "2", "--max-degree", "4", "--seed", "3"],
-        ["independence", "--d", "2", "--subset", "1,2", "--max-degree", "3"],
+        ["independence", "--d", "2", "--subset", "1,2"],
         ["sphere", "--d", "2", "--max-degree", "2"],
         ["reduce", "--poly", "{poly}", "--d", "2"],
         ["reconstruct", "--d", "2", "--t", "0,1,1"],

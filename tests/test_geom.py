@@ -353,9 +353,14 @@ def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
         return evaluate(values, *rest)
 
     monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
-    config = SampleConfig(seed=d + 40, count=30, box=Fraction(3, 2))
+    # the default count of these degrees is at least 30: 3 * C(3 + 2, 2) at
+    # d = 1, 3 * C(2 + d + 1, 2) in s = t^2
+    degree = 3 if d == 1 else 4
+    count = 3 * math.comb(degree + 2, 2) if d == 1 else 3 * math.comb(degree // 2 + d + 1, d + 1)
+    assert count >= 30
+    config = SampleConfig(seed=d + 40, count=count, box=Fraction(3, 2))
     for a2 in EDGES_SQ:
-        rows = discover._sample_squared_distances(d, a2, 30, d + 40)
+        rows = discover._sample_squared_distances(d, a2, count, d + 40)
         if d == 1:
             draws = _weight_draws(2, config, discover._segment_branch)
             exact = [_exact_squared(a2, nums, den) for nums, den in draws]
@@ -364,7 +369,7 @@ def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
         assert rows.tobytes() == np.array([[float(x) for x in squared] for squared in exact]).tobytes()
         if d == 1 and rational_sqrt(a2) is None:
             continue  # d = 1 certifies only rational edges
-        discover.discover_vanishing(d, a2, 1, n_samples=30, seed=d + 40)
+        discover.discover_vanishing(d, a2, degree, seed=d + 40)
         values = rows if d >= 2 else np.array([[math.sqrt(x) for x in row] for row in rows.tolist()])
         assert evaluated.pop().tobytes() == values.tobytes()
 
