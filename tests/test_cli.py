@@ -152,6 +152,7 @@ def test_independence_rejects_oversize_subset(capsys):
 
 @pytest.mark.parametrize("command", [
     ["discover", "--d", "2"],
+    ["discover", "--d", "3"],
     ["sphere", "--d", "2"],
 ])
 def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
@@ -163,6 +164,7 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["discover", "--d", "2", "--max-degree", "4"],
+    ["discover", "--d", "3", "--max-degree", "2"],
     ["sphere", "--d", "2", "--max-degree", "4"],
 ])
 def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
