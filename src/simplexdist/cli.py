@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cmgeom, discover, geom, poly, soddy
-from .rationals import as_fraction, frac_str
+from .rationals import as_fraction, edge_sq_float, frac_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,14 +135,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_FAIL
 
 
-def _discovery_kwargs(args) -> dict:
-    """Keyword arguments of the two discovery entry points from the
-    options that ``_add_common(..., degree=...)`` defines."""
-    return {"d": args.d, "edge_sq": args.edge_sq, "max_degree": args.max_degree, "seed": args.seed}
-
-
 def cmd_discover(args) -> int:
-    report = discover.discover_vanishing(**_discovery_kwargs(args))
+    report = discover.discover_vanishing(args.d, args.edge_sq, args.max_degree, args.seed)
     doc = report.to_json()
     summary = []
     if args.out:  # only a report written to a file prints the summary
@@ -166,7 +160,7 @@ def cmd_independence(args) -> int:
 
 
 def cmd_sphere(args) -> int:
-    report = discover.discover_on_sphere(**_discovery_kwargs(args))
+    report = discover.discover_on_sphere(args.d, args.edge_sq, args.max_degree, args.seed)
     doc = report.to_json()
     summary = [
         f"sphere: null dimensions by degree {report.null_dim_by_degree}, "
@@ -197,7 +191,7 @@ def cmd_reconstruct(args) -> int:
     a2 = as_fraction(args.edge_sq)
     if a2 <= 0:
         raise ValueError(f"squared edge length must be positive, got {frac_str(a2)}")
-    edge = math.sqrt(float(a2))
+    edge = math.sqrt(edge_sq_float(a2))
     simplex = geom.CartesianSimplex.build(args.d, edge)
     result = cmgeom.reconstruct_point(simplex, args.t)
     cfg = {"d": args.d, "edge_sq": frac_str(a2), "t": args.t, "tol": cmgeom._RECONSTRUCT_TOL * edge**2}

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geom import CartesianSimplex, _unit_floats
-from .rationals import as_fraction, frac_str
+from .rationals import as_fraction, edge_sq_float, frac_str
 
 # relative depth below 0 at which a float configuration's volume^2 is still flat
 _FLAT = Fraction(1, 10**9)
@@ -329,34 +329,23 @@ def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list[float]:
 
     In the square ``s`` of the last distance the relation is quadratic with
     leading coefficient ``d``; the real non-negative roots give the
-    candidate distances, returned sorted ascending (possibly empty).
-    Rational inputs keep the discriminant exact before the final square
-    roots.
+    candidate distances, returned sorted ascending (possibly empty).  The
+    inputs are taken as floats, and a discriminant within rounding of 0
+    counts as 0.
     """
     if len(first) != d:
         raise ValueError(f"need the first {d} distances, got {len(first)}")
-    a2 = as_fraction(edge_sq)
-    exact = all(isinstance(x, (int, Fraction, str)) and not isinstance(x, bool) for x in first)
-    if exact:
-        ts = [as_fraction(x) for x in first]
-        p = a2 + sum((x * x for x in ts), Fraction(0))
-        q = a2 * a2 + sum((x**4 for x in ts), Fraction(0))
-        disc = (d + 1) * (p * p - d * q)
-        if disc < 0:
+    a2 = float(edge_sq)
+    ts = [float(x) for x in first]
+    p = a2 + sum(x * x for x in ts)
+    q = a2**2 + sum(x**4 for x in ts)
+    disc = (d + 1) * (p * p - d * q)
+    if disc < 0:
+        if disc > -1e-9 * (p * p + abs(q) + 1.0):
+            disc = 0.0
+        else:
             return []
-        root = math.sqrt(float(disc))
-        p = float(p)
-    else:
-        ts = [float(x) for x in first]
-        p = float(a2) + sum(x * x for x in ts)
-        q = float(a2) ** 2 + sum(x**4 for x in ts)
-        disc = (d + 1) * (p * p - d * q)
-        if disc < 0:
-            if disc > -1e-9 * (p * p + abs(q) + 1.0):
-                disc = 0.0
-            else:
-                return []
-        root = math.sqrt(disc)
+    root = math.sqrt(disc)
     out = []
     for s in ((p - root) / d, (p + root) / d):
         if s >= -1e-12:
@@ -399,16 +388,16 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     a2 = as_fraction(edge_sq)
     if a2 <= 0:
         raise ValueError("squared edge length must be positive")
-    if float(a2) < sys.float_info.min:
+    a2_float = edge_sq_float(a2)
+    if a2_float < sys.float_info.min:
         raise ValueError("edge_sq is below the normal float range: its float edge cannot carry the draws")
-    edge = math.sqrt(float(a2))
-    unit = Fraction(1)  # once: complete_distance_tuple would convert an int 1 per trial
+    edge = math.sqrt(a2_float)
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
     rows = []
     for i in range(trials):
         units = [10.0 ** (-1.0 + 2.0 * u) for u in _unit_floats(f"{seed}|probe|{i}", d)]
         first = [edge * u for u in units]
-        roots = [edge * r for r in complete_distance_tuple(d, unit, units)]
+        roots = [edge * r for r in complete_distance_tuple(d, 1.0, units)]
         verdicts = [{"t_last": t_last, "status": "feasible"} for t_last in roots]
         counts["feasible"] += len(roots)
         if not roots:

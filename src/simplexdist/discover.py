@@ -579,15 +579,20 @@ def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
 
     Each float is the squared distance ``p*N_j / (2*q*T^2)`` divided as
     Python ints, which rounds correctly, so it equals ``float(Fraction)``
-    bit for bit.
+    bit for bit; one beyond the float range raises ``ValueError``.
     """
     simplex = EmbeddedSimplex(d, edge_sq)
     p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
     config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
-    return np.array([
-        [p * n / (2 * q * den * den) for n in _distance_numerators(nums, den)]
-        for nums, den in _weight_draws(d + 1, config, _segment_branch if d == 1 else None)
-    ])
+    try:
+        return np.array([
+            [p * n / (2 * q * den * den) for n in _distance_numerators(nums, den)]
+            for nums, den in _weight_draws(d + 1, config, _segment_branch if d == 1 else None)
+        ])
+    except OverflowError:
+        raise ValueError(
+            "edge_sq is out of float range: a squared distance of the samples is too large for a float"
+        ) from None
 
 
 def _discovery_run(

@@ -6,9 +6,9 @@ Two representations cover every need of the toolkit:
   vertex ``j`` sits at ``(a/sqrt(2)) * e_j`` in (d+1)-space, so for any
   rational barycentric weight vector every squared distance is rational and
   can be handed to exact polynomial code with zero tolerance.
-* :class:`CartesianSimplex` holds floating vertices in d-space, built
-  deterministically (first vertex at the origin, vertex k supported on the
-  first k-1 coordinates), for everything that genuinely needs coordinates.
+* :class:`CartesianSimplex` holds floating vertices in d-space, in closed
+  form (first vertex at the origin, vertex k supported on the first k
+  coordinates), for everything that genuinely needs coordinates.
 
 All sampling is reproducible: the randomness of sample ``k`` is derived
 from ``(seed, k)`` alone, so runs are identical regardless of batching.
@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .rationals import as_fraction, frac_str
+from .rationals import as_fraction, edge_sq_float, frac_str
 
 # weight numerators are drawn on this 1/64 grid before renormalisation
 _WEIGHT_GRID = 64
@@ -168,14 +168,6 @@ class EmbeddedSimplex:
             raise ValueError(f"squared edge length must be positive, got {a2}")
         object.__setattr__(self, "edge_sq", a2)
 
-    def vertex(self, index: int) -> BarycentricPoint:
-        """Vertex ``index`` (0-based) as a barycentric point."""
-        if not 0 <= index <= self.dim:
-            raise ValueError(f"vertex index {index} out of range")
-        return BarycentricPoint(
-            tuple(Fraction(1 if i == index else 0) for i in range(self.dim + 1))
-        )
-
     @property
     def circumradius_sq(self) -> Fraction:
         return self.edge_sq * self.dim / (2 * (self.dim + 1))
@@ -198,9 +190,21 @@ class EmbeddedSimplex:
 class CartesianSimplex:
     """Regular d-simplex with explicit floating vertices in d-space.
 
-    Construction is deterministic: vertex 0 at the origin, and vertex k
-    supported on the first k coordinates with a positive last entry.  All
-    pairwise distances equal the edge length to within 1e-12 relative.
+    Vertex 0 sits at the origin and vertex k (k >= 1) at
+    ``(h_1/2, h_2/3, ..., h_{k-1}/k, h_k, 0, ..., 0)`` with
+    ``h_k = a*sqrt((k+1)/(2k))`` (Coxeter, *Regular Polytopes*, 1948).
+
+    Proof, by induction on k: the face of vertices 0..k-1 is regular with
+    edge a, lies in the first k-1 coordinates, has its centroid ``c_k`` at
+    coordinate i equal to ``h_{i+1}/(i+2)`` (0-based, i < k-1) and
+    circumradius ``R_k = a*sqrt((k-1)/(2k))``; for k = 1 the face is the
+    origin.  Vertex k is ``c_k + h_k*e_{k-1}``, and ``e_{k-1}`` is
+    orthogonal to the face, so its squared distance to each vertex of the
+    face is ``R_k^2 + h_k^2 = a^2``.  The next centroid is
+    ``(k*c_k + v_k)/(k+1) = c_k + (h_k/(k+1))*e_{k-1}``, which adds the
+    coordinate ``h_k/(k+1)``, and its distance to v_k is ``h_k*k/(k+1)``,
+    whose square ``a^2*k/(2(k+1))`` is ``R_{k+1}^2``.  Every ``h_k`` is
+    positive, so the vertices affinely span d-space.
     """
 
     __slots__ = ("dim", "edge", "vertices")
@@ -215,33 +219,15 @@ class CartesianSimplex:
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
         edge = float(edge)
-        if not edge > 0:
-            raise ValueError(f"edge length must be positive, got {edge}")
+        if not 0 < edge < math.inf:
+            raise ValueError(f"edge length must be {'finite' if edge > 0 else 'positive'}, got {edge}")
+        k = np.arange(1, dim + 1)
+        h = edge * np.sqrt((k + 1) / (2 * k))
         v = np.zeros((dim + 1, dim))
-        half_sq = edge * edge / 2.0
-        for k in range(1, dim + 1):
-            y = np.zeros(dim)
-            # every earlier vertex lies at distance `edge` from the origin,
-            # so the linear system is v_i . y = a^2/2, triangular in y
-            for i in range(1, k):
-                y[i - 1] = (half_sq - float(np.dot(v[i, : i - 1], y[: i - 1]))) / v[i, i - 1]
-            rest = edge * edge - float(np.dot(y[: k - 1], y[: k - 1]))
-            if rest <= 0:
-                raise RuntimeError("simplex construction lost positivity")
-            y[k - 1] = math.sqrt(rest)
-            v[k] = y
-        simplex = cls(dim, edge, v)
-        simplex._check()
-        return simplex
-
-    def _check(self) -> None:
-        d = np.linalg.norm(self.vertices[:, None, :] - self.vertices[None, :, :], axis=2)
-        off = d[np.triu_indices(self.dim + 1, k=1)]
-        if not np.allclose(off, self.edge, rtol=1e-12, atol=0):
-            raise RuntimeError("vertex distances drifted from the edge length")
-        gram = (self.vertices[1:] - self.vertices[0]) @ (self.vertices[1:] - self.vertices[0]).T
-        if np.linalg.matrix_rank(gram) != self.dim:
-            raise RuntimeError("vertices are not affinely independent")
+        # vertex k: the coordinates h_{i+1}/(i+2) of the centroid c_k, then h_k
+        v[1:] = np.tril(np.broadcast_to(h / (k + 1), (dim, dim)), -1)
+        v[k, k - 1] = h
+        return cls(dim, edge, v)
 
     def distances(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float)
@@ -357,7 +343,7 @@ def sample_circumsphere(simplex: EmbeddedSimplex, config: SampleConfig) -> np.nd
             if norm > 1e-9:
                 break
         rows.append([x / norm for x in u])
-    a = math.sqrt(float(simplex.edge_sq))
+    a = math.sqrt(edge_sq_float(simplex.edge_sq))
     return a * np.sqrt(np.maximum(d / n - math.sqrt(d / n) * np.array(rows), 0.0))
 
 

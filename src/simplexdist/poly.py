@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .rationals import as_fraction, frac_str
 
@@ -112,9 +112,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(e[var] for e in self.terms)
-
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lex order, leading (largest) term first."""
@@ -225,37 +222,6 @@ class MultiPoly:
                     term *= x**k
             total += term
         return total
-
-    def specialize(self, var: int, value) -> "MultiPoly":
-        """Substitute a rational for one variable, dropping it from the arity."""
-        if not 0 <= var < self.arity:
-            raise ValueError(f"variable index {var} out of range")
-        if self.arity == 1:
-            raise ValueError("cannot specialize the last remaining variable; use eval")
-        v = as_fraction(value)
-        res: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            coeff = c * v ** e[var]
-            new_e = e[:var] + e[var + 1 :]
-            new = res.get(new_e, _ZERO) + coeff
-            if new:
-                res[new_e] = new
-            else:
-                res.pop(new_e, None)
-        return MultiPoly(self.arity - 1, res)
-
-    def permuted(self, perm: Sequence[int]) -> "MultiPoly":
-        """Rename variables: variable ``i`` becomes variable ``perm[i]``."""
-        p = tuple(perm)
-        if sorted(p) != list(range(self.arity)):
-            raise ValueError(f"{p} is not a permutation of range({self.arity})")
-        res = {}
-        for e, c in self.terms.items():
-            new_e = [0] * self.arity
-            for i, k in enumerate(e):
-                new_e[p[i]] = k
-            res[tuple(new_e)] = c
-        return MultiPoly(self.arity, res)
 
     # -- display -----------------------------------------------------------
 
@@ -516,18 +482,12 @@ def verify_circumsphere_identity(d: int, edge_sq) -> bool:
 # -- JSON wire format ---------------------------------------------------------
 
 
-def default_var_names(arity: int) -> list[str]:
-    return [f"T{i + 1}" for i in range(arity)]
-
-
-def poly_to_dict(p: MultiPoly, var_names: Iterable[str] | None = None) -> dict:
-    """Serialize to the toolkit's polynomial JSON: graded-lex terms, leading
-    first, coefficients as lowest-term ``"p/q"`` strings."""
-    names = list(var_names) if var_names is not None else default_var_names(p.arity)
-    if len(names) != p.arity:
-        raise ValueError(f"{len(names)} variable names for arity {p.arity}")
+def poly_to_dict(p: MultiPoly) -> dict:
+    """Serialize to the toolkit's polynomial JSON: variables ``T1, T2, ...``,
+    graded-lex terms, leading first, coefficients as lowest-term ``"p/q"``
+    strings."""
     return {
-        "vars": names,
+        "vars": [f"T{i + 1}" for i in range(p.arity)],
         "terms": [
             {"coeff": frac_str(c), "exps": list(e)} for e, c in p.sorted_terms()
         ],

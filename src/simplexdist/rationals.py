@@ -37,6 +37,15 @@ def frac_str(value: Fraction) -> str:
     return str(value)
 
 
+def edge_sq_float(value: Fraction) -> float:
+    """A squared edge length rounded to a float; one beyond the float range
+    raises ``ValueError`` saying so."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("edge_sq is out of float range: it is too large for a float") from None
+
+
 def rational_sqrt(value) -> Fraction | None:
     """Exact square root of a non-negative rational, or None if irrational."""
     f = as_fraction(value)

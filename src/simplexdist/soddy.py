@@ -99,9 +99,6 @@ class TangentConfig:
         if worst > _TANGENCY_TOL:
             raise ValueError(f"configuration is not mutually tangent (residual {worst:.3e})")
 
-    def curvatures(self) -> list[float]:
-        return [s.curvature for s in self.spheres]
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

@@ -695,15 +695,22 @@ def test_help_exits_zero(capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "2"],
-    ["sphere", "--d", "2"],
-    ["probe63", "--d", "2", "--count", "5"],
-    ["reconstruct", "--d", "2", "--t", "1,1,1"],
+    ["discover", "--d", "2", "--edge-sq", "1e400"],
+    ["sphere", "--d", "2", "--edge-sq", "1e400"],
+    ["probe63", "--d", "2", "--count", "5", "--edge-sq", "1e400"],
+    ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e400"],
+    # the exact edge is valid, but its float, or a sample's squared
+    # distance, overflows just past the float range
+    ["discover", "--d", "2", "--edge-sq", "1e308"],
+    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e310"],
+    ["sphere", "--d", "3", "--edge-sq", "1e309"],
+    ["probe63", "--edge-sq", "1e309"],
+    ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e309"],
 ])
 def test_edge_sq_too_large_for_a_float_is_bad_configuration(tmp_path, capsys, argv):
-    code, doc = run(tmp_path, *argv, "--edge-sq", "1e400")
+    code, doc = run(tmp_path, *argv)
     assert code == 2 and doc is None
-    assert "error: integer division result too large for a float" in capsys.readouterr().err
+    assert "error: edge_sq is out of float range" in capsys.readouterr().err
 
 
 def test_verify_stays_exact_for_a_huge_edge(tmp_path):

@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_vertex_pairwise_squared_distance_is_edge_sq():
     for d, a2 in [(2, Fraction(1)), (5, Fraction(4, 9))]:
         s = EmbeddedSimplex(d, a2)
         for i in range(d + 1):
-            sq = s.squared_distances(s.vertex(i))
+            sq = s.squared_distances(bp(*(1 if j == i else 0 for j in range(d + 1))))
             for j in range(d + 1):
                 assert sq[j] == (0 if i == j else a2)
 
@@ -114,19 +115,34 @@ def test_cartesian_segment():
     assert np.allclose(s.vertices, [[0.0], [2.0]])
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", [*range(1, 9), 64, 200])
 def test_cartesian_edges_equal(d):
-    s = CartesianSimplex.build(d, 1.25)
-    dists = np.linalg.norm(s.vertices[:, None, :] - s.vertices[None, :, :], axis=2)
-    off = dists[np.triu_indices(d + 1, k=1)]
+    # |v_i - v_j|^2 from the Gram matrix, without a (d+1)^2 * d array
+    v = CartesianSimplex.build(d, 1.25).vertices
+    gram = v @ v.T
+    sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2.0 * gram
+    off = np.sqrt(sq[np.triu_indices(d + 1, k=1)])
     assert np.allclose(off, 1.25, rtol=1e-12, atol=0)
 
 
 def test_cartesian_rejects_bad_input():
     with pytest.raises(ValueError):
         CartesianSimplex.build(0, 1.0)
-    with pytest.raises(ValueError):
-        CartesianSimplex.build(2, 0.0)
+    for edge in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CartesianSimplex.build(2, edge)
+
+
+def test_cartesian_build_needs_no_quadratic_work_array():
+    # the closed form allocates O(d^2) floats: 200 dimensions take well
+    # under a MiB, where a (d+1)^2 * d array of differences takes 62
+    tracemalloc.start()
+    try:
+        CartesianSimplex.build(200, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_distances_at_vertex():
