@@ -1,10 +1,11 @@
 """Rediscovering the quartic relation from raw samples.
 
 The pipeline knows nothing about the identity: it evaluates every monomial
-up to a degree bound at sampled distance tuples, finds the numeric
-nullspace, reconstructs rational coefficients, and only then certifies by
-exact division.  At degree 4 exactly one polynomial comes out, and it is
-the quartic relation itself.
+up to a degree bound at sampled distance tuples, modulo a prime, finds the
+nullspace by exact elimination, reconstructs rational coefficients, and only
+then certifies by exact division.  A run is complete when it certifies the
+whole nullspace, which proves that nothing else vanishes.  At degree 4
+exactly one polynomial comes out, and it is the quartic relation itself.
 """
 
 from simplexdist import discover_vanishing, distance_relation, proportional
@@ -12,7 +13,8 @@ from simplexdist import discover_vanishing, distance_relation, proportional
 for degree in (3, 4, 5):
     report = discover_vanishing(d=2, edge_sq=1, max_degree=degree, seed=1)
     ns = report.nullspace
-    print(f"degree {degree}: nullspace dimension {ns.null_dim}, spectral gap {ns.gap:.2e}")
+    print(f"degree {degree}: nullspace dimension {ns.null_dim}, complete {ns.complete}, "
+          f"{len(ns.primes)} prime(s)")
     for candidate in report.candidates:
         print(f"  [{candidate.certificate}] {candidate.poly}")
     print()

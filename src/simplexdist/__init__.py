@@ -23,6 +23,7 @@ from .discover import (
     CERT_UNCERTIFIED,
     CertifiedCandidate,
     DiscoveryReport,
+    ExactNullspace,
     IndependenceReport,
     MonomialBasis,
     NullspaceReport,

@@ -7,7 +7,8 @@ pretty-prints it.  With ``--out`` the JSON goes to the file and a short
 human summary to stdout; without it the JSON document itself is printed.
 Exit codes: 0 success, 1 a ``verify``, ``discover`` or ``sphere`` run that
 completed but failed its own check (a nonzero residual, an uncertified
-candidate, an inconclusive spectral gap), 2 bad configuration.
+candidate, an inconclusive spectral gap, a ``discover`` run at d >= 2 that
+is not ``complete``), 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -140,9 +141,13 @@ def cmd_discover(args) -> int:
     doc = report.to_json()
     summary = []
     if args.out:  # only a report written to a file prints the summary
+        ns = report.nullspace
+        if isinstance(ns, discover.ExactNullspace):
+            verdict = f"{'complete' if ns.complete else 'incomplete'} after {len(ns.primes)} prime(s)"
+        else:
+            verdict = f"gap {ns.gap:.3e}"
         summary = [
-            f"discover: null dimension {report.nullspace.null_dim} at degree {args.max_degree}, "
-            f"gap {report.nullspace.gap:.3e}",
+            f"discover: null dimension {ns.null_dim} at degree {args.max_degree}, {verdict}",
         ] + [f"  candidate ({c.certificate}): {c.poly}" for c in report.candidates]
     _emit(args, "discover", doc["config"], doc, summary)
     return EXIT_OK if report.all_certified and not report.inconclusive else EXIT_FAIL
@@ -191,7 +196,10 @@ def cmd_reconstruct(args) -> int:
     a2 = as_fraction(args.edge_sq)
     if a2 <= 0:
         raise ValueError(f"squared edge length must be positive, got {frac_str(a2)}")
-    edge = math.sqrt(edge_sq_float(a2))
+    a2_float = edge_sq_float(a2)
+    if a2_float == 0.0:
+        raise ValueError("edge_sq is below the normal float range: it rounds to 0 as a float")
+    edge = math.sqrt(a2_float)
     simplex = geom.CartesianSimplex.build(args.d, edge)
     result = cmgeom.reconstruct_point(simplex, args.t)
     cfg = {"d": args.d, "edge_sq": frac_str(a2), "t": args.t, "tol": cmgeom._RECONSTRUCT_TOL * edge**2}

@@ -1,79 +1,84 @@
 """Discovery of vanishing polynomials of the distance map from samples.
 
-The pipeline is numeric-then-exact: the evaluation matrix is floating,
-and rigor is restored afterwards by exact certification:
+Every run evaluates a degree-bounded monomial basis at sampled points (rows:
+samples, columns: basis elements), finds the polynomials that vanish on
+the samples, and certifies each exactly, with one certificate per ideal:
+exact division by the generator of the vanishing ideal (the quartic
+relation for d >= 2, the segment cubic for d = 1) in ``discover_vanishing``,
+and membership in the ideal of the circumsphere quadratic and the quartic
+(``_in_sphere_ideal``) in ``discover_on_sphere``.
 
-1. evaluate a degree-bounded polynomial basis at many sampled values
-   (rows: samples, columns: basis elements): the squared distances s of
-   the exact box-3/2 samples of ``sample_points``, each rounded once from
-   its integer form, or for sphere runs and d = 1 the distances t (the
-   d = 1 samples spread evenly over the three branches of the segment, the
-   sphere ones taken from weights on the circumsphere, not coordinates),
-2. take the numeric nullspace of the column-equilibrated matrix by SVD,
-   at each column prefix the run needs (see below), recording the full
-   singular spectrum and the gap at the cut,
-3. map the nullspace basis back to monomial coefficients and bring it to
-   reduced row echelon form, so each basis vector approximates a canonical
-   rational one, then reconstruct exact rational coefficients by continued
-   fractions,
-4. certify each candidate exactly, with one certificate per ideal: exact
-   division by the generator of the vanishing ideal (the quartic relation
-   for d >= 2, the segment cubic for d = 1) in ``discover_vanishing``, and
-   membership in the ideal of the circumsphere quadratic and the quartic
-   (``_in_sphere_ideal``) in ``discover_on_sphere``.  Most sphere
-   candidates are not members, so a screen refutes them first without
-   any division (``_sphere_screen``): a member's image modulo the prime
-   ``q = 2^61 - 1`` vanishes on the circumsphere variety over the field of
-   q elements, so a nonzero value at one of eight points of it, drawn from
-   fixed digests, proves non-membership.  This is sound when q is a unit
-   for ``a^2``, for the constant leads of the two divisors and for every
-   denominator of the candidate, since then the exact normal form reduces
-   modulo q step by step; otherwise, and for every candidate that the
-   screen does not refute, the exact division decides.
+**d >= 2: exact, modulo primes.**  The quartic has only even powers of the
+distances, so it is a quadric ``R(s)`` in ``s = t^2``.  Its ideal is
+invariant under every flip ``t_j -> -t_j``, so it is the direct sum of its
+parts in each exponent-parity class e, whose members are ``t^e * q(t^2)``;
+degree D allows only the classes with at most D odd exponents, not all
+``2^(d+1)`` of them.  Away from zero distances such a member vanishes where
+q vanishes at the squares, so the class-e part of the vanishing space is
+``t^e`` times the vanishing space of degree ``(D - |e|) // 2`` in s, the
+nullspace of a column prefix of one matrix in s of degree ``D // 2``.
+
+The quartic is homogeneous in ``(a, t)``, so ``R_{a^2}(s) = a^4 *
+R_1(s/a^2)``, and the run works in ``u = s/a^2``: an exact sample has
+``u_j = N_j / (2*T^2)`` with integers ``N_j`` and T, whatever the edge.  The
+run reduces the matrix in u modulo a word prime P (``simplexdist.modular``)
+and eliminates it once; the nullspace of the prefix of degree k is spanned
+by the null vectors of the free columns below ``C(k + n, n)``, and each
+prefix's nullspace is brought to its leftmost-pivot echelon form modulo P.
+Rational reconstruction lifts each row, and exact division by ``R_1(u)``
+certifies it.  Rows that fail either step call for another prime, joined by
+CRT, up to ``_MAX_PRIMES``.  A certified row ``g(u)`` gives ``g(s/a^2)``,
+divisible by ``R_{a^2}(s)``; scaled so that its pivot is 1 it is a row of
+the reduced echelon form in s, which is unique.  Classes have disjoint
+columns and ``f -> e + 2f`` keeps the graded order, so the lifted rows
+sorted by pivot are the reduced echelon form of the whole space.
+
+The report proves completeness: a prefix with ``c`` certified rows out of a
+nullspace of dimension ``corank_P`` modulo P satisfies ``c <= dim V <=
+corank_Q <= corank_P``, where V is its vanishing space and ``corank_Q`` the
+dimension of the nullspace over the rationals, so ``c = corank_P`` on every
+prefix means that the candidates span the whole vanishing space.
+
+**d = 1 and the circumsphere: numeric, then exact.**  These runs stay in t:
+the segment cubic and the Pompeiu cubic on the circumsphere mix parities,
+so their ideals do not split.  They evaluate the degree-D basis at the
+distances t (the d = 1 samples spread evenly over the three branches of the
+segment, the sphere ones taken from weights on the circumsphere), take the
+numeric nullspace of the column-equilibrated matrix by SVD, recording the
+full singular spectrum and the gap at the cut, map the nullspace basis back
+to monomial coefficients, bring it to reduced row echelon form, and
+reconstruct exact rational coefficients by continued fractions.
 
 Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
-Hilbert-like), so internally the pipeline evaluates Chebyshev products in
-the variables scaled from ``[0, max]`` to ``[-1, 1]``, which span the same
+Hilbert-like), so internally these runs evaluate Chebyshev products in the
+variables scaled from ``[0, max]`` to ``[-1, 1]``, which span the same
 polynomial space; the basis change back to monomial coordinates happens
-before any rationalization, leaving the exact side untouched.  It divides
-by powers of the scale up to the degree, so a run whose scale has such a
-power outside the normal floats is bad configuration.  Candidates
-that fail certification are reported as uncertified, never silently
-dropped; a singular-value gap under 10 marks the whole run inconclusive
-rather than pretending to a clean answer.
+before any rationalization.  It divides by powers of the scale up to the
+degree, so a run whose scale has such a power outside the normal floats is
+bad configuration.  A singular-value gap under 10 marks the run
+inconclusive.  The basis is graded, so its degree <= k part is its first
+``C(k + n, n)`` monomials; each Chebyshev column depends only on its
+exponent and on the scale, and each column is normalised on its own, so
+those first columns of the equilibrated degree-D matrix are exactly the
+degree-k one.  Sphere runs read the null dimension at every degree below D
+from these prefixes.
 
-The basis is graded, so its degree <= k part is its first ``C(k + n, n)``
-monomials; each Chebyshev column depends only on its exponent and on the
-scale, and each column is normalised on its own, so those first columns of
-the equilibrated degree-D matrix are exactly the degree-k one.  Sphere
-runs read the null dimension at every degree below D from these prefixes.
+Most sphere candidates are not members, so a screen refutes them first
+without any division (``_sphere_screen``): a member's image modulo the
+prime ``q = 2^61 - 1`` vanishes on the circumsphere variety over the field
+of q elements, so a nonzero value at one of eight points of it, drawn from
+fixed digests, proves non-membership.  This is sound when q is a unit for
+``a^2``, for the constant leads of the two divisors and for every
+denominator of the candidate, since then the exact normal form reduces
+modulo q step by step; otherwise, and for every candidate that the screen
+does not refute, the exact division decides.
 
-The quartic has only even powers of the distances, so for d >= 2 it is a
-quadric ``R(s)`` in ``s = t^2``.  Its ideal is invariant under every flip
-``t_j -> -t_j``, so it is the direct sum of its parts in each
-exponent-parity class e, whose members are ``t^e * q(t^2)``; degree D
-allows only the classes with at most D odd exponents, not all ``2^(d+1)``
-of them.  Away from zero distances such a member
-vanishes where q vanishes at the squares.  So these runs evaluate one
-matrix in s of degree ``D // 2``, at values that need no square root: an
-exact sample has ``s_j = a^2 * N_j / (2*T^2)`` with integers ``N_j`` and
-``T``.  The class-e part of the vanishing space is ``t^e`` times the
-nullspace of its prefix of degree ``(D - |e|) // 2``.  Each vector q of a
-prefix nullspace is rationalized and certified once, by dividing by
-``R(s)``: from ``q = R*g + r`` with r of degree <= 1 in the last s,
-``t^e * r(t^2)``, of degree <= 3 < 4 in the last t, is the remainder of
-``t^e * q(t^2)`` by ``R(t^2)``.  Classes have disjoint columns and
-``f -> e + 2f`` keeps the graded order, so the lifted rows sorted by pivot
-are the RREF of the whole space.  The reported spectrum is the descending
-union over the classes of their prefix spectra, the null dimension their
-sum and the gap the least over the prefixes.  Sphere runs and d = 1 stay in
-t: the Pompeiu cubic on the circumsphere and the segment cubic mix
-parities, so their ideals do not split.
+In every run, candidates that fail certification are reported as
+uncertified, never silently dropped.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -90,6 +95,15 @@ from .geom import (
     _distance_numerators,
     _weight_draws,
     sample_circumsphere,
+)
+from .modular import (
+    ResidueImage,
+    _residues,
+    _sqrt_mod,
+    nullspace_mod,
+    rational_reconstruction,
+    rref_mod,
+    word_primes,
 )
 # bound but not called: bench/tracing.py patches a hooked function in every
 # module that binds it, and bench/test_bench.py checks this binding
@@ -137,16 +151,18 @@ def enumerate_monomials(arity: int, max_degree: int) -> MonomialBasis:
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a non-negative integer")
 
-    def gen(nvars: int, budget: int):
-        if nvars == 1:
-            for e in range(budget + 1):
-                yield (e,)
-            return
-        for e in range(budget + 1):
-            for rest in gen(nvars - 1, budget - e):
-                yield (e, *rest)
+    graded: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    exps = sorted(gen(arity, max_degree), key=lambda e: (sum(e), e))
+    def of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+        """The exponent vectors of nvars variables and total degree exactly
+        ``degree``, lexicographically ascending."""
+        if (nvars, degree) not in graded:
+            graded[nvars, degree] = [(degree,)] if nvars == 1 else [
+                (e, *rest) for e in range(degree + 1) for rest in of_degree(nvars - 1, degree - e)
+            ]
+        return graded[nvars, degree]
+
+    exps = [e for k in range(max_degree + 1) for e in of_degree(arity, k)]
     assert len(exps) == math.comb(max_degree + arity, arity)
     return MonomialBasis(arity, max_degree, tuple(exps))
 
@@ -158,10 +174,8 @@ class NullspaceReport:
     ``gap`` measures how decisively the spectrum separates at the cut:
     smallest kept singular value over largest discarded one when the
     nullspace is non-trivial, and smallest singular value over the absolute
-    threshold when it is empty.  A run's nullspace, merged over the column
-    prefixes it takes, reports the smallest prefix gap and has no
-    ``null_basis``.
-    ``inconclusive`` flags gaps under 10.
+    threshold when it is empty.  The nullspace in a run's report keeps no
+    ``null_basis``.  ``inconclusive`` flags gaps under 10.
     """
 
     singular_values: tuple[float, ...]
@@ -401,14 +415,6 @@ def _null_polys(
     return [_poly_from_coeffs(basis, rationalize(row, _MAX_DENOMINATOR)) for row in rows]
 
 
-def _lift(q: MultiPoly, parity: tuple[int, ...], power: int) -> MultiPoly:
-    """``t^parity * q(t^power)``; at power 1 the only class is 0 and this is q."""
-    if power == 1:
-        return q
-    terms = {tuple(e + power * f for e, f in zip(parity, fs)): c for fs, c in q.terms.items()}
-    return MultiPoly(q.arity, terms)
-
-
 def _relation_mod_quadratic(relation: MultiPoly, quadratic: MultiPoly) -> MultiPoly:
     """The quartic relation's image modulo the circumsphere quadratic, which
     has no ``T_last`` term (the relation is even in the last variable), as a
@@ -443,32 +449,6 @@ def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation_image: MultiPo
 _SCREEN_PRIME = 2**61 - 1
 _SCREEN_POINTS = 8
 _SCREEN_ATTEMPTS = 1024
-
-
-def _residues(coeffs: Sequence[Fraction], prime: int) -> list[int] | None:
-    """Each rational reduced modulo ``prime``, or None if a denominator is
-    divisible by it.  One modular inverse serves all of them: the inverse
-    of the product of the denominators, unwound from the back."""
-    prefix, product = [], 1
-    for c in coeffs:
-        prefix.append(product)
-        product = product * c.denominator % prime
-    if product == 0:
-        return None
-    inverse = pow(product, -1, prime)
-    out = [0] * len(prefix)
-    for i in range(len(prefix) - 1, -1, -1):
-        c = coeffs[i]
-        out[i] = c.numerator * inverse * prefix[i] % prime
-        inverse = inverse * c.denominator % prime
-    return out
-
-
-def _sqrt_mod(x: int, prime: int) -> int | None:
-    """A square root of x modulo a prime that is 3 mod 4, or None if x is
-    not a square."""
-    root = pow(x, (prime + 1) // 4, prime)
-    return root if root * root % prime == x else None
 
 
 def _sphere_points_mod(d: int, a2: Fraction, count: int) -> list[tuple[int, ...]]:
@@ -604,42 +584,24 @@ def _discovery_run(
     sample,
     sampling: str,
     certify,
-    in_squares: bool,
 ) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
-    """The steps all discovery runs share: check the degree, draw rows of
-    ``d + 1`` float values with ``sample(count)``, the squared distances s
-    if ``in_squares`` and the distances t otherwise (a set that is all 0 or
+    """The steps the runs in t share (d = 1 and the circumsphere): draw rows
+    of ``d + 1`` distances t with ``sample(count)`` (a set that is all 0 or
     not all finite is bad configuration: a float cannot carry the edge),
-    evaluate the equilibrated Chebyshev matrix of the degree ``D // 2``
-    basis in s if ``in_squares`` (else of the degree-D basis in t), and take
-    the nullspace of each column prefix that a parity class needs.  Each
-    RREF row becomes a polynomial q, labelled ``certify(q)`` once and lifted
-    to ``t^e * q(t^2)`` for every class e (see the module docstring).
+    evaluate the equilibrated Chebyshev matrix of the degree-D basis, and
+    take its nullspace.  Each RREF row becomes a polynomial labelled
+    ``certify(q)``.
 
     The run draws three samples per column of its matrix.  Sample k depends
     only on the seed and k, so a larger count draws a longer prefix of the
     same stream.
 
-    Returns the config block, the degree-D basis in t, the equilibrated
-    evaluation matrix, the nullspace and the candidates sorted by pivot.
+    Returns the config block, the degree-D basis, the equilibrated
+    evaluation matrix, the nullspace and the candidates in pivot order.
     """
-    if not isinstance(max_degree, int) or max_degree < 1:
-        raise ValueError("max_degree must be a positive integer")
-    arity = d + 1
-    basis = enumerate_monomials(arity, max_degree)
-    power = 2 if in_squares else 1
-    # the classes of exponents mod power that degree D allows, the zero class
-    # first: in s, the supports of at most D odd exponents; in t, only zero
-    supports = range(min(max_degree, arity) + 1) if in_squares else [0]
-    classes = [
-        tuple(int(i in odd) for i in range(arity))
-        for size in supports
-        for odd in itertools.combinations(range(arity), size)
-    ]
-    # the degree in t^power that each class allows
-    degrees = [(max_degree - sum(e)) // power for e in classes]
-    columns = enumerate_monomials(arity, degrees[0])
-    count = 3 * len(columns)
+    _check_degree(max_degree)
+    basis = enumerate_monomials(d + 1, max_degree)
+    count = 3 * len(basis)
     values = sample(count)
     if not np.all(np.isfinite(values)) or not np.any(values):
         raise ValueError(
@@ -647,36 +609,20 @@ def _discovery_run(
             "finite, so edge_sq is out of float range"
         )
     half = float(np.max(values)) / 2.0
-    matrix = _chebyshev_eval_matrix(values, columns, half)
+    matrix = _chebyshev_eval_matrix(values, basis, half)
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
     matrix /= norms
-    reports = _prefix_nullspaces(matrix, arity, sorted(set(degrees), reverse=True))
-    # the back-transform (_chebyshev_to_monomial) of the prefixes with null
-    # vectors divides by half**k for |k| up to back: keep each a normal float
-    back = max((k for k, r in reports.items() if r.null_dim), default=0)
-    if back * abs(math.log2(half)) > 1022:
+    report = numeric_nullspace(matrix, _THRESHOLD)
+    # the back-transform (_chebyshev_to_monomial) divides by half**k for k up
+    # to the degree: keep each a normal float
+    if report.null_dim and max_degree * abs(math.log2(half)) > 1022:
         raise ValueError(
             f"edge_sq is out of float range at max_degree {max_degree}: the back-transform to "
-            f"monomials needs the sample scale {half:.3g} to the powers +-{back} as normal floats"
+            f"monomials needs the sample scale {half:.3g} to the powers +-{max_degree} as normal floats"
         )
-    found = {
-        k: [(q, certify(q)) for q in _null_polys(report, columns, norms, half)]
-        for k, report in reports.items()
-    }
-    per_class = [reports[k] for k in degrees]
-    nullspace = NullspaceReport(
-        tuple(sorted((x for r in per_class for x in r.singular_values), reverse=True)),
-        sum(r.null_dim for r in per_class),
-        None,
-        min(r.gap for r in reports.values()),
-        _THRESHOLD,
-    )
-    lifted = (
-        [CertifiedCandidate(_lift(q, e, power), c) for q, c in found[k]] for e, k in zip(classes, degrees)
-    )
-    # an RREF row's pivot is its lowest monomial in the graded order
-    candidates = list(heapq.merge(*lifted, key=lambda c: min((sum(e), e) for e in c.poly.terms)))
+    candidates = [CertifiedCandidate(q, certify(q)) for q in _null_polys(report, basis, norms, half)]
+    nullspace = NullspaceReport(report.singular_values, report.null_dim, None, report.gap, _THRESHOLD)
     config = {
         "operation": operation,
         "d": d,
@@ -686,12 +632,240 @@ def _discovery_run(
         "seed": seed,
         "threshold": _THRESHOLD,
         "max_denominator": _MAX_DENOMINATOR,
-        "matrix_basis": (
-            "chebyshev-equilibrated(squared-distances)" if in_squares else "chebyshev-equilibrated"
-        ),
+        "matrix_basis": "chebyshev-equilibrated",
         "sampling": sampling,
     }
     return config, basis, matrix, nullspace, candidates
+
+
+def _check_degree(max_degree) -> None:
+    if not isinstance(max_degree, int) or max_degree < 1:
+        raise ValueError("max_degree must be a positive integer")
+
+
+# samples beyond the columns of the matrix in u: the rational rank of the
+# square part is full for almost every draw, and the extra rows spare a run
+# from the draws where it is not
+_EXTRA_SAMPLES = 8
+# primes a run tries before it reports itself incomplete
+_MAX_PRIMES = 16
+_SQUARES_BASIS = "monomial-mod-p(s/edge_sq)"
+
+
+@dataclass(frozen=True)
+class ExactNullspace:
+    """The vanishing space of a run in the squared distances, by prefix
+    degree k of its matrix in ``u = s/a^2``: ``corank[k]`` is the dimension
+    of the nullspace of the prefix modulo the ``primes`` used, and
+    ``ideal_dim[k]`` the number of its echelon rows certified in the ideal.
+    ``null_dim`` is the dimension in t, the corank summed over the parity
+    classes.  The run is ``complete`` when every prefix certifies its whole
+    corank, which proves that the candidates span the vanishing space (see
+    the module docstring); ``inconclusive`` is its negation, the flag every
+    discovery report carries."""
+
+    null_dim: int
+    corank: dict[int, int]
+    ideal_dim: dict[int, int]
+    primes: tuple[int, ...]
+
+    @property
+    def complete(self) -> bool:
+        return self.ideal_dim == self.corank
+
+    @property
+    def inconclusive(self) -> bool:
+        return not self.complete
+
+    def to_json(self) -> dict:
+        return {
+            "null_dim": self.null_dim,
+            "corank": {str(k): v for k, v in self.corank.items()},
+            "ideal_dim": {str(k): v for k, v in self.ideal_dim.items()},
+            "primes": list(self.primes),
+            "complete": self.complete,
+            "inconclusive": self.inconclusive,
+        }
+
+
+def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int], prime: int) -> dict:
+    """For each prefix degree k of ``widths``, the leftmost-pivot echelon
+    form modulo ``prime`` of the nullspace of the first ``widths[k]``
+    columns of the matrix of the monomials ``exponents`` at the points
+    ``u_j = numerators[j] / scales`` (one row per sample): its pivots and
+    its rows as int residues."""
+    u = np.array(
+        [[x * pow(s, -1, prime) % prime for x in row] for row, s in zip(numerators, scales)],
+        dtype=np.int64,
+    )
+    top = int(exponents.max())
+    powers = np.ones((*u.shape, top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        powers[:, :, k] = powers[:, :, k - 1] * u % prime
+    matrix = np.ones((u.shape[0], len(exponents)), dtype=np.int64)
+    for var in range(u.shape[1]):
+        matrix = matrix * powers[:, var, exponents[:, var]] % prime
+    rref, pivots = rref_mod(matrix, prime)
+    forms = {}
+    for k, width in widths.items():
+        rows, null_pivots = rref_mod(nullspace_mod(rref, pivots, width, prime), prime)
+        forms[k] = (null_pivots, rows.tolist())
+    return forms
+
+
+def _reconstruct(row: Sequence[int], modulus: int) -> dict[int, Fraction] | None:
+    """The nonzero entries, by column, of the rational row whose residues
+    modulo ``modulus`` are ``row``, or None if an entry has no rational
+    reconstruction.  The entries of a row share few denominators, so each
+    first tries the last one found: if ``x*den`` modulo ``modulus`` lies
+    within the bound B of ``rational_reconstruction``, it is the numerator,
+    since two fractions with terms up to B that agree modulo ``modulus`` are
+    equal (``2*B^2 < modulus``)."""
+    bound = math.isqrt(modulus // 2)
+    entries, den = {}, 1
+    for j, x in enumerate(row):
+        if not x:
+            continue
+        y = x * den % modulus
+        if y > bound:
+            y -= modulus
+        if y >= -bound:
+            entries[j] = Fraction(y, den)
+            continue
+        c = rational_reconstruction(x, modulus)
+        if c is None:
+            return None
+        entries[j], den = c, c.denominator
+    return entries
+
+
+def _divisible(entries: dict[int, Fraction], codes: Sequence[int], rest, lead: int, high: int) -> bool:
+    """Whether the polynomial with ``entries`` on the monomials of packed
+    exponents ``codes`` is a multiple of ``lead * x^2 + rest``, where x, the
+    last variable, has the weight ``high`` in a packed exponent and ``rest``
+    lists the packed exponents and integer coefficients of the other terms,
+    none of degree 2 in x.
+
+    Integer pseudo-division: scaled by its common denominator and by
+    ``lead^(m - 1)``, with m its degree in x, the polynomial has an integer
+    quotient and remainder, and every quotient term comes out exact.  No
+    term of ``rest`` reaches the level of x being cleared, so each level is
+    cleared in one pass."""
+    top = max(codes[j] // high for j in entries)
+    common = math.lcm(*(c.denominator for c in entries.values()))
+    scale = common * lead ** max(top - 1, 0)
+    remainder = {codes[j]: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+    for level in range(top, 1, -1):
+        for code in [code for code in remainder if code // high == level]:
+            quotient, inexact = divmod(remainder.pop(code), lead)
+            if inexact:
+                return False
+            shift = code - 2 * high
+            for rc, rv in rest:
+                key = shift + rc
+                value = remainder.get(key, 0) - quotient * rv
+                if value:
+                    remainder[key] = value
+                else:
+                    del remainder[key]
+    return not remainder
+
+
+def _discover_in_squares(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
+    """``discover_vanishing`` for d >= 2, exactly: see the module docstring."""
+    n = d + 1
+    basis = enumerate_monomials(n, max_degree)
+    # the supports of at most D odd exponents, and the degree in s of each
+    classes = [
+        tuple(int(i in odd) for i in range(n))
+        for size in range(min(max_degree, n) + 1)
+        for odd in itertools.combinations(range(n), size)
+    ]
+    degrees = [(max_degree - sum(e)) // 2 for e in classes]
+    top = degrees[0]
+    columns = enumerate_monomials(n, top).exponents
+    widths = {k: math.comb(k + n, n) for k in sorted(set(degrees))}
+    count = len(columns) + _EXTRA_SAMPLES
+    draws = list(_weight_draws(n, SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)))
+    numerators = [_distance_numerators(nums, den) for nums, den in draws]
+    scales = [2 * den * den for _, den in draws]
+    # R_1(u), the quartic at unit edge in the squares, with each exponent
+    # packed into one int, base top + 1 (no product in the prefixes has a
+    # larger exponent), the last variable most significant
+    base = top + 1
+    high = base ** (n - 1)
+
+    def pack(f):
+        return sum(x * base**i for i, x in enumerate(f))
+
+    codes = [pack(f) for f in columns]
+    relation = {pack(tuple(x // 2 for x in e)): int(c) for e, c in distance_relation(d, 1).terms.items()}
+    lead = relation.pop(2 * high)
+    rest = list(relation.items())
+    exponents = np.asarray(columns)
+
+    # a prime must be a unit for every 2*T^2; no word prime divides one
+    primes = (p for p in word_primes() if all(s % p for s in scales))
+    image = None
+    for prime in itertools.islice(primes, _MAX_PRIMES):
+        forms = _null_forms(numerators, scales, exponents, widths, prime)
+        if image is None:
+            image = ResidueImage(prime, (prime,), forms)
+        else:
+            joined = image.fold(prime, forms)
+            if joined is image:  # an unlucky prime
+                continue
+            image = joined
+        found = {}
+        for k, (pivots, residues) in image.forms.items():
+            found[k] = []
+            for pivot, row in zip(pivots, residues):
+                entries = _reconstruct(row, image.modulus)
+                certified = entries is not None and _divisible(entries, codes, rest, lead, high)
+                found[k].append((pivot, entries, certified))
+        if all(certified for prefix in found.values() for _, _, certified in prefix):
+            break
+
+    # the row g(u) of pivot f0 gives a^(2|f0|) * g(s/a^2), whose pivot is
+    # 1; a row with no rational reconstruction has nothing to report
+    inverse = [a2**-k for k in range(top + 1)]
+    in_s = {k: [] for k in found}
+    for k, prefix in found.items():
+        for pivot, entries, certified in prefix:
+            if entries is None:
+                continue
+            if a2 != 1:
+                shift = sum(columns[pivot])
+                entries = {j: c * inverse[sum(columns[j]) - shift] for j, c in entries.items()}
+            in_s[k].append((pivot, entries, certified))
+    doubled = [tuple(2 * x for x in f) for f in columns]
+    lifted = []
+    for e, k in zip(classes, degrees):
+        for pivot, entries, certified in in_s[k]:
+            terms = {tuple(map(operator.add, e, doubled[j])): c for j, c in entries.items()}
+            lead_exponent = tuple(map(operator.add, e, doubled[pivot]))
+            candidate = CertifiedCandidate(
+                MultiPoly._canonical(n, terms), CERT_DIVISIBLE if certified else CERT_UNCERTIFIED
+            )
+            lifted.append(((sum(lead_exponent), lead_exponent), candidate))
+    lifted.sort(key=lambda item: item[0])
+    nullspace = ExactNullspace(
+        null_dim=sum(len(image.forms[k][0]) for k in degrees),
+        corank={k: len(image.forms[k][0]) for k in widths},
+        ideal_dim={k: sum(certified for _, _, certified in found[k]) for k in widths},
+        primes=image.primes,
+    )
+    config = {
+        "operation": "discover",
+        "d": d,
+        "edge_sq": frac_str(a2),
+        "max_degree": max_degree,
+        "n_samples": count,
+        "seed": seed,
+        "matrix_basis": _SQUARES_BASIS,
+        "sampling": _DISCOVERY_SAMPLING,
+    }
+    return DiscoveryReport(config, basis, nullspace, [c for _, c in lifted])
 
 
 def discover_vanishing(
@@ -702,39 +876,31 @@ def discover_vanishing(
 ) -> DiscoveryReport:
     """Full discovery pipeline over the whole ambient space.
 
-    For d >= 2 certification divides by the quartic relation, in the
-    squared distances; in the segment case d = 1 the relation is not the
-    generator and division is by the cubic segment generator instead, which
-    requires the edge length (the exact square root of ``edge_sq``) to be
-    rational.
+    For d >= 2 the run is exact, in the squared distances, and
+    certification divides by the quartic relation; in the segment case
+    d = 1 the relation is not the generator and division is by the cubic
+    segment generator instead, which requires the edge length (the exact
+    square root of ``edge_sq``) to be rational.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
     a2 = as_fraction(edge_sq)
-    if d == 1:
-        edge = rational_sqrt(a2)
-        if edge is None:
-            raise ValueError(
-                "in dimension 1 certification needs a rational edge length: "
-                f"edge_sq={a2} is not a perfect rational square"
-            )
-        generator = segment_generator(edge)
-    else:
-        # every exponent of the quartic is even: this is R(s) with R(t^2) the quartic
-        terms = distance_relation(d, a2).terms.items()
-        generator = MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in terms})
-
-    def sample(count):
-        squares = _sample_squared_distances(d, a2, count, seed)
-        # the segment cubic mixes parities, so d = 1 stays in t
-        return squares if d >= 2 else np.sqrt(squares)
-
+    if d >= 2:
+        EmbeddedSimplex(d, a2)
+        _check_degree(max_degree)
+        return _discover_in_squares(d, a2, max_degree, seed)
+    edge = rational_sqrt(a2)
+    if edge is None:
+        raise ValueError(
+            "in dimension 1 certification needs a rational edge length: "
+            f"edge_sq={a2} is not a perfect rational square"
+        )
+    generator = segment_generator(edge)
     config, basis, _, report, candidates = _discovery_run(
         "discover", d, a2, max_degree, seed,
-        sample=sample,
+        sample=lambda count: np.sqrt(_sample_squared_distances(d, a2, count, seed)),
         sampling=_DISCOVERY_SAMPLING,
         certify=lambda q: _certify(q, generator),
-        in_squares=d >= 2,
     )
     return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
 
@@ -867,8 +1033,6 @@ def discover_on_sphere(
         sample=sample,
         sampling="circumsphere(gaussian-direction)",
         certify=certify,
-        # the Pompeiu cubic mixes parities, so sphere runs stay in t
-        in_squares=False,
     )
     certified = [c for c in candidates if c.certificate == CERT_SPHERE_IDEAL]
     extras = [c for c in candidates if c.certificate == CERT_UNCERTIFIED]

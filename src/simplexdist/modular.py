@@ -1,0 +1,205 @@
+"""Exact linear algebra modulo word primes, and the way back to the rationals.
+
+A rational matrix is reduced modulo a prime P below ``2^31``, so that every
+product of two residues stays below ``2^62`` and fits a numpy ``int64``.
+Elimination modulo P (``rref_mod``) then costs no more than a float
+elimination and makes no rounding error.  What it can get wrong is luck: P
+may divide a minor of the matrix, and then the rank drops and the echelon
+form changes.  Such a prime shows itself by a larger nullspace, or by pivots
+further to the right, than a lucky prime gives (``ResidueImage.fold``), and
+is dropped.
+
+The residues of a rational result modulo several primes are joined by the
+Chinese remainder theorem (``crt``), and rational reconstruction
+(``rational_reconstruction``; Wang, 1981) recovers each rational ``n/d``
+from its residue modulo M once ``2*|n|*d < M``.  Nothing here proves that a
+reconstruction is right: the caller certifies its results exactly.
+(Monagan, "Maximal quotient rational reconstruction", ISSAC 2004; Dumas,
+Giorgi and Pernet, FFLAS-FFPACK, 2008.)
+
+The membership screen of circumsphere discovery works modulo a larger prime
+with Python ints: ``_residues`` and ``_sqrt_mod`` serve it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+import numpy as np
+
+# every prime the elimination uses lies below this, so (P - 1)^2 < 2^62
+WORD_PRIME_BOUND = 2**31
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5 and 7, which decide every n below
+    3,215,031,751 (Pomerance, Selfridge and Wagstaff, 1980)."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def word_primes() -> Iterator[int]:
+    """The primes below ``2^31`` in descending order: ``2^31 - 1``,
+    ``2147483629``, ``2147483587``, ..."""
+    return (n for n in range(WORD_PRIME_BOUND - 1, 1, -1) if _is_prime(n))
+
+
+def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form modulo ``prime`` (below ``2^31``), with
+    leftmost pivots: returns the nonzero rows as ``int64`` residues in
+    ``[0, prime)`` and the pivot column of each row.
+
+    The rows of the form restricted to its first w columns are the echelon
+    form of the matrix's first w columns, so one elimination serves every
+    column prefix (see ``nullspace_mod``).
+    """
+    a = np.array(matrix, dtype=np.int64) % prime
+    rows, cols = a.shape
+    pivots = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        below = np.flatnonzero(a[rank:, col])
+        if below.size == 0:
+            continue
+        pivot = rank + int(below[0])
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        # every row at or below the pivot is zero left of col, so the
+        # update needs only the columns from col on
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, prime) % prime
+        factors = a[:, col].copy()
+        factors[rank] = 0
+        others = np.flatnonzero(factors)
+        if others.size:
+            a[others, col:] = (a[others, col:] - factors[others, None] * a[rank, col:]) % prime
+        pivots.append(col)
+    return a[: len(pivots)], tuple(pivots)
+
+
+def nullspace_mod(rref: np.ndarray, pivots: Sequence[int], width: int, prime: int) -> np.ndarray:
+    """A basis, modulo ``prime``, of the nullspace of the first ``width``
+    columns of a matrix whose reduced row echelon form is ``(rref,
+    pivots)``: for each free column f below ``width``, the vector with 1 at
+    f and minus the column f entry of each pivot row at that row's pivot.
+    Row i of the form is zero left of its pivot, so the vector of f is zero
+    right of f, and the pivot rows past ``width`` take no part."""
+    rank = sum(1 for c in pivots if c < width)
+    lead = list(pivots[:rank])
+    free = sorted(set(range(width)) - set(lead))
+    basis = np.zeros((len(free), width), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, lead] = (-rref[:rank, free]).T % prime
+    return basis
+
+
+def crt(residues: Sequence[int], modulus: int, more: Sequence[int], prime: int) -> list[int]:
+    """The residues modulo ``modulus * prime`` that are ``residues`` modulo
+    ``modulus`` and ``more`` modulo ``prime``, for coprime moduli."""
+    inverse = pow(modulus, -1, prime)
+    return [x + modulus * ((y - x) * inverse % prime) for x, y in zip(residues, more)]
+
+
+def rational_reconstruction(x: int, modulus: int) -> Fraction | None:
+    """The rational ``n/d`` with ``n = d*x`` modulo ``modulus``, ``|n| <= B``
+    and ``0 < d <= B`` for ``B = isqrt(modulus // 2)``, or None if there is
+    none.  As ``2*B^2 < modulus``, there is at most one (Wang's algorithm:
+    the extended Euclidean remainders of ``(modulus, x)`` are ``n = d*x``
+    modulo ``modulus``, and the first one at most B is the candidate)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1 = modulus, x % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+@dataclass(frozen=True)
+class ResidueImage:
+    """Echelon forms of the nullspace bases of several matrices, by key,
+    modulo ``modulus``, the product of ``primes``: ``forms[key]`` is the
+    pivots and the rows, as lists of int residues."""
+
+    modulus: int
+    primes: tuple[int, ...]
+    forms: dict
+
+    def pattern(self, key) -> tuple:
+        pivots, _ = self.forms[key]
+        return len(pivots), pivots
+
+    def fold(self, prime: int, forms: dict) -> ResidueImage:
+        """Join the forms of the same nullspaces modulo a new prime.
+
+        A prime is unlucky when it divides a minor that decides a rank or a
+        pivot.  Its nullspace is then larger than over the rationals, or of
+        the same dimension but with pivots further right: the reduction of
+        the rational nullspace lies in it, and the rational basis vector of
+        pivot c reduces to a vector whose leading entry is at c or right of
+        it.  So, key by key, the image with fewer rows, or else with the
+        lexicographically least pivots, is the luckier.  The image that is
+        luckier on some key and no worse on any replaces the other; equal
+        images are joined by CRT; any other new image is dropped.
+        """
+        new = ResidueImage(prime, (prime,), forms)
+        ours, theirs = ([f(key) for key in self.forms] for f in (self.pattern, new.pattern))
+        if theirs == ours:
+            joined = {
+                key: (pivots, [crt(a, self.modulus, b, prime) for a, b in zip(rows, forms[key][1])])
+                for key, (pivots, rows) in self.forms.items()
+            }
+            return ResidueImage(self.modulus * prime, self.primes + (prime,), joined)
+        if all(t <= o for t, o in zip(theirs, ours)):
+            return new
+        return self
+
+
+def _residues(coeffs: Sequence[Fraction], prime: int) -> list[int] | None:
+    """Each rational reduced modulo ``prime``, or None if a denominator is
+    divisible by it.  One modular inverse serves all of them: the inverse
+    of the product of the denominators, unwound from the back."""
+    prefix, product = [], 1
+    for c in coeffs:
+        prefix.append(product)
+        product = product * c.denominator % prime
+    if product == 0:
+        return None
+    inverse = pow(product, -1, prime)
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, -1, -1):
+        c = coeffs[i]
+        out[i] = c.numerator * inverse * prefix[i] % prime
+        inverse = inverse * c.denominator % prime
+    return out
+
+
+def _sqrt_mod(x: int, prime: int) -> int | None:
+    """A square root of x modulo a prime that is 3 mod 4, or None if x is
+    not a square."""
+    root = pow(x, (prime + 1) // 4, prime)
+    return root if root * root % prime == x else None

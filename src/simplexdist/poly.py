@@ -81,6 +81,17 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, arity: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """A polynomial from terms that are already canonical: int exponent
+        tuples of length ``arity`` and nonzero ``Fraction`` coefficients.
+        It skips the checks of ``__init__``, for the discovery kernel, which
+        builds thousands of terms of that form."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "arity", arity)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, arity: int) -> "MultiPoly":
         return cls(arity, {})
 

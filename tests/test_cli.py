@@ -17,7 +17,7 @@ import pytest
 
 from simplexdist.cli import main
 from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
-from simplexdist.poly import distance_relation, poly_to_dict
+from simplexdist.poly import distance_relation, divide_last_variable, poly_from_dict, poly_to_dict
 from simplexdist.poly import MultiPoly
 from simplexdist.rationals import frac_str
 
@@ -163,21 +163,22 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "2", "--max-degree", "4"],
-    ["discover", "--d", "3", "--max-degree", "2"],
+    ["discover", "--d", "1", "--max-degree", "4"],
+    ["sphere", "--d", "3", "--max-degree", "2"],
     ["sphere", "--d", "2", "--max-degree", "4"],
 ])
 def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
-    # every float distance of edge_sq 1e-400 is 0, so the samples say nothing
+    # every float distance of edge_sq 1e-400 is 0, so the samples of the runs
+    # in t say nothing (the exact runs at d >= 2 form no float)
     code, doc = run(tmp_path, *argv, "--edge-sq", "1e-400")
     assert code == 2 and doc is None
     assert "error: degenerate sample set" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
+    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e200"],
     ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
-    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-300"],
+    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e-300"],
 ])
 def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsys, argv):
     # the back-transform to monomials divides by powers of the sample scale,
@@ -187,6 +188,42 @@ def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsy
         code, doc = run(tmp_path, *argv)
     assert code == 2 and doc is None
     assert "error: edge_sq is out of float range at max_degree 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # moved from the float-range tests: every float of these runs would be
+    # out of range, and the exact runs at d >= 2 form none
+    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-400"],
+    ["discover", "--d", "3", "--max-degree", "2", "--edge-sq", "1e-400"],
+    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
+    ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-300"],
+    ["discover", "--d", "2", "--edge-sq", "1e400"],
+    ["discover", "--d", "2", "--edge-sq", "1e308"],
+    ["discover", "--d", "3", "--max-degree", "6", "--edge-sq", "1e400"],
+])
+def test_exact_discovery_takes_edges_beyond_the_float_range(tmp_path, argv):
+    code, doc = run(tmp_path, *argv)
+    d, degree = int(argv[2]), int(doc["config"]["max_degree"])
+    assert code == 0 and doc["result"]["nullspace"]["complete"] is True
+    assert doc["result"]["nullspace"]["null_dim"] == math.comb(degree - 4 + d + 1, d + 1)
+    assert all(c["certificate"] == "divisible-by-relation" for c in doc["result"]["candidates"])
+
+
+@pytest.mark.parametrize("d, degree, edge_sq", [(2, 4, "12345/677"), (3, 8, "12345/677"), (2, 10, "997/1009")])
+def test_discovery_certifies_edges_of_large_height(tmp_path, d, degree, edge_sq):
+    # the float pipeline certified 0 of 1, 0 of 70 and 40 of 84 candidates here
+    argv = ["discover", "--d", str(d), "--max-degree", str(degree), "--edge-sq", edge_sq]
+    code, doc = run(tmp_path, *argv)
+    nullspace, candidates = doc["result"]["nullspace"], doc["result"]["candidates"]
+    assert code == 0 and nullspace["complete"] is True and not nullspace["inconclusive"]
+    assert len(candidates) == nullspace["null_dim"] == math.comb(degree - 4 + d + 1, d + 1)
+    assert all(c["certificate"] == "divisible-by-relation" for c in candidates)
+    for k, corank in nullspace["corank"].items():
+        assert corank == nullspace["ideal_dim"][k] == math.comb(int(k) - 2 + d + 1, d + 1)
+    edge = Fraction(edge_sq)
+    relation = distance_relation(d, edge)
+    for c in candidates:
+        assert divide_last_variable(poly_from_dict(c["poly"]), relation).remainder.is_zero
 
 
 def test_independence_without_candidates_needs_no_back_transform(tmp_path):
@@ -337,6 +374,13 @@ def test_probe63_counts_do_not_depend_on_the_edge(tmp_path):
 
 def test_probe63_rejects_an_edge_below_the_float_range(tmp_path, capsys):
     code, doc = run(tmp_path, "probe63", "--d", "2", "--count", "4", "--edge-sq", "1e-400")
+    assert code == 2 and doc is None
+    assert "error: edge_sq is below the normal float range" in capsys.readouterr().err
+
+
+def test_reconstruct_names_an_edge_below_the_float_range(tmp_path, capsys):
+    # the exact edge is positive, but its float is 0
+    code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e-400")
     assert code == 2 and doc is None
     assert "error: edge_sq is below the normal float range" in capsys.readouterr().err
 
@@ -674,8 +718,8 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, option):
     ["probe63", "--tol", "1e-6"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_option_is_a_usage_error(capsys, argv):
-    # discovery runs at a fixed cutoff and denominator bound and draw three
-    # samples per column, independence draws none and has no degree, reduce
+    # discovery runs at a fixed cutoff and denominator bound, or exactly, and
+    # draw a fixed number of samples per column, independence draws none and has no degree, reduce
     # and reconstruct draw no samples, reconstruct checks feasibility at a fixed
     # 1e-9 * a^2, and probe63 makes no float check
     with pytest.raises(SystemExit) as exc:
@@ -695,13 +739,13 @@ def test_help_exits_zero(capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "2", "--edge-sq", "1e400"],
+    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e400"],
     ["sphere", "--d", "2", "--edge-sq", "1e400"],
     ["probe63", "--d", "2", "--count", "5", "--edge-sq", "1e400"],
     ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e400"],
     # the exact edge is valid, but its float, or a sample's squared
     # distance, overflows just past the float range
-    ["discover", "--d", "2", "--edge-sq", "1e308"],
+    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e308"],
     ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e310"],
     ["sphere", "--d", "3", "--edge-sq", "1e309"],
     ["probe63", "--edge-sq", "1e309"],

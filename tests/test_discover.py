@@ -1,4 +1,5 @@
-"""The numeric-then-exact vanishing-polynomial pipeline."""
+"""The vanishing-polynomial pipelines: exact modulo primes for d >= 2,
+numeric then exact for d = 1 and the circumsphere."""
 
 import hashlib
 import json
@@ -345,10 +346,12 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
         return _rref(rows)
 
     monkeypatch.setattr(discover, "_rref", recording)
-    discover_vanishing(3, 1, 8, seed=1)
-    # one RREF per prefix of the matrix in s = t^2 with null vectors: the
-    # multiples of the quadric R(s) of degree <= 4, 3 and 2 in four variables
-    assert [rows.shape for rows in seen] == [(15, 70), (5, 35), (1, 15)]
+    discover_vanishing(1, 1, 8, seed=1)
+    discover_on_sphere(3, 1, 4, seed=1)
+    # one RREF per run in t: the multiples of the segment cubic of degree
+    # <= 8 in two variables, and the 16 null vectors of the sphere run at
+    # d = 3 degree 4
+    assert [rows.shape for rows in seen] == [(21, 45), (16, 70)]
     for rows in seen:
         _assert_bit_identical(_rref(rows), _rref_reference(rows))
 
@@ -359,7 +362,7 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
 def test_discover_recovers_relation_d2():
     report = discover_vanishing(2, 1, 4, seed=1)
     assert report.nullspace.null_dim == 1
-    assert report.nullspace.gap > 1e3
+    assert report.nullspace.complete and not report.inconclusive
     (candidate,) = report.candidates
     assert candidate.certificate == CERT_DIVISIBLE
     assert proportional(candidate.poly, distance_relation(2, 1))
@@ -415,12 +418,13 @@ def test_discover_validates_input():
         discover_vanishing(2, 1, 0)
 
 
-def test_discover_sample_count_defaults_to_thrice_largest_block():
-    # degree <= 3 in three variables: the largest parity classes, such as
-    # {1, t1^2, t2^2, t3^2}, have 4 of the 20 monomials
-    report = discover_vanishing(2, 1, 3, seed=0)
-    assert report.config["n_samples"] == 3 * 4 == 12
-    # one-block runs: the largest block is the whole basis
+def test_discover_sample_count_follows_the_matrix():
+    # runs in s: the matrix of degree D // 2 in s, C(D // 2 + n, n) columns,
+    # takes 8 samples beyond its columns; at degree <= 3 in three variables
+    # its columns are {1, s1, s2, s3}
+    assert discover_vanishing(2, 1, 3, seed=0).config["n_samples"] == 4 + 8
+    assert discover_vanishing(5, 1, 6, seed=0).config["n_samples"] == math.comb(3 + 6, 6) + 8 == 92
+    # runs in t draw three samples per monomial of the whole basis
     assert discover_vanishing(1, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 2, 2)
     assert discover_on_sphere(2, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 3, 3)
 
@@ -462,16 +466,19 @@ def test_one_block_back_transform_is_the_whole_one():
 @pytest.mark.parametrize("d, degree, seed", [(2, 10, 1), (2, 12, 1), (3, 8, 1), (3, 8, 7), (5, 6, 1)])
 def test_parity_split_finds_the_ideal_dimension(d, degree, seed):
     # the quartic generates the ideal, so its degree-D part has dimension
-    # C(D - 4 + n, n), and every candidate must divide by it
+    # C(D - 4 + n, n), and every candidate must divide by it; in s, the part
+    # of degree <= k is R(s) times the polynomials of degree <= k - 2
     n = d + 1
     report = discover_vanishing(d, 1, degree, seed=seed)
-    assert report.config["matrix_basis"] == "chebyshev-equilibrated(squared-distances)"
+    assert report.config["matrix_basis"] == "monomial-mod-p(s/edge_sq)"
     assert report.nullspace.null_dim == len(report.candidates) == math.comb(degree - 4 + n, n)
     assert all(c.certificate == CERT_DIVISIBLE for c in report.candidates)
-    assert not report.inconclusive
-    spectrum = report.nullspace.singular_values
-    assert len(spectrum) == len(report.basis)
-    assert list(spectrum) == sorted(spectrum, reverse=True)
+    assert report.nullspace.complete and not report.inconclusive
+    # one entry per prefix degree (D - |e|) // 2 of a parity class e
+    prefixes = {(degree - size) // 2 for size in range(min(degree, n) + 1)}
+    assert set(report.nullspace.corank) == prefixes
+    for k in prefixes:
+        assert report.nullspace.corank[k] == report.nullspace.ideal_dim[k] == math.comb(k - 2 + n, n)
 
 
 def _candidates_digest(report):
@@ -506,26 +513,65 @@ def test_parity_split_keeps_certified_candidate_lists(d, degree, seed, expected)
     assert _candidates_digest(report) == expected
 
 
-def test_squared_distance_run_takes_one_svd_per_prefix(monkeypatch):
+def _primes_from(start, count=16):
+    return [p for p in range(start, 10**4) if all(p % f for f in range(2, math.isqrt(p) + 1))][:count]
+
+
+def test_small_primes_join_by_crt_to_the_same_candidates(monkeypatch):
+    # one prime from 101 up is mostly too small to carry the coefficients,
+    # and some are unlucky: the runs join several by CRT, drop the unlucky
+    # ones, and end with the candidate lists of one word prime
+    monkeypatch.setattr(discover, "word_primes", lambda: iter(_primes_from(101)))
+    used = []
+    for d, degree, seed, expected in _PINNED_CANDIDATES:
+        report = discover_vanishing(d, 1, degree, seed=seed)
+        assert report.nullspace.complete and _candidates_digest(report) == expected
+        used.append(report.nullspace.primes)
+    assert max(map(len, used)) > 1 and max(primes[0] for primes in used) > 101
+
+
+def test_a_run_out_of_primes_is_incomplete_and_exits_1(monkeypatch, tmp_path):
+    # the 16 primes from 11 to 67 reconstruct only 14 of the 15 rows of the
+    # degree-4 prefix; the run reports what it certified, and says so
+    from simplexdist.cli import main
+
+    monkeypatch.setattr(discover, "word_primes", lambda: iter(_primes_from(11)))
+    out = tmp_path / "report.json"
+    assert main(["discover", "--d", "3", "--max-degree", "8", "--seed", "1", "--out", str(out)]) == 1
+    nullspace = json.loads(out.read_text())["result"]["nullspace"]
+    assert nullspace["complete"] is False and nullspace["inconclusive"] is True
+    assert nullspace["corank"] == {"2": 1, "3": 5, "4": 15} and nullspace["ideal_dim"]["4"] < 15
+    assert len(nullspace["primes"]) <= discover._MAX_PRIMES
+    report = discover_vanishing(3, 1, 8, seed=1)
+    relation = distance_relation(3, 1)
+    assert not report.all_certified or len(report.candidates) < report.nullspace.null_dim
+    for candidate in report.candidates:
+        divides = divide_last_variable(candidate.poly, relation).remainder.is_zero
+        assert divides == (candidate.certificate == CERT_DIVISIBLE)
+
+
+def test_squared_distance_run_reads_every_prefix_from_one_elimination(monkeypatch):
     # d=5 deg 6: the 64 parity classes e need the prefixes of degree
     # (6 - |e|) // 2 = 3, 2, 1, 0 of one matrix in s over C(3 + 6, 6) = 84
-    # monomials; the report counts each prefix once per class
-    nullspace, reports = discover.numeric_nullspace, []
+    # monomials: one elimination of the 92 x 84 matrix, then one of the
+    # nullspace basis of each prefix; the report counts each prefix once
+    # per class
+    rref_mod, shapes = discover.rref_mod, []
 
-    def recording_nullspace(matrix, threshold):
-        reports.append(nullspace(matrix, threshold))
-        return reports[-1]
+    def recording_rref_mod(matrix, prime):
+        shapes.append(np.shape(matrix))
+        return rref_mod(matrix, prime)
 
-    monkeypatch.setattr(discover, "numeric_nullspace", recording_nullspace)
+    monkeypatch.setattr(discover, "rref_mod", recording_rref_mod)
     report = discover_vanishing(5, 1, 6, seed=1)
-    assert [len(r.singular_values) for r in reports] == [84, 28, 7, 1]
-    assert report.config["n_samples"] == 3 * 84
-    classes = [1, 6 + 15, 20 + 15, 6 + 1]  # classes by |e| in {0}, {1, 2}, {3, 4}, {5, 6}
-    union = [x for r, n in zip(reports, classes) for x in r.singular_values * n]
-    assert report.nullspace.singular_values == tuple(sorted(union, reverse=True))
-    assert len(union) == len(report.basis)
-    assert report.nullspace.null_dim == sum(r.null_dim * n for r, n in zip(reports, classes)) == 7 + 21
-    assert report.nullspace.gap == min(r.gap for r in reports)
+    assert report.nullspace.primes == (2**31 - 1,)
+    assert shapes == [(92, 84), (0, 1), (0, 7), (1, 28), (7, 84)]
+    assert report.config["n_samples"] == 84 + 8
+    assert report.nullspace.corank == {0: 0, 1: 0, 2: 1, 3: 7}
+    assert report.nullspace.ideal_dim == report.nullspace.corank
+    classes = {3: 1, 2: 6 + 15, 1: 20 + 15, 0: 6 + 1}  # classes by |e| in {0}, {1, 2}, {3, 4}, {5, 6}
+    assert sum(classes.values()) == sum(math.comb(6, size) for size in range(7))
+    assert report.nullspace.null_dim == sum(report.nullspace.corank[k] * c for k, c in classes.items()) == 28
     assert all(c.certificate == CERT_DIVISIBLE for c in report.candidates)
     # each candidate lies in one parity class, and the list is in pivot order
     pivots = []

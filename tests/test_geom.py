@@ -360,17 +360,24 @@ def test_import_leaves_hashlib_out():
 def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
     # the rows are the squared distances of the box-3/2 samples of
     # sample_points (for d = 1, of the draws redrawn onto branch k mod 3),
-    # each rounded once and never through a square root; runs in s evaluate
-    # them as they are, and d = 1 takes the root of each entry
+    # each rounded once and never through a square root, and d = 1 takes the
+    # root of each entry; runs in s take the exact ratios s/a^2 of a prefix
+    # of the same stream, which they reduce modulo a prime
     evaluate, evaluated = discover._chebyshev_eval_matrix, []
+    null_forms, ratios = discover._null_forms, []
 
     def recording_eval(values, *rest):
         evaluated.append(values)
         return evaluate(values, *rest)
 
+    def recording_forms(numerators, scales, *rest):
+        ratios.append([[Fraction(x, s) for x in row] for row, s in zip(numerators, scales)])
+        return null_forms(numerators, scales, *rest)
+
     monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
-    # the default count of these degrees is at least 30: 3 * C(3 + 2, 2) at
-    # d = 1, 3 * C(2 + d + 1, 2) in s = t^2
+    monkeypatch.setattr(discover, "_null_forms", recording_forms)
+    # at least 30 rows: the default count 3 * C(3 + 2, 2) of d = 1, and in
+    # s = t^2 3 * C(2 + d + 1, 2), more than the C(2 + d + 1, 2) + 8 of a run
     degree = 3 if d == 1 else 4
     count = 3 * math.comb(degree + 2, 2) if d == 1 else 3 * math.comb(degree // 2 + d + 1, d + 1)
     assert count >= 30
@@ -386,8 +393,14 @@ def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
         if d == 1 and rational_sqrt(a2) is None:
             continue  # d = 1 certifies only rational edges
         discover.discover_vanishing(d, a2, degree, seed=d + 40)
-        values = rows if d >= 2 else np.array([[math.sqrt(x) for x in row] for row in rows.tolist()])
-        assert evaluated.pop().tobytes() == values.tobytes()
+        if d == 1:
+            values = np.array([[math.sqrt(x) for x in row] for row in rows.tolist()])
+            assert evaluated.pop().tobytes() == values.tobytes()
+        else:
+            (kernel,) = ratios
+            assert len(kernel) == math.comb(degree // 2 + d + 1, d + 1) + 8
+            assert kernel == [[x / a2 for x in squared] for squared in exact[: len(kernel)]]
+            ratios.clear()
 
 
 @pytest.mark.parametrize("d", range(1, 9))

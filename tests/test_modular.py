@@ -1,0 +1,169 @@
+"""Exact linear algebra modulo word primes: elimination, nullspaces, CRT,
+rational reconstruction and the detection of unlucky primes."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simplexdist.modular import (
+    WORD_PRIME_BOUND,
+    ResidueImage,
+    crt,
+    nullspace_mod,
+    rational_reconstruction,
+    rref_mod,
+    word_primes,
+)
+
+P, Q, R, S = itertools.islice(word_primes(), 4)
+
+
+def _rref_exact(rows, ncols):
+    """Leftmost-pivot reduced row echelon form over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+    return a[: len(pivots)], tuple(pivots)
+
+
+def _mod(x: Fraction, prime: int) -> int:
+    return x.numerator * pow(x.denominator, -1, prime) % prime
+
+
+@st.composite
+def _small_matrices(draw):
+    # entries at most 12 in absolute value and at most five rows: every
+    # nonzero minor is below (12 * sqrt(5))^5 < 2^31, so no word prime
+    # divides it, and the echelon form reduces modulo the prime
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)) for _ in range(rows)]
+    rank = draw(st.integers(0, 3))
+    small = st.integers(-2, 2)
+    left = [draw(st.lists(small, min_size=rank, max_size=rank)) for _ in range(rows)]
+    right = [draw(st.lists(small, min_size=cols, max_size=cols)) for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*right)] or [0] * cols for row in left]
+
+
+def test_word_primes_descend_from_the_mersenne_prime():
+    primes = list(itertools.islice(word_primes(), 16))
+    assert primes[:3] == [2**31 - 1, 2147483629, 2147483587]
+    assert primes == sorted(primes, reverse=True) and primes[-1] < WORD_PRIME_BOUND
+    # by trial division: these are primes, and every number between them is not
+    for n in range(primes[-1], primes[0] + 1):
+        assert (n in primes) == all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices(), st.sampled_from([P, Q]))
+def test_rref_mod_is_the_exact_rref_reduced_mod_p(rows, prime):
+    ncols = len(rows[0])
+    exact, pivots = _rref_exact(rows, ncols)
+    got, got_pivots = rref_mod(np.array(rows, dtype=np.int64), prime)
+    assert got_pivots == pivots
+    assert got.dtype == np.int64
+    assert got.tolist() == [[_mod(x, prime) for x in row] for row in exact]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices())
+def test_nullspace_of_every_prefix_from_one_elimination(rows):
+    ncols = len(rows[0])
+    rref, pivots = rref_mod(np.array(rows, dtype=np.int64), P)
+    matrix = np.array(rows, dtype=object)
+    for width in range(1, ncols + 1):
+        basis = nullspace_mod(rref, pivots, width, P)
+        _, prefix_pivots = _rref_exact([row[:width] for row in rows], width)
+        assert basis.shape == (width - len(prefix_pivots), width)
+        assert not (matrix[:, :width].dot(basis.T.astype(object)) % P).any()
+        # independent: each vector ends in a 1 at its own free column
+        ends = [max(np.flatnonzero(v)) for v in basis]
+        assert len(set(ends)) == len(ends) and all(basis[i, e] == 1 for i, e in enumerate(ends))
+
+
+B = math.isqrt(P // 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-B, B), st.integers(1, B))
+def test_rational_reconstruction_round_trips_inside_its_bound(n, d):
+    assert rational_reconstruction(n * pow(d, -1, P) % P, P) == Fraction(n, d)
+
+
+@pytest.mark.parametrize("modulus", [101, 1009, 101 * 103])
+def test_rational_reconstruction_is_none_exactly_outside_its_bound(modulus):
+    # every residue of a fraction with terms up to the bound reconstructs to
+    # it, and every other residue to None
+    bound = math.isqrt(modulus // 2)
+    inside = {}
+    for d in range(1, bound + 1):
+        for n in range(-bound, bound + 1):
+            inside[n * pow(d, -1, modulus) % modulus] = Fraction(n, d)
+    assert len(inside) < modulus
+    for x in range(modulus):
+        assert rational_reconstruction(x, modulus) == inside.get(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, P * Q - 1), min_size=1, max_size=5))
+def test_crt_joins_two_primes(values):
+    assert crt([x % P for x in values], P, [x % Q for x in values], Q) == values
+
+
+def test_crt_recovers_a_fraction_too_tall_for_one_prime():
+    x = Fraction(123456789, 98765)
+    assert rational_reconstruction(_mod(x, P), P) != x
+    joined = crt([_mod(x, P)], P, [_mod(x, Q)], Q)
+    assert rational_reconstruction(joined[0], P * Q) == x
+
+
+def _null_form(rows, prime):
+    rref, pivots = rref_mod(np.array(rows, dtype=np.int64), prime)
+    basis, null_pivots = rref_mod(nullspace_mod(rref, pivots, len(rows[0]), prime), prime)
+    return null_pivots, basis.tolist()
+
+
+def test_a_prime_that_drops_a_pivot_is_discarded():
+    # the determinant is P: rank 2 over the rationals, 1 modulo P
+    rows = [[1, 1], [1, 1 + P]]
+    lucky, unlucky = {"A": _null_form(rows, Q)}, {"A": _null_form(rows, P)}
+    assert lucky["A"] == ((), []) and unlucky["A"][0] == (0,)
+    image = ResidueImage(Q, (Q,), lucky)
+    assert image.fold(P, unlucky) is image
+    replaced = ResidueImage(P, (P,), unlucky).fold(Q, lucky)
+    assert replaced.primes == (Q,) and replaced.forms == lucky
+
+
+def test_a_prime_that_shifts_a_pivot_right_is_discarded():
+    # the nullspace is spanned by (P, 1), whose echelon form (1, 1/P) has
+    # its pivot at 0 except modulo P, where it is (0, 1)
+    rows = [[1, -P]]
+    shifted, lucky = _null_form(rows, P), _null_form(rows, Q)
+    assert shifted == ((1,), [[0, 1]]) and lucky[0] == (0,)
+    image = ResidueImage(Q, (Q,), {"A": lucky, "B": ((), [])})
+    assert image.fold(P, {"A": shifted, "B": ((), [])}) is image
+    replaced = ResidueImage(P, (P,), {"A": shifted, "B": ((), [])}).fold(Q, image.forms)
+    assert replaced.primes == (Q,)
+    # lucky primes join by CRT until 1/P reconstructs
+    joined = image.fold(R, {"A": _null_form(rows, R), "B": ((), [])})
+    assert joined.primes == (Q, R) and joined.modulus == Q * R
+    assert rational_reconstruction(joined.forms["A"][1][0][1], joined.modulus) != Fraction(1, P)
+    joined = joined.fold(S, {"A": _null_form(rows, S), "B": ((), [])})
+    (row,) = joined.forms["A"][1]
+    assert [rational_reconstruction(x, joined.modulus) for x in row] == [1, Fraction(1, P)]
