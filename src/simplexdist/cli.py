@@ -31,19 +31,34 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
+# argparse names a type function that raises ValueError in its message, so
+# each of these raises ArgumentTypeError with a message of its own
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return as_fraction(text)
     except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rational number (write it as p/q, an integer or a decimal)"
+        ) from exc
+
+
+def _list_arg(text: str, kind, name: str) -> list:
+    try:
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of {name}") from exc
 
 
 def _float_list_arg(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    return _list_arg(text, float, "numbers")
 
 
 def _int_list_arg(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    return _list_arg(text, int, "integers")
 
 
 def _read_json(path: str):
@@ -102,6 +117,26 @@ def _add_common(parser, *, d_default=2, count=None, degree=None):
 # -- subcommands ---------------------------------------------------------------
 
 
+def _relation_residuals(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """The integer residual of the quartic relation at every row of a block
+    of draws (weights ``nums / dens``): ``poly._relation_numerator`` at
+    ``A = 2T^2`` and the distance numerators N.
+
+    It is exact.  A and N are nonnegative; with M the largest of them over
+    the block, every intermediate is below ``n(n+1)*M^2`` except the square
+    of ``A + sum(N)``, which is below ``(n+1)^2*M^2 <= 2n(n+1)*M^2``.  So
+    the block is computed in int64 when ``n(n+1)*M^2 < 2^62``, and in
+    Python ints otherwise.  The draws keep N and A themselves within int64.
+    """
+    n = nums.shape[1]
+    columns = geom._distance_numerators(nums.T, dens)
+    edge = 2 * dens * dens
+    top = max(int(edge.max()), *(int(c.max()) for c in columns))
+    if n * (n + 1) * top * top >= geom._INT64_SAFE:
+        edge, columns = edge.astype(object), [c.astype(object) for c in columns]
+    return poly._relation_numerator(edge, columns)
+
+
 def cmd_verify(args) -> int:
     simplex = geom.EmbeddedSimplex(args.d, args.edge_sq)
     config = geom.SampleConfig(seed=args.seed, count=args.count, box=args.box)
@@ -110,14 +145,17 @@ def cmd_verify(args) -> int:
     # the relation is (p/(2qT^2))^2 times an integer residual.
     p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
     violations = []
-    for index, (nums, den) in enumerate(geom._weight_draws(args.d + 1, config)):
-        residual = poly._relation_numerator(2 * den * den, geom._distance_numerators(nums, den))
-        if residual != 0:
-            point = geom.BarycentricPoint(tuple(Fraction(r, den) for r in nums))
-            scaled = Fraction(p * p * residual, (2 * q * den * den) ** 2)
+    start = 0
+    for nums, dens in geom._weight_draws(args.d + 1, config):
+        residuals = _relation_residuals(nums, dens)
+        for i in np.flatnonzero(residuals).tolist():
+            den = int(dens[i])
+            point = geom.BarycentricPoint(tuple(Fraction(r, den) for r in nums[i].tolist()))
+            scaled = Fraction(p * p * int(residuals[i]), (2 * q * den * den) ** 2)
             violations.append(
-                {"sample": index, "weights": point.to_json(), "residual": frac_str(scaled)}
+                {"sample": start + i, "weights": point.to_json(), "residual": frac_str(scaled)}
             )
+        start += len(dens)
     result = {
         "checked": config.count,
         "violations": violations,

@@ -93,7 +93,7 @@ from .geom import (
     SampleConfig,
     _digest_ints,
     _distance_numerators,
-    _weight_draws,
+    _weight_rows,
     sample_circumsphere,
 )
 from .modular import (
@@ -540,14 +540,15 @@ _DISCOVERY_BOX = Fraction(3, 2)
 _DISCOVERY_SAMPLING = f"weights(box={frac_str(_DISCOVERY_BOX)})"
 
 
-def _segment_branch(k: int, nums: tuple[int, ...]) -> bool:
-    """Whether the d = 1 weights ``nums`` lie on branch ``k mod 3`` of the
-    segment image: inside the segment (``t1 + t2 = a``), beyond vertex 1
-    (``t1 - t2 = a``, a negative weight on vertex 0) or before vertex 0
-    (``t2 - t1 = a``).  A curve of degree D meets a branch line in at most D
-    points unless it contains it, so each branch needs D+1 samples."""
-    r0, r1 = nums
-    return (1 if r0 < 0 else 2 if r1 < 0 else 0) == k % 3
+def _segment_branch(ks: np.ndarray, nums: np.ndarray) -> np.ndarray:
+    """Which rows of d = 1 weights ``nums`` lie on branch ``k mod 3`` of the
+    segment image, for the sample numbers ``ks``: inside the segment
+    (``t1 + t2 = a``), beyond vertex 1 (``t1 - t2 = a``, a negative weight
+    on vertex 0) or before vertex 0 (``t2 - t1 = a``).  A curve of degree D
+    meets a branch line in at most D points unless it contains it, so each
+    branch needs D+1 samples."""
+    branch = np.where(nums[:, 0] < 0, 1, np.where(nums[:, 1] < 0, 2, 0))
+    return branch == ks % 3
 
 
 def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
@@ -567,7 +568,7 @@ def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
     try:
         return np.array([
             [p * n / (2 * q * den * den) for n in _distance_numerators(nums, den)]
-            for nums, den in _weight_draws(d + 1, config, _segment_branch if d == 1 else None)
+            for nums, den in _weight_rows(d + 1, config, _segment_branch if d == 1 else None)
         ])
     except OverflowError:
         raise ValueError(
@@ -786,7 +787,7 @@ def _discover_in_squares(d: int, a2: Fraction, max_degree: int, seed: int) -> Di
     columns = enumerate_monomials(n, top).exponents
     widths = {k: math.comb(k + n, n) for k in sorted(set(degrees))}
     count = len(columns) + _EXTRA_SAMPLES
-    draws = list(_weight_draws(n, SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)))
+    draws = _weight_rows(n, SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
     numerators = [_distance_numerators(nums, den) for nums, den in draws]
     scales = [2 * den * den for _, den in draws]
     # R_1(u), the quartic at unit edge in the squares, with each exponent

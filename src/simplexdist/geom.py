@@ -21,7 +21,14 @@ random numbers: as easy as 1, 2, 3", SC 2011): each attempt at a sample
 hashes its key ``seed|weights|k|attempt`` once with BLAKE2b, and the 64-byte
 digest is cut into little-endian chunks that rejection sampling turns into
 uniform integers (:func:`_digest_ints`), or uniform floats
-(:func:`_unit_floats`).  No generator state is seeded per sample.
+(:func:`_unit_floats`).  No generator state is seeded per sample, so the
+weight draws come in rounds over blocks of samples (:func:`_weight_draws`):
+each round hashes the next attempts of every open sample, parses all the
+digests at once with numpy and applies the redraw rules as row masks.  An
+attempt with a rejected chunk among its first n, n chunks that do not fit
+in one digest, and chunks wider than 8 bytes take ``_digest_ints`` key by
+key.  The draws are ``int64`` arrays where the box keeps every integer
+built from them below 2^62, Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ from .rationals import as_fraction, edge_sq_float, frac_str
 _WEIGHT_GRID = 64
 # attempts per sample before a box counts as too small to draw from
 _MAX_ATTEMPTS = 2**16
+# samples per block of draws, and digests per round of hashing
+_BLOCK = 4096
+# int64 arithmetic on integers below this bound cannot overflow
+_INT64_SAFE = 2**62
 
 
 def _digest_ints(key: str, n: int, size: int, limit: int) -> list[int]:
@@ -237,27 +248,38 @@ class CartesianSimplex:
 
 
 def _weight_draws(
-    n: int, config: SampleConfig, accept: Callable[[int, tuple[int, ...]], bool] | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Exact sample weights in integer form, one ``(r, T)`` per sample:
-    weight ``i`` is ``r_i / T`` with ``T = sum(r) > 0``.
+    n: int, config: SampleConfig, accept: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact sample weights in integer form, in blocks of at most ``_BLOCK``
+    samples in sample order: ``(nums, dens)`` with ``nums[i]`` the n weight
+    numerators and ``dens[i] = T = sum(nums[i]) > 0`` their denominator.
 
     Raw numerators ``r_i`` are drawn on a 1/64 grid inside ``[-box, box]``,
     uniformly from the digest chunks of the key ``seed|weights|k|attempt``
     (see :func:`_uniform_rule`).  Draws whose sum is below 1/2 in absolute
     value (``|T| < 32``), or whose renormalised weights escape the box
-    (``q*|r_i| > p*|T|`` for ``box = p/q``), or that ``accept(k, r)`` turns
-    down, are redrawn at the next attempt; sample k therefore depends only
-    on ``(seed, k)``.
+    (``q*|r_i| > p*|T|`` for ``box = p/q``), or that ``accept`` turns down,
+    are redrawn at the next attempt; sample k therefore depends only on
+    ``(seed, k)``.  ``accept(ks, nums)`` takes the sample numbers and the
+    sign-fixed numerators of a set of draws, one row each, and returns a
+    row mask.
+
+    The attempts are hashed in rounds, each round taking further attempts
+    of every sample still open and parsing all their digests at once (see
+    :func:`_raw_weights`); each sample keeps its first passing attempt, so
+    the rounds do not change the draws.  The arrays are ``int64`` when
+    ``|r_i| <= hi`` and ``T <= n*hi`` keep the redraw tests, the distance
+    numerators of :func:`_distance_numerators` and ``2*T^2`` below 2^62,
+    and hold Python ints otherwise; either way the integers are exact.
 
     No draw can pass when ``n*hi < 32`` for ``hi = int(64*box)``, since then
     ``|T| < 32``, or when ``n*box < 1``, since the largest ``|r_i|`` is at
     least ``|T|/n``; such a box raises ``ValueError``.  Otherwise n raw
     numerators of hi pass the first two rules, but where ``n*box`` is near
     1 almost nothing else does: a sample that finds no passing draw in
-    ``_MAX_ATTEMPTS`` attempts raises ``ValueError`` too.  Boxes 3/2 to 3
-    take under ten attempts per sample at d <= 40, box 1/4 at d = 5 about
-    a thousand at worst.
+    ``_MAX_ATTEMPTS`` attempts raises ``ValueError`` too, naming the first
+    such sample.  Boxes 3/2 to 3 take under ten attempts per sample at
+    d <= 40, box 1/4 at d = 5 about a thousand at worst.
     """
     hi = int(config.box * _WEIGHT_GRID)
     if 2 * n * hi < _WEIGHT_GRID or n * config.box < 1:
@@ -265,31 +287,101 @@ def _weight_draws(
             f"box {frac_str(config.box)} is too small for d = {n - 1}: no {n} raw weights on the "
             f"1/64 grid in [-box, box] sum to at least 1/2 and stay inside the box when divided by the sum"
         )
+    p, q = config.box.numerator, config.box.denominator
+    # the box test forms q*|r_i| <= q*hi and p*T <= p*n*hi, and
+    # N_j <= sum(r^2) + 2*|r_j|*T + T^2 <= (n^2 + 3n)*hi^2, 2*T^2 <= 2*n^2*hi^2
+    exact = max(p * n * hi, q * hi, 2 * (n + 1) ** 2 * hi * hi) < _INT64_SAFE
+    dtype = np.int64 if exact else object
+    for start in range(0, config.count, _BLOCK):
+        ks = np.arange(start, min(start + _BLOCK, config.count))
+        nums = np.zeros((len(ks), n), dtype=dtype)
+        dens = np.zeros(len(ks), dtype=dtype)
+        attempts = np.zeros(len(ks), dtype=np.int64)
+        open_ = np.arange(len(ks))
+        while open_.size:
+            # each open sample hashes as many further attempts as it has
+            # made (at least one), the lowest samples first, up to _BLOCK
+            # rows per round: a sample that needs m attempts hashes fewer
+            # than 2m, and a box that fails at sample k costs little more
+            # than k's 65536 attempts, however many samples follow it
+            tries = np.minimum(np.clip(attempts[open_], 1, _BLOCK), _MAX_ATTEMPTS - attempts[open_])
+            take = max(1, int(np.searchsorted(np.cumsum(tries), _BLOCK, side="right")))
+            part, tries = open_[:take], tries[:take]
+            # one row per attempt, sample by sample
+            starts = np.cumsum(tries) - tries
+            owner = np.repeat(np.arange(take), tries)
+            attempt = attempts[part][owner] + np.arange(len(owner)) - starts[owner]
+            row_ks = ks[part][owner]
+            raw = _raw_weights(
+                [f"{config.seed}|weights|{k}|{a}" for k, a in zip(row_ks.tolist(), attempt.tolist())],
+                n, hi, dtype,
+            )
+            total = raw.sum(axis=1)
+            row_dens = np.abs(total)
+            passed = (2 * row_dens >= _WEIGHT_GRID) & (q * np.abs(raw).max(axis=1) <= p * row_dens)
+            row_nums = np.where((total > 0)[:, None], raw, -raw)
+            if accept is not None:
+                passed &= accept(row_ks, row_nums)
+            # the first passing row of each sample, or the end when none does
+            first = np.minimum.reduceat(np.where(passed, np.arange(len(owner)), len(owner)), starts)
+            found = first < starts + tries
+            nums[part[found]] = row_nums[first[found]]
+            dens[part[found]] = row_dens[first[found]]
+            attempts[part] += tries
+            spent = part[~found & (attempts[part] >= _MAX_ATTEMPTS)]
+            if spent.size:
+                raise ValueError(
+                    f"box {frac_str(config.box)} is too small for d = {n - 1}: sample {ks[spent[0]]} "
+                    f"found no passing draw in {_MAX_ATTEMPTS} attempts"
+                )
+            open_ = np.concatenate([part[~found], open_[take:]])
+        yield nums, dens
+
+
+def _raw_weights(keys: list[str], n: int, hi: int, dtype) -> np.ndarray:
+    """The n raw numerators in ``[-hi, hi]`` of each key, one row per key:
+    ``v % (2*hi + 1) - hi`` for the first n chunks ``v`` that
+    :func:`_digest_ints` passes under :func:`_uniform_rule`.
+
+    The digests of all keys are parsed at once: the first n chunks of each
+    64-byte digest, padded to 8 bytes and read as little-endian ``uint64``.
+    A row with a rejected chunk among them takes ``_digest_ints`` on its
+    own, and so does every row when n chunks do not fit in one digest or
+    are wider than 8 bytes.
+    """
     width = 2 * hi + 1
     size, limit = _uniform_rule(hi)
-    p, q = config.box.numerator, config.box.denominator
-    for k in range(config.count):
-        for attempt in range(_MAX_ATTEMPTS):
-            key = f"{config.seed}|weights|{k}|{attempt}"
-            raw = [v % width - hi for v in _digest_ints(key, n, size, limit)]
-            total = sum(raw)
-            if 2 * abs(total) < _WEIGHT_GRID or q * max(map(abs, raw)) > p * abs(total):
-                continue
-            nums = tuple(raw) if total > 0 else tuple(-r for r in raw)
-            if accept is None or accept(k, nums):
-                break
-        else:
-            raise ValueError(
-                f"box {frac_str(config.box)} is too small for d = {n - 1}: sample {k} found no "
-                f"passing draw in {_MAX_ATTEMPTS} attempts"
-            )
-        yield nums, abs(total)
+    if size <= 8 and n * size <= 64:
+        digests = b"".join([blake2b(key.encode()).digest() for key in keys])
+        table = np.frombuffer(digests, dtype=np.uint8).reshape(len(keys), 64)
+        chunks = np.zeros((len(keys), n, 8), dtype=np.uint8)
+        chunks[:, :, :size] = table[:, : n * size].reshape(len(keys), n, size)
+        values = chunks.view("<u8")[:, :, 0]
+        raw = (values % np.uint64(width)).astype(dtype) - hi
+        redo = np.flatnonzero((values >= np.uint64(limit)).any(axis=1)).tolist()
+    else:
+        raw = np.zeros((len(keys), n), dtype=dtype)
+        redo = range(len(keys))
+    for i in redo:
+        raw[i] = [v % width - hi for v in _digest_ints(keys[i], n, size, limit)]
+    return raw
+
+
+def _weight_rows(
+    n: int, config: SampleConfig, accept: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+) -> list[tuple[list[int], int]]:
+    """The draws of :func:`_weight_draws` as Python ints, one ``(r, T)`` per
+    sample."""
+    blocks = _weight_draws(n, config, accept)
+    return [row for nums, dens in blocks for row in zip(nums.tolist(), dens.tolist())]
 
 
 def _distance_numerators(nums: tuple[int, ...], den: int) -> tuple[int, ...]:
     """``N_j = sum(r^2) - 2*r_j*T + T^2`` for weights ``r / T``: the squared
     distance to vertex j is ``a^2 * N_j / (2*T^2)`` (see
-    :meth:`EmbeddedSimplex.squared_distances`)."""
+    :meth:`EmbeddedSimplex.squared_distances`).  Given the columns
+    ``nums.T`` and ``dens`` of a block of :func:`_weight_draws` it returns
+    the columns of N, exact in the block's dtype."""
     base = sum(r * r for r in nums) + den * den
     return tuple(base - 2 * den * r for r in nums)
 
@@ -311,7 +403,7 @@ def sample_points(
     draws are integers; this is where their ``Fraction`` form is built.
     """
     out = []
-    for nums, den in _weight_draws(simplex.dim + 1, config):
+    for nums, den in _weight_rows(simplex.dim + 1, config):
         point = BarycentricPoint(tuple(Fraction(r, den) for r in nums))
         out.append((point, DistanceSample(_exact_squared(simplex.edge_sq, nums, den))))
     return out

@@ -19,8 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-# largest centre-distance defect a mutually tangent configuration may have
+# largest centre-distance defect a mutually tangent configuration may have,
+# relative to its largest centre coordinate or radius (and at least this)
 _TANGENCY_TOL = 1e-9
+# nor may the defect reach this share of the smallest radius
+_TANGENCY_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,12 @@ class TangentConfig:
         if any(len(s.center) != self.dim for s in self.spheres):
             raise ValueError("sphere centre dimension mismatch")
         worst = max((r for _, _, r in tangency_residuals(self.spheres)), default=0.0)
-        if worst > _TANGENCY_TOL:
+        # float centres carry rounding relative to their size, so the defect
+        # is measured against it; but a defect that is a visible share of
+        # the smallest circle means the circles do not touch as placed
+        size = max((abs(x) for s in self.spheres for x in (*s.center, s.radius)), default=0.0)
+        smallest = min((s.radius for s in self.spheres), default=0.0)
+        if worst > max(_TANGENCY_TOL, min(_TANGENCY_TOL * size, _TANGENCY_SHARE * smallest)):
             raise ValueError(f"configuration is not mutually tangent (residual {worst:.3e})")
 
     def to_json(self) -> dict:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from simplexdist import soddy
 from simplexdist.cli import main
 from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
 from simplexdist.poly import distance_relation, divide_last_variable, poly_from_dict, poly_to_dict
@@ -458,6 +459,24 @@ def test_soddy_places_circles_at_radius_1e10(tmp_path):
     assert all(c["third_tangency_residual"] < 1e-10 for c in result["constructed"])
 
 
+@pytest.mark.parametrize("radius", ["1e8", "1e9"])
+def test_soddy_measures_tangency_against_the_size_of_the_circles(tmp_path, radius):
+    # the three circles miss exact tangency by 5.1e-9 and 2.0e-9, under one
+    # float step of their centres near 1e8 and 1e9, so they are placed; at
+    # 1e8 the enclosing root still has no float circle
+    code, doc = run(tmp_path, "soddy", "--radii", f"{radius},1,1")
+    assert code == 0
+    result = doc["result"]
+    if radius == "1e8":
+        assert result["circles_error"].startswith("no circle of that curvature")
+        spheres = soddy.build_tangent_circles_2d(1e8, 1, 1).spheres
+        assert 5e-9 < max(r for _, _, r in soddy.tangency_residuals(spheres)) < 6e-9
+    else:
+        assert "circles_error" not in result
+        assert [r["residual"] for r in result["circles"]["tangency_residuals"]] == [0.0, 1.999999998e-09, 0.0]
+        assert [c["curvature"] for c in result["constructed"]] == result["roots"]
+
+
 @pytest.mark.parametrize("radius", ["1e7", "1e8", "1e15", "1e20"])
 def test_soddy_placement_failure_keeps_the_report(tmp_path, radius):
     # three circles that floats cannot resolve (1e20), or a root whose circle
@@ -700,6 +719,19 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, option):
     assert f"argument {option}: zero denominator in '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option, message", [
+    (["verify", "--box", "nan"], "--box", "'nan' is not a rational number"),
+    (["soddy", "--radii", "1,x"], "--radii", "'1,x' is not a comma-separated list of numbers"),
+    (["independence", "--subset", "1,x"], "--subset", "'1,x' is not a comma-separated list of integers"),
+], ids=["fraction", "float-list", "int-list"])
+def test_bad_option_value_names_the_option_not_the_parser(capsys, argv, option, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {message}" in err and "_arg" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["discover", "--threshold", "1e-6"],
     ["discover", "--max-denominator", "1000"],
@@ -869,7 +901,7 @@ def test_verify_reports_violation_exactly(tmp_path, monkeypatch):
     code, doc = run(tmp_path, "verify", "--d", "3", "--edge-sq", "7/3", "--count", "5", "--seed", "2")
     assert code == 1 and doc["result"]["all_exactly_zero"] is False
     expected = []
-    for index, (nums, den) in enumerate(geom._weight_draws(4, geom.SampleConfig(seed=2, count=5))):
+    for index, (nums, den) in enumerate(geom._weight_rows(4, geom.SampleConfig(seed=2, count=5))):
         squared = [Fraction(7 * n, 6 * den * den) for n in perturbed(nums, den)]
         expected.append({
             "sample": index,

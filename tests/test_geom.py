@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexdist import discover
+from simplexdist import cli, discover, geom
 from simplexdist.geom import (
     BarycentricPoint,
     CartesianSimplex,
@@ -24,6 +24,7 @@ from simplexdist.geom import (
     _digest_ints,
     _uniform_rule,
     _weight_draws,
+    _weight_rows,
     sample_circumsphere,
     sample_document,
     sample_points,
@@ -274,7 +275,7 @@ EDGES_SQ = (Fraction(1), Fraction(4, 9), Fraction(7, 3))
 def test_integer_draws_match_fraction_reference(d, box):
     config = SampleConfig(seed=d, count=120, box=box)
     expected = reference_weights(config, d + 1)
-    draws = list(_weight_draws(d + 1, config))
+    draws = _weight_rows(d + 1, config)
     assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == expected
     assert all(den > 0 for _, den in draws)
     for a2 in EDGES_SQ:
@@ -294,8 +295,93 @@ def test_draws_run_past_one_digest(d, box):
     size, _ = _uniform_rule(int(box * 64))
     assert d + 1 > 64 // size
     config = SampleConfig(seed=d, count=20, box=box)
-    draws = list(_weight_draws(d + 1, config))
+    draws = _weight_rows(d + 1, config)
     assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == reference_weights(config, d + 1)
+
+
+@pytest.mark.parametrize("box, size", [
+    (Fraction(3), 2), (Fraction(100), 3), (Fraction(100000), 4), (Fraction(10**30), 14),
+], ids=["2-byte", "3-byte", "4-byte", "14-byte"])
+@pytest.mark.parametrize("d", [1, 4, 15, 31, 40])
+def test_batched_draws_match_fraction_reference_at_every_chunk_size(d, box, size):
+    # the rounds parse n chunks of each digest at once (padded to 8 bytes);
+    # a rejected chunk among them, n chunks past one digest and chunks wider
+    # than 8 bytes take the per-key rule instead
+    assert _uniform_rule(int(box * 64))[0] == size
+    config = SampleConfig(seed=d + size, count=30, box=box)
+    draws = _weight_rows(d + 1, config)
+    assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == reference_weights(config, d + 1)
+    (nums, dens), = _weight_draws(d + 1, config)
+    # int64 exactly when the box keeps every N_j and 2*T^2 below 2^62
+    assert nums.dtype == dens.dtype == (object if size == 14 else np.int64)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocks_and_rounds_leave_the_draws_alone(monkeypatch, block):
+    # sample k depends only on (seed, k): cutting the samples into blocks,
+    # and the rounds of each block, changes nothing
+    config = SampleConfig(seed=3, count=50, box=Fraction(3, 2))
+    expected = _weight_rows(6, config)
+    segment = _weight_rows(2, config, discover._segment_branch)
+    monkeypatch.setattr(geom, "_BLOCK", block)
+    assert _weight_rows(6, config) == expected
+    assert _weight_rows(2, config, discover._segment_branch) == segment
+    assert [len(dens) for _, dens in _weight_draws(6, config)] == [
+        min(block, 50 - start) for start in range(0, 50, block)
+    ]
+
+
+def test_a_sample_with_no_passing_draw_is_named_in_sample_order(monkeypatch):
+    # samples 2 and 4 never pass; 0, 1 and 3 do, and the error names 2, the
+    # first sample a one-at-a-time loop would have given up on.  The rounds
+    # favour the lowest open sample, so sample 4 takes a small share of the
+    # attempts hashed, not another 65536
+    raw_weights, hashed = geom._raw_weights, []
+
+    def counting(keys, *rest):
+        hashed.append(len(keys))
+        return raw_weights(keys, *rest)
+
+    def refuse(ks, nums):
+        return (ks != 2) & (ks != 4)
+
+    monkeypatch.setattr(geom, "_raw_weights", counting)
+    message = r"^box 3 is too small for d = 2: sample 2 found no passing draw in 65536 attempts$"
+    with pytest.raises(ValueError, match=message):
+        list(_weight_draws(3, SampleConfig(seed=1, count=6), refuse))
+    assert 65536 < sum(hashed) < 65536 * 5 // 4
+
+
+@pytest.mark.parametrize("d, box, dtype", [
+    (2, 3, np.int64), (8, 3, np.int64), (40, 3, np.int64), (40, 1000, object),
+])
+def test_relation_residuals_are_exact_on_both_integer_paths(monkeypatch, d, box, dtype):
+    # verify takes the residuals of a block in int64 only under the bound
+    # n(n+1)*max(N, 2T^2)^2 < 2^62; at d = 40 and box 1000 it falls back to
+    # Python ints, where int64 arithmetic wraps
+    config = SampleConfig(seed=d, count=40, box=Fraction(box))
+    (nums, dens), = _weight_draws(d + 1, config)
+    assert not cli._relation_residuals(nums, dens).any()
+    exact = geom._distance_numerators
+
+    def shifted(nums, den):
+        # doubling N_0 moves the point far off the relation
+        first, *rest = exact(nums, den)
+        return (2 * first, *rest)
+
+    monkeypatch.setattr(geom, "_distance_numerators", shifted)
+    residuals = cli._relation_residuals(nums, dens)
+    assert residuals.dtype == dtype
+    expected = [
+        _relation_numerator(2 * den * den, shifted(r, den)) for r, den in zip(nums.tolist(), dens.tolist())
+    ]
+    assert all(expected) and residuals.tolist() == expected
+    # the same draws as Python ints give the same residuals
+    assert cli._relation_residuals(nums.astype(object), dens.astype(object)).tolist() == expected
+    if dtype is object:
+        with np.errstate(over="ignore"):
+            wrapped = _relation_numerator(2 * dens * dens, shifted(nums.T, dens))
+        assert wrapped.tolist() != expected
 
 
 def test_uniform_rule_makes_every_value_equally_likely():
@@ -329,7 +415,7 @@ def test_segment_samples_spread_over_the_three_branches(degree):
     # branch k mod 3, so each branch line holds C(D+2, 2) >= D+1 of them
     count = 3 * math.comb(degree + 2, 2)
     config = SampleConfig(seed=degree, count=count, box=Fraction(3, 2))
-    draws = list(_weight_draws(2, config, discover._segment_branch))
+    draws = _weight_rows(2, config, discover._segment_branch)
     weights = [tuple(Fraction(r, den) for r in nums) for nums, den in draws]
     assert weights == reference_weights(config, 2, lambda k, w: _segment_branch_of(w) == k % 3)
     branches = [_segment_branch_of(w) for w in weights]
@@ -344,7 +430,7 @@ def test_segment_samples_spread_over_the_three_branches(degree):
 def test_weight_draws_accept_a_box_of_exactly_1_over_n():
     # n*box = 1 leaves only the draws of n equal weights, which still pass
     config = SampleConfig(seed=1, count=5, box=Fraction(1, 2))
-    assert [Fraction(nums[0], den) for nums, den in _weight_draws(2, config)] == [Fraction(1, 2)] * 5
+    assert [Fraction(nums[0], den) for nums, den in _weight_rows(2, config)] == [Fraction(1, 2)] * 5
 
 
 def test_import_leaves_hashlib_out():
@@ -385,7 +471,7 @@ def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
     for a2 in EDGES_SQ:
         rows = discover._sample_squared_distances(d, a2, count, d + 40)
         if d == 1:
-            draws = _weight_draws(2, config, discover._segment_branch)
+            draws = _weight_rows(2, config, discover._segment_branch)
             exact = [_exact_squared(a2, nums, den) for nums, den in draws]
         else:
             exact = [sample.squared for _, sample in sample_points(EmbeddedSimplex(d, a2), config)]

@@ -165,6 +165,17 @@ def test_tangency_residuals_are_exact_in_the_float_centres():
         TangentConfig(dim=2, spheres=(big, unit))
 
 
+def test_tangency_tolerance_grows_with_the_configuration():
+    # a defect under one float step of the centres passes at 1e8 and 1e9
+    # (it failed an absolute 1e-9); a defect the size of a radius never does
+    for radius in (1e8, 1e9):
+        spheres = build_tangent_circles_2d(radius, 1, 1).spheres
+        assert max(r for _, _, r in tangency_residuals(spheres)) > 1e-9
+    far = (Sphere((0.0, 0.0), 1e8), Sphere((1e8 + 1.5, 0.0), 1.0))
+    with pytest.raises(ValueError, match="not mutually tangent"):
+        TangentConfig(dim=2, spheres=far)
+
+
 @pytest.mark.parametrize("radius", [1e4, 1e6, 1e10, 1e12, 1e14])
 def test_construction_places_circles_around_a_large_radius(radius):
     # s13^2 - x3^2 cancels in floats (residual 2 at 1e10 before it was exact)
