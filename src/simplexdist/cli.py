@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -406,9 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use and kept: parsing does not change the parser, and its
+# nine subparsers take longer to build than some whole commands take to run
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

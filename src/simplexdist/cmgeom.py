@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import CartesianSimplex, _unit_floats
+from .geom import CartesianSimplex, _unit_float_rows
 from .rationals import as_fraction, edge_sq_float, frac_str
 
 # relative depth below 0 at which a float configuration's volume^2 is still flat
@@ -324,33 +324,46 @@ def reconstruct_point(simplex: CartesianSimplex, distances: Sequence[float]) -> 
     return ReconstructionResult(feasible=feasible, point=x, residual=residual)
 
 
-def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list[float]:
+def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list:
     """Solve the quartic relation for the last distance, given the first d.
 
     In the square ``s`` of the last distance the relation is quadratic with
     leading coefficient ``d``; the real non-negative roots give the
     candidate distances, returned sorted ascending (possibly empty).  The
     inputs are taken as floats, and a discriminant within rounding of 0
-    counts as 0.
+    counts as 0.  ``first`` is one tuple's d distances, or an ``(m, d)``
+    array of them, which gives one root list per row.
+
+    The power sums are added column by column, left to right, as ``sum``
+    adds on Python 3.10 and 3.11 (3.12 compensates), and the fourth powers
+    are Python float powers (libm ``pow``; numpy's SIMD power can differ
+    in the last bit), so every supported Python gives the same roots.  A
+    fourth power beyond the float range raises ``OverflowError``.
     """
-    if len(first) != d:
-        raise ValueError(f"need the first {d} distances, got {len(first)}")
+    t = np.asarray(first, dtype=float)
+    if t.ndim not in (1, 2) or t.shape[-1] != d:
+        raise ValueError(f"need the first {d} distances, got shape {t.shape}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d!r}")
+    rows = np.atleast_2d(t)
     a2 = float(edge_sq)
-    ts = [float(x) for x in first]
-    p = a2 + sum(x * x for x in ts)
-    q = a2**2 + sum(x**4 for x in ts)
-    disc = (d + 1) * (p * p - d * q)
-    if disc < 0:
-        if disc > -1e-9 * (p * p + abs(q) + 1.0):
-            disc = 0.0
-        else:
-            return []
-    root = math.sqrt(disc)
-    out = []
-    for s in ((p - root) / d, (p + root) / d):
-        if s >= -1e-12:
-            out.append(math.sqrt(max(s, 0.0)))
-    return sorted(set(out))
+    fourth = np.array([x**4 for x in rows.ravel().tolist()]).reshape(rows.shape)
+    # the float arithmetic of Python: inf and nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a2 + np.cumsum(rows * rows, axis=1)[:, -1]
+        q = a2**2 + np.cumsum(fourth, axis=1)[:, -1]
+        disc = (d + 1) * (p * p - d * q)
+        disc[(disc < 0) & (disc > -1e-9 * (p * p + np.abs(q) + 1.0))] = 0.0
+        root = np.sqrt(disc)  # nan where disc < 0: no real root
+        low, high = (p - root) / d, (p + root) / d
+        has_low, has_high = low >= -1e-12, high >= -1e-12
+        low, high = np.sqrt(np.where(low < 0, 0.0, low)), np.sqrt(np.where(high < 0, 0.0, high))
+    # low <= high, and a kept low root keeps the high one
+    out = [
+        [lo, hi] if keep_lo and lo != hi else [hi] if keep_hi else []
+        for lo, hi, keep_lo, keep_hi in zip(low.tolist(), high.tolist(), has_low.tolist(), has_high.tolist())
+    ]
+    return out if t.ndim == 2 else out[0]
 
 
 @dataclass
@@ -370,11 +383,12 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
 
     Each trial draws the first d distances log-uniformly in [a/10, 10a],
     from the uniform floats of the key ``seed|probe|i`` (see
-    ``geom._unit_floats``), and completes the tuple through the quadratic.
-    By the identity in the module docstring every real non-negative root is
-    realizable, so each root gets the verdict ``feasible`` and
-    ``infeasible`` stays 0; the report also counts the trials with no real
-    non-negative root at all.
+    ``geom._unit_float_rows``), and completes the tuple through the
+    quadratic.  All trials are drawn in one round of digests and completed
+    in one call of :func:`complete_distance_tuple`.  By the identity in the
+    module docstring every real non-negative root is realizable, so each
+    root gets the verdict ``feasible`` and ``infeasible`` stays 0; the
+    report also counts the trials with no real non-negative root at all.
 
     The relation is homogeneous in ``(a^2, t^2)``, so the completion runs in
     units of the edge, where no power of a can overflow or underflow, and
@@ -393,11 +407,13 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
         raise ValueError("edge_sq is below the normal float range: its float edge cannot carry the draws")
     edge = math.sqrt(a2_float)
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
+    draws = _unit_float_rows([f"{seed}|probe|{i}" for i in range(trials)], d)
+    # Python float powers, as in complete_distance_tuple
+    units = np.array([10.0**x for x in (-1.0 + 2.0 * draws).ravel().tolist()]).reshape(trials, d)
+    completions = complete_distance_tuple(d, 1.0, units)
     rows = []
-    for i in range(trials):
-        units = [10.0 ** (-1.0 + 2.0 * u) for u in _unit_floats(f"{seed}|probe|{i}", d)]
-        first = [edge * u for u in units]
-        roots = [edge * r for r in complete_distance_tuple(d, 1.0, units)]
+    for i, (first, units_roots) in enumerate(zip((edge * units).tolist(), completions)):
+        roots = [edge * r for r in units_roots]
         verdicts = [{"t_last": t_last, "status": "feasible"} for t_last in roots]
         counts["feasible"] += len(roots)
         if not roots:

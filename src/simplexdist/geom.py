@@ -20,15 +20,17 @@ The integers come from a counter-based generator (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC 2011): each attempt at a sample
 hashes its key ``seed|weights|k|attempt`` once with BLAKE2b, and the 64-byte
 digest is cut into little-endian chunks that rejection sampling turns into
-uniform integers (:func:`_digest_ints`), or uniform floats
-(:func:`_unit_floats`).  No generator state is seeded per sample, so the
-weight draws come in rounds over blocks of samples (:func:`_weight_draws`):
-each round hashes the next attempts of every open sample, parses all the
-digests at once with numpy and applies the redraw rules as row masks.  An
-attempt with a rejected chunk among its first n, n chunks that do not fit
-in one digest, and chunks wider than 8 bytes take ``_digest_ints`` key by
-key.  The draws are ``int64`` arrays where the box keeps every integer
-built from them below 2^62, Python ints otherwise.
+uniform integers (:func:`_digest_ints`).  No generator state is seeded per
+sample, so the weight draws come in rounds over blocks of samples
+(:func:`_weight_draws`): each round hashes the next attempts of every open
+sample, parses all the digests at once with numpy and applies the redraw
+rules as row masks.  An attempt with a rejected chunk among its first n, n
+chunks that do not fit in one digest, and chunks wider than 8 bytes take
+``_digest_ints`` key by key.  The draws are ``int64`` arrays where the box
+keeps every integer built from them below 2^62, Python ints otherwise.
+Uniform floats, for the sphere sampler and ``probe63``, are the top 53 bits
+of 8-byte chunks, which no chunk fails, so :func:`_unit_float_rows` hashes
+and parses the digests of a whole list of keys in one round.
 """
 
 from __future__ import annotations
@@ -75,9 +77,17 @@ def _digest_ints(key: str, n: int, size: int, limit: int) -> list[int]:
             chunks >>= bits
 
 
-def _unit_floats(key: str, n: int) -> list[float]:
-    """n uniform floats in [0, 1): the top 53 bits of 8-byte digest chunks."""
-    return [(v >> 11) * 2.0**-53 for v in _digest_ints(key, n, 8, 1 << 64)]
+def _unit_float_rows(keys: list[str], n: int) -> np.ndarray:
+    """n uniform floats in [0, 1) per key, one row each: the top 53 bits of
+    the first n 8-byte chunks of the digests of ``key``, ``key|1``, ...,
+    the stream of ``_digest_ints(key, n, 8, 2**64)``, which rejects no
+    chunk."""
+    blocks = -(-n // 8)
+    digests = b"".join(
+        [blake2b((f"{key}|{b}" if b else key).encode()).digest() for key in keys for b in range(blocks)]
+    )
+    values = np.frombuffer(digests, dtype="<u8").reshape(len(keys), 8 * blocks)[:, :n]
+    return (values >> np.uint64(11)) * 2.0**-53
 
 
 def _uniform_rule(hi: int) -> tuple[int, int]:
@@ -423,10 +433,12 @@ def sample_circumsphere(simplex: EmbeddedSimplex, config: SampleConfig) -> np.nd
     d, n = simplex.dim, simplex.dim + 1
     if d < 2:
         raise ValueError("circumsphere sampling needs dimension >= 2")
+    width = n + n % 2
+    # attempt 0 of every sample in one round; the rare redraw hashes its own key
+    draws = _unit_float_rows([f"{config.seed}|sphere|{k}|0" for k in range(config.count)], width)
     rows = []
-    for k in range(config.count):
-        for attempt in itertools.count():
-            v = _unit_floats(f"{config.seed}|sphere|{k}|{attempt}", n + n % 2)
+    for k, v in enumerate(draws.tolist()):
+        for attempt in itertools.count(1):
             polar = [(math.sqrt(-2.0 * math.log1p(-x)), 2.0 * math.pi * y) for x, y in zip(v[::2], v[1::2])]
             gauss = [r * f(angle) for r, angle in polar for f in (math.cos, math.sin)][:n]
             mean = math.fsum(gauss) / n
@@ -434,6 +446,7 @@ def sample_circumsphere(simplex: EmbeddedSimplex, config: SampleConfig) -> np.nd
             norm = math.hypot(*u)
             if norm > 1e-9:
                 break
+            v = _unit_float_rows([f"{config.seed}|sphere|{k}|{attempt}"], width)[0].tolist()
         rows.append([x / norm for x in u])
     a = math.sqrt(edge_sq_float(simplex.edge_sq))
     return a * np.sqrt(np.maximum(d / n - math.sqrt(d / n) * np.array(rows), 0.0))

@@ -1,5 +1,6 @@
 """Subcommand exit codes, JSON reports, and reproducibility."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplexdist import soddy
+from simplexdist import cli, soddy
 from simplexdist.cli import main
 from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
 from simplexdist.poly import distance_relation, divide_last_variable, poly_from_dict, poly_to_dict
@@ -384,6 +385,36 @@ def test_reconstruct_names_an_edge_below_the_float_range(tmp_path, capsys):
     code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e-400")
     assert code == 2 and doc is None
     assert "error: edge_sq is below the normal float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d, count, expected",
+    [
+        (9, 200, "df64af8a80e8db09413c8b771b628858bd3dd3812e54002d4f40d9447e448893"),
+        (17, 100, "b31b01ea33bd0638cba8dd51dc9c46c4794c1ff311a2191c46c721daf65072c8"),
+    ],
+)
+def test_probe63_draws_past_one_digest(tmp_path, d, count, expected):
+    # d > 8 draws take the digests of key|1, key|2, ...; the digests were
+    # recorded from the per-key draws
+    code, doc = run(tmp_path, "probe63", "--d", str(d), "--count", str(count), "--seed", "5")
+    result = doc["result"]
+    pinned = {
+        "counts": result["counts"],
+        "trials": [{"t_first": t["t_first"], "roots": t["roots"]} for t in result["trials"]],
+    }
+    assert code == 0
+    assert hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest() == expected
+
+
+def test_probe63_roots_do_not_depend_on_the_python_version(tmp_path):
+    # a compensated sum (Python 3.12+) moves this trial's roots to
+    # ...687 and ...294: the power sums are added left to right on every version
+    code, doc = run(tmp_path, "probe63", "--d", "3", "--count", "3000", "--seed", "5")
+    trial = doc["result"]["trials"][424]
+    assert code == 0
+    assert trial["t_first"] == [0.9002316560320776, 1.3493547067147182, 1.1569184366770804]
+    assert trial["roots"] == [0.5069663957572673, 1.7481634245760298]
 
 
 def test_probe63_rejects_d0(tmp_path, capsys):
@@ -854,6 +885,39 @@ def test_report_is_one_line_of_compact_sorted_json(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == code
     assert cut_timestamp(out.read_text()) == cut_timestamp(line + "\n")
+
+
+def test_one_parser_serves_every_call(capsys):
+    # a usage error, a configuration error, a run with non-default options
+    # and runs of other subcommands on their defaults, through the parser of
+    # the first call and through a fresh one each
+    sequence = [
+        ["probe63", "--d", "two"],
+        ["probe63", "--d", "0"],
+        ["probe63", "--d", "3", "--seed", "4", "--count", "5", "--edge-sq", "4/9"],
+        ["probe63", "--count", "5"],
+        ["verify", "--count", "5"],
+        ["cm", "--edges-equilateral", "3"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, cut_timestamp(out) if out else out, err
+
+    cli._parser.cache_clear()
+    reused = [call(argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 2, 0, 0, 0, 0]
+    assert json.loads(reused[3][1])["config"] == {"d": 2, "edge_sq": "1", "seed": 0, "trials": 5}
 
 
 @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="this interpreter has no C JSON encoder")

@@ -409,6 +409,48 @@ def test_complete_tuple_no_real_root():
 def test_complete_tuple_arity():
     with pytest.raises(ValueError):
         complete_distance_tuple(2, 1, [1.0])
+    with pytest.raises(ValueError):
+        complete_distance_tuple(2, 1, [[1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError):
+        complete_distance_tuple(0, 1, [])
+
+
+def reference_completion(d, a2, first):
+    """The completion one tuple at a time in Python floats, the power sums
+    added left to right."""
+    p, q = 0.0, 0.0
+    for x in first:
+        p, q = p + x * x, q + x**4
+    p, q = a2 + p, a2**2 + q
+    disc = (d + 1) * (p * p - d * q)
+    if disc < 0:
+        if disc > -1e-9 * (p * p + abs(q) + 1.0):
+            disc = 0.0
+        else:
+            return []
+    root = math.sqrt(disc)
+    out = [math.sqrt(max(s, 0.0)) for s in ((p - root) / d, (p + root) / d) if s >= -1e-12]
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize(
+    "d, a2, rows, lengths",
+    [
+        # two roots; no root (a negative discriminant); a double root (a zero
+        # discriminant); a discriminant of about -1.2e-11, clamped to 0
+        (2, 1.0, [[0.9, 0.6], [10.0, 0.1], [0.5, 0.5], [0.5 - 1e-12, 0.5 - 1e-12], [1.0, 1.0]], [2, 0, 1, 1, 2]),
+        # the low root of t_j^2 = a^2 is 0, and rounds to -2.3e-10 here: one root
+        (2, 1e6, [[999.9999999999911] * 2, [1000.0] * 2], [1, 2]),
+        (1, 1.0, [[0.0], [0.7], [3.0]], [1, 2, 2]),
+        (5, 4 / 9, [[0.5, 0.6, 0.7, 0.8, 0.9], [9.0, 0.1, 0.1, 0.1, 0.1]], [2, 0]),
+    ],
+)
+def test_complete_tuple_rows_match_single_tuples(d, a2, rows, lengths):
+    batched = complete_distance_tuple(d, a2, np.array(rows))
+    assert batched == [complete_distance_tuple(d, a2, row) for row in rows]
+    assert batched == [reference_completion(d, a2, row) for row in rows]
+    assert [len(roots) for roots in batched] == lengths
+    assert complete_distance_tuple(d, a2, np.empty((0, d))) == []
 
 
 # -- the realizability probe ---------------------------------------------------------

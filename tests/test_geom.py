@@ -22,6 +22,7 @@ from simplexdist.geom import (
     _distance_numerators,
     _exact_squared,
     _digest_ints,
+    _unit_float_rows,
     _uniform_rule,
     _weight_draws,
     _weight_rows,
@@ -401,6 +402,37 @@ def test_digest_ints_follow_the_reference():
         limit = 256**size * 5 // 7  # rejects about two chunks in seven
         expected = [v for v in itertools.islice(reference_chunks("7|probe|3", size), 200) if v < limit]
         assert _digest_ints("7|probe|3", len(expected), size, limit) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 40])
+def test_unit_float_rows_follow_the_reference(n):
+    # the top 53 bits of the first n 8-byte chunks, past one digest from n = 9
+    keys = [f"{seed}|probe|{i}" for seed in (0, 5) for i in range(4)]
+    expected = [[(v >> 11) * 2.0**-53 for v in itertools.islice(reference_chunks(key, 8), n)] for key in keys]
+    rows = _unit_float_rows(keys, n)
+    assert rows.dtype == np.float64 and rows.shape == (len(keys), n)
+    assert rows.tolist() == expected
+
+
+def test_sphere_redraws_a_degenerate_attempt(monkeypatch):
+    # attempt 0 of sample 1 gives equal Gaussians, which leave nothing to
+    # rescale: sample 1 is then attempt 1, and the other samples stay
+    real = geom._unit_float_rows
+
+    def degenerate(keys, n):
+        rows = real(keys, n)
+        if len(keys) > 1:
+            rows[1] = [0.5, 0.125] * (n // 2)  # radius sqrt(2 ln 2), angle pi/4
+        return rows
+
+    simplex, config = EmbeddedSimplex(3, 1), SampleConfig(seed=2, count=3)
+    rows = sample_circumsphere(simplex, config)
+    monkeypatch.setattr(geom, "_unit_float_rows", degenerate)
+    redrawn = sample_circumsphere(simplex, config)
+    assert np.array_equal(redrawn[[0, 2]], rows[[0, 2]])
+    assert not np.array_equal(redrawn[1], rows[1])
+    monkeypatch.setattr(geom, "_unit_float_rows", lambda keys, n: real([k.replace("|1|0", "|1|1") for k in keys], n))
+    assert np.array_equal(redrawn[1], sample_circumsphere(simplex, config)[1])
 
 
 def _segment_branch_of(weights):
