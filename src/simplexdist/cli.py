@@ -7,8 +7,8 @@ pretty-prints it.  With ``--out`` the JSON goes to the file and a short
 human summary to stdout; without it the JSON document itself is printed.
 Exit codes: 0 success, 1 a ``verify``, ``discover`` or ``sphere`` run that
 completed but failed its own check (a nonzero residual, an uncertified
-candidate, an inconclusive spectral gap, a ``discover`` run at d >= 2 that
-is not ``complete``), 2 bad configuration.
+candidate, a ``discover`` run that is not ``complete``, a ``sphere`` run
+with an inconclusive spectral gap), 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -181,10 +181,7 @@ def cmd_discover(args) -> int:
     summary = []
     if args.out:  # only a report written to a file prints the summary
         ns = report.nullspace
-        if isinstance(ns, discover.ExactNullspace):
-            verdict = f"{'complete' if ns.complete else 'incomplete'} after {len(ns.primes)} prime(s)"
-        else:
-            verdict = f"gap {ns.gap:.3e}"
+        verdict = f"{'complete' if ns.complete else 'incomplete'} after {len(ns.primes)} prime(s)"
         summary = [
             f"discover: null dimension {ns.null_dim} at degree {args.max_degree}, {verdict}",
         ] + [f"  candidate ({c.certificate}): {c.poly}" for c in report.candidates]

@@ -331,8 +331,10 @@ def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list:
     leading coefficient ``d``; the real non-negative roots give the
     candidate distances, returned sorted ascending (possibly empty).  The
     inputs are taken as floats, and a discriminant within rounding of 0
-    counts as 0.  ``first`` is one tuple's d distances, or an ``(m, d)``
-    array of them, which gives one root list per row.
+    counts as 0, and so does a root s within rounding of 0; both cutoffs
+    scale with the edge, so the roots scale with it too.  ``first`` is one
+    tuple's d distances, or an ``(m, d)`` array of them, which gives one
+    root list per row.
 
     The power sums are added column by column, left to right, as ``sum``
     adds on Python 3.10 and 3.11 (3.12 compensates), and the fourth powers
@@ -353,10 +355,10 @@ def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list:
         p = a2 + np.cumsum(rows * rows, axis=1)[:, -1]
         q = a2**2 + np.cumsum(fourth, axis=1)[:, -1]
         disc = (d + 1) * (p * p - d * q)
-        disc[(disc < 0) & (disc > -1e-9 * (p * p + np.abs(q) + 1.0))] = 0.0
+        disc[(disc < 0) & (disc > -1e-9 * (p * p + np.abs(q) + a2 * a2))] = 0.0
         root = np.sqrt(disc)  # nan where disc < 0: no real root
         low, high = (p - root) / d, (p + root) / d
-        has_low, has_high = low >= -1e-12, high >= -1e-12
+        has_low, has_high = low >= -1e-12 * a2, high >= -1e-12 * a2
         low, high = np.sqrt(np.where(low < 0, 0.0, low)), np.sqrt(np.where(high < 0, 0.0, high))
     # low <= high, and a kept low root keeps the high one
     out = [

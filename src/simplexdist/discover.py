@@ -5,8 +5,8 @@ samples, columns: basis elements), finds the polynomials that vanish on
 the samples, and certifies each exactly, with one certificate per ideal:
 exact division by the generator of the vanishing ideal (the quartic
 relation for d >= 2, the segment cubic for d = 1) in ``discover_vanishing``,
-and membership in the ideal of the circumsphere quadratic and the quartic
-(``_in_sphere_ideal``) in ``discover_on_sphere``.
+which forms no float, and membership in the ideal of the circumsphere
+quadratic and the quartic (``_in_sphere_ideal``) in ``discover_on_sphere``.
 
 **d >= 2: exact, modulo primes.**  The quartic has only even powers of the
 distances, so it is a quadric ``R(s)`` in ``s = t^2``.  Its ideal is
@@ -33,21 +33,28 @@ the reduced echelon form in s, which is unique.  Classes have disjoint
 columns and ``f -> e + 2f`` keeps the graded order, so the lifted rows
 sorted by pivot are the reduced echelon form of the whole space.
 
+**d = 1: exact, in one class.**  The segment cubic ``G_a(t)`` generates
+the vanishing ideal and mixes parities, so the run has the one class of
+degree D in t.  As ``G_a(t) = a^3 * G_1(t/a)``, it works in ``v = t/a``,
+``v = (|r_1|, |r_0|)/T`` for weights ``(r_0, r_1)/T``, with sample k redrawn
+onto branch ``k mod 3`` of the segment (``_segment_branch``).  The rest is
+the run of d >= 2, with ``G_1(v)``, cubic and monic in the last variable, as
+the divisor, and rows scaled by powers of the edge a, which must be rational.
+
 The report proves completeness: a prefix with ``c`` certified rows out of a
 nullspace of dimension ``corank_P`` modulo P satisfies ``c <= dim V <=
 corank_Q <= corank_P``, where V is its vanishing space and ``corank_Q`` the
 dimension of the nullspace over the rationals, so ``c = corank_P`` on every
 prefix means that the candidates span the whole vanishing space.
 
-**d = 1 and the circumsphere: numeric, then exact.**  These runs stay in t:
-the segment cubic and the Pompeiu cubic on the circumsphere mix parities,
-so their ideals do not split.  They evaluate the degree-D basis at the
-distances t (the d = 1 samples spread evenly over the three branches of the
-segment, the sphere ones taken from weights on the circumsphere), take the
-numeric nullspace of the column-equilibrated matrix by SVD, recording the
-full singular spectrum and the gap at the cut, map the nullspace basis back
-to monomial coefficients, bring it to reduced row echelon form, and
-reconstruct exact rational coefficients by continued fractions.
+**The circumsphere: numeric, then exact.**  Sphere runs stay in t: the
+Pompeiu cubic on the circumsphere mixes parities, so the ideal does not
+split.  They evaluate the degree-D basis at the distances t of points
+taken from weights on the circumsphere, take the numeric nullspace of the
+column-equilibrated matrix by SVD, recording the full singular spectrum and
+the gap at the cut, map the nullspace basis back to monomial coefficients,
+bring it to reduced row echelon form, and reconstruct exact rational
+coefficients by continued fractions.
 
 Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
 Hilbert-like), so internally these runs evaluate Chebyshev products in the
@@ -333,7 +340,7 @@ class CertifiedCandidate:
 class DiscoveryReport:
     config: dict
     basis: MonomialBasis
-    nullspace: NullspaceReport
+    nullspace: ExactNullspace
     candidates: list[CertifiedCandidate] = field(default_factory=list)
 
     @property
@@ -528,14 +535,8 @@ def _sphere_screen(d: int, a2: Fraction, quadratic: MultiPoly, relation_image: M
     return refutes
 
 
-def _certify(p: MultiPoly, generator: MultiPoly) -> str:
-    if not p.is_zero and divide_last_variable(p, generator).remainder.is_zero:
-        return CERT_DIVISIBLE
-    return CERT_UNCERTIFIED
-
-
-# a barycentric box of 3/2 keeps the distance cloud from stretching into a
-# thin tube, which conditions the evaluation matrix
+# the barycentric box of the discovery samples: 3/2 keeps the distance cloud,
+# and so the integers of the exact runs, small
 _DISCOVERY_BOX = Fraction(3, 2)
 _DISCOVERY_SAMPLING = f"weights(box={frac_str(_DISCOVERY_BOX)})"
 
@@ -551,119 +552,33 @@ def _segment_branch(ks: np.ndarray, nums: np.ndarray) -> np.ndarray:
     return branch == ks % 3
 
 
-def _sample_squared_distances(d, edge_sq, count, seed) -> np.ndarray:
-    """Squared distances of the discovery samples as floats, one row per
-    sample: the exact samples of ``sample_points`` at box 3/2, except that
-    for d = 1 sample k is redrawn until it lies on branch ``k mod 3`` of the
-    segment image (``_segment_branch``), so the three branches share the
-    samples evenly.
-
-    Each float is the squared distance ``p*N_j / (2*q*T^2)`` divided as
-    Python ints, which rounds correctly, so it equals ``float(Fraction)``
-    bit for bit; one beyond the float range raises ``ValueError``.
-    """
-    simplex = EmbeddedSimplex(d, edge_sq)
-    p, q = simplex.edge_sq.numerator, simplex.edge_sq.denominator
-    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
-    try:
-        return np.array([
-            [p * n / (2 * q * den * den) for n in _distance_numerators(nums, den)]
-            for nums, den in _weight_rows(d + 1, config, _segment_branch if d == 1 else None)
-        ])
-    except OverflowError:
-        raise ValueError(
-            "edge_sq is out of float range: a squared distance of the samples is too large for a float"
-        ) from None
-
-
-def _discovery_run(
-    operation: str,
-    d: int,
-    a2: Fraction,
-    max_degree: int,
-    seed: int,
-    sample,
-    sampling: str,
-    certify,
-) -> tuple[dict, MonomialBasis, np.ndarray, NullspaceReport, list[CertifiedCandidate]]:
-    """The steps the runs in t share (d = 1 and the circumsphere): draw rows
-    of ``d + 1`` distances t with ``sample(count)`` (a set that is all 0 or
-    not all finite is bad configuration: a float cannot carry the edge),
-    evaluate the equilibrated Chebyshev matrix of the degree-D basis, and
-    take its nullspace.  Each RREF row becomes a polynomial labelled
-    ``certify(q)``.
-
-    The run draws three samples per column of its matrix.  Sample k depends
-    only on the seed and k, so a larger count draws a longer prefix of the
-    same stream.
-
-    Returns the config block, the degree-D basis, the equilibrated
-    evaluation matrix, the nullspace and the candidates in pivot order.
-    """
-    _check_degree(max_degree)
-    basis = enumerate_monomials(d + 1, max_degree)
-    count = 3 * len(basis)
-    values = sample(count)
-    if not np.all(np.isfinite(values)) or not np.any(values):
-        raise ValueError(
-            "degenerate sample set: the sampled values are all 0 as floats, or not all "
-            "finite, so edge_sq is out of float range"
-        )
-    half = float(np.max(values)) / 2.0
-    matrix = _chebyshev_eval_matrix(values, basis, half)
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0] = 1.0
-    matrix /= norms
-    report = numeric_nullspace(matrix, _THRESHOLD)
-    # the back-transform (_chebyshev_to_monomial) divides by half**k for k up
-    # to the degree: keep each a normal float
-    if report.null_dim and max_degree * abs(math.log2(half)) > 1022:
-        raise ValueError(
-            f"edge_sq is out of float range at max_degree {max_degree}: the back-transform to "
-            f"monomials needs the sample scale {half:.3g} to the powers +-{max_degree} as normal floats"
-        )
-    candidates = [CertifiedCandidate(q, certify(q)) for q in _null_polys(report, basis, norms, half)]
-    nullspace = NullspaceReport(report.singular_values, report.null_dim, None, report.gap, _THRESHOLD)
-    config = {
-        "operation": operation,
-        "d": d,
-        "edge_sq": frac_str(a2),
-        "max_degree": max_degree,
-        "n_samples": count,
-        "seed": seed,
-        "threshold": _THRESHOLD,
-        "max_denominator": _MAX_DENOMINATOR,
-        "matrix_basis": "chebyshev-equilibrated",
-        "sampling": sampling,
-    }
-    return config, basis, matrix, nullspace, candidates
-
-
 def _check_degree(max_degree) -> None:
     if not isinstance(max_degree, int) or max_degree < 1:
         raise ValueError("max_degree must be a positive integer")
 
 
-# samples beyond the columns of the matrix in u: the rational rank of the
-# square part is full for almost every draw, and the extra rows spare a run
-# from the draws where it is not
+# samples beyond the columns of a run's matrix (in u = s/a^2, or in v = t/a
+# at d = 1): a square part has the rank of the whole map for almost every
+# draw, and the extra rows spare a run from the draws where it has not; at
+# d = 1 they also give each of the three branches more than D samples
 _EXTRA_SAMPLES = 8
 # primes a run tries before it reports itself incomplete
 _MAX_PRIMES = 16
 _SQUARES_BASIS = "monomial-mod-p(s/edge_sq)"
+_SEGMENT_BASIS = "monomial-mod-p(t/edge)"
 
 
 @dataclass(frozen=True)
 class ExactNullspace:
-    """The vanishing space of a run in the squared distances, by prefix
-    degree k of its matrix in ``u = s/a^2``: ``corank[k]`` is the dimension
-    of the nullspace of the prefix modulo the ``primes`` used, and
-    ``ideal_dim[k]`` the number of its echelon rows certified in the ideal.
-    ``null_dim`` is the dimension in t, the corank summed over the parity
-    classes.  The run is ``complete`` when every prefix certifies its whole
-    corank, which proves that the candidates span the vanishing space (see
-    the module docstring); ``inconclusive`` is its negation, the flag every
-    discovery report carries."""
+    """The vanishing space of a run, by prefix degree k of its matrix in
+    ``u = s/a^2`` (in ``v = t/a`` at d = 1, whose one prefix is D):
+    ``corank[k]`` is the dimension of the nullspace of the prefix modulo the
+    ``primes`` used, and ``ideal_dim[k]`` the number of its echelon rows
+    certified in the ideal.  ``null_dim`` is the dimension in t, the corank
+    summed over the parity classes.  The run is ``complete`` when every
+    prefix certifies its whole corank, which proves that the candidates span
+    the vanishing space (see the module docstring); ``inconclusive`` is its
+    negation, the flag every discovery report carries."""
 
     null_dim: int
     corank: dict[int, int]
@@ -740,28 +655,28 @@ def _reconstruct(row: Sequence[int], modulus: int) -> dict[int, Fraction] | None
     return entries
 
 
-def _divisible(entries: dict[int, Fraction], codes: Sequence[int], rest, lead: int, high: int) -> bool:
+def _divisible(entries: dict[int, Fraction], codes: Sequence[int], rest, lead: int, high: int, m: int) -> bool:
     """Whether the polynomial with ``entries`` on the monomials of packed
-    exponents ``codes`` is a multiple of ``lead * x^2 + rest``, where x, the
+    exponents ``codes`` is a multiple of ``lead * x^m + rest``, where x, the
     last variable, has the weight ``high`` in a packed exponent and ``rest``
     lists the packed exponents and integer coefficients of the other terms,
-    none of degree 2 in x.
+    all of degree below m in x.
 
     Integer pseudo-division: scaled by its common denominator and by
-    ``lead^(m - 1)``, with m its degree in x, the polynomial has an integer
-    quotient and remainder, and every quotient term comes out exact.  No
-    term of ``rest`` reaches the level of x being cleared, so each level is
-    cleared in one pass."""
+    ``lead^(top - m + 1)``, with top its degree in x, the polynomial has an
+    integer quotient and remainder, and every quotient term comes out exact.
+    No term of ``rest`` reaches the level of x being cleared, so each level
+    is cleared in one pass."""
     top = max(codes[j] // high for j in entries)
     common = math.lcm(*(c.denominator for c in entries.values()))
-    scale = common * lead ** max(top - 1, 0)
+    scale = common * lead ** max(top - m + 1, 0)
     remainder = {codes[j]: c.numerator * (scale // c.denominator) for j, c in entries.items()}
-    for level in range(top, 1, -1):
+    for level in range(top, m - 1, -1):
         for code in [code for code in remainder if code // high == level]:
             quotient, inexact = divmod(remainder.pop(code), lead)
             if inexact:
                 return False
-            shift = code - 2 * high
+            shift = code - m * high
             for rc, rv in rest:
                 key = shift + rc
                 value = remainder.get(key, 0) - quotient * rv
@@ -772,27 +687,39 @@ def _divisible(entries: dict[int, Fraction], codes: Sequence[int], rest, lead: i
     return not remainder
 
 
-def _discover_in_squares(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
-    """``discover_vanishing`` for d >= 2, exactly: see the module docstring."""
+def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
+    """``discover_vanishing``, exactly: see the module docstring."""
     n = d + 1
     basis = enumerate_monomials(n, max_degree)
-    # the supports of at most D odd exponents, and the degree in s of each
-    classes = [
-        tuple(int(i in odd) for i in range(n))
-        for size in range(min(max_degree, n) + 1)
-        for odd in itertools.combinations(range(n), size)
-    ]
-    degrees = [(max_degree - sum(e)) // 2 for e in classes]
-    top = degrees[0]
+    top = max_degree if d == 1 else max_degree // 2
     columns = enumerate_monomials(n, top).exponents
-    widths = {k: math.comb(k + n, n) for k in sorted(set(degrees))}
     count = len(columns) + _EXTRA_SAMPLES
-    draws = _weight_rows(n, SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
-    numerators = [_distance_numerators(nums, den) for nums, den in draws]
-    scales = [2 * den * den for _, den in draws]
-    # R_1(u), the quartic at unit edge in the squares, with each exponent
-    # packed into one int, base top + 1 (no product in the prefixes has a
-    # larger exponent), the last variable most significant
+    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
+    if d == 1:
+        # the segment cubic mixes parities: one class, of degree D in v =
+        # t/a; sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
+        classes, degrees, step, unit = [(0, 0)], [top], 1, rational_sqrt(a2)
+        generator, m = segment_generator(1).terms, 3
+        draws = _weight_rows(n, config, _segment_branch)
+        numerators = [(abs(r1), abs(r0)) for (r0, r1), _ in draws]
+        scales = [den for _, den in draws]
+    else:
+        # the supports of at most D odd exponents, and the degree in s of each
+        classes = [
+            tuple(int(i in odd) for i in range(n))
+            for size in range(min(max_degree, n) + 1)
+            for odd in itertools.combinations(range(n), size)
+        ]
+        degrees = [(max_degree - sum(e)) // 2 for e in classes]
+        step, unit, m = 2, a2, 2
+        generator = {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()}
+        draws = _weight_rows(n, config)
+        numerators = [_distance_numerators(nums, den) for nums, den in draws]
+        scales = [2 * den * den for _, den in draws]
+    widths = {k: math.comb(k + n, n) for k in sorted(set(degrees))}
+    # the generator at unit edge, R_1(u) or the segment cubic in v, with
+    # each exponent packed into one int, base top + 1 (no product in the
+    # prefixes has a larger exponent), the last variable most significant
     base = top + 1
     high = base ** (n - 1)
 
@@ -800,12 +727,12 @@ def _discover_in_squares(d: int, a2: Fraction, max_degree: int, seed: int) -> Di
         return sum(x * base**i for i, x in enumerate(f))
 
     codes = [pack(f) for f in columns]
-    relation = {pack(tuple(x // 2 for x in e)): int(c) for e, c in distance_relation(d, 1).terms.items()}
-    lead = relation.pop(2 * high)
-    rest = list(relation.items())
+    divisor = {pack(f): int(c) for f, c in generator.items()}
+    lead = divisor.pop(m * high)
+    rest = list(divisor.items())
     exponents = np.asarray(columns)
 
-    # a prime must be a unit for every 2*T^2; no word prime divides one
+    # a prime must be a unit for every scale; no word prime divides one
     primes = (p for p in word_primes() if all(s % p for s in scales))
     image = None
     for prime in itertools.islice(primes, _MAX_PRIMES):
@@ -822,29 +749,30 @@ def _discover_in_squares(d: int, a2: Fraction, max_degree: int, seed: int) -> Di
             found[k] = []
             for pivot, row in zip(pivots, residues):
                 entries = _reconstruct(row, image.modulus)
-                certified = entries is not None and _divisible(entries, codes, rest, lead, high)
+                certified = entries is not None and _divisible(entries, codes, rest, lead, high, m)
                 found[k].append((pivot, entries, certified))
         if all(certified for prefix in found.values() for _, _, certified in prefix):
             break
 
-    # the row g(u) of pivot f0 gives a^(2|f0|) * g(s/a^2), whose pivot is
-    # 1; a row with no rational reconstruction has nothing to report
-    inverse = [a2**-k for k in range(top + 1)]
-    in_s = {k: [] for k in found}
+    # the row g(x) of pivot f0, x = u or v, gives c^|f0| * g(t^step / c)
+    # with c = a^step, whose pivot is 1; a row with no rational
+    # reconstruction has nothing to report
+    inverse = [unit**-k for k in range(top + 1)]
+    at_edge = {k: [] for k in found}
     for k, prefix in found.items():
         for pivot, entries, certified in prefix:
             if entries is None:
                 continue
-            if a2 != 1:
+            if unit != 1:
                 shift = sum(columns[pivot])
                 entries = {j: c * inverse[sum(columns[j]) - shift] for j, c in entries.items()}
-            in_s[k].append((pivot, entries, certified))
-    doubled = [tuple(2 * x for x in f) for f in columns]
+            at_edge[k].append((pivot, entries, certified))
+    in_t = [tuple(step * x for x in f) for f in columns]
     lifted = []
     for e, k in zip(classes, degrees):
-        for pivot, entries, certified in in_s[k]:
-            terms = {tuple(map(operator.add, e, doubled[j])): c for j, c in entries.items()}
-            lead_exponent = tuple(map(operator.add, e, doubled[pivot]))
+        for pivot, entries, certified in at_edge[k]:
+            terms = {tuple(map(operator.add, e, in_t[j])): c for j, c in entries.items()}
+            lead_exponent = tuple(map(operator.add, e, in_t[pivot]))
             candidate = CertifiedCandidate(
                 MultiPoly._canonical(n, terms), CERT_DIVISIBLE if certified else CERT_UNCERTIFIED
             )
@@ -863,7 +791,7 @@ def _discover_in_squares(d: int, a2: Fraction, max_degree: int, seed: int) -> Di
         "max_degree": max_degree,
         "n_samples": count,
         "seed": seed,
-        "matrix_basis": _SQUARES_BASIS,
+        "matrix_basis": _SEGMENT_BASIS if d == 1 else _SQUARES_BASIS,
         "sampling": _DISCOVERY_SAMPLING,
     }
     return DiscoveryReport(config, basis, nullspace, [c for _, c in lifted])
@@ -875,35 +803,29 @@ def discover_vanishing(
     max_degree: int,
     seed: int = 0,
 ) -> DiscoveryReport:
-    """Full discovery pipeline over the whole ambient space.
-
-    For d >= 2 the run is exact, in the squared distances, and
-    certification divides by the quartic relation; in the segment case
-    d = 1 the relation is not the generator and division is by the cubic
-    segment generator instead, which requires the edge length (the exact
-    square root of ``edge_sq``) to be rational.
+    """Full discovery pipeline over the whole ambient space, exact at every
+    d.  Certification divides by the generator of the vanishing ideal: the
+    quartic relation for d >= 2 and, in the segment case d = 1, where the
+    relation is not the generator, the cubic segment generator, which
+    requires the edge length (the exact square root of ``edge_sq``) to be
+    rational.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
     a2 = as_fraction(edge_sq)
     if d >= 2:
         EmbeddedSimplex(d, a2)
-        _check_degree(max_degree)
-        return _discover_in_squares(d, a2, max_degree, seed)
-    edge = rational_sqrt(a2)
-    if edge is None:
-        raise ValueError(
-            "in dimension 1 certification needs a rational edge length: "
-            f"edge_sq={a2} is not a perfect rational square"
-        )
-    generator = segment_generator(edge)
-    config, basis, _, report, candidates = _discovery_run(
-        "discover", d, a2, max_degree, seed,
-        sample=lambda count: np.sqrt(_sample_squared_distances(d, a2, count, seed)),
-        sampling=_DISCOVERY_SAMPLING,
-        certify=lambda q: _certify(q, generator),
-    )
-    return DiscoveryReport(config=config, basis=basis, nullspace=report, candidates=candidates)
+    else:
+        edge = rational_sqrt(a2)
+        if edge is None:
+            raise ValueError(
+                "in dimension 1 certification needs a rational edge length: "
+                f"edge_sq={a2} is not a perfect rational square"
+            )
+        if edge == 0:
+            raise ValueError("edge length must be positive, got 0")
+    _check_degree(max_degree)
+    return _discover_exact(d, a2, max_degree, seed)
 
 
 @dataclass(frozen=True)
@@ -1017,34 +939,60 @@ def discover_on_sphere(
     if a2 <= 0:
         raise ValueError("squared edge length must be positive")
 
-    def sample(count):
-        return sample_circumsphere(EmbeddedSimplex(d, a2), SampleConfig(seed=seed, count=count))
-
     quadratic = circumsphere_quadratic(d, a2)
     relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)
-
     refutes = _sphere_screen(d, a2, quadratic, relation_image, max_degree)
+    _check_degree(max_degree)
 
-    def certify(p):
-        member = not p.is_zero and not refutes(p) and _in_sphere_ideal(p, quadratic, relation_image)
-        return CERT_SPHERE_IDEAL if member else CERT_UNCERTIFIED
-
-    config, _, matrix, report, candidates = _discovery_run(
-        "sphere", d, a2, max_degree, seed,
-        sample=sample,
-        sampling="circumsphere(gaussian-direction)",
-        certify=certify,
-    )
-    certified = [c for c in candidates if c.certificate == CERT_SPHERE_IDEAL]
-    extras = [c for c in candidates if c.certificate == CERT_UNCERTIFIED]
+    # three samples per column; sample k depends only on the seed and k, so
+    # a larger count draws a longer prefix of the same stream
+    basis = enumerate_monomials(d + 1, max_degree)
+    count = 3 * len(basis)
+    values = sample_circumsphere(EmbeddedSimplex(d, a2), SampleConfig(seed=seed, count=count))
+    if not np.all(np.isfinite(values)) or not np.any(values):
+        raise ValueError(
+            "degenerate sample set: the sampled values are all 0 as floats, or not all "
+            "finite, so edge_sq is out of float range"
+        )
+    half = float(np.max(values)) / 2.0
+    matrix = _chebyshev_eval_matrix(values, basis, half)
+    norms = np.linalg.norm(matrix, axis=0)
+    norms[norms == 0] = 1.0
+    matrix /= norms
+    report = numeric_nullspace(matrix, _THRESHOLD)
+    # the back-transform (_chebyshev_to_monomial) divides by half**k for k up
+    # to the degree: keep each a normal float
+    if report.null_dim and max_degree * abs(math.log2(half)) > 1022:
+        raise ValueError(
+            f"edge_sq is out of float range at max_degree {max_degree}: the back-transform to "
+            f"monomials needs the sample scale {half:.3g} to the powers +-{max_degree} as normal floats"
+        )
+    certified, extras = [], []
+    for p in _null_polys(report, basis, norms, half):
+        if not p.is_zero and not refutes(p) and _in_sphere_ideal(p, quadratic, relation_image):
+            certified.append(CertifiedCandidate(p, CERT_SPHERE_IDEAL))
+        else:
+            extras.append(CertifiedCandidate(p, CERT_UNCERTIFIED))
     # lower degrees need only the null dimension
     lower = _prefix_nullspaces(matrix, d + 1, range(1, max_degree))
     null_by_degree = {k: r.null_dim for k, r in lower.items()}
     null_by_degree[max_degree] = report.null_dim
+    config = {
+        "operation": "sphere",
+        "d": d,
+        "edge_sq": frac_str(a2),
+        "max_degree": max_degree,
+        "n_samples": count,
+        "seed": seed,
+        "threshold": _THRESHOLD,
+        "max_denominator": _MAX_DENOMINATOR,
+        "matrix_basis": "chebyshev-equilibrated",
+        "sampling": "circumsphere(gaussian-direction)",
+    }
     return SphereDiscoveryReport(
         config=config,
         null_dim_by_degree=null_by_degree,
-        nullspace=report,
+        nullspace=NullspaceReport(report.singular_values, report.null_dim, None, report.gap, _THRESHOLD),
         certified=certified,
         extras=extras,
     )

@@ -165,22 +165,22 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "1", "--max-degree", "4"],
+    ["sphere", "--d", "4", "--max-degree", "2"],
     ["sphere", "--d", "3", "--max-degree", "2"],
     ["sphere", "--d", "2", "--max-degree", "4"],
 ])
 def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
-    # every float distance of edge_sq 1e-400 is 0, so the samples of the runs
-    # in t say nothing (the exact runs at d >= 2 form no float)
+    # every float distance of edge_sq 1e-400 is 0, so the samples of the
+    # sphere runs say nothing (the exact discover runs form no float)
     code, doc = run(tmp_path, *argv, "--edge-sq", "1e-400")
     assert code == 2 and doc is None
     assert "error: degenerate sample set" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e200"],
+    ["sphere", "--d", "3", "--max-degree", "4", "--edge-sq", "1e200"],
     ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
-    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e-300"],
+    ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-300"],
 ])
 def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsys, argv):
     # the back-transform to monomials divides by powers of the sample scale,
@@ -194,7 +194,7 @@ def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsy
 
 @pytest.mark.parametrize("argv", [
     # moved from the float-range tests: every float of these runs would be
-    # out of range, and the exact runs at d >= 2 form none
+    # out of range, and the exact discover runs form none
     ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-400"],
     ["discover", "--d", "3", "--max-degree", "2", "--edge-sq", "1e-400"],
     ["discover", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
@@ -202,12 +202,20 @@ def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsy
     ["discover", "--d", "2", "--edge-sq", "1e400"],
     ["discover", "--d", "2", "--edge-sq", "1e308"],
     ["discover", "--d", "3", "--max-degree", "6", "--edge-sq", "1e400"],
+    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e-400"],
+    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e200"],
+    ["discover", "--d", "1", "--max-degree", "4", "--edge-sq", "1e-300"],
+    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e400"],
+    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e308"],
+    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e310"],
 ])
 def test_exact_discovery_takes_edges_beyond_the_float_range(tmp_path, argv):
     code, doc = run(tmp_path, *argv)
     d, degree = int(argv[2]), int(doc["config"]["max_degree"])
+    # at d = 1 the vanishing space is the multiples of the segment cubic
+    null_dim = math.comb(degree - 1, 2) if d == 1 else math.comb(degree - 4 + d + 1, d + 1)
     assert code == 0 and doc["result"]["nullspace"]["complete"] is True
-    assert doc["result"]["nullspace"]["null_dim"] == math.comb(degree - 4 + d + 1, d + 1)
+    assert doc["result"]["nullspace"]["null_dim"] == null_dim
     assert all(c["certificate"] == "divisible-by-relation" for c in doc["result"]["candidates"])
 
 
@@ -802,14 +810,14 @@ def test_help_exits_zero(capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e400"],
+    ["sphere", "--d", "3", "--max-degree", "3", "--edge-sq", "1e400"],
     ["sphere", "--d", "2", "--edge-sq", "1e400"],
     ["probe63", "--d", "2", "--count", "5", "--edge-sq", "1e400"],
     ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e400"],
-    # the exact edge is valid, but its float, or a sample's squared
-    # distance, overflows just past the float range
-    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e308"],
-    ["discover", "--d", "1", "--max-degree", "3", "--edge-sq", "1e310"],
+    # the exact edge is valid, but its float overflows just past the float
+    # range
+    ["sphere", "--d", "2", "--max-degree", "3", "--edge-sq", "1e310"],
+    ["sphere", "--d", "4", "--edge-sq", "1e309"],
     ["sphere", "--d", "3", "--edge-sq", "1e309"],
     ["probe63", "--edge-sq", "1e309"],
     ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e309"],

@@ -424,12 +424,12 @@ def reference_completion(d, a2, first):
     p, q = a2 + p, a2**2 + q
     disc = (d + 1) * (p * p - d * q)
     if disc < 0:
-        if disc > -1e-9 * (p * p + abs(q) + 1.0):
+        if disc > -1e-9 * (p * p + abs(q) + a2 * a2):
             disc = 0.0
         else:
             return []
     root = math.sqrt(disc)
-    out = [math.sqrt(max(s, 0.0)) for s in ((p - root) / d, (p + root) / d) if s >= -1e-12]
+    out = [math.sqrt(max(s, 0.0)) for s in ((p - root) / d, (p + root) / d) if s >= -1e-12 * a2]
     return sorted(set(out))
 
 
@@ -439,8 +439,9 @@ def reference_completion(d, a2, first):
         # two roots; no root (a negative discriminant); a double root (a zero
         # discriminant); a discriminant of about -1.2e-11, clamped to 0
         (2, 1.0, [[0.9, 0.6], [10.0, 0.1], [0.5, 0.5], [0.5 - 1e-12, 0.5 - 1e-12], [1.0, 1.0]], [2, 0, 1, 1, 2]),
-        # the low root of t_j^2 = a^2 is 0, and rounds to -2.3e-10 here: one root
-        (2, 1e6, [[999.9999999999911] * 2, [1000.0] * 2], [1, 2]),
+        # the low root of t_j^2 = a^2 is 0, and rounds to -2.3e-10 here,
+        # within the cutoff at this edge: two roots, as at unit edge
+        (2, 1e6, [[999.9999999999911] * 2, [1000.0] * 2], [2, 2]),
         (1, 1.0, [[0.0], [0.7], [3.0]], [1, 2, 2]),
         (5, 4 / 9, [[0.5, 0.6, 0.7, 0.8, 0.9], [9.0, 0.1, 0.1, 0.1, 0.1]], [2, 0]),
     ],
@@ -451,6 +452,23 @@ def test_complete_tuple_rows_match_single_tuples(d, a2, rows, lengths):
     assert batched == [reference_completion(d, a2, row) for row in rows]
     assert [len(roots) for roots in batched] == lengths
     assert complete_distance_tuple(d, a2, np.empty((0, d))) == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_completion_scales_with_the_edge(d):
+    # the roots are homogeneous of degree 1 in (a, t): at a^2 = 1e6 they are
+    # 1000 times those at unit edge, the zero root of a vertex included
+    rng = random.Random(f"completion|{d}")
+    rows = [[rng.uniform(0.0, 2.0) for _ in range(d)] for _ in range(200)]
+    rows += [[0.9999999999999911] * d, [1.0] * d, [0.5 - 1e-12] * d]
+    unit = complete_distance_tuple(d, 1.0, np.array(rows))
+    large = complete_distance_tuple(d, 1e6, 1000.0 * np.array(rows))
+    assert [len(roots) for roots in large] == [len(roots) for roots in unit]
+    for big, small in zip(large, unit):
+        assert big == pytest.approx([1000.0 * r for r in small], rel=1e-9, abs=1e-9)
+    # a power-of-two scale rounds nothing differently: the roots are exact
+    scaled = complete_distance_tuple(d, 4.0**10, 1024.0 * np.array(rows))
+    assert scaled == [[1024.0 * r for r in roots] for roots in unit]
 
 
 # -- the realizability probe ---------------------------------------------------------

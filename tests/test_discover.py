@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplexdist import discover
@@ -347,11 +347,11 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
 
     monkeypatch.setattr(discover, "_rref", recording)
     discover_vanishing(1, 1, 8, seed=1)
+    discover_on_sphere(2, 1, 6, seed=1)
     discover_on_sphere(3, 1, 4, seed=1)
-    # one RREF per run in t: the multiples of the segment cubic of degree
-    # <= 8 in two variables, and the 16 null vectors of the sphere run at
-    # d = 3 degree 4
-    assert [rows.shape for rows in seen] == [(21, 45), (16, 70)]
+    # the exact run at d = 1 forms no float; one RREF per sphere run: the 51
+    # null vectors at d = 2 degree 6 and the 16 at d = 3 degree 4
+    assert [rows.shape for rows in seen] == [(51, 84), (16, 70)]
     for rows in seen:
         _assert_bit_identical(_rref(rows), _rref_reference(rows))
 
@@ -393,6 +393,76 @@ def test_discover_segment_case():
     assert proportional(candidate.poly, segment_generator(1))
 
 
+def test_segment_report_keeps_its_candidates():
+    # the candidates of the float pipeline this exact run replaced, by
+    # digest; the rest of the report is pinned by its own digest
+    doc = discover_vanishing(1, 1, 5, seed=3).to_json()
+    digest = hashlib.sha256(json.dumps(doc["candidates"], sort_keys=True).encode()).hexdigest()
+    assert digest == "89de939234e72a5efe2ebf9db5a6e79bd8e7d087be9fe66d5469df6f5d44d7e0"
+    assert doc["config"]["matrix_basis"] == "monomial-mod-p(t/edge)"
+    assert doc["nullspace"] == {
+        "null_dim": 6, "corank": {"5": 6}, "ideal_dim": {"5": 6}, "primes": [2**31 - 1],
+        "complete": True, "inconclusive": False,
+    }
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "b5722fd42a18f0bd6330ae85c7f020464d9acf9b7e9e638d2b6056cb4f1b89ad"
+
+
+@pytest.mark.parametrize("degree, seed", [(8, 1), (8, 2), (8, 3), (7, 5)])
+def test_segment_runs_at_edge_three_halves(degree, seed):
+    # at edge 3/2 the float pipeline reported wrong rows on these runs
+    report = discover_vanishing(1, Fraction(9, 4), degree, seed=seed)
+    assert report.nullspace.complete and not report.inconclusive
+    # the multiples of the cubic of degree <= D, C(D - 1, 2) of them, with
+    # distinct pivots
+    assert len(report.candidates) == report.nullspace.null_dim == math.comb(degree - 1, 2)
+    generator = segment_generator(Fraction(3, 2))
+    pivots = set()
+    for candidate in report.candidates:
+        assert candidate.certificate == CERT_DIVISIBLE
+        assert divide_last_variable(candidate.poly, generator).remainder.is_zero
+        pivots.add(min(candidate.poly.terms, key=lambda e: (sum(e), e)))
+    assert len(pivots) == len(report.candidates)
+
+
+def _divisor_case(data, m):
+    """A generator at unit edge in its own variables, cubic in v at d = 1 or
+    R_1(u), quadric in u at d = 2..4, with its arity."""
+    if m == 3:
+        return 2, segment_generator(1)
+    d = data.draw(st.integers(2, 4))
+    terms = {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()}
+    return d + 1, MultiPoly(d + 1, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]), st.booleans())
+def test_divisible_agrees_with_division(data, m, multiple):
+    n, generator = _divisor_case(data, m)
+    degree = data.draw(st.integers(m, 6))
+    columns = enumerate_monomials(n, degree).exponents
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    quotient_terms = st.sampled_from(enumerate_monomials(n, degree - m).exponents)
+    quotient = MultiPoly(n, data.draw(st.dictionaries(quotient_terms, coeff, min_size=1, max_size=4)))
+    noise = {} if multiple else data.draw(st.dictionaries(st.sampled_from(columns), coeff, min_size=1, max_size=3))
+    p = quotient * generator + MultiPoly(n, noise)
+    assume(not p.is_zero)
+    # the packing of the kernel: base degree + 1, the last variable highest
+    base = degree + 1
+    high = base ** (n - 1)
+
+    def pack(e):
+        return sum(x * base**i for i, x in enumerate(e))
+
+    divisor = {pack(e): int(c) for e, c in generator.terms.items()}
+    lead = divisor.pop(m * high)
+    index = {e: j for j, e in enumerate(columns)}
+    entries = {index[e]: c for e, c in p.terms.items()}
+    found = discover._divisible(entries, [pack(e) for e in columns], list(divisor.items()), lead, high, m)
+    assert found == divide_last_variable(p, generator).remainder.is_zero
+    assert found or not multiple
+
+
 def test_discover_segment_needs_rational_edge():
     with pytest.raises(ValueError):
         discover_vanishing(1, 2, 3)  # sqrt(2) edge cannot be certified
@@ -424,8 +494,10 @@ def test_discover_sample_count_follows_the_matrix():
     # its columns are {1, s1, s2, s3}
     assert discover_vanishing(2, 1, 3, seed=0).config["n_samples"] == 4 + 8
     assert discover_vanishing(5, 1, 6, seed=0).config["n_samples"] == math.comb(3 + 6, 6) + 8 == 92
-    # runs in t draw three samples per monomial of the whole basis
-    assert discover_vanishing(1, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 2, 2)
+    # d = 1 follows the same rule in v = t/a, whose matrix has all the
+    # C(D + 2, 2) monomials of degree <= D as columns
+    assert discover_vanishing(1, 1, 3, seed=0).config["n_samples"] == math.comb(3 + 2, 2) + 8 == 18
+    # sphere runs draw three samples per monomial of the whole basis
     assert discover_on_sphere(2, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 3, 3)
 
 
@@ -599,10 +671,9 @@ def _one_block_matrix(samples, basis):
 @pytest.mark.parametrize("run, args, expected", [
     (discover_on_sphere, (2, 1, 4), "e9c7a20be6d910b1c2562e2a9f5b8c5dfdef1899c22d47d84053cd361c59695b"),
     (discover_on_sphere, (3, 1, 3), "d7542db23465420adf1bdf4645a558d6b5cbb1ee1230ebce9039657e58909b4f"),
-    (discover_vanishing, (1, 1, 5), "5641a7d1c56dcfc55d3872faaebea548a47a517eee67c5930e162fa0daf686f4"),
 ])
 def test_one_block_runs_keep_their_reports(monkeypatch, run, args, expected):
-    # sphere and d = 1 runs keep one block and the [0, tmax] scaling: their
+    # sphere runs keep one block and the [0, tmax] scaling: their
     # SVD input is bit for bit the one-block matrix, and the rest of the
     # report is pinned by a digest (the spectrum and gap are left out of it,
     # as they depend on the BLAS build)

@@ -476,49 +476,37 @@ def test_import_leaves_hashlib_out():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_discovery_rows_are_the_exact_samples(monkeypatch, d):
-    # the rows are the squared distances of the box-3/2 samples of
-    # sample_points (for d = 1, of the draws redrawn onto branch k mod 3),
-    # each rounded once and never through a square root, and d = 1 takes the
-    # root of each entry; runs in s take the exact ratios s/a^2 of a prefix
-    # of the same stream, which they reduce modulo a prime
-    evaluate, evaluated = discover._chebyshev_eval_matrix, []
+    # the rows a run reduces modulo a prime are exact ratios of the box-3/2
+    # samples: at d >= 2 the ratios s/a^2 of a prefix of the stream of
+    # sample_points, at d = 1 the ratios t/a of the draws redrawn onto branch
+    # k mod 3 of the segment, whose squares are s/a^2
     null_forms, ratios = discover._null_forms, []
-
-    def recording_eval(values, *rest):
-        evaluated.append(values)
-        return evaluate(values, *rest)
 
     def recording_forms(numerators, scales, *rest):
         ratios.append([[Fraction(x, s) for x in row] for row, s in zip(numerators, scales)])
         return null_forms(numerators, scales, *rest)
 
-    monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
     monkeypatch.setattr(discover, "_null_forms", recording_forms)
-    # at least 30 rows: the default count 3 * C(3 + 2, 2) of d = 1, and in
-    # s = t^2 3 * C(2 + d + 1, 2), more than the C(2 + d + 1, 2) + 8 of a run
     degree = 3 if d == 1 else 4
-    count = 3 * math.comb(degree + 2, 2) if d == 1 else 3 * math.comb(degree // 2 + d + 1, d + 1)
-    assert count >= 30
+    count = math.comb(degree + 2, 2) + 8 if d == 1 else math.comb(degree // 2 + d + 1, d + 1) + 8
     config = SampleConfig(seed=d + 40, count=count, box=Fraction(3, 2))
     for a2 in EDGES_SQ:
-        rows = discover._sample_squared_distances(d, a2, count, d + 40)
-        if d == 1:
-            draws = _weight_rows(2, config, discover._segment_branch)
-            exact = [_exact_squared(a2, nums, den) for nums, den in draws]
-        else:
-            exact = [sample.squared for _, sample in sample_points(EmbeddedSimplex(d, a2), config)]
-        assert rows.tobytes() == np.array([[float(x) for x in squared] for squared in exact]).tobytes()
         if d == 1 and rational_sqrt(a2) is None:
             continue  # d = 1 certifies only rational edges
         discover.discover_vanishing(d, a2, degree, seed=d + 40)
+        (kernel,) = ratios
+        assert len(kernel) == count
         if d == 1:
-            values = np.array([[math.sqrt(x) for x in row] for row in rows.tolist()])
-            assert evaluated.pop().tobytes() == values.tobytes()
+            draws = _weight_rows(2, config, discover._segment_branch)
+            exact = [_exact_squared(a2, nums, den) for nums, den in draws]
+            assert [[v * v for v in row] for row in kernel] == [[x / a2 for x in squared] for squared in exact]
+            # t1 + t2 = a, t1 - t2 = a, t2 - t1 = a on the three branches
+            sides = [(v1 + v2, v1 - v2, v2 - v1)[k % 3] for k, (v1, v2) in enumerate(kernel)]
+            assert sides == [1] * count
         else:
-            (kernel,) = ratios
-            assert len(kernel) == math.comb(degree // 2 + d + 1, d + 1) + 8
-            assert kernel == [[x / a2 for x in squared] for squared in exact[: len(kernel)]]
-            ratios.clear()
+            exact = [sample.squared for _, sample in sample_points(EmbeddedSimplex(d, a2), config)]
+            assert kernel == [[x / a2 for x in squared] for squared in exact]
+        ratios.clear()
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -2,11 +2,10 @@
 
 Sample k depends only on ``(seed, k)``, and every report built from samples
 inherits that stream.  The sample digests were recorded from the BLAKE2b
-digest draws (``geom._weight_draws``), and the discovery floats are the
-squared distances of the box-3/2 samples, each rounded once (for d = 1,
-drawn onto branch k mod 3 of the segment), so any drift in the draws, the
-weights, the exact squared distances, the discovery floats or the
-``verify`` report fails here.  The ``realize-probe`` reports are pinned
+digest draws (``geom._weight_draws``), and the discovery draws are the
+exact squared distances of the box-3/2 samples (for d = 1, drawn onto
+branch k mod 3 of the segment), so any drift in the draws, the weights, the
+exact squared distances or the ``verify`` report fails here.  The ``realize-probe`` reports are pinned
 too: the exact ``cm`` report and the pure-Python part of ``probe63`` (its
 draws and the roots of the completing quadratic).  Nothing downstream of an
 SVD or other LAPACK call is pinned: those values depend on the BLAS build.
@@ -18,11 +17,17 @@ import io
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from simplexdist import cli, discover
-from simplexdist.geom import EmbeddedSimplex, SampleConfig, sample_document, sample_points
+from simplexdist.geom import (
+    EmbeddedSimplex,
+    SampleConfig,
+    _exact_squared,
+    _weight_rows,
+    sample_document,
+    sample_points,
+)
 
 
 def digest(data: bytes) -> str:
@@ -55,16 +60,21 @@ def test_sample_points_stream(d, edge_sq, seed, count, box, expected):
 @pytest.mark.parametrize(
     "d, edge_sq, count, seed, expected",
     [
-        (3, "3/2", 300, 5, "904ae0d03a548e898d91685d183ba6a34fa3ee2a9108a10ee474f780f73d714e"),
-        (5, "4/9", 200, 0, "d55ab640f5b90b9b9f8e50326a8bfd3f80568d4a8760602fc57b5c4de355ce9b"),
-        (1, "1", 90, 2, "9d08ac504d42935644e323e786ccafa22b5d20eb53eed31e046a4bbd1db75ef5"),
+        (3, "3/2", 300, 5, "58eab024d1c8b3d29dbf4b0a38b65fb673ec0ab64fa6490c088cf6367a117e35"),
+        (5, "4/9", 200, 0, "20aefc7e7f761971b1cc78ef587de76dd751ea864532b3ea6bc640c6ac40017d"),
+        (1, "1", 90, 2, "ffb08ee1e7aa9f7cb218daa331f94100043ee5d6b95ad58ebaf711b1236dcdd6"),
     ],
     ids=["d3", "d5", "d1"],
 )
-def test_discovery_floats_stream(d, edge_sq, count, seed, expected):
-    floats = discover._sample_squared_distances(d, Fraction(edge_sq), count, seed)
-    assert floats.dtype == np.float64 and floats.shape == (count, d + 1)
-    assert digest(floats.astype("<f8").tobytes()) == expected
+def test_discovery_draws_stream(d, edge_sq, count, seed, expected):
+    # the exact squared distances of the draws a discovery run takes, one
+    # line of fractions per sample
+    config = SampleConfig(seed=seed, count=count, box=Fraction(3, 2))
+    draws = _weight_rows(d + 1, config, discover._segment_branch if d == 1 else None)
+    rows = [_exact_squared(Fraction(edge_sq), nums, den) for nums, den in draws]
+    assert len(rows) == count and all(len(row) == d + 1 for row in rows)
+    text = "\n".join(" ".join(map(str, row)) for row in rows)
+    assert digest(text.encode()) == expected
 
 
 @pytest.mark.parametrize(
