@@ -18,6 +18,7 @@ from .cmgeom import (
     simplex_volume,
 )
 from .discover import (
+    CERT_CIRCUMCIRCLE,
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
     CERT_UNCERTIFIED,

@@ -6,9 +6,10 @@ line of compact JSON with sorted keys; ``python -m json.tool FILE``
 pretty-prints it.  With ``--out`` the JSON goes to the file and a short
 human summary to stdout; without it the JSON document itself is printed.
 Exit codes: 0 success, 1 a ``verify``, ``discover`` or ``sphere`` run that
-completed but failed its own check (a nonzero residual, an uncertified
-candidate, a ``discover`` run that is not ``complete``, a ``sphere`` run
-with an inconclusive spectral gap), 2 bad configuration.
+completed but failed its own check (a nonzero residual, or a ``discover``
+or ``sphere`` run that is not ``complete`` or has an uncertified
+candidate), 2 bad configuration.  A reader that closes stdout early does
+not change the code.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -85,11 +87,20 @@ def _emit(args, command: str, config: dict, result: dict, summary: list[str]) ->
     text = json.dumps(doc, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        for line in summary:
-            print(line)
-        print(f"report written to {args.out}")
+        lines = [*summary, f"report written to {args.out}"]
     else:
-        print(text)
+        lines = [text]
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at the null device, so that the
+        # flush at exit does not raise again, and let the command return
+        # its own code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_common(parser, *, d_default=2, count=None, degree=None):

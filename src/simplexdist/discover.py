@@ -1,87 +1,71 @@
 """Discovery of vanishing polynomials of the distance map from samples.
 
-Every run evaluates a degree-bounded monomial basis at sampled points (rows:
-samples, columns: basis elements), finds the polynomials that vanish on
-the samples, and certifies each exactly, with one certificate per ideal:
-exact division by the generator of the vanishing ideal (the quartic
-relation for d >= 2, the segment cubic for d = 1) in ``discover_vanishing``,
-which forms no float, and membership in the ideal of the circumsphere
-quadratic and the quartic (``_in_sphere_ideal``) in ``discover_on_sphere``.
+Every run evaluates a monomial basis at exact sample points, finds the
+polynomials that vanish on them modulo word primes, lifts them to the
+rationals and certifies each exactly; no run forms a float.  One loop
+(``_exact_run``) serves every run; only the samples, the columns and the
+certificate differ.  Candidates that fail certification are reported as
+uncertified, never dropped.
 
-**d >= 2: exact, modulo primes.**  The quartic has only even powers of the
-distances, so it is a quadric ``R(s)`` in ``s = t^2``.  Its ideal is
-invariant under every flip ``t_j -> -t_j``, so it is the direct sum of its
-parts in each exponent-parity class e, whose members are ``t^e * q(t^2)``;
-degree D allows only the classes with at most D odd exponents, not all
-``2^(d+1)`` of them.  Away from zero distances such a member vanishes where
-q vanishes at the squares, so the class-e part of the vanishing space is
-``t^e`` times the vanishing space of degree ``(D - |e|) // 2`` in s, the
-nullspace of a column prefix of one matrix in s of degree ``D // 2``.
+**d >= 2: split by parity, in u.**  The quartic relation has only even
+powers of the distances, so it is a quadric ``R(s)`` in ``s = t^2``, and its
+ideal is the direct sum of its parts in each exponent-parity class e, whose
+members are ``t^e * q(t^2)``; degree D allows the classes with at most D odd
+exponents.  The class-e part of the vanishing space is ``t^e`` times the
+vanishing space of degree ``(D - |e|) // 2`` in s, the nullspace of a column
+prefix of one matrix in s of degree ``D // 2``.  As ``R_{a^2}(s) = a^4 *
+R_1(s/a^2)``, the run works in ``u = s/a^2``, where a sample is ``u_j = N_j /
+(2*T^2)`` in integers.  It eliminates the matrix once modulo a prime P
+(``simplexdist.modular``): the null vectors of the free columns below ``C(k
++ n, n)`` span the nullspace of the prefix of degree k, and each prefix's
+nullspace is brought to its leftmost-pivot echelon form.  Rational
+reconstruction lifts each row and exact division by ``R_1(u)`` certifies it;
+rows that fail call for another prime, joined by CRT, up to
+``_MAX_PRIMES``.  A certified row ``g(u)`` gives ``g(s/a^2)``, which scaled to
+pivot 1 is a row of the unique reduced echelon form in s; classes have
+disjoint columns and ``f -> e + 2f`` keeps the graded order, so the lifted
+rows sorted by pivot are the reduced echelon form of the whole space.
 
-The quartic is homogeneous in ``(a, t)``, so ``R_{a^2}(s) = a^4 *
-R_1(s/a^2)``, and the run works in ``u = s/a^2``: an exact sample has
-``u_j = N_j / (2*T^2)`` with integers ``N_j`` and T, whatever the edge.  The
-run reduces the matrix in u modulo a word prime P (``simplexdist.modular``)
-and eliminates it once; the nullspace of the prefix of degree k is spanned
-by the null vectors of the free columns below ``C(k + n, n)``, and each
-prefix's nullspace is brought to its leftmost-pivot echelon form modulo P.
-Rational reconstruction lifts each row, and exact division by ``R_1(u)``
-certifies it.  Rows that fail either step call for another prime, joined by
-CRT, up to ``_MAX_PRIMES``.  A certified row ``g(u)`` gives ``g(s/a^2)``,
-divisible by ``R_{a^2}(s)``; scaled so that its pivot is 1 it is a row of
-the reduced echelon form in s, which is unique.  Classes have disjoint
-columns and ``f -> e + 2f`` keeps the graded order, so the lifted rows
-sorted by pivot are the reduced echelon form of the whole space.
+**d = 1: one class, in v = t/a.**  The segment cubic ``G_a(t) = a^3 *
+G_1(t/a)`` generates the vanishing ideal and mixes parities, so the run has
+one class of degree D in ``v = (|r_1|, |r_0|)/T`` for weights ``(r_0,
+r_1)/T``, sample k redrawn onto branch ``k mod 3`` of the segment
+(``_segment_branch``), and divides by ``G_1(v)``; the edge must be rational.
 
-**d = 1: exact, in one class.**  The segment cubic ``G_a(t)`` generates
-the vanishing ideal and mixes parities, so the run has the one class of
-degree D in t.  As ``G_a(t) = a^3 * G_1(t/a)``, it works in ``v = t/a``,
-``v = (|r_1|, |r_0|)/T`` for weights ``(r_0, r_1)/T``, with sample k redrawn
-onto branch ``k mod 3`` of the segment (``_segment_branch``).  The rest is
-the run of d >= 2, with ``G_1(v)``, cubic and monic in the last variable, as
-the divisor, and rows scaled by powers of the edge a, which must be rational.
+The report proves completeness: a prefix with c certified rows out of a
+nullspace of dimension ``corank_P`` modulo P has ``c <= dim V <= corank_Q <=
+corank_P``, for V its vanishing space and ``corank_Q`` the dimension over the
+rationals, so ``c = corank_P`` on every prefix means that the candidates span
+the whole vanishing space.
 
-The report proves completeness: a prefix with ``c`` certified rows out of a
-nullspace of dimension ``corank_P`` modulo P satisfies ``c <= dim V <=
-corank_Q <= corank_P``, where V is its vanishing space and ``corank_Q`` the
-dimension of the nullspace over the rationals, so ``c = corank_P`` on every
-prefix means that the candidates span the whole vanishing space.
+**The circumsphere, d >= 3: chords, in u.**  There ``u_j = 1 - w_j`` for
+weights with ``sum w = sum w^2 = 1``, so the image is ``V(Q_u, S_u)``, ``Q_u =
+sum u - d``, ``S_u = sum u^2 - d``.  Sample k is the second point where the
+line through vertex ``i = k mod n`` and the k-th box-3/2 draw meets the
+sphere (``_chord``), redrawn when a nonempty subset product of the ``u_j``
+is a rational square, 0 included (``_square_free``).  At the points kept the
+square roots of those products are linearly independent over the rationals
+(Besicovitch, "On the linear independence of fractional powers of
+integers", J. London Math. Soc., 1940), so the parity split of d >= 2 holds:
+its classes, its columns and ``dim V_D <= sum_e corank``.  A row is certified
+by membership in ``(Q_u, S_u)``: dividing by ``Q_u`` (``u_last = d - sum
+others``) must leave a multiple of the image of ``S_u``, whose lead in
+``u_{n-2}`` is 2.  ``u = t^2/a^2`` maps ``(Q_u, S_u)`` into the ideal (Q, R) of
+the circumsphere quadratic and the quartic (``verify_circumsphere_identity``).
 
-**The circumsphere: numeric, then exact.**  Sphere runs stay in t: the
-Pompeiu cubic on the circumsphere mixes parities, so the ideal does not
-split.  They evaluate the degree-D basis at the distances t of points
-taken from weights on the circumsphere, take the numeric nullspace of the
-column-equilibrated matrix by SVD, recording the full singular spectrum and
-the gap at the cut, map the nullspace basis back to monomial coefficients,
-bring it to reduced row echelon form, and reconstruct exact rational
-coefficients by continued fractions.
+**The circumcircle, d = 2: the Ptolemy conics, in v = t/a.**  One distance
+is the sum of the other two (Ptolemy), so the image is three conics ``{v_i =
+v_j + v_l, sum v^2 = 2}``, on which the Pompeiu cubic vanishes outside (Q,
+R).  Sample k lies on conic ``i = k mod 3`` (``_conic_points``).  The curve is
+symmetric under ``v -> -v``, so its ideal is graded by the parity of the
+total degree: the run has one class, every monomial of degree <= D, and its
+rows rescale to t by powers of ``a^2``.  A row is certified by Bezout's
+theorem: a curve of degree <= D that does not contain an irreducible conic
+meets it in at most 2D points, so vanishing, in exact integers, at 2D + 1
+distinct points of each conic means vanishing on the whole image.
 
-Raw monomials make dreadful numerics at degree 6 (their Gram matrices are
-Hilbert-like), so internally these runs evaluate Chebyshev products in the
-variables scaled from ``[0, max]`` to ``[-1, 1]``, which span the same
-polynomial space; the basis change back to monomial coordinates happens
-before any rationalization.  It divides by powers of the scale up to the
-degree, so a run whose scale has such a power outside the normal floats is
-bad configuration.  A singular-value gap under 10 marks the run
-inconclusive.  The basis is graded, so its degree <= k part is its first
-``C(k + n, n)`` monomials; each Chebyshev column depends only on its
-exponent and on the scale, and each column is normalised on its own, so
-those first columns of the equilibrated degree-D matrix are exactly the
-degree-k one.  Sphere runs read the null dimension at every degree below D
-from these prefixes.
-
-Most sphere candidates are not members, so a screen refutes them first
-without any division (``_sphere_screen``): a member's image modulo the
-prime ``q = 2^61 - 1`` vanishes on the circumsphere variety over the field
-of q elements, so a nonzero value at one of eight points of it, drawn from
-fixed digests, proves non-membership.  This is sound when q is a unit for
-``a^2``, for the constant leads of the two divisors and for every
-denominator of the candidate, since then the exact normal form reduces
-modulo q step by step; otherwise, and for every candidate that the screen
-does not refute, the exact division decides.
-
-In every run, candidates that fail certification are reported as
-uncertified, never silently dropped.
+``numeric_nullspace`` and ``rationalize`` are library functions that no run
+calls.
 """
 
 from __future__ import annotations
@@ -91,50 +75,27 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .geom import (
-    EmbeddedSimplex,
-    SampleConfig,
-    _digest_ints,
-    _distance_numerators,
-    _weight_rows,
-    sample_circumsphere,
-)
-from .modular import (
-    ResidueImage,
-    _residues,
-    _sqrt_mod,
-    nullspace_mod,
-    rational_reconstruction,
-    rref_mod,
-    word_primes,
-)
+from .geom import EmbeddedSimplex, SampleConfig, _distance_numerators, _weight_rows
+from .modular import ResidueImage, nullspace_mod, rational_reconstruction, rref_mod, word_primes
 # bound but not called: bench/tracing.py patches a hooked function in every
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
-from .poly import (
-    MultiPoly,
-    circumsphere_quadratic,
-    distance_relation,
-    divide_last_variable,
-    poly_to_dict,
-    segment_generator,
-)
+from .poly import MultiPoly, distance_relation, poly_to_dict, segment_generator
 from .rationals import as_fraction, frac_str, rational_sqrt
 
 CERT_DIVISIBLE = "divisible-by-relation"
 CERT_SPHERE_IDEAL = "in-circumsphere-ideal"
+CERT_CIRCUMCIRCLE = "in-circumcircle-ideal"
 CERT_UNCERTIFIED = "uncertified"
 CERT_JACOBIAN_RANK = "jacobian-rank"
 
-# a spectral gap below this flags the run as inconclusive
+# the defaults of numeric_nullspace and rationalize: a spectral gap below
+# _GAP_FLOOR flags a nullspace as inconclusive
 _GAP_FLOOR = 10.0
-_RREF_TOL = 1e-6
-# the relative singular-value cutoff and the denominator bound of every
-# discovery run, which its report echoes as ``threshold`` and ``max_denominator``
 _THRESHOLD = 1e-8
 _MAX_DENOMINATOR = 10**6
 
@@ -181,8 +142,7 @@ class NullspaceReport:
     ``gap`` measures how decisively the spectrum separates at the cut:
     smallest kept singular value over largest discarded one when the
     nullspace is non-trivial, and smallest singular value over the absolute
-    threshold when it is empty.  The nullspace in a run's report keeps no
-    ``null_basis``.  ``inconclusive`` flags gaps under 10.
+    threshold when it is empty.  ``inconclusive`` flags gaps under 10.
     """
 
     singular_values: tuple[float, ...]
@@ -296,38 +256,9 @@ def rationalize(vector: Sequence[float], max_denominator: int = _MAX_DENOMINATOR
     return tuple(fracs)
 
 
-def _rref(rows: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form with leftmost-pivot selection.
-
-    Rows are max-normalised first so the pivot tolerance is scale-free.
-    The input rows span a rational subspace, so the output rows approximate
-    its canonical rational basis.
-    """
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
-        return a
-    scale = np.max(np.abs(a), axis=1, keepdims=True)
-    scale[scale == 0] = 1.0
-    a = a / scale
-    rank = 0
-    for col in range(a.shape[1]):
-        if rank == a.shape[0]:
-            break
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= _RREF_TOL:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] / a[rank, col]
-        # the pivot row stays out: subtracting 0*x would turn -0.0 into +0.0
-        others = np.arange(a.shape[0]) != rank
-        a[others] -= a[others, col][:, None] * a[rank][None, :]
-        rank += 1
-    return a[:rank]
-
-
 @dataclass(frozen=True)
 class CertifiedCandidate:
-    """A rationalized nullspace vector with its exactness certificate."""
+    """A reconstructed nullspace row with its exactness certificate."""
 
     poly: MultiPoly
     certificate: str
@@ -339,7 +270,7 @@ class CertifiedCandidate:
 @dataclass
 class DiscoveryReport:
     config: dict
-    basis: MonomialBasis
+    basis_size: int
     nullspace: ExactNullspace
     candidates: list[CertifiedCandidate] = field(default_factory=list)
 
@@ -354,185 +285,10 @@ class DiscoveryReport:
     def to_json(self) -> dict:
         return {
             "config": self.config,
-            "basis_size": len(self.basis),
+            "basis_size": self.basis_size,
             "nullspace": self.nullspace.to_json(),
             "candidates": [c.to_json() for c in self.candidates],
         }
-
-
-def _poly_from_coeffs(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> MultiPoly:
-    terms = {e: c for e, c in zip(basis.exponents, coeffs) if c != 0}
-    return MultiPoly(basis.arity, terms)
-
-
-def _chebyshev_eval_matrix(samples: np.ndarray, basis: MonomialBasis, half: float) -> np.ndarray:
-    """Evaluate products of Chebyshev polynomials in the variables rescaled
-    from ``[0, 2*half]`` to ``[-1, 1]``; column j spans the same space as
-    monomial j."""
-    scaled = (samples - half) / half
-    vander = np.polynomial.chebyshev.chebvander(scaled, basis.max_degree)
-    exps = np.asarray(basis.exponents)
-    cols = np.ones((samples.shape[0], len(basis)))
-    for var in range(samples.shape[1]):
-        cols *= vander[:, var, exps[:, var]]
-    return cols
-
-
-def _chebyshev_to_monomial(exponents: np.ndarray, half: float) -> np.ndarray:
-    """Change-of-basis matrix B among the basis elements whose exponents
-    are the rows of ``exponents``: B[m, e] is the coefficient of monomial m
-    in the Chebyshev product element e of ``_chebyshev_eval_matrix`` with
-    the same ``half``.  Over a whole graded basis it is triangular and
-    invertible."""
-    degree = int(exponents.max())
-    one_d = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        unit = np.zeros(k + 1)
-        unit[k] = 1.0
-        in_scaled = np.polynomial.chebyshev.cheb2poly(unit)
-        for j, cj in enumerate(in_scaled):
-            if cj == 0.0:
-                continue
-            for i in range(j + 1):
-                one_d[i, k] += cj * math.comb(j, i) * (-half) ** (j - i) / half**j
-    change = np.ones((len(exponents), len(exponents)))
-    for var in range(exponents.shape[1]):
-        change *= one_d[np.ix_(exponents[:, var], exponents[:, var])]
-    return change
-
-
-def _prefix_nullspaces(matrix, arity: int, degrees) -> dict[int, NullspaceReport]:
-    """The nullspace of each column prefix: for each k of ``degrees``, in
-    that order, of the first ``C(k + arity, arity)`` columns of the
-    equilibrated matrix of a graded basis, the degree-k basis's matrix."""
-    return {k: numeric_nullspace(matrix[:, : math.comb(k + arity, arity)], _THRESHOLD) for k in degrees}
-
-
-def _null_polys(
-    report: NullspaceReport, basis: MonomialBasis, norms: np.ndarray, half: float
-) -> list[MultiPoly]:
-    """The null vectors of one prefix of the equilibrated Chebyshev matrix
-    of ``basis``, taken back to monomial coefficients, brought to reduced
-    row echelon form and rationalized."""
-    if report.null_dim == 0:
-        return []
-    width = report.null_basis.shape[1]
-    change = _chebyshev_to_monomial(np.asarray(basis.exponents[:width]), half)
-    rows = _rref((report.null_basis / norms[:width]) @ change.T)
-    return [_poly_from_coeffs(basis, rationalize(row, _MAX_DENOMINATOR)) for row in rows]
-
-
-def _relation_mod_quadratic(relation: MultiPoly, quadratic: MultiPoly) -> MultiPoly:
-    """The quartic relation's image modulo the circumsphere quadratic, which
-    has no ``T_last`` term (the relation is even in the last variable), as a
-    polynomial in the other variables; a run computes it once."""
-    image = divide_last_variable(relation, quadratic).remainder
-    assert image.is_zero or image.degree_in(image.arity - 1) == 0
-    return MultiPoly(image.arity - 1, {e[:-1]: c for e, c in image.terms.items()})
-
-
-def _in_sphere_ideal(p: MultiPoly, quadratic: MultiPoly, relation_image: MultiPoly) -> bool:
-    """Exact membership test for the ideal generated by the circumsphere
-    quadratic and the quartic relation, given the relation's image
-    ``_relation_mod_quadratic(relation, quadratic)``.
-
-    Reducing by the quadratic (monic in the last variable) leaves
-    ``A + B*T_last``; because the relation's image modulo the quadratic has
-    no ``T_last`` component, membership is equivalent to it dividing both A
-    and B.  Sequential division by the two generators would be sound but
-    blind: after the quadratic the remainder's degree is always below the
-    quartic's.
-    """
-    reduced = divide_last_variable(p, quadratic).remainder
-    parts = (
-        MultiPoly(p.arity - 1, {e[:-1]: c for e, c in reduced.terms.items() if e[-1] == k})
-        for k in (0, 1)
-    )
-    return all(divide_last_variable(part, relation_image).remainder.is_zero for part in parts)
-
-
-# The membership screen works modulo this prime.  It is 3 mod 4, so a square
-# x has the square root x^((q + 1) / 4).
-_SCREEN_PRIME = 2**61 - 1
-_SCREEN_POINTS = 8
-_SCREEN_ATTEMPTS = 1024
-
-
-def _sphere_points_mod(d: int, a2: Fraction, count: int) -> list[tuple[int, ...]]:
-    """Up to ``count`` points of the circumsphere variety ``V(Q, R)`` over
-    the field of ``_SCREEN_PRIME`` elements, which must be a unit for
-    ``a2``.
-
-    In ``s = t^2`` the variety is ``{sum s = d*a^2, sum s^2 = d*a^4}``.  The
-    first ``d - 1`` coordinates of attempt i are drawn uniformly from the
-    8-byte digest chunks of the key ``screen|i`` (see ``geom._digest_ints``);
-    the last two squares then have a known sum S and sum of squares P, so
-    they are ``(S +- sqrt(2P - S^2)) / 2``.  An attempt that meets a
-    non-square is dropped, and at most ``_SCREEN_ATTEMPTS`` are made.
-    """
-    n, prime = d + 1, _SCREEN_PRIME
-    a2_mod = a2.numerator * pow(a2.denominator, -1, prime) % prime
-    total, total_sq = d * a2_mod % prime, d * a2_mod * a2_mod % prime
-    half = (prime + 1) // 2
-    points = []
-    for attempt in range(_SCREEN_ATTEMPTS):
-        if len(points) == count:
-            break
-        # 8 * prime = 2^64 - 8 is the largest multiple of the prime in 8 bytes
-        free = [v % prime for v in _digest_ints(f"screen|{attempt}", n - 2, 8, 8 * prime)]
-        squares = [t * t % prime for t in free]
-        s = (total - sum(squares)) % prime
-        p = (total_sq - sum(x * x for x in squares)) % prime
-        root = _sqrt_mod((2 * p - s * s) % prime, prime)
-        if root is None:
-            continue
-        last = [_sqrt_mod((s + sign * root) * half % prime, prime) for sign in (1, -1)]
-        if None not in last:
-            points.append((*free, *last))
-    return points
-
-
-def _sphere_screen(d: int, a2: Fraction, quadratic: MultiPoly, relation_image: MultiPoly, max_degree: int):
-    """A test ``refutes(p)`` that proves p is not in the ideal (Q, R) of
-    the circumsphere quadratic and the quartic, without any division, or
-    returns False when it cannot tell.
-
-    ``_in_sphere_ideal`` is a normal form made of last-variable divisions by
-    Q and by the relation's image, whose leads are the constants 1 and
-    ``2(d + 1)``.  When a prime q is a unit for those leads, for ``a^2`` (so
-    for every coefficient of Q and of the image) and for every denominator
-    of p, each division step maps to the same step modulo q.  A member p is
-    then ``G*Q + H*R`` with G and H free of q in their denominators, so its
-    image modulo q vanishes at every point of ``V(Q, R)`` over the field of
-    q elements.  A nonzero value at one of ``_SCREEN_POINTS`` such points
-    refutes p; all zeros prove nothing, and ``_in_sphere_ideal`` decides.
-    If q is not a unit where it must be, or too few points turn up, nothing
-    is refuted.
-    """
-    prime = _SCREEN_PRIME
-    last = relation_image.arity - 1
-    lead = relation_image.terms[(0,) * last + (relation_image.degree_in(last),)]
-    denominators = [c.denominator for p in (quadratic, relation_image) for c in p.terms.values()]
-    units = all(x % prime for x in (a2.numerator, a2.denominator, lead.numerator, *denominators))
-    points = _sphere_points_mod(d, a2, _SCREEN_POINTS) if units else []
-    if len(points) < _SCREEN_POINTS:
-        return lambda p: False
-    # the value of every monomial of the basis at each point
-    exponents = enumerate_monomials(d + 1, max_degree).exponents
-    tables = []
-    for point in points:
-        powers = [[pow(t, k, prime) for k in range(max_degree + 1)] for t in point]
-        tables.append({e: math.prod(pw[k] for pw, k in zip(powers, e)) % prime for e in exponents})
-
-    def refutes(p: MultiPoly) -> bool:
-        coeffs = _residues(list(p.terms.values()), prime)
-        if coeffs is None:
-            return False
-        exps = list(p.terms)
-        values = (sum(map(operator.mul, coeffs, map(table.__getitem__, exps))) for table in tables)
-        return any(value % prime for value in values)
-
-    return refutes
 
 
 # the barycentric box of the discovery samples: 3/2 keeps the distance cloud,
@@ -557,10 +313,10 @@ def _check_degree(max_degree) -> None:
         raise ValueError("max_degree must be a positive integer")
 
 
-# samples beyond the columns of a run's matrix (in u = s/a^2, or in v = t/a
-# at d = 1): a square part has the rank of the whole map for almost every
-# draw, and the extra rows spare a run from the draws where it has not; at
-# d = 1 they also give each of the three branches more than D samples
+# samples beyond the columns of a run's matrix: a square part has the rank
+# of the whole map for almost every draw, and the extra rows spare a run
+# from the draws where it has not; at d = 1 and on the circumcircle they
+# also give each branch or conic the samples its certificate needs
 _EXTRA_SAMPLES = 8
 # primes a run tries before it reports itself incomplete
 _MAX_PRIMES = 16
@@ -571,14 +327,17 @@ _SEGMENT_BASIS = "monomial-mod-p(t/edge)"
 @dataclass(frozen=True)
 class ExactNullspace:
     """The vanishing space of a run, by prefix degree k of its matrix in
-    ``u = s/a^2`` (in ``v = t/a`` at d = 1, whose one prefix is D):
-    ``corank[k]`` is the dimension of the nullspace of the prefix modulo the
-    ``primes`` used, and ``ideal_dim[k]`` the number of its echelon rows
-    certified in the ideal.  ``null_dim`` is the dimension in t, the corank
-    summed over the parity classes.  The run is ``complete`` when every
-    prefix certifies its whole corank, which proves that the candidates span
-    the vanishing space (see the module docstring); ``inconclusive`` is its
-    negation, the flag every discovery report carries."""
+    the variables of its columns: ``u = s/a^2`` in the parity-split runs
+    (``discover`` at d >= 2, ``sphere`` at d >= 3), ``v = t/a`` in the runs
+    of one class (``discover`` at d = 1, ``sphere`` at d = 2), whose one
+    prefix is D.  ``corank[k]`` is the dimension of the nullspace of the
+    prefix modulo the ``primes`` used, and ``ideal_dim[k]`` the number of
+    its echelon rows certified in the ideal.  ``null_dim`` is the dimension
+    in t, the corank summed over the parity classes.  The run is
+    ``complete`` when every prefix certifies its whole corank, which proves
+    that the candidates span the vanishing space (see the module
+    docstring); ``inconclusive`` is its negation, the flag every discovery
+    report carries."""
 
     null_dim: int
     corank: dict[int, int]
@@ -604,12 +363,12 @@ class ExactNullspace:
         }
 
 
-def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int], prime: int) -> dict:
-    """For each prefix degree k of ``widths``, the leftmost-pivot echelon
-    form modulo ``prime`` of the nullspace of the first ``widths[k]``
-    columns of the matrix of the monomials ``exponents`` at the points
-    ``u_j = numerators[j] / scales`` (one row per sample): its pivots and
-    its rows as int residues."""
+def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int], prime: int):
+    """The pivots modulo ``prime`` of the matrix of the monomials
+    ``exponents`` at the points ``numerators[j] / scales[j]`` (one row per
+    sample), and, for each prefix degree k of ``widths``, the leftmost-pivot
+    echelon form modulo ``prime`` of the nullspace of its first
+    ``widths[k]`` columns: its pivots and its rows as int residues."""
     u = np.array(
         [[x * pow(s, -1, prime) % prime for x in row] for row, s in zip(numerators, scales)],
         dtype=np.int64,
@@ -626,7 +385,7 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     for k, width in widths.items():
         rows, null_pivots = rref_mod(nullspace_mod(rref, pivots, width, prime), prime)
         forms[k] = (null_pivots, rows.tolist())
-    return forms
+    return pivots, forms
 
 
 def _reconstruct(row: Sequence[int], modulus: int) -> dict[int, Fraction] | None:
@@ -655,27 +414,49 @@ def _reconstruct(row: Sequence[int], modulus: int) -> dict[int, Fraction] | None
     return entries
 
 
-def _divisible(entries: dict[int, Fraction], codes: Sequence[int], rest, lead: int, high: int, m: int) -> bool:
-    """Whether the polynomial with ``entries`` on the monomials of packed
-    exponents ``codes`` is a multiple of ``lead * x^m + rest``, where x, the
-    last variable, has the weight ``high`` in a packed exponent and ``rest``
-    lists the packed exponents and integer coefficients of the other terms,
-    all of degree below m in x.
+def _pack(exponent: Sequence[int], base: int) -> int:
+    """One int for an exponent vector, in base ``base``, the last variable
+    most significant."""
+    return sum(x * base**i for i, x in enumerate(exponent))
 
-    Integer pseudo-division: scaled by its common denominator and by
-    ``lead^(top - m + 1)``, with top its degree in x, the polynomial has an
-    integer quotient and remainder, and every quotient term comes out exact.
-    No term of ``rest`` reaches the level of x being cleared, so each level
-    is cleared in one pass."""
-    top = max(codes[j] // high for j in entries)
+
+def _divisor(poly: MultiPoly, base: int, var: int, m: int) -> tuple:
+    """``poly``, with integer coefficients and of degree m in the variable
+    x of index ``var`` with a constant lead there, as ``(lead, high, m,
+    rest)`` packed in ``base``: ``lead * x^m + rest``, x of weight ``high``,
+    and ``rest`` the packed exponents and coefficients of the other
+    terms."""
+    high = base**var
+    packed = {_pack(f, base): int(c) for f, c in poly.terms.items()}
+    return packed.pop(m * high), high, m, list(packed.items())
+
+
+def _integer_row(entries: dict[int, Fraction], codes: Sequence[int]) -> dict[int, int]:
+    """The row with ``entries`` by column, scaled by the common denominator,
+    on the packed exponents ``codes`` of the columns."""
     common = math.lcm(*(c.denominator for c in entries.values()))
-    scale = common * lead ** max(top - m + 1, 0)
-    remainder = {codes[j]: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+    return {codes[j]: c.numerator * (common // c.denominator) for j, c in entries.items()}
+
+
+def _remainder(poly: dict[int, int], divisor: tuple) -> dict[int, int]:
+    """The integer pseudo-remainder of the polynomial with integer
+    coefficients ``poly``, by packed exponent, by ``divisor``: the remainder
+    of ``lead^(top - m + 1) * poly``, with top its degree in x, which is 0
+    exactly when the divisor divides ``poly``.
+
+    Every quotient term is exact.  After the scaling each coefficient at
+    level ``L >= m`` of x is divisible by ``lead^(L - m + 1)``: clearing
+    level L divides its coefficients by lead once, and adds their quotients
+    times terms of ``rest``, divisible by ``lead^(L - m)``, to lower levels
+    only.  No term of ``rest`` reaches the level being cleared, so each
+    level is cleared in one pass."""
+    lead, high, m, rest = divisor
+    top = max((code // high for code in poly), default=0)
+    scale = lead ** max(top - m + 1, 0)
+    remainder = {code: c * scale for code, c in poly.items()}
     for level in range(top, m - 1, -1):
         for code in [code for code in remainder if code // high == level]:
-            quotient, inexact = divmod(remainder.pop(code), lead)
-            if inexact:
-                return False
+            quotient = remainder.pop(code) // lead
             shift = code - m * high
             for rc, rv in rest:
                 key = shift + rc
@@ -684,89 +465,68 @@ def _divisible(entries: dict[int, Fraction], codes: Sequence[int], rest, lead: i
                     remainder[key] = value
                 else:
                     del remainder[key]
-    return not remainder
+    return remainder
 
 
-def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
-    """``discover_vanishing``, exactly: see the module docstring."""
-    n = d + 1
-    basis = enumerate_monomials(n, max_degree)
-    top = max_degree if d == 1 else max_degree // 2
-    columns = enumerate_monomials(n, top).exponents
-    count = len(columns) + _EXTRA_SAMPLES
-    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
-    if d == 1:
-        # the segment cubic mixes parities: one class, of degree D in v =
-        # t/a; sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
-        classes, degrees, step, unit = [(0, 0)], [top], 1, rational_sqrt(a2)
-        generator, m = segment_generator(1).terms, 3
-        draws = _weight_rows(n, config, _segment_branch)
-        numerators = [(abs(r1), abs(r0)) for (r0, r1), _ in draws]
-        scales = [den for _, den in draws]
-    else:
-        # the supports of at most D odd exponents, and the degree in s of each
-        classes = [
-            tuple(int(i in odd) for i in range(n))
-            for size in range(min(max_degree, n) + 1)
-            for odd in itertools.combinations(range(n), size)
-        ]
-        degrees = [(max_degree - sum(e)) // 2 for e in classes]
-        step, unit, m = 2, a2, 2
-        generator = {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()}
-        draws = _weight_rows(n, config)
-        numerators = [_distance_numerators(nums, den) for nums, den in draws]
-        scales = [2 * den * den for _, den in draws]
-    widths = {k: math.comb(k + n, n) for k in sorted(set(degrees))}
-    # the generator at unit edge, R_1(u) or the segment cubic in v, with
-    # each exponent packed into one int, base top + 1 (no product in the
-    # prefixes has a larger exponent), the last variable most significant
-    base = top + 1
-    high = base ** (n - 1)
+def _parity_classes(n: int, max_degree: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The exponent-parity classes of degree D in n distances, the supports
+    of at most D odd exponents, and the degree in s of each."""
+    classes = [
+        tuple(int(i in odd) for i in range(n))
+        for size in range(min(max_degree, n) + 1)
+        for odd in itertools.combinations(range(n), size)
+    ]
+    return classes, [(max_degree - sum(e)) // 2 for e in classes]
 
-    def pack(f):
-        return sum(x * base**i for i, x in enumerate(f))
 
-    codes = [pack(f) for f in columns]
-    divisor = {pack(f): int(c) for f, c in generator.items()}
-    lead = divisor.pop(m * high)
-    rest = list(divisor.items())
+def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, certify, label):
+    """The loop of every run: primes, then ``_null_forms``, ``_reconstruct``
+    and ``certify`` (of a row's entries by column), then the rescaling to
+    the edge and the lift to t.  Sample j is the point ``numerators[j] /
+    scales[j]`` in the variables x of the ``columns`` (u or v).  Class e
+    lifts each row ``g(x)`` of prefix degree k to ``t^e * g(t^step)``, its
+    entry j first scaled by ``inverse[|f_j| - |f0|]`` for its pivot f0
+    (None at unit edge); certified rows carry ``label``.  Returns the
+    candidates in pivot order, the nullspace, and the pivots of the whole
+    matrix modulo the prime of the forms kept."""
+    widths = {k: math.comb(k + len(columns[0]), k) for k in sorted(set(degrees))}
     exponents = np.asarray(columns)
-
     # a prime must be a unit for every scale; no word prime divides one
     primes = (p for p in word_primes() if all(s % p for s in scales))
     image = None
     for prime in itertools.islice(primes, _MAX_PRIMES):
-        forms = _null_forms(numerators, scales, exponents, widths, prime)
+        pivots, forms = _null_forms(numerators, scales, exponents, widths, prime)
         if image is None:
-            image = ResidueImage(prime, (prime,), forms)
+            image, rank_pivots = ResidueImage(prime, (prime,), forms), pivots
         else:
             joined = image.fold(prime, forms)
             if joined is image:  # an unlucky prime
                 continue
+            if joined.primes == (prime,):
+                rank_pivots = pivots
             image = joined
         found = {}
-        for k, (pivots, residues) in image.forms.items():
+        for k, (null_pivots, residues) in image.forms.items():
             found[k] = []
-            for pivot, row in zip(pivots, residues):
+            for pivot, row in zip(null_pivots, residues):
                 entries = _reconstruct(row, image.modulus)
-                certified = entries is not None and _divisible(entries, codes, rest, lead, high, m)
-                found[k].append((pivot, entries, certified))
+                found[k].append((pivot, entries, entries is not None and certify(entries)))
         if all(certified for prefix in found.values() for _, _, certified in prefix):
             break
 
-    # the row g(x) of pivot f0, x = u or v, gives c^|f0| * g(t^step / c)
-    # with c = a^step, whose pivot is 1; a row with no rational
+    # the row g(x) of pivot f0, x = t^step / c with c = a^step, gives
+    # c^|f0| * g(t^step / c), whose pivot is 1; a row with no rational
     # reconstruction has nothing to report
-    inverse = [unit**-k for k in range(top + 1)]
     at_edge = {k: [] for k in found}
     for k, prefix in found.items():
         for pivot, entries, certified in prefix:
             if entries is None:
                 continue
-            if unit != 1:
+            if inverse is not None:
                 shift = sum(columns[pivot])
                 entries = {j: c * inverse[sum(columns[j]) - shift] for j, c in entries.items()}
             at_edge[k].append((pivot, entries, certified))
+    n = len(classes[0])
     in_t = [tuple(step * x for x in f) for f in columns]
     lifted = []
     for e, k in zip(classes, degrees):
@@ -774,7 +534,7 @@ def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> Discove
             terms = {tuple(map(operator.add, e, in_t[j])): c for j, c in entries.items()}
             lead_exponent = tuple(map(operator.add, e, in_t[pivot]))
             candidate = CertifiedCandidate(
-                MultiPoly._canonical(n, terms), CERT_DIVISIBLE if certified else CERT_UNCERTIFIED
+                MultiPoly._canonical(n, terms), label if certified else CERT_UNCERTIFIED
             )
             lifted.append(((sum(lead_exponent), lead_exponent), candidate))
     lifted.sort(key=lambda item: item[0])
@@ -783,6 +543,42 @@ def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> Discove
         corank={k: len(image.forms[k][0]) for k in widths},
         ideal_dim={k: sum(certified for _, _, certified in found[k]) for k in widths},
         primes=image.primes,
+    )
+    return [c for _, c in lifted], nullspace, rank_pivots
+
+
+def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
+    """``discover_vanishing``, exactly: see the module docstring."""
+    n = d + 1
+    top = max_degree if d == 1 else max_degree // 2
+    columns = enumerate_monomials(n, top).exponents
+    count = len(columns) + _EXTRA_SAMPLES
+    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
+    # the generator at unit edge, R_1(u) or the segment cubic in v, with
+    # each exponent packed into one int, base top + 1 (no product in the
+    # prefixes has a larger exponent), the last variable most significant
+    base = top + 1
+    if d == 1:
+        # the segment cubic mixes parities: one class, of degree D in v =
+        # t/a; sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
+        classes, degrees, step, unit = [(0, 0)], [top], 1, rational_sqrt(a2)
+        divisor = _divisor(segment_generator(1), base, 1, 3)
+        draws = _weight_rows(n, config, _segment_branch)
+        numerators = [(abs(r1), abs(r0)) for (r0, r1), _ in draws]
+        scales = [den for _, den in draws]
+    else:
+        classes, degrees = _parity_classes(n, max_degree)
+        step, unit = 2, a2
+        generator = {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()}
+        divisor = _divisor(MultiPoly(n, generator), base, n - 1, 2)
+        draws = _weight_rows(n, config)
+        numerators = [_distance_numerators(nums, den) for nums, den in draws]
+        scales = [2 * den * den for _, den in draws]
+    codes = [_pack(f, base) for f in columns]
+    inverse = None if unit == 1 else [unit**-k for k in range(top + 1)]
+    candidates, nullspace, _ = _exact_run(
+        columns, numerators, scales, classes, degrees, step, inverse,
+        lambda entries: not _remainder(_integer_row(entries, codes), divisor), CERT_DIVISIBLE,
     )
     config = {
         "operation": "discover",
@@ -794,7 +590,7 @@ def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> Discove
         "matrix_basis": _SEGMENT_BASIS if d == 1 else _SQUARES_BASIS,
         "sampling": _DISCOVERY_SAMPLING,
     }
-    return DiscoveryReport(config, basis, nullspace, [c for _, c in lifted])
+    return DiscoveryReport(config, math.comb(max_degree + n, n), nullspace, candidates)
 
 
 def discover_vanishing(
@@ -892,16 +688,13 @@ def independence_test(d: int, edge_sq, subset: Sequence[int]) -> IndependenceRep
 @dataclass
 class SphereDiscoveryReport:
     """Vanishing polynomials of the distance map restricted to the
-    circumsphere, with null dimension tracked per degree.
-
-    ``certified`` members lie in the ideal generated by the circumsphere
-    quadratic and the quartic relation; ``extras`` are candidates that
-    certify against neither, reported as evidence only.
-    """
+    circumsphere, with the null dimension at every degree up to D: the rows
+    ``certified`` in the circumsphere's ideal, and the ``extras`` that
+    failed their certificate, reported as evidence only."""
 
     config: dict
     null_dim_by_degree: dict[int, int]
-    nullspace: NullspaceReport
+    nullspace: ExactNullspace
     certified: list[CertifiedCandidate]
     extras: list[CertifiedCandidate]
 
@@ -919,64 +712,179 @@ class SphereDiscoveryReport:
         }
 
 
+_CHORD_SAMPLING = f"circumsphere-chords({_DISCOVERY_SAMPLING})"
+_CONIC_SAMPLING = f"ptolemy-conics({_DISCOVERY_SAMPLING})"
+
+
+def _chord(k: int, r: Sequence[int]) -> tuple[list[int], int]:
+    """The point ``u = N/S`` of sample k on the circumsphere, in integers,
+    from its draw ``r/T``: with ``i = k mod n`` and ``V = r - T*e_i``, the
+    line through vertex i in the direction V meets the sphere again at ``w
+    = e_i - 2*V_i*V/|V|^2``, so ``S = |V|^2``, ``N_i = 2*V_i^2`` and ``N_j =
+    S + 2*V_i*V_j`` for j != i.  Every ``N_j`` is nonnegative, and all are 0
+    when V is."""
+    i = k % len(r)
+    v = list(r)
+    v[i] -= sum(r)
+    s = sum(x * x for x in v)
+    nums = [s + 2 * v[i] * x for x in v]
+    nums[i] = 2 * v[i] * v[i]
+    return nums, s
+
+
+def _odd_primes(x: int) -> set[int]:
+    """The primes that divide the positive integer x to an odd power, by
+    trial division."""
+    odd, p = set(), 2
+    while p * p <= x:
+        while x % p == 0:
+            x //= p
+            odd ^= {p}
+        p += 1 + (p > 2)
+    return odd ^ {x} if x > 1 else odd
+
+
+def _square_free(nums: Sequence[int], s: int) -> bool:
+    """Whether no nonempty subset product of the ``u_j = nums[j] / s`` is a
+    rational square, 0 included.
+
+    ``u_j * s^2 = N_j * s``, so the product over U is a square exactly when
+    the sets of primes that divide the ``N_j * s`` to an odd power have an
+    empty symmetric difference over U.  The points pass when no ``N_j`` is 0
+    and these n sets are linearly independent over GF(2), which an
+    elimination on them decides without forming the ``2^n - 1`` products."""
+    if 0 in nums:
+        return False
+    shared = _odd_primes(s)
+    pivots = {}
+    for x in nums:
+        row = _odd_primes(x) ^ shared
+        while row and max(row) in pivots:
+            row ^= pivots[max(row)]
+        if not row:
+            return False
+        pivots[max(row)] = row
+    return True
+
+
+def _chord_points(n: int, config: SampleConfig) -> tuple[list[list[int]], list[int]]:
+    """The numerators and scales of the points u of a sphere run at d >= 3:
+    the chords of the box draws, each draw redrawn until its point passes
+    ``_square_free``, so sample k depends only on the seed and k."""
+
+    def accept(ks: np.ndarray, nums: np.ndarray) -> np.ndarray:
+        return np.array([_square_free(*_chord(k, r)) for k, r in zip(ks.tolist(), nums.tolist())], dtype=bool)
+
+    points = [_chord(k, r) for k, (r, _) in enumerate(_weight_rows(n, config, accept))]
+    return [nums for nums, _ in points], [s for _, s in points]
+
+
+def _conic_points(config: SampleConfig) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The numerators and scales of the points v of a sphere run at d = 2:
+    sample k on conic ``i = k mod 3``, ``{v_i = v_j + v_l, sum v^2 = 2}``,
+    ``(j, l) = (i + 1, i + 2) mod 3``, at ``v_j = (p^2 - q^2)/w``, ``v_l =
+    -p(p + 2q)/w`` and ``v_i = -q(2p + q)/w``, ``w = p^2 + pq + q^2``, for the
+    k-th 2-weight draw ``(p, q)``, redrawn when ``q = 0``."""
+    numerators, scales = [], []
+    draws = _weight_rows(2, config, lambda ks, nums: nums[:, 1] != 0)
+    for k, ((p, q), _) in enumerate(draws):
+        i = k % 3
+        x = [0, 0, 0]
+        x[i], x[(i + 1) % 3], x[(i + 2) % 3] = -q * (2 * p + q), p * p - q * q, -p * (p + 2 * q)
+        numerators.append(tuple(x))
+        scales.append(p * p + p * q + q * q)
+    return numerators, scales
+
+
+def _conic_certificate(numerators, scales, columns, max_degree: int) -> Callable[[dict[int, Fraction]], bool]:
+    """Bezout's test for the rows of a run at d = 2: a row of degree <= D
+    vanishes on the three conics when it vanishes at ``2D + 1`` distinct
+    points of each, here the first distinct samples of the conic.  At the
+    point ``x/w`` the row is zero exactly when ``sum_f c_f * x^f *
+    w^(D - |f|)`` is, in integers.  With too few distinct points on a conic
+    nothing is certified."""
+    need = 2 * max_degree + 1
+    chosen = [{}, {}, {}]
+    for k, (x, w) in enumerate(zip(numerators, scales)):
+        g = math.gcd(*x, w)
+        point = tuple(c // g for c in (*x, w))
+        if len(chosen[k % 3]) < need:
+            chosen[k % 3][point] = None
+    if any(len(points) < need for points in chosen):
+        return lambda entries: False
+    # the value of every column at every point, as Python ints
+    exponents = np.array([(*f, max_degree - sum(f)) for f in columns]).T
+    tables = np.ones((sum(map(len, chosen)), len(columns)), dtype=object)
+    for i, point in enumerate(itertools.chain(*chosen)):
+        for c, e in zip(point, exponents):
+            tables[i] *= np.array([c**k for k in range(max_degree + 1)], dtype=object)[e]
+
+    def certify(entries: dict[int, Fraction]) -> bool:
+        row = _integer_row(entries, range(len(columns)))
+        return not tables[:, list(row)].dot(np.array(list(row.values()), dtype=object)).any()
+
+    return certify
+
+
+def _sphere_certificate(columns) -> Callable[[dict[int, Fraction]], bool]:
+    """The membership test in ``(Q_u, S_u)`` for the rows of a run at
+    d >= 3 on the monomials ``columns`` in u: the substitution ``u_last = d
+    - sum others``, the remainder by ``Q_u``, must leave a multiple of the
+    image of ``S_u``, ``sum_{j < n-1} u_j^2 + (d - sum_{j < n-1} u_j)^2 -
+    d``, whose lead in ``u_{n-2}`` is 2."""
+    n = len(columns[0])
+    # the packing base: above every exponent of the rows and of S_u's image
+    d, base = n - 1, max(2, *map(max, columns)) + 1
+    codes = [_pack(f, base) for f in columns]
+    others = [MultiPoly.variable(j, n) for j in range(n - 1)]
+    rest = MultiPoly.constant(d, n) - sum(others, MultiPoly.zero(n))
+    q_u = _divisor(MultiPoly.variable(n - 1, n) - rest, base, n - 1, 1)
+    s_u = _divisor(sum((x * x for x in others), rest * rest) - MultiPoly.constant(d, n), base, n - 2, 2)
+    return lambda entries: not _remainder(_remainder(_integer_row(entries, codes), q_u), s_u)
+
+
 def discover_on_sphere(
     d: int,
     edge_sq,
     max_degree: int,
     seed: int = 0,
 ) -> SphereDiscoveryReport:
-    """Discovery pipeline with samples restricted to the circumsphere.
-
-    Certification reduces by the circumsphere quadratic (monic in the last
-    squared variable) and then tests the remainder against the quartic
-    relation's image modulo the quadratic, an exact and complete membership
-    test for the ideal the two generate; whatever fails it is reported as
-    an extra.
-    """
+    """Discovery with samples restricted to the circumsphere, exact at every
+    d >= 2: in the ideal of the circumsphere quadratic and the quartic at
+    d >= 3, on the Ptolemy conics at d = 2 (see the module docstring).  Rows
+    that fail their certificate are reported as extras."""
     if not isinstance(d, int) or d < 2:
         raise ValueError("circumsphere discovery needs dimension >= 2")
     a2 = as_fraction(edge_sq)
     if a2 <= 0:
         raise ValueError("squared edge length must be positive")
-
-    quadratic = circumsphere_quadratic(d, a2)
-    relation_image = _relation_mod_quadratic(distance_relation(d, a2), quadratic)
-    refutes = _sphere_screen(d, a2, quadratic, relation_image, max_degree)
     _check_degree(max_degree)
 
-    # three samples per column; sample k depends only on the seed and k, so
-    # a larger count draws a longer prefix of the same stream
-    basis = enumerate_monomials(d + 1, max_degree)
-    count = 3 * len(basis)
-    values = sample_circumsphere(EmbeddedSimplex(d, a2), SampleConfig(seed=seed, count=count))
-    if not np.all(np.isfinite(values)) or not np.any(values):
-        raise ValueError(
-            "degenerate sample set: the sampled values are all 0 as floats, or not all "
-            "finite, so edge_sq is out of float range"
-        )
-    half = float(np.max(values)) / 2.0
-    matrix = _chebyshev_eval_matrix(values, basis, half)
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0] = 1.0
-    matrix /= norms
-    report = numeric_nullspace(matrix, _THRESHOLD)
-    # the back-transform (_chebyshev_to_monomial) divides by half**k for k up
-    # to the degree: keep each a normal float
-    if report.null_dim and max_degree * abs(math.log2(half)) > 1022:
-        raise ValueError(
-            f"edge_sq is out of float range at max_degree {max_degree}: the back-transform to "
-            f"monomials needs the sample scale {half:.3g} to the powers +-{max_degree} as normal floats"
-        )
-    certified, extras = [], []
-    for p in _null_polys(report, basis, norms, half):
-        if not p.is_zero and not refutes(p) and _in_sphere_ideal(p, quadratic, relation_image):
-            certified.append(CertifiedCandidate(p, CERT_SPHERE_IDEAL))
-        else:
-            extras.append(CertifiedCandidate(p, CERT_UNCERTIFIED))
-    # lower degrees need only the null dimension
-    lower = _prefix_nullspaces(matrix, d + 1, range(1, max_degree))
-    null_by_degree = {k: r.null_dim for k, r in lower.items()}
-    null_by_degree[max_degree] = report.null_dim
+    n = d + 1
+    top = max_degree if d == 2 else max_degree // 2
+    columns = enumerate_monomials(n, top).exponents
+    count = len(columns) + _EXTRA_SAMPLES
+    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
+    if d == 2:
+        numerators, scales = _conic_points(config)
+        certify = _conic_certificate(numerators, scales, columns, max_degree)
+        inverse = None if a2 == 1 else [a2 ** -(k // 2) for k in range(top + 1)]
+        classes, degrees, step, label = [(0, 0, 0)], [top], 1, CERT_CIRCUMCIRCLE
+    else:
+        numerators, scales = _chord_points(n, config)
+        certify = _sphere_certificate(columns)
+        classes, degrees = _parity_classes(n, max_degree)
+        inverse = None if a2 == 1 else [a2**-k for k in range(top + 1)]
+        step, label = 2, CERT_SPHERE_IDEAL
+    candidates, nullspace, pivots = _exact_run(
+        columns, numerators, scales, classes, degrees, step, inverse, certify, label
+    )
+
+    # the null dimension at degree k <= D: the coranks of the prefixes of
+    # degree (k - |e|) // step, summed over the classes e
+    corank = [math.comb(j + n, n) - sum(p < math.comb(j + n, n) for p in pivots) for j in range(top + 1)]
+    sizes = [sum(e) for e in classes]
+    by_degree = {k: sum(corank[(k - s) // step] for s in sizes if s <= k) for k in range(1, max_degree + 1)}
     config = {
         "operation": "sphere",
         "d": d,
@@ -984,15 +892,13 @@ def discover_on_sphere(
         "max_degree": max_degree,
         "n_samples": count,
         "seed": seed,
-        "threshold": _THRESHOLD,
-        "max_denominator": _MAX_DENOMINATOR,
-        "matrix_basis": "chebyshev-equilibrated",
-        "sampling": "circumsphere(gaussian-direction)",
+        "matrix_basis": _SEGMENT_BASIS if d == 2 else _SQUARES_BASIS,
+        "sampling": _CONIC_SAMPLING if d == 2 else _CHORD_SAMPLING,
     }
     return SphereDiscoveryReport(
         config=config,
-        null_dim_by_degree=null_by_degree,
-        nullspace=NullspaceReport(report.singular_values, report.null_dim, None, report.gap, _THRESHOLD),
-        certified=certified,
-        extras=extras,
+        null_dim_by_degree=by_degree,
+        nullspace=nullspace,
+        certified=[c for c in candidates if c.certificate != CERT_UNCERTIFIED],
+        extras=[c for c in candidates if c.certificate == CERT_UNCERTIFIED],
     )

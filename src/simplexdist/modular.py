@@ -16,9 +16,6 @@ from its residue modulo M once ``2*|n|*d < M``.  Nothing here proves that a
 reconstruction is right: the caller certifies its results exactly.
 (Monagan, "Maximal quotient rational reconstruction", ISSAC 2004; Dumas,
 Giorgi and Pernet, FFLAS-FFPACK, 2008.)
-
-The membership screen of circumsphere discovery works modulo a larger prime
-with Python ints: ``_residues`` and ``_sqrt_mod`` serve it.
 """
 
 from __future__ import annotations
@@ -178,28 +175,3 @@ class ResidueImage:
             return new
         return self
 
-
-def _residues(coeffs: Sequence[Fraction], prime: int) -> list[int] | None:
-    """Each rational reduced modulo ``prime``, or None if a denominator is
-    divisible by it.  One modular inverse serves all of them: the inverse
-    of the product of the denominators, unwound from the back."""
-    prefix, product = [], 1
-    for c in coeffs:
-        prefix.append(product)
-        product = product * c.denominator % prime
-    if product == 0:
-        return None
-    inverse = pow(product, -1, prime)
-    out = [0] * len(prefix)
-    for i in range(len(prefix) - 1, -1, -1):
-        c = coeffs[i]
-        out[i] = c.numerator * inverse * prefix[i] % prime
-        inverse = inverse * c.denominator % prime
-    return out
-
-
-def _sqrt_mod(x: int, prime: int) -> int | None:
-    """A square root of x modulo a prime that is 3 mod 4, or None if x is
-    not a square."""
-    root = pow(x, (prime + 1) // 4, prime)
-    return root if root * root % prime == x else None

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -85,6 +84,21 @@ def test_verify_gives_up_on_a_box_almost_no_draw_passes(d, box):
     assert done.stderr == (
         f"error: box {box} is too small for d = {d}: sample 0 found no passing draw in 65536 attempts\n"
     )
+
+
+def test_a_closed_stdout_keeps_the_exit_code():
+    # the reader is gone before the report is written: the write fails with
+    # EPIPE, and the command still exits with its own code, quietly
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "simplexdist.cli", "verify", "--count", "20"]
+    try:
+        done = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 0
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
 # -- discover family --------------------------------------------------------------
@@ -164,32 +178,41 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sphere", "--d", "4", "--max-degree", "2"],
-    ["sphere", "--d", "3", "--max-degree", "2"],
-    ["sphere", "--d", "2", "--max-degree", "4"],
-])
-def test_discovery_rejects_distances_that_underflow_to_zero(tmp_path, capsys, argv):
-    # every float distance of edge_sq 1e-400 is 0, so the samples of the
-    # sphere runs say nothing (the exact discover runs form no float)
-    code, doc = run(tmp_path, *argv, "--edge-sq", "1e-400")
-    assert code == 2 and doc is None
-    assert "error: degenerate sample set" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["discover", "sphere"])
+def test_negative_degree_gives_the_line_of_degree_zero(capsys, command):
+    # the degree is checked before any work, so -1 fails as 0 does
+    lines = []
+    for degree in ("0", "-1"):
+        assert main([command, "--d", "3", "--max-degree", degree]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == "error: max_degree must be a positive integer\n"
 
 
 @pytest.mark.parametrize("argv", [
+    # every float of these runs would be out of range, and the exact runs
+    # form none: first the edges whose float distances underflow to 0, then
+    # those that the float back-transform to monomials could not carry, then
+    # those whose float overflows
+    ["sphere", "--d", "4", "--max-degree", "2", "--edge-sq", "1e-400"],
+    ["sphere", "--d", "3", "--max-degree", "2", "--edge-sq", "1e-400"],
+    ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-400"],
     ["sphere", "--d", "3", "--max-degree", "4", "--edge-sq", "1e200"],
     ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e200"],
     ["sphere", "--d", "2", "--max-degree", "4", "--edge-sq", "1e-300"],
+    ["sphere", "--d", "3", "--max-degree", "3", "--edge-sq", "1e400"],
+    ["sphere", "--d", "2", "--edge-sq", "1e400"],
+    ["sphere", "--d", "2", "--max-degree", "3", "--edge-sq", "1e310"],
+    ["sphere", "--d", "4", "--edge-sq", "1e309"],
+    ["sphere", "--d", "3", "--edge-sq", "1e309"],
 ])
-def test_discovery_names_an_edge_the_back_transform_cannot_carry(tmp_path, capsys, argv):
-    # the back-transform to monomials divides by powers of the sample scale,
-    # which overflow (or underflow, zeroing a coefficient) for such edges
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, doc = run(tmp_path, *argv)
-    assert code == 2 and doc is None
-    assert "error: edge_sq is out of float range at max_degree 4" in capsys.readouterr().err
+def test_sphere_takes_edges_beyond_the_float_range(tmp_path, argv):
+    code, doc = run(tmp_path, *argv)
+    d, degree = int(argv[2]), int(doc["config"]["max_degree"])
+    label = "in-circumcircle-ideal" if d == 2 else "in-circumsphere-ideal"
+    nullspace = doc["result"]["nullspace"]
+    assert code == 0 and nullspace["complete"] is True and doc["result"]["extras"] == []
+    assert len(doc["result"]["certified"]) == nullspace["null_dim"] == doc["result"]["null_dim_by_degree"][str(degree)]
+    assert all(c["certificate"] == label for c in doc["result"]["certified"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,15 +270,29 @@ def test_sphere_subcommand(tmp_path):
     assert code == 0
     assert doc["result"]["null_dim_by_degree"] == {"1": 0, "2": 1}
     (candidate,) = doc["result"]["certified"]
-    assert candidate["certificate"] == "in-circumsphere-ideal"
+    assert candidate["certificate"] == "in-circumcircle-ideal"
 
 
-def test_sphere_with_extras_exits_one(tmp_path):
+def test_sphere_certifies_the_pompeiu_cubic(tmp_path):
     # at degree 3 the circumcircle carries a cubic outside the two-generator
-    # ideal, reported as an extra: the run completes but flags it
+    # ideal; the Ptolemy conics certify it with the quadratic's multiples
     code, doc = run(tmp_path, "sphere", "--d", "2", "--max-degree", "3")
+    assert code == 0 and doc["result"]["extras"] == []
+    assert doc["result"]["null_dim_by_degree"] == {"1": 0, "2": 1, "3": 5}
+    assert {c["certificate"] for c in doc["result"]["certified"]} == {"in-circumcircle-ideal"}
+
+
+def test_sphere_with_extras_exits_one(tmp_path, monkeypatch):
+    # the 16 primes from 11 up that are units for the scales leave a row
+    # that reconstructs wrongly and fails the certificate: the run reports
+    # it as an extra, is incomplete, and exits 1
+    from simplexdist import discover
+
+    primes = [p for p in range(11, 10**4) if all(p % f for f in range(2, math.isqrt(p) + 1))][:16]
+    monkeypatch.setattr(discover, "word_primes", lambda: iter(primes))
+    code, doc = run(tmp_path, "sphere", "--d", "3", "--max-degree", "8", "--seed", "1")
     assert code == 1
-    assert doc["result"]["extras"]
+    assert doc["result"]["extras"] and doc["result"]["nullspace"]["complete"] is False
 
 
 # -- reduce ------------------------------------------------------------------------
@@ -810,15 +847,17 @@ def test_help_exits_zero(capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sphere", "--d", "3", "--max-degree", "3", "--edge-sq", "1e400"],
-    ["sphere", "--d", "2", "--edge-sq", "1e400"],
+    # the sphere runs that stood here are exact now and take these edges
+    # (test_sphere_takes_edges_beyond_the_float_range)
+    ["probe63", "--d", "3", "--count", "5", "--edge-sq", "1e400"],
+    ["reconstruct", "--d", "3", "--t", "1,1,1,1", "--edge-sq", "1e400"],
     ["probe63", "--d", "2", "--count", "5", "--edge-sq", "1e400"],
     ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e400"],
     # the exact edge is valid, but its float overflows just past the float
     # range
-    ["sphere", "--d", "2", "--max-degree", "3", "--edge-sq", "1e310"],
-    ["sphere", "--d", "4", "--edge-sq", "1e309"],
-    ["sphere", "--d", "3", "--edge-sq", "1e309"],
+    ["probe63", "--d", "3", "--count", "5", "--edge-sq", "1e310"],
+    ["reconstruct", "--d", "4", "--t", "1,1,1,1,1", "--edge-sq", "1e309"],
+    ["probe63", "--d", "4", "--count", "5", "--edge-sq", "1e309"],
     ["probe63", "--edge-sq", "1e309"],
     ["reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e309"],
 ])

@@ -1,7 +1,9 @@
-"""The vanishing-polynomial pipelines: exact modulo primes for d >= 2,
-numeric then exact for d = 1 and the circumsphere."""
+"""The vanishing-polynomial pipelines, exact modulo primes at every d, on
+the whole space and on the circumsphere, and the numeric library
+functions that no run calls."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,18 +21,16 @@ from hypothesis import strategies as st
 from simplexdist import discover
 from simplexdist.cmgeom import _bareiss_det
 from simplexdist.discover import (
+    CERT_CIRCUMCIRCLE,
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
-    _SCREEN_POINTS,
-    _SCREEN_PRIME,
-    _chebyshev_eval_matrix,
-    _chebyshev_to_monomial,
-    _in_sphere_ideal,
+    _chord,
+    _chord_points,
+    _conic_certificate,
+    _conic_points,
     _limit_denominator,
-    _relation_mod_quadratic,
-    _rref,
-    _sphere_points_mod,
-    _sphere_screen,
+    _sphere_certificate,
+    _square_free,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,
@@ -38,11 +38,11 @@ from simplexdist.discover import (
     numeric_nullspace,
     rationalize,
 )
-from simplexdist.geom import EmbeddedSimplex, SampleConfig, sample_points
+from simplexdist.geom import EmbeddedSimplex, SampleConfig, _weight_rows, sample_circumsphere, sample_points
+from simplexdist.modular import rref_mod
 from simplexdist.poly import (
     MultiPoly,
     circumsphere_quadratic,
-    circumsphere_quartic,
     distance_relation,
     divide_last_variable,
     proportional,
@@ -87,12 +87,14 @@ def test_lower_degree_monomials_are_a_prefix(arity):
 
 
 def _degree_four_matrix():
-    # Chebyshev products span the same space as the degree-<=4 monomials
+    # the degree-<=4 monomials at float distances, each column scaled to
+    # unit norm
     simplex = EmbeddedSimplex(2, 1)
     samples = sample_points(simplex, SampleConfig(seed=2, count=105))
     floats = np.array([[math.sqrt(float(x)) for x in s.squared] for _, s in samples])
-    half = float(np.max(floats)) / 2
-    return _chebyshev_eval_matrix(floats, enumerate_monomials(3, 4), half)
+    exponents = np.asarray(enumerate_monomials(3, 4).exponents)
+    matrix = np.prod(floats[:, None, :] ** exponents[None, :, :], axis=2)
+    return matrix / np.linalg.norm(matrix, axis=0)
 
 
 def test_rank_of_degree_four_matrix():
@@ -294,66 +296,58 @@ def test_limit_denominator_in_ints_equals_the_stdlib(case):
     assert rationalize([x, 0.25, -x], cap) == _rationalize_reference([x, 0.25, -x], cap)
 
 
-def _rref_reference(rows, tol=discover._RREF_TOL):
-    """The row-by-row elimination that the one-step update replaced."""
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
-        return a
-    scale = np.max(np.abs(a), axis=1, keepdims=True)
-    scale[scale == 0] = 1.0
-    a = a / scale
-    rank = 0
-    for col in range(a.shape[1]):
-        if rank == a.shape[0]:
-            break
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= tol:
+def _rref_reference(matrix, prime):
+    """Leftmost-pivot Gauss-Jordan elimination modulo ``prime``, row by row
+    in Python ints."""
+    a = [[int(x) % prime for x in row] for row in np.asarray(matrix).tolist()]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] / a[rank, col]
-        for i in range(a.shape[0]):
-            if i != rank:
-                a[i] = a[i] - a[i, col] * a[rank]
-        rank += 1
-    return a[:rank]
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inverse = pow(a[rank][col], -1, prime)
+        a[rank] = [x * inverse % prime for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                factor = a[i][col]
+                a[i] = [(x - factor * y) % prime for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+    return a[: len(pivots)], tuple(pivots)
 
 
-def _assert_bit_identical(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+def _assert_same_rref(matrix, prime):
+    rows, pivots = rref_mod(matrix, prime)
+    assert (rows.tolist(), pivots) == _rref_reference(matrix, prime)
 
 
 def test_rref_matches_reference_on_rank_deficient_matrices():
     rng = np.random.default_rng(3)
-    for rows, rank, cols in [(3, 1, 4), (5, 3, 8), (8, 5, 12), (12, 12, 12), (6, 2, 30)]:
-        a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-        a[:, rng.integers(0, cols, size=cols // 3)] = 0.0  # empty columns skip pivots
-        _assert_bit_identical(_rref(a), _rref_reference(a))
-        # small-integer rows give exact cancellations, and so signed zeros
-        b = rng.integers(-2, 3, size=(rows, rank)) @ rng.integers(-2, 3, size=(rank, cols))
-        b = b.astype(float)
-        b[0] = -0.0 * np.abs(b[0]) if rows > 2 else b[0]
-        _assert_bit_identical(_rref(b), _rref_reference(b))
-    _assert_bit_identical(_rref(np.zeros((0, 4))), _rref_reference(np.zeros((0, 4))))
+    for prime in (7, 2**31 - 1):
+        for rows, rank, cols in [(3, 1, 4), (5, 3, 8), (8, 5, 12), (12, 12, 12), (6, 2, 30)]:
+            a = rng.integers(-5, 6, size=(rows, rank)) @ rng.integers(-5, 6, size=(rank, cols))
+            a[:, rng.integers(0, cols, size=cols // 3)] = 0  # empty columns skip pivots
+            _assert_same_rref(a, prime)
 
 
 def test_rref_matches_reference_on_discovery_rows(monkeypatch):
     seen = []
 
-    def recording(rows):
-        seen.append(np.array(rows))
-        return _rref(rows)
+    def recording(matrix, prime):
+        seen.append((np.array(matrix), prime))
+        return rref_mod(matrix, prime)
 
-    monkeypatch.setattr(discover, "_rref", recording)
-    discover_vanishing(1, 1, 8, seed=1)
+    monkeypatch.setattr(discover, "rref_mod", recording)
     discover_on_sphere(2, 1, 6, seed=1)
     discover_on_sphere(3, 1, 4, seed=1)
-    # the exact run at d = 1 forms no float; one RREF per sphere run: the 51
-    # null vectors at d = 2 degree 6 and the 16 at d = 3 degree 4
-    assert [rows.shape for rows in seen] == [(51, 84), (16, 70)]
-    for rows in seen:
-        _assert_bit_identical(_rref(rows), _rref_reference(rows))
+    # one elimination of the sample matrix per run, then one of the
+    # nullspace basis of each prefix: the 92 x 84 matrix in v at d = 2
+    # degree 6 and its 51 null vectors, and the 23 x 15 matrix in u at
+    # d = 3 degree 4 and the nullspaces of its prefixes of degree 0, 1, 2
+    assert [matrix.shape for matrix, _ in seen] == [(92, 84), (51, 84), (23, 15), (0, 1), (1, 5), (6, 15)]
+    for matrix, prime in seen:
+        _assert_same_rref(matrix, prime)
 
 
 # -- full-space discovery ------------------------------------------------------------------
@@ -454,13 +448,52 @@ def test_divisible_agrees_with_division(data, m, multiple):
     def pack(e):
         return sum(x * base**i for i, x in enumerate(e))
 
-    divisor = {pack(e): int(c) for e, c in generator.terms.items()}
-    lead = divisor.pop(m * high)
+    divisor = discover._divisor(generator, base, n - 1, m)
+    assert divisor[:3] == (generator.terms[(0,) * (n - 1) + (m,)], high, m)
     index = {e: j for j, e in enumerate(columns)}
     entries = {index[e]: c for e, c in p.terms.items()}
-    found = discover._divisible(entries, [pack(e) for e in columns], list(divisor.items()), lead, high, m)
+    row = discover._integer_row(entries, [pack(e) for e in columns])
+    found = not discover._remainder(row, divisor)
     assert found == divide_last_variable(p, generator).remainder.is_zero
     assert found or not multiple
+
+
+def _remainder_case(data, m):
+    """A divisor with a constant integer lead in its last variable, of
+    degree m there, and integer coefficients: Q_u or the image of S_u of a
+    sphere run at d = 2..5, with their arity."""
+    d = data.draw(st.integers(2, 5))
+    n = d + 1
+    others = [MultiPoly.variable(j, n) for j in range(n - 1)]
+    rest = MultiPoly.constant(d, n) - sum(others, MultiPoly.zero(n))
+    if m == 1:
+        return n, MultiPoly.variable(n - 1, n) - rest
+    # S_u's image lives in the first n - 1 variables, the last of them of degree 2
+    image = sum((x * x for x in others), rest * rest) - MultiPoly.constant(d, n)
+    return n - 1, MultiPoly(n - 1, {e[:-1]: c for e, c in image.terms.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_remainder_is_the_scaled_remainder_of_division(data, m):
+    # the pseudo-remainder of lead^(top - m + 1) * p equals that multiple of
+    # the remainder of true division, at m = 1 (lead 1) and m = 2 (lead 2)
+    n, divisor = _remainder_case(data, m)
+    degree = data.draw(st.integers(1, 5))
+    coeff = st.integers(-9, 9).filter(bool)
+    terms = data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, degree).exponents), coeff, min_size=1, max_size=8))
+    p = MultiPoly(n, terms)
+    base = max(degree, 2) + 1
+
+    def pack(e):
+        return sum(x * base**i for i, x in enumerate(e))
+
+    packed = discover._divisor(divisor, base, n - 1, m)
+    remainder = discover._remainder({pack(e): int(c) for e, c in p.terms.items()}, packed)
+    top = p.degree_in(n - 1)
+    scale = packed[0] ** max(top - m + 1, 0)
+    expected = divide_last_variable(p, divisor).remainder.scale(scale)
+    assert remainder == {pack(e): c for e, c in expected.terms.items()}
 
 
 def test_discover_segment_needs_rational_edge():
@@ -497,8 +530,9 @@ def test_discover_sample_count_follows_the_matrix():
     # d = 1 follows the same rule in v = t/a, whose matrix has all the
     # C(D + 2, 2) monomials of degree <= D as columns
     assert discover_vanishing(1, 1, 3, seed=0).config["n_samples"] == math.comb(3 + 2, 2) + 8 == 18
-    # sphere runs draw three samples per monomial of the whole basis
-    assert discover_on_sphere(2, 1, 3, seed=0).config["n_samples"] == 3 * math.comb(3 + 3, 3)
+    # sphere runs follow it too: at d >= 3 in u, at d = 2 in v
+    assert discover_on_sphere(3, 1, 6, seed=0).config["n_samples"] == math.comb(3 + 4, 4) + 8 == 43
+    assert discover_on_sphere(2, 1, 3, seed=0).config["n_samples"] == math.comb(3 + 3, 3) + 8 == 28
 
 
 # -- discovery in the squared distances -----------------------------------------------------
@@ -506,33 +540,6 @@ def test_discover_sample_count_follows_the_matrix():
 
 def _parity(exponent):
     return tuple(e % 2 for e in exponent)
-
-
-def _whole_chebyshev_to_monomial(basis, center, half):
-    """Reference: the change of basis over the whole basis at once (the
-    pipeline builds it from the exponent rows of a column prefix)."""
-    degree = basis.max_degree
-    one_d = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        unit = np.zeros(k + 1)
-        unit[k] = 1.0
-        in_scaled = np.polynomial.chebyshev.cheb2poly(unit)
-        for j, cj in enumerate(in_scaled):
-            if cj == 0.0:
-                continue
-            for i in range(j + 1):
-                one_d[i, k] += cj * math.comb(j, i) * (-center) ** (j - i) / half**j
-    exps = np.asarray(basis.exponents)
-    full = np.ones((len(basis), len(basis)))
-    for var in range(basis.arity):
-        full *= one_d[np.ix_(exps[:, var], exps[:, var])]
-    return full
-
-
-def test_one_block_back_transform_is_the_whole_one():
-    basis = enumerate_monomials(4, 5)
-    change = _chebyshev_to_monomial(np.asarray(basis.exponents), 0.7)
-    assert np.array_equal(change, _whole_chebyshev_to_monomial(basis, 0.7, 0.7))
 
 
 @pytest.mark.parametrize("d, degree, seed", [(2, 10, 1), (2, 12, 1), (3, 8, 1), (3, 8, 7), (5, 6, 1)])
@@ -653,51 +660,13 @@ def test_squared_distance_run_reads_every_prefix_from_one_elimination(monkeypatc
     assert pivots == sorted(pivots) and len(pivots) == 28
 
 
-def _one_block_matrix(samples, basis):
-    """The equilibrated matrix of the one-block recipe: variables scaled
-    from [0, tmax] to [-1, 1]."""
-    tmax = float(np.max(samples))
-    scaled = (samples - tmax / 2.0) / (tmax / 2.0)
-    vander = np.polynomial.chebyshev.chebvander(scaled, basis.max_degree)
-    exps = np.asarray(basis.exponents)
-    matrix = np.ones((samples.shape[0], len(basis)))
-    for var in range(samples.shape[1]):
-        matrix *= vander[:, var, exps[:, var]]
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0] = 1.0
-    return matrix / norms
-
-
-@pytest.mark.parametrize("run, args, expected", [
-    (discover_on_sphere, (2, 1, 4), "e9c7a20be6d910b1c2562e2a9f5b8c5dfdef1899c22d47d84053cd361c59695b"),
-    (discover_on_sphere, (3, 1, 3), "d7542db23465420adf1bdf4645a558d6b5cbb1ee1230ebce9039657e58909b4f"),
+@pytest.mark.parametrize("args, expected", [
+    ((2, 1, 4), "825c804697104be653b7939068932c54fba3932384739bd88b2cd5bb1dbe5841"),
+    ((3, 1, 3), "202f3f2ba3e374b1921b88865f8cb0feddaf552da6ded4a106234b10a686dbfe"),
 ])
-def test_one_block_runs_keep_their_reports(monkeypatch, run, args, expected):
-    # sphere runs keep one block and the [0, tmax] scaling: their
-    # SVD input is bit for bit the one-block matrix, and the rest of the
-    # report is pinned by a digest (the spectrum and gap are left out of it,
-    # as they depend on the BLAS build)
-    evaluate, nullspace = discover._chebyshev_eval_matrix, discover.numeric_nullspace
-    samples, inputs = [], []
-
-    def recording_eval(floats, basis, *scale):
-        samples.append(floats)
-        return evaluate(floats, basis, *scale)
-
-    def recording_nullspace(matrix, threshold):
-        inputs.append(matrix)
-        return nullspace(matrix, threshold)
-
-    monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
-    monkeypatch.setattr(discover, "numeric_nullspace", recording_nullspace)
-    report = run(*args, seed=3)
-    (floats,) = samples
-    old = _one_block_matrix(floats, enumerate_monomials(floats.shape[1], args[2]))
-    assert np.array_equal(inputs[0], old)
-    assert report.nullspace.singular_values == nullspace(old, 1e-8).singular_values
-    doc = report.to_json()
-    assert doc["config"]["matrix_basis"] == "chebyshev-equilibrated"
-    del doc["nullspace"]["singular_values"], doc["nullspace"]["gap"]
+def test_sphere_runs_keep_their_reports(args, expected):
+    # the exact sphere runs, pinned by the digest of the whole report
+    doc = discover_on_sphere(*args, seed=3).to_json()
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == expected
 
 
@@ -779,7 +748,7 @@ def test_sphere_degree_two_finds_quadratic():
     report = discover_on_sphere(2, 1, 2, seed=3)
     assert report.null_dim_by_degree == {1: 0, 2: 1}
     (candidate,) = report.certified
-    assert candidate.certificate == CERT_SPHERE_IDEAL
+    assert candidate.certificate == CERT_CIRCUMCIRCLE
     assert proportional(candidate.poly, circumsphere_quadratic(2, 1))
     assert report.extras == []
 
@@ -793,6 +762,7 @@ def test_sphere_degree_one_empty():
 def test_sphere_degree_two_d3():
     report = discover_on_sphere(3, 1, 2, seed=3)
     (candidate,) = report.certified
+    assert candidate.certificate == CERT_SPHERE_IDEAL
     assert proportional(candidate.poly, circumsphere_quadratic(3, 1))
 
 
@@ -801,87 +771,145 @@ def test_sphere_rejects_low_dimension():
         discover_on_sphere(1, 1, 2)
 
 
+def _in_sphere_ideal_reference(p, d, a2):
+    """Membership in the ideal (Q, R) of the circumsphere quadratic and the
+    quartic, in t: Q is monic in the last variable and R's image modulo Q
+    has no last-variable term, so p is a member exactly when both parts A
+    and B of its remainder ``A + B*T_last`` by Q are multiples of that
+    image."""
+    quad = circumsphere_quadratic(d, a2)
+    image = divide_last_variable(distance_relation(d, a2), quad).remainder
+    image = MultiPoly(d, {e[:-1]: c for e, c in image.terms.items()})
+    reduced = divide_last_variable(p, quad).remainder
+    parts = (MultiPoly(d, {e[:-1]: c for e, c in reduced.terms.items() if e[-1] == k}) for k in (0, 1))
+    return all(divide_last_variable(part, image).remainder.is_zero for part in parts)
+
+
+def _certifies(certify, columns, p):
+    """The sphere certificate ``certify`` of a run on the monomials
+    ``columns`` applied to the polynomial p in the run's variables."""
+    index = {e: j for j, e in enumerate(columns)}
+    return certify({index[e]: c for e, c in p.terms.items()})
+
+
+def _u_certificate(d, degree):
+    columns = enumerate_monomials(d + 1, degree).exponents
+    return lambda p: _certifies(_sphere_certificate(columns), columns, p)
+
+
+def _u_generators(d):
+    """``Q_u = sum u - d`` and ``S_u = sum u^2 - d``."""
+    u = [MultiPoly.variable(j, d + 1) for j in range(d + 1)]
+    constant = MultiPoly.constant(d, d + 1)
+    return sum(u, MultiPoly.zero(d + 1)) - constant, sum((x * x for x in u), MultiPoly.zero(d + 1)) - constant
+
+
 def test_sphere_ideal_membership_is_complete():
-    quad = circumsphere_quadratic(2, 1)
-    rel = distance_relation(2, 1)
-    quart = circumsphere_quartic(2, 1)
-    t1 = MultiPoly.variable(0, 3)
-    image = _relation_mod_quadratic(rel, quad)
-    assert _in_sphere_ideal(quad, quad, image)
-    assert _in_sphere_ideal(rel, quad, image)
-    # the other circumsphere quartic is generated by the two, by the exact
-    # polynomial identity linking the three
-    assert _in_sphere_ideal(quart, quad, image)
-    assert _in_sphere_ideal(quad * t1 + rel * (t1**2), quad, image)
-    assert not _in_sphere_ideal(t1, quad, image)
+    # the certificate of d >= 3 in u: Q_u, S_u and their combinations pass,
+    # and so does R_1(u), which is (d + 1) * S_u modulo Q_u
+    certifies = _u_certificate(3, 4)
+    q_u, s_u = _u_generators(3)
+    u1 = MultiPoly.variable(0, 4)
+    relation = MultiPoly(4, {tuple(x // 2 for x in e): c for e, c in distance_relation(3, 1).terms.items()})
+    assert certifies(q_u) and certifies(s_u) and certifies(relation)
+    assert certifies(q_u * u1 + s_u * (u1**2))
+    assert not certifies(u1) and not certifies(s_u + u1)
 
 
 def test_sphere_ideal_membership_checks_the_last_variable_part():
-    # T3 reduces to A + B*T3 with A = 0 and B = 1: only B shows it is not a member
-    quad = circumsphere_quadratic(2, 1)
-    image = _relation_mod_quadratic(distance_relation(2, 1), quad)
-    t3 = MultiPoly.variable(2, 3)
-    assert not _in_sphere_ideal(t3, quad, image)
-    assert _in_sphere_ideal(quad * t3, quad, image)
+    # u4 reduces by Q_u to 3 - u1 - u2 - u3, which S_u's image does not divide
+    certifies = _u_certificate(3, 3)
+    q_u, _ = _u_generators(3)
+    u4 = MultiPoly.variable(3, 4)
+    assert not certifies(u4)
+    assert certifies(q_u * u4)
 
 
 def test_sphere_degree_four_certifies_quartic_span():
     # on the circumcircle of a triangle the vanishing ideal is larger than
-    # the two-generator ideal (a cubic of Pompeiu type also vanishes), so
-    # the run reports extras; the certified part must still be genuine
+    # the two-generator ideal (the Pompeiu cubic also vanishes): degree 4
+    # carries 14 rows, of which the quadratic multiples and the relation
+    # make 11, and the run certifies them all on the Ptolemy conics
     report = discover_on_sphere(2, 1, 4, seed=3)
-    assert report.null_dim_by_degree[2] == 1
-    assert report.null_dim_by_degree[4] >= 11  # 10 quadratic multiples + the relation
-    quad = circumsphere_quadratic(2, 1)
-    rel = distance_relation(2, 1)
-    image = _relation_mod_quadratic(rel, quad)
+    assert report.null_dim_by_degree == {1: 0, 2: 1, 3: 5, 4: 14}
+    assert len(report.certified) == 14 and report.extras == []
+    assert all(c.certificate == CERT_CIRCUMCIRCLE for c in report.certified)
+    rows = sample_circumsphere(EmbeddedSimplex(2, 1), SampleConfig(seed=8, count=40))
     for candidate in report.certified:
-        assert _in_sphere_ideal(candidate.poly, quad, image)
-    assert report.extras  # the Pompeiu-type directions
+        assert max(abs(candidate.poly.eval_float(t)) for t in rows) < 1e-9
+
+
+def _pompeiu():
+    t1, t2, t3 = (MultiPoly.variable(i, 3) for i in range(3))
+    return (t1 + t2 - t3) * (t1 - t2 + t3) * (t2 + t3 - t1)
+
+
+def _span_rank(polys):
+    """The rank of a list of polynomials over the rationals."""
+    exps = sorted({e for p in polys for e in p.terms})
+    rows = [[p.terms.get(e, Fraction(0)) for e in exps] for p in polys]
+    rank = 0
+    for col in range(len(exps)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def test_pompeiu_cubic_vanishes_on_circle_but_outside_ideal():
-    t1, t2, t3 = (MultiPoly.variable(i, 3) for i in range(3))
-    pompeiu = (t1 + t2 - t3) * (t1 - t2 + t3) * (t2 + t3 - t1)
-    quad = circumsphere_quadratic(2, 1)
-    rel = distance_relation(2, 1)
-    assert not _in_sphere_ideal(pompeiu, quad, _relation_mod_quadratic(rel, quad))
-    from simplexdist.geom import sample_circumsphere
-
+    pompeiu = _pompeiu()
+    assert not _in_sphere_ideal_reference(pompeiu, 2, 1)
     rows = sample_circumsphere(EmbeddedSimplex(2, 1), SampleConfig(seed=8, count=40))
     values = [pompeiu.eval_float(t) for t in rows]
     assert max(abs(v) for v in values) < 1e-12
+    # the degree-3 run certifies 5 rows: the quadratic times 1, t1, t2, t3,
+    # and a fifth direction, which the Pompeiu cubic completes
+    report = discover_on_sphere(2, 1, 3, seed=3)
+    polys = [c.poly for c in report.certified]
+    assert len(polys) == 5 and report.extras == []
+    assert _span_rank(polys) == _span_rank(polys + [pompeiu]) == 5
 
 
 @pytest.mark.parametrize("d, max_degree", [(2, 6), (3, 4)])
-def test_sphere_lower_degrees_match_rebuilt_matrices(monkeypatch, d, max_degree):
-    # every lower degree is read from a column prefix of the degree-D matrix;
-    # its spectrum must equal that of the degree-k matrix built from scratch
-    evaluate, nullspace = discover._chebyshev_eval_matrix, discover.numeric_nullspace
-    samples, reports = [], {}
-
-    def recording_eval(floats, basis, *scale):
-        samples.append(floats)
-        return evaluate(floats, basis, *scale)
-
-    def recording_nullspace(matrix, threshold):
-        reports[matrix.shape[1]] = nullspace(matrix, threshold)
-        return reports[matrix.shape[1]]
-
-    monkeypatch.setattr(discover, "_chebyshev_eval_matrix", recording_eval)
-    monkeypatch.setattr(discover, "numeric_nullspace", recording_nullspace)
+def test_sphere_lower_degrees_match_rebuilt_matrices(d, max_degree):
+    # every lower degree is read from the pivots of the degree-D matrix; its
+    # null dimension must equal that of the run of degree k, whose matrix
+    # is built from scratch
     report = discover_on_sphere(d, 1, max_degree, seed=2)
-    (floats,) = samples
-    for k in range(1, max_degree):
-        basis = enumerate_monomials(d + 1, k)
-        half = float(np.max(floats)) / 2
-        matrix = _chebyshev_eval_matrix(floats, basis, half)
-        norms = np.linalg.norm(matrix, axis=0)
-        norms[norms == 0] = 1.0
-        rebuilt = numeric_nullspace(matrix / norms, 1e-8)
-        prefix = reports[len(basis)]
-        assert prefix.singular_values == rebuilt.singular_values
-        assert report.null_dim_by_degree[k] == prefix.null_dim == rebuilt.null_dim
+    for k in range(1, max_degree + 1):
+        rebuilt = discover_on_sphere(d, 1, k, seed=2)
+        assert report.null_dim_by_degree[k] == rebuilt.nullspace.null_dim == rebuilt.null_dim_by_degree[k]
+    assert report.null_dim_by_degree[max_degree] == report.nullspace.null_dim
+
+
+_NULL_DIMS = {  # d, D: the null dimension at every degree up to D
+    (2, 8): [0, 1, 5, 14, 29, 51, 81, 120],
+    (3, 8): [0, 1, 5, 16, 40, 84, 156, 265],
+    (4, 6): [0, 1, 6, 22, 62, 146],
+    (5, 6): [0, 1, 7, 29, 91, 237],
+}
+
+
+@pytest.mark.parametrize("edge_sq", ["1", "7/3", "2", "12345/677"])
+@pytest.mark.parametrize("d, degree", sorted(_NULL_DIMS))
+def test_sphere_null_dimensions_are_the_ideal_dimensions(d, degree, edge_sq):
+    # at d >= 3 the complete-intersection counts of (Q, R),
+    # C(k-2+n, n) + C(k-4+n, n) - C(k-6+n, n); at d = 2 the Hilbert
+    # function of the three conics; every row certified with one prime
+    report = discover_on_sphere(d, Fraction(edge_sq), degree, seed=1)
+    assert list(report.null_dim_by_degree.values()) == _NULL_DIMS[d, degree]
+    assert report.nullspace.complete and len(report.nullspace.primes) == 1
+    assert len(report.certified) == report.nullspace.null_dim and report.extras == []
+    if d >= 3:
+        n = d + 1
+        counts = [sum(s * math.comb(k - j + n, n) for s, j in [(1, 2), (1, 4), (-1, 6)] if k >= j) for k in range(1, degree + 1)]
+        assert counts == _NULL_DIMS[d, degree]
 
 
 def test_sphere_deterministic():
@@ -903,23 +931,28 @@ def test_discovery_report_json_round_trips_through_dumps():
     assert parsed["candidates"][0]["certificate"] == CERT_DIVISIBLE
 
 
-# -- the modular membership screen ------------------------------------------------------
+# -- the screens of a sphere run: the sample filter and the certificates -------------------
 
 
-def _value_mod(p, point):
-    total = 0
-    for e, c in p.terms.items():
-        term = c.numerator * pow(c.denominator, -1, _SCREEN_PRIME)
-        for x, k in zip(point, e):
-            term = term * pow(x, k, _SCREEN_PRIME) % _SCREEN_PRIME
-        total += term
-    return total % _SCREEN_PRIME
+def _squares_free_reference(nums, s):
+    """The filter by its definition: no nonempty subset product of the
+    ``u_j = nums[j] / s`` is a rational square, 0 included."""
+    for size in range(1, len(nums) + 1):
+        for subset in itertools.combinations(nums, size):
+            y = math.prod(subset) * s ** (size % 2)
+            if math.isqrt(y) ** 2 == y:
+                return False
+    return True
 
 
-def _screen(d, a2, max_degree):
-    quad = circumsphere_quadratic(d, a2)
-    image = _relation_mod_quadratic(distance_relation(d, a2), quad)
-    return _sphere_screen(d, Fraction(a2), quad, image, max_degree), quad, image
+def _sphere_points(d, count, seed=1):
+    config = SampleConfig(seed=seed, count=count, box=Fraction(3, 2))
+    return _conic_points(config) if d == 2 else _chord_points(d + 1, config)
+
+
+def _s_relation(d, a2):
+    """The quartic relation as a polynomial in the squares ``s = t^2``."""
+    return MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, a2).terms.items()})
 
 
 _SCREEN_EDGES = (Fraction(1), Fraction(7, 3), Fraction(12345, 677))
@@ -928,13 +961,42 @@ _SCREEN_EDGES = (Fraction(1), Fraction(7, 3), Fraction(12345, 677))
 @pytest.mark.parametrize("a2", _SCREEN_EDGES)
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_screen_points_lie_on_the_circumsphere_variety(d, a2):
-    points = _sphere_points_mod(d, a2, _SCREEN_POINTS)
-    assert len(points) == _SCREEN_POINTS == len(set(points))
-    for point in points:
-        assert len(point) == d + 1
-        assert all(0 <= x < _SCREEN_PRIME for x in point)
-        assert _value_mod(circumsphere_quadratic(d, a2), point) == 0
-        assert _value_mod(distance_relation(d, a2), point) == 0
+    # the sample points lie exactly on the circumsphere, and at d >= 3 they
+    # pass the square-product filter; at d = 2 each lies on its Ptolemy conic
+    numerators, scales = _sphere_points(d, 30)
+    assert len(set(map(tuple, numerators))) == 30
+    relation = _s_relation(d, a2)
+    for k, (nums, s) in enumerate(zip(numerators, scales)):
+        x = [Fraction(c, s) for c in nums]
+        if d == 2:
+            i = k % 3
+            assert x[i] == x[(i + 1) % 3] + x[(i + 2) % 3]
+            squares = [a2 * c * c for c in x]  # s = t^2 with t = a*v
+            assert sum(c * c for c in x) == 2
+        else:
+            assert _square_free(nums, s) and _squares_free_reference(nums, s)
+            squares = [a2 * c for c in x]  # s = a^2 * u
+            assert sum(x) == d and sum(c * c for c in x) == d
+        assert sum(squares) == d * a2 and sum(c * c for c in squares) == d * a2 * a2
+        assert relation.eval(squares) == 0
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_square_free_is_the_subset_product_test(d):
+    # on raw chords, redrawn or not, and on points built to fail
+    rows = [r for r, _ in _weight_rows(d + 1, SampleConfig(seed=1, count=200, box=Fraction(3, 2)))]
+    verdicts = [_square_free(*_chord(k, r)) for k, r in enumerate(rows)]
+    assert verdicts == [_squares_free_reference(*_chord(k, r)) for k, r in enumerate(rows)]
+    assert not all(verdicts)
+    assert not _square_free([2, 8, 3], 5) and not _square_free([3, 0, 7], 11)
+    assert not _square_free([6, 10, 15], 1) and _square_free([2, 3, 5], 7)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_sphere_sample_k_depends_only_on_seed_and_k(d):
+    short, long = _sphere_points(d, 7, seed=5), _sphere_points(d, 40, seed=5)
+    assert [list(x[:7]) for x in long] == [list(x) for x in short]
+    assert _sphere_points(d, 7, seed=6) != short
 
 
 def _random_poly(rng, arity, degree):
@@ -945,46 +1007,71 @@ def _random_poly(rng, arity, degree):
     return MultiPoly(arity, terms)
 
 
+def _v_certificate(degree, seed=1):
+    """The Bezout test of a d = 2 run of degree ``degree``."""
+    columns = enumerate_monomials(3, degree).exponents
+    numerators, scales = _sphere_points(2, len(columns) + 8, seed)
+    certify = _conic_certificate(numerators, scales, columns, degree)
+    return lambda p: _certifies(certify, columns, p)
+
+
 @pytest.mark.parametrize("a2", _SCREEN_EDGES)
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_screen_never_refutes_a_member(d, a2):
+    # members of the ideal pass the certificate, and non-members fail it:
+    # at d >= 3 members of (Q, R) in s = t^2 at edge a^2, taken to u = s/a^2;
+    # at d = 2 members of (Q_v, C_v) in v, C_v the Pompeiu cubic
     rng = random.Random(d * 1000 + a2.denominator)
-    refutes, quad, image = _screen(d, a2, 6)
-    rel = distance_relation(d, a2)
-    for _ in range(4):
-        member = _random_poly(rng, d + 1, 2) * rel + _random_poly(rng, d + 1, 4) * quad
-        assert _in_sphere_ideal(member, quad, image)
-        assert not refutes(member)
-    t1 = MultiPoly.variable(0, d + 1)
-    assert refutes(t1) and refutes(MultiPoly.variable(d, d + 1))
-    assert refutes(quad * t1 + t1**3)
+    n = d + 1
+    if d == 2:
+        certifies = _v_certificate(6)
+        v = [MultiPoly.variable(j, 3) for j in range(3)]
+        generators = [sum((x * x for x in v), MultiPoly.constant(-2, 3)), _pompeiu()]
+        members = [_random_poly(rng, 3, 4) * generators[0] + _random_poly(rng, 3, 3) * generators[1] for _ in range(4)]
+    else:
+        certifies = _u_certificate(d, 3)
+        s = [MultiPoly.variable(j, n) for j in range(n)]
+        generators = [sum(s, MultiPoly.constant(-d * a2, n)), _s_relation(d, a2)]
+        members = []
+        for _ in range(4):
+            member = _random_poly(rng, n, 1) * generators[1] + _random_poly(rng, n, 2) * generators[0]
+            # s = a^2 * u scales the coefficient of s^f by a^(2|f|)
+            members.append(MultiPoly(n, {f: c * a2 ** sum(f) for f, c in member.terms.items()}))
+    for member in members:
+        assert not member.is_zero and certifies(member)
+    x1, last = MultiPoly.variable(0, n), MultiPoly.variable(d, n)
+    assert not certifies(x1) and not certifies(last)
+    assert not certifies(generators[0] * x1 + x1**3)
 
 
 def test_screen_refutes_only_non_members_of_a_run():
-    refutes, quad, image = _screen(2, 1, 6)
+    # a d = 2 run at unit edge, where t = v: each row passes the Bezout
+    # test, and the same row with one coefficient perturbed fails it, and
+    # is no member: it does not vanish on the circle
     report = discover_on_sphere(2, 1, 6, seed=1)
-    refuted = [c.poly for c in report.certified + report.extras if refutes(c.poly)]
-    assert refuted  # the screen is not vacuous on a real run
-    assert not any(_in_sphere_ideal(p, quad, image) for p in refuted)
-
-
-def test_screen_falls_back_when_the_prime_is_not_a_unit():
-    t1 = MultiPoly.variable(0, 3)
-    # q divides a^2: nothing is refuted, every candidate is divided
-    refutes, _, _ = _screen(2, _SCREEN_PRIME, 4)
-    assert not refutes(t1)
-    # q divides a denominator of the candidate
-    refutes, _, _ = _screen(2, 1, 4)
-    assert refutes(t1) and not refutes(t1.scale(Fraction(1, _SCREEN_PRIME)))
+    certifies = _v_certificate(6)
+    rows = sample_circumsphere(EmbeddedSimplex(2, 1), SampleConfig(seed=8, count=20))
+    for candidate in report.certified:
+        p = candidate.poly
+        assert certifies(p)
+        e, c = max(p.terms.items())
+        perturbed = p + MultiPoly(3, {e: c / 1000})
+        assert not certifies(perturbed)
+        assert max(abs(perturbed.eval_float(t)) for t in rows) > 1e-9
 
 
 @pytest.mark.parametrize("d, max_degree", [(2, 8), (3, 6)])
 def test_screened_labels_equal_the_exact_membership_test(d, max_degree):
-    quad = circumsphere_quadratic(d, 1)
-    image = _relation_mod_quadratic(distance_relation(d, 1), quad)
+    # every row is certified, and each lies in the ideal by an independent
+    # test: membership in (Q, R) in t at d = 3, vanishing at float points
+    # of the circle at d = 2
     report = discover_on_sphere(d, 1, max_degree, seed=1)
-    candidates = report.certified + report.extras
-    assert len(candidates) == report.nullspace.null_dim
-    for candidate in candidates:
-        member = _in_sphere_ideal(candidate.poly, quad, image)
-        assert (candidate.certificate == CERT_SPHERE_IDEAL) == member
+    assert len(report.certified) == report.nullspace.null_dim and report.extras == []
+    rows = sample_circumsphere(EmbeddedSimplex(d, 1), SampleConfig(seed=8, count=30))
+    for candidate in report.certified:
+        if d == 2:
+            assert candidate.certificate == CERT_CIRCUMCIRCLE
+            assert max(abs(candidate.poly.eval_float(t)) for t in rows) < 1e-6
+        else:
+            assert candidate.certificate == CERT_SPHERE_IDEAL
+            assert _in_sphere_ideal_reference(candidate.poly, d, 1)
