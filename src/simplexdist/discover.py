@@ -491,7 +491,8 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
     matrix modulo the prime of the forms kept."""
     widths = {k: math.comb(k + len(columns[0]), k) for k in sorted(set(degrees))}
     exponents = np.asarray(columns)
-    # a prime must be a unit for every scale; no word prime divides one
+    # a prime must be a unit for every scale: one that divides a scale is
+    # skipped
     primes = (p for p in word_primes() if all(s % p for s in scales))
     image = None
     for prime in itertools.islice(primes, _MAX_PRIMES):

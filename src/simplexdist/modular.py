@@ -1,21 +1,25 @@
 """Exact linear algebra modulo word primes, and the way back to the rationals.
 
-A rational matrix is reduced modulo a prime P below ``2^31``, so that every
-product of two residues stays below ``2^62`` and fits a numpy ``int64``.
-Elimination modulo P (``rref_mod``) then costs no more than a float
-elimination and makes no rounding error.  What it can get wrong is luck: P
-may divide a minor of the matrix, and then the rank drops and the echelon
-form changes.  Such a prime shows itself by a larger nullspace, or by pivots
-further to the right, than a lucky prime gives (``ResidueImage.fold``), and
-is dropped.
+A rational matrix is reduced modulo a prime P below ``2^24``, so that every
+product of two residues stays below ``2^48`` and a numpy ``int64`` entry can
+take ``2^15`` such products before it must be reduced again.  Elimination
+modulo P (``rref_mod``) then costs no more than a float elimination and
+makes no rounding error: it reduces only the residues it reads, and folds
+the rest into ``[0, P)`` once at the end (delayed reduction).  What it can
+get wrong is luck: P may divide a minor of the matrix, and then the rank
+drops and the echelon form changes.  Such a prime shows itself by a larger
+nullspace, or by pivots further to the right, than a lucky prime gives
+(``ResidueImage.fold``), and is dropped.
 
 The residues of a rational result modulo several primes are joined by the
 Chinese remainder theorem (``crt``), and rational reconstruction
 (``rational_reconstruction``; Wang, 1981) recovers each rational ``n/d``
-from its residue modulo M once ``2*|n|*d < M``.  Nothing here proves that a
-reconstruction is right: the caller certifies its results exactly.
-(Monagan, "Maximal quotient rational reconstruction", ISSAC 2004; Dumas,
-Giorgi and Pernet, FFLAS-FFPACK, 2008.)
+from its residue modulo M once ``2*|n|*d < M``: one prime carries terms up
+to 2,896.  Nothing here proves that a reconstruction is right: the caller
+certifies its results exactly.  (Monagan, "Maximal quotient rational
+reconstruction", ISSAC 2004; Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
+TOMS, 2008.)
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# every prime the elimination uses lies below this, so (P - 1)^2 < 2^62
-WORD_PRIME_BOUND = 2**31
+# every prime the elimination uses lies below this, so (P - 1)^2 < 2^48
+WORD_PRIME_BOUND = 2**24
+# pivots between two folds of the trailing block of rref_mod: so many
+# products of two residues below the bound still fit an int64
+_FOLD_PERIOD = 2**63 // (WORD_PRIME_BOUND - 1) ** 2
 
 
 def _is_prime(n: int) -> bool:
@@ -56,20 +63,33 @@ def _is_prime(n: int) -> bool:
 
 
 def word_primes() -> Iterator[int]:
-    """The primes below ``2^31`` in descending order: ``2^31 - 1``,
-    ``2147483629``, ``2147483587``, ..."""
+    """The primes below ``2^24`` in descending order: ``16777213``,
+    ``16777199``, ``16777183``, ..."""
     return (n for n in range(WORD_PRIME_BOUND - 1, 1, -1) if _is_prime(n))
 
 
 def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form modulo ``prime`` (below ``2^31``), with
+    """Reduced row echelon form modulo ``prime`` (below ``2^24``), with
     leftmost pivots: returns the nonzero rows as ``int64`` residues in
     ``[0, prime)`` and the pivot column of each row.
 
     The rows of the form restricted to its first w columns are the echelon
     form of the matrix's first w columns, so one elimination serves every
     column prefix (see ``nullspace_mod``).
+
+    Reduction is delayed: each step reduces only the column it searches for
+    a pivot and the new pivot row, subtracts ``factor * row`` from the other
+    rows unreduced, and the form is folded into ``[0, prime)`` on return.
+    This is exact.  Each factor and each entry of the pivot row lies in
+    ``[0, prime)``, so an update subtracts at most ``(prime - 1)^2`` from an
+    entry, and an entry in ``[0, prime)`` after k updates lies in ``[-k *
+    (prime - 1)^2, prime)``.  The trailing block is folded every
+    ``_FOLD_PERIOD = 2^63 // (2^24 - 1)^2`` pivots, and each pivot updates
+    an entry at most once, so k is at most that period and ``k * (prime -
+    1)^2 < 2^63``: no entry leaves the ``int64`` range.
     """
+    if not 1 < prime < WORD_PRIME_BOUND:
+        raise ValueError(f"the prime must lie below 2^24, not {prime}")
     a = np.array(matrix, dtype=np.int64) % prime
     rows, cols = a.shape
     pivots = []
@@ -77,22 +97,26 @@ def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...
         rank = len(pivots)
         if rank == rows:
             break
-        below = np.flatnonzero(a[rank:, col])
+        factors = a[:, col] % prime
+        a[:, col] = factors
+        below = np.flatnonzero(factors[rank:])
         if below.size == 0:
             continue
         pivot = rank + int(below[0])
         if pivot != rank:
             a[[rank, pivot]] = a[[pivot, rank]]
+            factors[[rank, pivot]] = factors[[pivot, rank]]
         # every row at or below the pivot is zero left of col, so the
         # update needs only the columns from col on
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, prime) % prime
-        factors = a[:, col].copy()
+        a[rank, col:] = a[rank, col:] % prime * pow(int(factors[rank]), -1, prime) % prime
         factors[rank] = 0
         others = np.flatnonzero(factors)
         if others.size:
-            a[others, col:] = (a[others, col:] - factors[others, None] * a[rank, col:]) % prime
+            a[others, col:] -= factors[others, None] * a[rank, col:]
         pivots.append(col)
-    return a[: len(pivots)], tuple(pivots)
+        if len(pivots) % _FOLD_PERIOD == 0:
+            a[:, col + 1 :] %= prime
+    return a[: len(pivots)] % prime, tuple(pivots)
 
 
 def nullspace_mod(rref: np.ndarray, pivots: Sequence[int], width: int, prime: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexdist import modular
 from simplexdist.modular import (
     WORD_PRIME_BOUND,
     ResidueImage,
@@ -49,8 +50,8 @@ def _mod(x: Fraction, prime: int) -> int:
 @st.composite
 def _small_matrices(draw):
     # entries at most 12 in absolute value and at most five rows: every
-    # nonzero minor is below (12 * sqrt(5))^5 < 2^31, so no word prime
-    # divides it, and the echelon form reduces modulo the prime
+    # nonzero minor is below (12 * sqrt(5))^5 ~ 1.39e7 < 2^24, so no word
+    # prime divides it, and the echelon form reduces modulo the prime
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     if draw(st.booleans()):
         return [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)) for _ in range(rows)]
@@ -61,9 +62,9 @@ def _small_matrices(draw):
     return [[sum(x * y for x, y in zip(row, column)) for column in zip(*right)] or [0] * cols for row in left]
 
 
-def test_word_primes_descend_from_the_mersenne_prime():
+def test_word_primes_descend_from_the_largest_prime_below_2_to_the_24():
     primes = list(itertools.islice(word_primes(), 16))
-    assert primes[:3] == [2**31 - 1, 2147483629, 2147483587]
+    assert primes[:3] == [16777213, 16777199, 16777183]
     assert primes == sorted(primes, reverse=True) and primes[-1] < WORD_PRIME_BOUND
     # by trial division: these are primes, and every number between them is not
     for n in range(primes[-1], primes[0] + 1):
@@ -79,6 +80,72 @@ def test_rref_mod_is_the_exact_rref_reduced_mod_p(rows, prime):
     assert got_pivots == pivots
     assert got.dtype == np.int64
     assert got.tolist() == [[_mod(x, prime) for x in row] for row in exact]
+
+
+def _rref_int(rows, prime):
+    """Leftmost-pivot Gauss-Jordan elimination modulo ``prime`` in Python
+    ints, every entry reduced at every step."""
+    a = [[x % prime for x in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0])):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inverse = pow(a[rank][col], -1, prime)
+        row = a[rank] = [x * inverse % prime for x in a[rank]]
+        for i, other in enumerate(a):
+            factor = other[col]
+            if i != rank and factor:
+                a[i] = other[:col] + [(x - factor * y) % prime for x, y in zip(other[col:], row[col:])]
+        pivots.append(col)
+    return a[: len(pivots)], tuple(pivots)
+
+
+@st.composite
+def _tall_matrices(draw):
+    # residues up to P - 1, full or of low rank, with empty columns: every
+    # row takes one unreduced update per pivot above or below it
+    rows, cols = draw(st.integers(40, 120)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.integers(0, P, size=(rows, cols)).tolist()
+    else:
+        rank = draw(st.integers(0, min(rows, cols)))
+        left, right = rng.integers(0, P, size=(rows, rank)).tolist(), rng.integers(0, P, size=(rank, cols)).tolist()
+        a = [[sum(x * y for x, y in zip(row, column)) % P for column in zip(*right)] or [0] * cols for row in left]
+    for col in rng.integers(0, cols, size=draw(st.integers(0, cols // 3))):
+        for row in a:
+            row[col] = 0
+    return a
+
+
+@settings(max_examples=25, deadline=None)
+@given(_tall_matrices())
+def test_rref_mod_with_delayed_reduction_is_the_python_int_rref(rows):
+    got, pivots = rref_mod(np.array(rows, dtype=np.int64), P)
+    assert (got.tolist(), pivots) == _rref_int(rows, P)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_rref_mod_is_the_same_at_any_fold_period(monkeypatch, period):
+    rng = np.random.default_rng(period)
+    matrices = [rng.integers(0, P, size=(60, 50)), rng.integers(0, P, size=(50, 60))]
+    low = rng.integers(0, P, size=(80, 6)) @ rng.integers(0, 100, size=(6, 40)) % P
+    matrices += [low, np.zeros((5, 4), dtype=np.int64), np.eye(7, dtype=np.int64)[::-1] * (P - 1)]
+    assert modular._FOLD_PERIOD == 2**15
+    expected = [rref_mod(m, P) for m in matrices]
+    monkeypatch.setattr(modular, "_FOLD_PERIOD", period)
+    for m, (rref, pivots) in zip(matrices, expected):
+        got, got_pivots = rref_mod(m, P)
+        assert got_pivots == pivots and (got == rref).all()
+        assert (got.tolist(), got_pivots) == _rref_int(m.tolist(), P)
+
+
+def test_rref_mod_refuses_a_prime_past_the_bound():
+    with pytest.raises(ValueError, match="below 2"):
+        rref_mod(np.eye(2, dtype=np.int64), 2**31 - 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +194,9 @@ def test_crt_joins_two_primes(values):
 
 
 def test_crt_recovers_a_fraction_too_tall_for_one_prime():
-    x = Fraction(123456789, 98765)
+    # one prime carries terms up to 2,896, two up to 11,863,276
+    assert math.isqrt(P // 2) == 2896 and math.isqrt(P * Q // 2) == 11863276
+    x = Fraction(1234567, 98765)
     assert rational_reconstruction(_mod(x, P), P) != x
     joined = crt([_mod(x, P)], P, [_mod(x, Q)], Q)
     assert rational_reconstruction(joined[0], P * Q) == x
