@@ -26,7 +26,6 @@ from .discover import (
     DiscoveryReport,
     ExactNullspace,
     IndependenceReport,
-    MonomialBasis,
     NullspaceReport,
     SphereDiscoveryReport,
     discover_on_sphere,

@@ -64,8 +64,10 @@ theorem: a curve of degree <= D that does not contain an irreducible conic
 meets it in at most 2D points, so vanishing, in exact integers, at 2D + 1
 distinct points of each conic means vanishing on the whole image.
 
-``numeric_nullspace`` and ``rationalize`` are library functions that no run
-calls.
+``enumerate_monomials`` gives the columns of every run, as the graded-lex
+tuple of exponent vectors.  ``numeric_nullspace`` (an SVD with a
+singular-value cutoff) and ``rationalize`` (``Fraction.limit_denominator``
+per entry) are library functions that no run calls.
 """
 
 from __future__ import annotations
@@ -100,20 +102,9 @@ _THRESHOLD = 1e-8
 _MAX_DENOMINATOR = 10**6
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+def enumerate_monomials(arity: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of total degree <= max_degree, graded-lex
     ascending (constant monomial first)."""
-
-    arity: int
-    max_degree: int
-    exponents: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-
-def enumerate_monomials(arity: int, max_degree: int) -> MonomialBasis:
     if not isinstance(arity, int) or arity < 1:
         raise ValueError("arity must be a positive integer")
     if not isinstance(max_degree, int) or max_degree < 0:
@@ -132,7 +123,7 @@ def enumerate_monomials(arity: int, max_degree: int) -> MonomialBasis:
 
     exps = [e for k in range(max_degree + 1) for e in of_degree(arity, k)]
     assert len(exps) == math.comb(max_degree + arity, arity)
-    return MonomialBasis(arity, max_degree, tuple(exps))
+    return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -149,20 +140,10 @@ class NullspaceReport:
     null_dim: int
     null_basis: np.ndarray | None
     gap: float
-    threshold: float
 
     @property
     def inconclusive(self) -> bool:
         return self.gap < _GAP_FLOOR
-
-    def to_json(self) -> dict:
-        return {
-            "singular_values": list(self.singular_values),
-            "null_dim": self.null_dim,
-            "gap": None if math.isinf(self.gap) else self.gap,
-            "threshold": self.threshold,
-            "inconclusive": self.inconclusive,
-        }
 
 
 def numeric_nullspace(matrix: np.ndarray, threshold: float = _THRESHOLD) -> NullspaceReport:
@@ -183,7 +164,7 @@ def numeric_nullspace(matrix: np.ndarray, threshold: float = _THRESHOLD) -> Null
     sigmas[: len(svals)] = svals
     smax = float(sigmas[0])
     if smax == 0.0:
-        return NullspaceReport(tuple(sigmas), m, vh.copy(), math.inf, threshold)
+        return NullspaceReport(tuple(sigmas), m, vh.copy(), math.inf)
     cut = threshold * smax
     k = int(np.sum(sigmas <= cut))
     if k == 0:
@@ -194,66 +175,25 @@ def numeric_nullspace(matrix: np.ndarray, threshold: float = _THRESHOLD) -> Null
         below = float(sigmas[m - k])
         gap = math.inf if below == 0.0 else float(sigmas[m - k - 1]) / below
     basis = vh[m - k :].copy() if k else np.zeros((0, m))
-    return NullspaceReport(tuple(float(s) for s in sigmas), k, basis, float(gap), threshold)
-
-
-def _limit_denominator(x: float, max_denominator: int) -> Fraction:
-    """``Fraction(x).limit_denominator(max_denominator)``, computed in ints.
-
-    The same continued-fraction recurrence runs on ``x.as_integer_ratio()``.
-    The last convergent ``p1/q1`` and the semiconvergent ``(p0 + k*p1) /
-    (q0 + k*q1)`` bracket x; the convergent is at distance ``d/(q1*den)``
-    from x and the two are ``1/(q1*(q0 + k*q1))`` apart, so the convergent
-    is at least as near exactly when ``2*d*(q0 + k*q1) <= den`` (the
-    comparison CPython 3.12 makes, ties going to the convergent as in
-    every version).  Both bounds are in lowest terms.  NaN and infinities
-    raise ``ValueError`` and ``OverflowError``, as ``Fraction(x)`` does.
-    """
-    n, den = x.as_integer_ratio()
-    if den <= max_denominator:
-        return Fraction(n, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    d = den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+    return NullspaceReport(tuple(float(s) for s in sigmas), k, basis, float(gap))
 
 
 def rationalize(vector: Sequence[float], max_denominator: int = _MAX_DENOMINATOR) -> tuple[Fraction, ...]:
-    """Best bounded-denominator rational for each entry (continued
-    fractions), then scaled so the first nonzero entry is 1.
-
-    Entries below the noise floor ``|x| < 1/(2*max_denominator)`` become 0
-    without a continued fraction.  This is exact: for such x the continued
-    fraction ends between the bounds 0 and ``+-1/max_denominator``, and 0 is
-    strictly nearer, so ``Fraction(x).limit_denominator`` returns 0 too.
-    The floor is a correctly rounded float, so no float lies between it and
-    the exact value.  Only the entries above it, and NaN or infinities
-    (which raise as before), go through ``_limit_denominator``.
+    """``Fraction(x).limit_denominator(max_denominator)`` for each entry x,
+    the best rational with a denominator up to the cap, then scaled so the
+    first nonzero entry is 1.  NaN raises ``ValueError`` and infinities
+    ``OverflowError``, as ``Fraction(x)`` does.
 
     Wrong guesses are not detected here; they surface downstream as
     certification failures.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
-    values = np.asarray(vector, dtype=float)
-    survivors = np.flatnonzero(~(np.abs(values) < 1 / (2 * max_denominator))).tolist()
-    fracs = [Fraction(0)] * len(values)
-    for i, x in zip(survivors, values[survivors].tolist()):
-        fracs[i] = _limit_denominator(x, max_denominator)
-    lead = next((fracs[i] for i in survivors if fracs[i] != 0), None)
-    if lead is not None and lead != 1:
-        for i in survivors:
-            fracs[i] /= lead
-    return tuple(fracs)
+    fracs = [Fraction(x).limit_denominator(max_denominator) for x in np.asarray(vector, dtype=float).tolist()]
+    lead = next((f for f in fracs if f != 0), None)
+    if lead is None:
+        return tuple(fracs)
+    return tuple(f / lead for f in fracs)
 
 
 @dataclass(frozen=True)
@@ -552,7 +492,7 @@ def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> Discove
     """``discover_vanishing``, exactly: see the module docstring."""
     n = d + 1
     top = max_degree if d == 1 else max_degree // 2
-    columns = enumerate_monomials(n, top).exponents
+    columns = enumerate_monomials(n, top)
     count = len(columns) + _EXTRA_SAMPLES
     config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
     # the generator at unit edge, R_1(u) or the segment cubic in v, with
@@ -863,7 +803,7 @@ def discover_on_sphere(
 
     n = d + 1
     top = max_degree if d == 2 else max_degree // 2
-    columns = enumerate_monomials(n, top).exponents
+    columns = enumerate_monomials(n, top)
     count = len(columns) + _EXTRA_SAMPLES
     config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
     if d == 2:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simplexdist import discover
@@ -28,7 +28,6 @@ from simplexdist.discover import (
     _chord_points,
     _conic_certificate,
     _conic_points,
-    _limit_denominator,
     _sphere_certificate,
     _square_free,
     discover_on_sphere,
@@ -39,7 +38,6 @@ from simplexdist.discover import (
     rationalize,
 )
 from simplexdist.geom import EmbeddedSimplex, SampleConfig, _weight_rows, sample_circumsphere, sample_points
-from simplexdist.modular import rref_mod
 from simplexdist.poly import (
     MultiPoly,
     circumsphere_quadratic,
@@ -60,24 +58,24 @@ def test_monomial_count_three_vars_degree_four():
 
 def test_monomials_univariate():
     basis = enumerate_monomials(1, 3)
-    assert basis.exponents == ((0,), (1,), (2,), (3,))
+    assert basis == ((0,), (1,), (2,), (3,))
 
 
 def test_monomials_degree_zero():
-    assert enumerate_monomials(2, 0).exponents == ((0, 0),)
+    assert enumerate_monomials(2, 0) == ((0, 0),)
 
 
 def test_monomials_graded_and_strictly_ordered():
     basis = enumerate_monomials(3, 5)
-    keys = [(sum(e), e) for e in basis.exponents]
+    keys = [(sum(e), e) for e in basis]
     assert keys == sorted(keys)
-    assert len(set(basis.exponents)) == len(basis)
+    assert len(set(basis)) == len(basis)
 
 
 @pytest.mark.parametrize("arity", range(1, 6))
 def test_lower_degree_monomials_are_a_prefix(arity):
     # discover_on_sphere reads each lower-degree matrix as a column prefix
-    bases = [enumerate_monomials(arity, degree).exponents for degree in range(9)]
+    bases = [enumerate_monomials(arity, degree) for degree in range(9)]
     for top in range(1, 9):
         for k in range(top):
             assert bases[k] == bases[top][: math.comb(k + arity, arity)]
@@ -92,7 +90,7 @@ def _degree_four_matrix():
     simplex = EmbeddedSimplex(2, 1)
     samples = sample_points(simplex, SampleConfig(seed=2, count=105))
     floats = np.array([[math.sqrt(float(x)) for x in s.squared] for _, s in samples])
-    exponents = np.asarray(enumerate_monomials(3, 4).exponents)
+    exponents = np.asarray(enumerate_monomials(3, 4))
     matrix = np.prod(floats[:, None, :] ** exponents[None, :, :], axis=2)
     return matrix / np.linalg.norm(matrix, axis=0)
 
@@ -170,184 +168,21 @@ def test_rationalize_respects_denominator_cap():
     assert value != Fraction(1, 2) ** Fraction(1, 2)  # no exact match exists
 
 
-def _rationalize_reference(vector, max_denominator=10**6):
-    """The per-entry rationalize that the noise-floor version replaced."""
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
-    fracs = [Fraction(float(x)).limit_denominator(max_denominator) for x in vector]
-    lead = next((f for f in fracs if f != 0), None)
-    if lead is None:
-        return tuple(fracs)
-    return tuple(f / lead for f in fracs)
-
-
-_DENOMINATOR_CAPS = (1, 1000, 10**6)
-
-
-def _around_floor(cap, steps=3):
-    """Floats next to +-1/(2*cap) and their nextafter neighbours."""
-    values = []
-    for sign in (1.0, -1.0):
-        x = sign / (2 * cap)
-        below = above = x
-        values.append(x)
-        for _ in range(steps):
-            below = float(np.nextafter(below, 0.0))
-            above = float(np.nextafter(above, sign * math.inf))
-            values += [below, above]
-    return values
-
-
-def _entries(cap):
-    floor = 1 / (2 * cap)
-    return st.one_of(
-        st.sampled_from(_around_floor(cap)),
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
-        st.floats(min_value=-floor, max_value=floor),  # noise, subnormals included
-        st.floats(min_value=-4 * floor, max_value=4 * floor),
-        st.fractions(max_denominator=2 * cap).map(float),  # near-rational coefficients
-        st.floats(allow_nan=False, allow_infinity=False),
-    )
-
-
-@st.composite
-def _rows(draw):
-    cap = draw(st.sampled_from(_DENOMINATOR_CAPS))
-    floor = 1 / (2 * cap)
-    entry = draw(st.sampled_from([
-        _entries(cap),
-        st.sampled_from([0.0, -0.0]),  # all-zero rows
-        st.floats(min_value=-floor, max_value=floor, exclude_min=True, exclude_max=True),
-    ]))
-    row = draw(st.lists(entry, max_size=12))
-    if draw(st.booleans()):
-        row = np.array(row, dtype=float)  # rows from _rref are numpy arrays
-    return row, cap
-
-
-@settings(max_examples=600, deadline=None)
-@given(_rows())
-@example(([1e-12, 0.5, 0.25], 10**6))  # lead 1/2, not 1
-@example(([-0.0, 0.0, 4.9e-7, -4.9e-7], 10**6))
-@example(([0.5, -0.5, 0.25], 1))  # ties at the floor of cap 1
-@example(([], 1000))
-def test_rationalize_matches_per_entry_reference(case):
-    row, cap = case
-    got = rationalize(row, cap)
-    want = _rationalize_reference(row, cap)
-    assert got == want
-    assert [str(f) for f in got] == [str(f) for f in want]
-    assert all(type(f) is Fraction for f in got)
-
-
-def _reference_error(row, cap):
-    with pytest.raises(Exception) as info:
-        _rationalize_reference(row, cap)
-    return info.type
-
-
-@pytest.mark.parametrize("cap", _DENOMINATOR_CAPS)
+@pytest.mark.parametrize("cap", [1, 1000, 10**6])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rationalize_non_finite_raises_like_reference(bad, cap):
+    # as Fraction(x) does: ValueError for NaN, OverflowError for infinities
+    error = ValueError if math.isnan(bad) else OverflowError
     for row in ([bad], [0.0, 1e-12, bad], [0.5, bad, 0.25]):
-        with pytest.raises(_reference_error(row, cap)):
+        with pytest.raises(error):
             rationalize(row, cap)
-        with pytest.raises(_reference_error(row, cap)):
+        with pytest.raises(error):
             rationalize(np.array(row), cap)
 
 
 def test_rationalize_rejects_zero_cap():
     with pytest.raises(ValueError):
         rationalize([0.5], 0)
-
-
-_CF_CAPS = (1, 2, 3, 1000, 10**6, 10**15)
-
-
-@st.composite
-def _cf_cases(draw):
-    cap = draw(st.sampled_from(_CF_CAPS))
-    x = draw(st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),  # every magnitude and sign
-        st.floats(min_value=-10, max_value=10),
-        st.fractions(max_denominator=64).map(float),  # exact small rationals
-        # halfway between two neighbours k/2 of the Farey sequence of order 2
-        st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 4),
-        st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 2),
-    ))
-    return x, cap
-
-
-@settings(max_examples=2000, deadline=None)
-@given(_cf_cases())
-@example((0.5, 1))  # ties at cap 1 go to the convergent
-@example((-0.5, 1))
-@example((2.5, 1))
-@example((0.75, 2))
-@example((-1.25, 2))
-@example((math.pi, 10**15))
-@example((-1e-300, 10**15))
-@example((1e300, 1))
-@example((5e-324, 10**6))
-def test_limit_denominator_in_ints_equals_the_stdlib(case):
-    x, cap = case
-    got, want = _limit_denominator(x, cap), Fraction(x).limit_denominator(cap)
-    assert got == want and type(got) is Fraction
-    assert rationalize([x, 0.25, -x], cap) == _rationalize_reference([x, 0.25, -x], cap)
-
-
-def _rref_reference(matrix, prime):
-    """Leftmost-pivot Gauss-Jordan elimination modulo ``prime``, row by row
-    in Python ints."""
-    a = [[int(x) % prime for x in row] for row in np.asarray(matrix).tolist()]
-    pivots = []
-    for col in range(len(a[0]) if a else 0):
-        rank = len(pivots)
-        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inverse = pow(a[rank][col], -1, prime)
-        a[rank] = [x * inverse % prime for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                factor = a[i][col]
-                a[i] = [(x - factor * y) % prime for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-    return a[: len(pivots)], tuple(pivots)
-
-
-def _assert_same_rref(matrix, prime):
-    rows, pivots = rref_mod(matrix, prime)
-    assert (rows.tolist(), pivots) == _rref_reference(matrix, prime)
-
-
-def test_rref_matches_reference_on_rank_deficient_matrices():
-    rng = np.random.default_rng(3)
-    for prime in (7, 16777213):
-        for rows, rank, cols in [(3, 1, 4), (5, 3, 8), (8, 5, 12), (12, 12, 12), (6, 2, 30)]:
-            a = rng.integers(-5, 6, size=(rows, rank)) @ rng.integers(-5, 6, size=(rank, cols))
-            a[:, rng.integers(0, cols, size=cols // 3)] = 0  # empty columns skip pivots
-            _assert_same_rref(a, prime)
-
-
-def test_rref_matches_reference_on_discovery_rows(monkeypatch):
-    seen = []
-
-    def recording(matrix, prime):
-        seen.append((np.array(matrix), prime))
-        return rref_mod(matrix, prime)
-
-    monkeypatch.setattr(discover, "rref_mod", recording)
-    discover_on_sphere(2, 1, 6, seed=1)
-    discover_on_sphere(3, 1, 4, seed=1)
-    # one elimination of the sample matrix per run, then one of the
-    # nullspace basis of each prefix: the 92 x 84 matrix in v at d = 2
-    # degree 6 and its 51 null vectors, and the 23 x 15 matrix in u at
-    # d = 3 degree 4 and the nullspaces of its prefixes of degree 0, 1, 2
-    assert [matrix.shape for matrix, _ in seen] == [(92, 84), (51, 84), (23, 15), (0, 1), (1, 5), (6, 15)]
-    for matrix, prime in seen:
-        _assert_same_rref(matrix, prime)
 
 
 # -- full-space discovery ------------------------------------------------------------------
@@ -434,9 +269,9 @@ def _divisor_case(data, m):
 def test_divisible_agrees_with_division(data, m, multiple):
     n, generator = _divisor_case(data, m)
     degree = data.draw(st.integers(m, 6))
-    columns = enumerate_monomials(n, degree).exponents
+    columns = enumerate_monomials(n, degree)
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-    quotient_terms = st.sampled_from(enumerate_monomials(n, degree - m).exponents)
+    quotient_terms = st.sampled_from(enumerate_monomials(n, degree - m))
     quotient = MultiPoly(n, data.draw(st.dictionaries(quotient_terms, coeff, min_size=1, max_size=4)))
     noise = {} if multiple else data.draw(st.dictionaries(st.sampled_from(columns), coeff, min_size=1, max_size=3))
     p = quotient * generator + MultiPoly(n, noise)
@@ -481,7 +316,7 @@ def test_remainder_is_the_scaled_remainder_of_division(data, m):
     n, divisor = _remainder_case(data, m)
     degree = data.draw(st.integers(1, 5))
     coeff = st.integers(-9, 9).filter(bool)
-    terms = data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, degree).exponents), coeff, min_size=1, max_size=8))
+    terms = data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, degree)), coeff, min_size=1, max_size=8))
     p = MultiPoly(n, terms)
     base = max(degree, 2) + 1
 
@@ -793,7 +628,7 @@ def _certifies(certify, columns, p):
 
 
 def _u_certificate(d, degree):
-    columns = enumerate_monomials(d + 1, degree).exponents
+    columns = enumerate_monomials(d + 1, degree)
     return lambda p: _certifies(_sphere_certificate(columns), columns, p)
 
 
@@ -1001,7 +836,7 @@ def test_sphere_sample_k_depends_only_on_seed_and_k(d):
 
 def _random_poly(rng, arity, degree):
     terms = {}
-    for e in enumerate_monomials(arity, degree).exponents:
+    for e in enumerate_monomials(arity, degree):
         if rng.random() < 0.5:
             terms[e] = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
     return MultiPoly(arity, terms)
@@ -1009,7 +844,7 @@ def _random_poly(rng, arity, degree):
 
 def _v_certificate(degree, seed=1):
     """The Bezout test of a d = 2 run of degree ``degree``."""
-    columns = enumerate_monomials(3, degree).exponents
+    columns = enumerate_monomials(3, degree)
     numerators, scales = _sphere_points(2, len(columns) + 8, seed)
     certify = _conic_certificate(numerators, scales, columns, degree)
     return lambda p: _certifies(certify, columns, p)

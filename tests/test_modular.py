@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdist import modular
+from simplexdist import discover, modular
+from simplexdist.discover import discover_on_sphere
 from simplexdist.modular import (
     WORD_PRIME_BOUND,
     ResidueImage,
@@ -87,7 +88,7 @@ def _rref_int(rows, prime):
     ints, every entry reduced at every step."""
     a = [[x % prime for x in row] for row in rows]
     pivots = []
-    for col in range(len(a[0])):
+    for col in range(len(a[0]) if a else 0):
         rank = len(pivots)
         pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if pivot is None:
@@ -141,6 +142,39 @@ def test_rref_mod_is_the_same_at_any_fold_period(monkeypatch, period):
         got, got_pivots = rref_mod(m, P)
         assert got_pivots == pivots and (got == rref).all()
         assert (got.tolist(), got_pivots) == _rref_int(m.tolist(), P)
+
+
+def _assert_same_rref(matrix, prime):
+    rows, pivots = rref_mod(matrix, prime)
+    assert (rows.tolist(), pivots) == _rref_int(matrix.tolist(), prime)
+
+
+def test_rref_matches_reference_on_rank_deficient_matrices():
+    rng = np.random.default_rng(3)
+    for prime in (7, 16777213):
+        for rows, rank, cols in [(3, 1, 4), (5, 3, 8), (8, 5, 12), (12, 12, 12), (6, 2, 30)]:
+            a = rng.integers(-5, 6, size=(rows, rank)) @ rng.integers(-5, 6, size=(rank, cols))
+            a[:, rng.integers(0, cols, size=cols // 3)] = 0  # empty columns skip pivots
+            _assert_same_rref(a, prime)
+
+
+def test_rref_matches_reference_on_discovery_rows(monkeypatch):
+    seen = []
+
+    def recording(matrix, prime):
+        seen.append((np.array(matrix), prime))
+        return rref_mod(matrix, prime)
+
+    monkeypatch.setattr(discover, "rref_mod", recording)
+    discover_on_sphere(2, 1, 6, seed=1)
+    discover_on_sphere(3, 1, 4, seed=1)
+    # one elimination of the sample matrix per run, then one of the
+    # nullspace basis of each prefix: the 92 x 84 matrix in v at d = 2
+    # degree 6 and its 51 null vectors, and the 23 x 15 matrix in u at
+    # d = 3 degree 4 and the nullspaces of its prefixes of degree 0, 1, 2
+    assert [matrix.shape for matrix, _ in seen] == [(92, 84), (51, 84), (23, 15), (0, 1), (1, 5), (6, 15)]
+    for matrix, prime in seen:
+        _assert_same_rref(matrix, prime)
 
 
 def test_rref_mod_refuses_a_prime_past_the_bound():

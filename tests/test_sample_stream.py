@@ -7,8 +7,10 @@ exact squared distances of the box-3/2 samples (for d = 1, drawn onto
 branch k mod 3 of the segment), so any drift in the draws, the weights, the
 exact squared distances or the ``verify`` report fails here.  The ``realize-probe`` reports are pinned
 too: the exact ``cm`` report and the pure-Python part of ``probe63`` (its
-draws and the roots of the completing quadratic).  Nothing downstream of an
-SVD or other LAPACK call is pinned: those values depend on the BLAS build.
+draws and the roots of the completing quadratic).  The ``discover`` and
+``sphere`` reports are exact, eliminated modulo primes and certified in
+integers, and hold no float, so their bytes do not depend on the platform
+and they are pinned whole.
 """
 
 import contextlib
@@ -114,8 +116,8 @@ def test_cm_report_stream():
     ids=["d2", "d3"],
 )
 def test_probe_report_stream(d, expected):
-    # each verdict's point and residual come from a LAPACK solve, so only
-    # the draws, the roots and the counts are pinned
+    # each verdict repeats a root with the status "feasible", so the draws,
+    # the roots and the counts pin the report
     code, doc = run_cli(["probe63", "--d", str(d), "--count", "200", "--seed", "5"])
     result = doc["result"]
     pinned = {
@@ -124,3 +126,36 @@ def test_probe_report_stream(d, expected):
     }
     assert code == 0
     assert digest(json.dumps(pinned, sort_keys=True).encode()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["discover", "--d", "5", "--max-degree", "6", "--seed", "1"],
+            "9472b46b8529c031a71df89359840a97e2f33fea645d37bf274d11335b50b5f3",
+        ),
+        (
+            ["discover", "--d", "1", "--max-degree", "8", "--edge-sq", "9/4"],
+            "d6d46424dc0c8b46e2bb77bea150e1bc03f72d70dffb20051e8920fda418cf70",
+        ),
+        (
+            ["discover", "--d", "3", "--max-degree", "8", "--edge-sq", "12345/677"],
+            "40fb71b54e01f22d4e23f6eeda0f348bf95d6f1f9473745fb8092d3d568ba364",
+        ),
+        (
+            ["sphere", "--d", "2", "--max-degree", "8"],
+            "8d83f7d8385fcab3afbd47d965ac9638a00e14142440e1fa2397e09dcf94a059",
+        ),
+        (
+            ["sphere", "--d", "4", "--max-degree", "6", "--edge-sq", "7/3"],
+            "1746d6c9275d7e6e4bc184a2be95f98af46103451eb201547b9daa1d60445966",
+        ),
+    ],
+    ids=["discover-d5", "discover-d1", "discover-d3-tall-edge", "sphere-d2", "sphere-d4"],
+)
+def test_discovery_report_stream(argv, expected):
+    code, doc = run_cli(argv)
+    del doc["generated_at"]
+    assert code == 0
+    assert digest(json.dumps(doc, sort_keys=True).encode()) == expected
