@@ -10,8 +10,8 @@ For a triangle there is more: the circumsphere is a circle, and on each
 arc the largest vertex distance equals the sum of the other two
 (Ptolemy/Pompeiu), so a product of three linear forms vanishes on the
 whole circle.  It is a cubic outside the two-generator ideal.  The d = 2
-run samples the three Ptolemy conics exactly and certifies every row by
-Bezout's theorem, the cubic included.
+run samples the three Ptolemy conics exactly and certifies every row, the
+cubic included, by exact membership in the ideal of each conic.
 """
 
 from fractions import Fraction

@@ -4,8 +4,11 @@ Every run evaluates a monomial basis at exact sample points, finds the
 polynomials that vanish on them modulo word primes, lifts them to the
 rationals and certifies each exactly; no run forms a float.  One loop
 (``_exact_run``) serves every run; only the samples, the columns and the
-certificate differ.  Candidates that fail certification are reported as
-uncertified, never dropped.
+generators of the certificate differ.  Every certificate is membership in
+the ideal of the image (``_membership``): the row, scaled to integers, is
+pseudo-divided by the generators in turn and certified when nothing is
+left.  Candidates that fail certification are reported as uncertified,
+never dropped.
 
 **d >= 2: split by parity, in u.**  The quartic relation has only even
 powers of the distances, so it is a quadric ``R(s)`` in ``s = t^2``, and its
@@ -59,10 +62,14 @@ v_j + v_l, sum v^2 = 2}``, on which the Pompeiu cubic vanishes outside (Q,
 R).  Sample k lies on conic ``i = k mod 3`` (``_conic_points``).  The curve is
 symmetric under ``v -> -v``, so its ideal is graded by the parity of the
 total degree: the run has one class, every monomial of degree <= D, and its
-rows rescale to t by powers of ``a^2``.  A row is certified by Bezout's
-theorem: a curve of degree <= D that does not contain an irreducible conic
-meets it in at most 2D points, so vanishing, in exact integers, at 2D + 1
-distinct points of each conic means vanishing on the whole image.
+rows rescale to t by powers of ``a^2``.  A row is certified by membership
+in the ideal of each conic.  A conic is irreducible, so its ideal is
+generated by its line solved for ``v_2``, ``v_2 - x``, and the circle at
+``v_2 = x``, whose lead in ``v_1`` is 2.  That pair is a lex Groebner basis,
+so a row vanishes on the image exactly when its remainder by each of the
+three pairs is 0 (Cox, Little & O'Shea, "Ideals, Varieties, and
+Algorithms", ch. 2).  The circle ``sum v^2 - 2`` lies in all three ideals,
+and the remainder by it is taken once, before the three branches.
 
 ``enumerate_monomials`` gives the columns of every run, as the graded-lex
 tuple of exponent vectors.  ``numeric_nullspace`` (an SVD with a
@@ -72,6 +79,7 @@ per entry) are library functions that no run calls.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -110,20 +118,13 @@ def enumerate_monomials(arity: int, max_degree: int) -> tuple[tuple[int, ...], .
     if not isinstance(max_degree, int) or max_degree < 0:
         raise ValueError("max_degree must be a non-negative integer")
 
-    graded: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
-        """The exponent vectors of nvars variables and total degree exactly
-        ``degree``, lexicographically ascending."""
-        if (nvars, degree) not in graded:
-            graded[nvars, degree] = [(degree,)] if nvars == 1 else [
-                (e, *rest) for e in range(degree + 1) for rest in of_degree(nvars - 1, degree - e)
-            ]
-        return graded[nvars, degree]
-
-    exps = [e for k in range(max_degree + 1) for e in of_degree(arity, k)]
-    assert len(exps) == math.comb(max_degree + arity, arity)
-    return tuple(exps)
+    # combinations_with_replacement gives the exponents of each degree
+    # lexicographically descending
+    return tuple(
+        tuple(map(combo.count, range(arity)))
+        for k in range(max_degree + 1)
+        for combo in reversed(list(itertools.combinations_with_replacement(range(arity), k)))
+    )
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,8 @@ def _check_degree(max_degree) -> None:
 
 # samples beyond the columns of a run's matrix: a square part has the rank
 # of the whole map for almost every draw, and the extra rows spare a run
-# from the draws where it has not; at d = 1 and on the circumcircle they
-# also give each branch or conic the samples its certificate needs
+# from the draws where it has not.  They serve the rank alone: no
+# certificate reads the samples
 _EXTRA_SAMPLES = 8
 # primes a run tries before it reports itself incomplete
 _MAX_PRIMES = 16
@@ -360,12 +361,14 @@ def _pack(exponent: Sequence[int], base: int) -> int:
     return sum(x * base**i for i, x in enumerate(exponent))
 
 
-def _divisor(poly: MultiPoly, base: int, var: int, m: int) -> tuple:
-    """``poly``, with integer coefficients and of degree m in the variable
-    x of index ``var`` with a constant lead there, as ``(lead, high, m,
-    rest)`` packed in ``base``: ``lead * x^m + rest``, x of weight ``high``,
-    and ``rest`` the packed exponents and coefficients of the other
-    terms."""
+def _divisor(poly: MultiPoly, base: int) -> tuple:
+    """``poly``, with integer coefficients and a constant lead in the last
+    variable x that occurs in it, as ``(lead, high, m, rest)`` packed in
+    ``base``: ``lead * x^m + rest``, m the degree in x, x of weight
+    ``high``, and ``rest`` the packed exponents and coefficients of the
+    other terms."""
+    var = max(i for f in poly.terms for i, x in enumerate(f) if x)
+    m = max(f[var] for f in poly.terms)
     high = base**var
     packed = {_pack(f, base): int(c) for f, c in poly.terms.items()}
     return packed.pop(m * high), high, m, list(packed.items())
@@ -406,6 +409,42 @@ def _remainder(poly: dict[int, int], divisor: tuple) -> dict[int, int]:
                 else:
                     del remainder[key]
     return remainder
+
+
+def _packing_base(columns, polys: Sequence[MultiPoly]) -> int:
+    """The base that packs the rows on the monomials ``columns`` and the
+    divisors ``polys`` of a certificate: one above their largest exponent.
+    The columns hold every monomial up to their degree, so their largest
+    exponent is their largest total degree, and a divisor's lead has its top
+    total degree, so reduction never raises a term's total degree: no
+    exponent outgrows the base."""
+    return 1 + max(map(max, itertools.chain(columns, *(p.terms for p in polys))))
+
+
+def _membership(columns, common, branches=((),)) -> Callable[[dict[int, Fraction]], bool]:
+    """The certificate of a run's rows, each given by its entries by column
+    on the monomials ``columns``: membership in the ideal of every branch,
+    generated by the polynomials ``common`` and those of the branch.  The
+    row, scaled to integers, is replaced by its pseudo-remainder
+    (``_remainder``) by each polynomial of ``common`` in turn, then by those
+    of each branch in turn; it is a member when every branch leaves 0.
+
+    The polynomials of ``common`` must lie in the ideal of every branch, and
+    each polynomial must have a constant lead in the last variable that
+    those before it leave, a new variable for each polynomial of a branch.
+    A branch is then a lex Groebner basis of its ideal, and what it leaves,
+    divisible by none of the leads, is the row's normal form, 0 exactly when
+    the row is a member."""
+    base = _packing_base(columns, [*common, *itertools.chain(*branches)])
+    codes = [_pack(f, base) for f in columns]
+    common = [_divisor(p, base) for p in common]
+    branches = [[_divisor(p, base) for p in branch] for branch in branches]
+
+    def certify(entries: dict[int, Fraction]) -> bool:
+        row = functools.reduce(_remainder, common, _integer_row(entries, codes))
+        return not any(functools.reduce(_remainder, branch, row) for branch in branches)
+
+    return certify
 
 
 def _parity_classes(n: int, max_degree: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -495,31 +534,26 @@ def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> Discove
     columns = enumerate_monomials(n, top)
     count = len(columns) + _EXTRA_SAMPLES
     config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
-    # the generator at unit edge, R_1(u) or the segment cubic in v, with
-    # each exponent packed into one int, base top + 1 (no product in the
-    # prefixes has a larger exponent), the last variable most significant
-    base = top + 1
+    # the generator at unit edge: the segment cubic in v or R_1(u)
     if d == 1:
         # the segment cubic mixes parities: one class, of degree D in v =
         # t/a; sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
         classes, degrees, step, unit = [(0, 0)], [top], 1, rational_sqrt(a2)
-        divisor = _divisor(segment_generator(1), base, 1, 3)
+        generator = segment_generator(1)
         draws = _weight_rows(n, config, _segment_branch)
         numerators = [(abs(r1), abs(r0)) for (r0, r1), _ in draws]
         scales = [den for _, den in draws]
     else:
         classes, degrees = _parity_classes(n, max_degree)
         step, unit = 2, a2
-        generator = {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()}
-        divisor = _divisor(MultiPoly(n, generator), base, n - 1, 2)
+        generator = MultiPoly(n, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})
         draws = _weight_rows(n, config)
         numerators = [_distance_numerators(nums, den) for nums, den in draws]
         scales = [2 * den * den for _, den in draws]
-    codes = [_pack(f, base) for f in columns]
     inverse = None if unit == 1 else [unit**-k for k in range(top + 1)]
     candidates, nullspace, _ = _exact_run(
         columns, numerators, scales, classes, degrees, step, inverse,
-        lambda entries: not _remainder(_integer_row(entries, codes), divisor), CERT_DIVISIBLE,
+        _membership(columns, [generator]), CERT_DIVISIBLE,
     )
     config = {
         "operation": "discover",
@@ -737,51 +771,22 @@ def _conic_points(config: SampleConfig) -> tuple[list[tuple[int, int, int]], lis
     return numerators, scales
 
 
-def _conic_certificate(numerators, scales, columns, max_degree: int) -> Callable[[dict[int, Fraction]], bool]:
-    """Bezout's test for the rows of a run at d = 2: a row of degree <= D
-    vanishes on the three conics when it vanishes at ``2D + 1`` distinct
-    points of each, here the first distinct samples of the conic.  At the
-    point ``x/w`` the row is zero exactly when ``sum_f c_f * x^f *
-    w^(D - |f|)`` is, in integers.  With too few distinct points on a conic
-    nothing is certified."""
-    need = 2 * max_degree + 1
-    chosen = [{}, {}, {}]
-    for k, (x, w) in enumerate(zip(numerators, scales)):
-        g = math.gcd(*x, w)
-        point = tuple(c // g for c in (*x, w))
-        if len(chosen[k % 3]) < need:
-            chosen[k % 3][point] = None
-    if any(len(points) < need for points in chosen):
-        return lambda entries: False
-    # the value of every column at every point, as Python ints
-    exponents = np.array([(*f, max_degree - sum(f)) for f in columns]).T
-    tables = np.ones((sum(map(len, chosen)), len(columns)), dtype=object)
-    for i, point in enumerate(itertools.chain(*chosen)):
-        for c, e in zip(point, exponents):
-            tables[i] *= np.array([c**k for k in range(max_degree + 1)], dtype=object)[e]
-
-    def certify(entries: dict[int, Fraction]) -> bool:
-        row = _integer_row(entries, range(len(columns)))
-        return not tables[:, list(row)].dot(np.array(list(row.values()), dtype=object)).any()
-
-    return certify
-
-
-def _sphere_certificate(columns) -> Callable[[dict[int, Fraction]], bool]:
-    """The membership test in ``(Q_u, S_u)`` for the rows of a run at
-    d >= 3 on the monomials ``columns`` in u: the substitution ``u_last = d
-    - sum others``, the remainder by ``Q_u``, must leave a multiple of the
-    image of ``S_u``, ``sum_{j < n-1} u_j^2 + (d - sum_{j < n-1} u_j)^2 -
-    d``, whose lead in ``u_{n-2}`` is 2."""
-    n = len(columns[0])
-    # the packing base: above every exponent of the rows and of S_u's image
-    d, base = n - 1, max(2, *map(max, columns)) + 1
-    codes = [_pack(f, base) for f in columns]
-    others = [MultiPoly.variable(j, n) for j in range(n - 1)]
-    rest = MultiPoly.constant(d, n) - sum(others, MultiPoly.zero(n))
-    q_u = _divisor(MultiPoly.variable(n - 1, n) - rest, base, n - 1, 1)
-    s_u = _divisor(sum((x * x for x in others), rest * rest) - MultiPoly.constant(d, n), base, n - 2, 2)
-    return lambda entries: not _remainder(_remainder(_integer_row(entries, codes), q_u), s_u)
+def _sphere_ideal(n: int) -> tuple[list[MultiPoly], tuple[list[MultiPoly], ...]]:
+    """The ``common`` generators and the ``branches`` of ``_membership`` for
+    a sphere run in n variables (see the module docstring): at d = 2 the
+    circle ``sum v^2 - 2``, then, on conic i, ``v_2 - x`` and the circle at
+    ``v_2 = x``, for ``x = v_0 + v_1``, ``v_0 - v_1`` and ``v_1 - v_0``
+    (conics 2, 0 and 1); at d >= 3 ``Q_u`` (``u_last = d - sum others``) and
+    the image of ``S_u`` modulo ``Q_u``, whose lead in ``u_{n-2}`` is 2."""
+    x = [MultiPoly.variable(j, n) for j in range(n)]
+    if n == 3:
+        v0, v1, v2 = x
+        two = MultiPoly.constant(2, 3)
+        conics = tuple([v2 - w, v0 * v0 + v1 * v1 + w * w - two] for w in (v0 + v1, v0 - v1, v1 - v0))
+        return [v0 * v0 + v1 * v1 + v2 * v2 - two], conics
+    d = MultiPoly.constant(n - 1, n)
+    rest = d - sum(x[:-1], MultiPoly.zero(n))
+    return [x[-1] - rest, sum((y * y for y in x[:-1]), rest * rest) - d], ((),)
 
 
 def discover_on_sphere(
@@ -808,15 +813,14 @@ def discover_on_sphere(
     config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
     if d == 2:
         numerators, scales = _conic_points(config)
-        certify = _conic_certificate(numerators, scales, columns, max_degree)
         inverse = None if a2 == 1 else [a2 ** -(k // 2) for k in range(top + 1)]
         classes, degrees, step, label = [(0, 0, 0)], [top], 1, CERT_CIRCUMCIRCLE
     else:
         numerators, scales = _chord_points(n, config)
-        certify = _sphere_certificate(columns)
         classes, degrees = _parity_classes(n, max_degree)
         inverse = None if a2 == 1 else [a2**-k for k in range(top + 1)]
         step, label = 2, CERT_SPHERE_IDEAL
+    certify = _membership(columns, *_sphere_ideal(n))
     candidates, nullspace, pivots = _exact_run(
         columns, numerators, scales, classes, degrees, step, inverse, certify, label
     )

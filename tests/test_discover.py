@@ -26,9 +26,9 @@ from simplexdist.discover import (
     CERT_SPHERE_IDEAL,
     _chord,
     _chord_points,
-    _conic_certificate,
     _conic_points,
-    _sphere_certificate,
+    _membership,
+    _sphere_ideal,
     _square_free,
     discover_on_sphere,
     discover_vanishing,
@@ -283,7 +283,7 @@ def test_divisible_agrees_with_division(data, m, multiple):
     def pack(e):
         return sum(x * base**i for i, x in enumerate(e))
 
-    divisor = discover._divisor(generator, base, n - 1, m)
+    divisor = discover._divisor(generator, base)
     assert divisor[:3] == (generator.terms[(0,) * (n - 1) + (m,)], high, m)
     index = {e: j for j, e in enumerate(columns)}
     entries = {index[e]: c for e, c in p.terms.items()}
@@ -323,12 +323,55 @@ def test_remainder_is_the_scaled_remainder_of_division(data, m):
     def pack(e):
         return sum(x * base**i for i, x in enumerate(e))
 
-    packed = discover._divisor(divisor, base, n - 1, m)
+    packed = discover._divisor(divisor, base)
     remainder = discover._remainder({pack(e): int(c) for e, c in p.terms.items()}, packed)
     top = p.degree_in(n - 1)
     scale = packed[0] ** max(top - m + 1, 0)
     expected = divide_last_variable(p, divisor).remainder.scale(scale)
     assert remainder == {pack(e): c for e, c in expected.terms.items()}
+
+
+def _r1(d):
+    """R_1(u), the quartic relation at unit edge in u = s = t^2."""
+    return MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})
+
+
+def _sphere_generators(n):
+    common, branches = _sphere_ideal(n)
+    return [*common, *itertools.chain(*branches)]
+
+
+def _unpack(code, base, n):
+    return tuple(code // base**i % base for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "columns, generators",
+    [
+        # discover at d = 1, degree 2 and 8 (at degree 2 the columns stop
+        # below the cubic's exponent 3), and at d = 2, 3 and 5
+        (enumerate_monomials(2, 2), [segment_generator(1)]),
+        (enumerate_monomials(2, 8), [segment_generator(1)]),
+        (enumerate_monomials(3, 1), [_r1(2)]),
+        (enumerate_monomials(4, 4), [_r1(3)]),
+        (enumerate_monomials(6, 3), [_r1(5)]),
+        # sphere at d = 2, degree 1 and 4, and at d = 3, degree 2 and 6
+        (enumerate_monomials(3, 1), _sphere_generators(3)),
+        (enumerate_monomials(3, 4), _sphere_generators(3)),
+        (enumerate_monomials(4, 1), _sphere_generators(4)),
+        (enumerate_monomials(4, 3), _sphere_generators(4)),
+    ],
+)
+def test_divisor_keeps_every_term_at_the_packing_base(columns, generators):
+    # every column and every term of every divisor unpacks to itself at the
+    # base of the run's certificate
+    n = len(columns[0])
+    base = discover._packing_base(columns, generators)
+    assert [_unpack(discover._pack(f, base), base, n) for f in columns] == list(columns)
+    for generator in generators:
+        lead, high, m, rest = discover._divisor(generator, base)
+        terms = {_unpack(code, base, n): c for code, c in [(m * high, lead), *rest]}
+        assert terms == generator.terms
 
 
 def test_discover_segment_needs_rational_edge():
@@ -629,7 +672,7 @@ def _certifies(certify, columns, p):
 
 def _u_certificate(d, degree):
     columns = enumerate_monomials(d + 1, degree)
-    return lambda p: _certifies(_sphere_certificate(columns), columns, p)
+    return lambda p: _certifies(_membership(columns, *_sphere_ideal(d + 1)), columns, p)
 
 
 def _u_generators(d):
@@ -842,12 +885,11 @@ def _random_poly(rng, arity, degree):
     return MultiPoly(arity, terms)
 
 
-def _v_certificate(degree, seed=1):
-    """The Bezout test of a d = 2 run of degree ``degree``."""
+def _v_certificate(degree):
+    """The membership test of a d = 2 run of degree ``degree``, in the
+    ideals of the three Ptolemy conics."""
     columns = enumerate_monomials(3, degree)
-    numerators, scales = _sphere_points(2, len(columns) + 8, seed)
-    certify = _conic_certificate(numerators, scales, columns, degree)
-    return lambda p: _certifies(certify, columns, p)
+    return lambda p: _certifies(_membership(columns, *_sphere_ideal(3)), columns, p)
 
 
 @pytest.mark.parametrize("a2", _SCREEN_EDGES)
@@ -879,8 +921,26 @@ def test_screen_never_refutes_a_member(d, a2):
     assert not certifies(generators[0] * x1 + x1**3)
 
 
+def test_circumcircle_certificate_needs_all_three_conics():
+    # the Ptolemy form of conic i vanishes on conic i alone, so the Pompeiu
+    # cubic, their product, vanishes on the image, and no product of two of
+    # them does: each branch of the certificate refutes what misses its conic
+    certifies = _v_certificate(6)
+    v = [MultiPoly.variable(j, 3) for j in range(3)]
+    forms = [v[1] + v[2] - v[0], v[2] + v[0] - v[1], v[0] + v[1] - v[2]]
+    circle = sum((x * x for x in v), MultiPoly.constant(-2, 3))
+    assert forms[0] * forms[1] * forms[2] == _pompeiu()
+    assert certifies(_pompeiu())
+    assert certifies(circle) and certifies(circle * v[0]) and certifies(circle * forms[2] ** 3)
+    for form in forms:
+        assert not certifies(form)
+    for i, j in itertools.combinations(range(3), 2):
+        assert not certifies(forms[i] * forms[j])
+        assert not certifies(forms[i] * forms[j] * v[0] + circle)
+
+
 def test_screen_refutes_only_non_members_of_a_run():
-    # a d = 2 run at unit edge, where t = v: each row passes the Bezout
+    # a d = 2 run at unit edge, where t = v: each row passes the membership
     # test, and the same row with one coefficient perturbed fails it, and
     # is no member: it does not vanish on the circle
     report = discover_on_sphere(2, 1, 6, seed=1)
