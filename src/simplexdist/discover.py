@@ -21,7 +21,9 @@ R_1(s/a^2)``, the run works in ``u = s/a^2``, where a sample is ``u_j = N_j /
 (2*T^2)`` in integers.  It eliminates the matrix once modulo a prime P
 (``simplexdist.modular``): the null vectors of the free columns below ``C(k
 + n, n)`` span the nullspace of the prefix of degree k, and each prefix's
-nullspace is brought to its leftmost-pivot echelon form.  Rational
+nullspace is brought to its leftmost-pivot echelon form by a second
+elimination, of its own basis or of the prefix's row space with the columns
+reversed, whichever has fewer rows (``nullspace_side``).  Rational
 reconstruction lifts each row and exact division by ``R_1(u)`` certifies it;
 rows that fail call for another prime, joined by CRT, up to
 ``_MAX_PRIMES``.  A certified row ``g(u)`` gives ``g(s/a^2)``, which scaled to
@@ -90,7 +92,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geom import EmbeddedSimplex, SampleConfig, _distance_numerators, _weight_rows
-from .modular import ResidueImage, nullspace_mod, rational_reconstruction, rref_mod, word_primes
+from .modular import ResidueImage, nullspace_side, rational_reconstruction, rref_mod, word_primes
 # bound but not called: bench/tracing.py patches a hooked function in every
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
@@ -309,7 +311,9 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     ``exponents`` at the points ``numerators[j] / scales[j]`` (one row per
     sample), and, for each prefix degree k of ``widths``, the leftmost-pivot
     echelon form modulo ``prime`` of the nullspace of its first
-    ``widths[k]`` columns: its pivots and its rows as int residues."""
+    ``widths[k]`` columns: its pivots and its rows as int residues.  The
+    matrix is eliminated once; each prefix's form then takes a second
+    elimination of min(rank, corank) pivots (``nullspace_side``)."""
     u = np.array(
         [[x * pow(s, -1, prime) % prime for x in row] for row, s in zip(numerators, scales)],
         dtype=np.int64,
@@ -324,7 +328,8 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     rref, pivots = rref_mod(matrix, prime)
     forms = {}
     for k, width in widths.items():
-        rows, null_pivots = rref_mod(nullspace_mod(rref, pivots, width, prime), prime)
+        side, form = nullspace_side(rref, pivots, width, prime)
+        null_pivots, rows = form(*rref_mod(side, prime))
         forms[k] = (null_pivots, rows.tolist())
     return pivots, forms
 
@@ -385,29 +390,44 @@ def _remainder(poly: dict[int, int], divisor: tuple) -> dict[int, int]:
     """The integer pseudo-remainder of the polynomial with integer
     coefficients ``poly``, by packed exponent, by ``divisor``: the remainder
     of ``lead^(top - m + 1) * poly``, with top its degree in x, which is 0
-    exactly when the divisor divides ``poly``.
+    exactly when the divisor divides ``poly``.  No variable after x occurs
+    in ``poly``, and x is the most significant digit of a code, so top is
+    the level of the largest code.
 
     Every quotient term is exact.  After the scaling each coefficient at
     level ``L >= m`` of x is divisible by ``lead^(L - m + 1)``: clearing
     level L divides its coefficients by lead once, and adds their quotients
     times terms of ``rest``, divisible by ``lead^(L - m)``, to lower levels
-    only.  No term of ``rest`` reaches the level being cleared, so each
-    level is cleared in one pass."""
+    only.  So the codes of level at least m are put in buckets by level
+    once, and the levels are cleared from the top down in one pass: a code
+    that a quotient term creates joins the bucket of its level, below the
+    one being cleared, and a code that cancels is skipped when its bucket
+    comes."""
     lead, high, m, rest = divisor
-    top = max((code // high for code in poly), default=0)
+    top = max(poly, default=0) // high
     scale = lead ** max(top - m + 1, 0)
     remainder = {code: c * scale for code, c in poly.items()}
-    for level in range(top, m - 1, -1):
-        for code in [code for code in remainder if code // high == level]:
-            quotient = remainder.pop(code) // lead
+    buckets = [[] for _ in range(m, top + 1)]
+    for code in remainder:
+        if code // high >= m:
+            buckets[code // high - m].append(code)
+    for bucket in reversed(buckets):
+        for code in bucket:
+            value = remainder.pop(code, 0)
+            if not value:
+                continue
+            quotient = value // lead
             shift = code - m * high
             for rc, rv in rest:
                 key = shift + rc
-                value = remainder.get(key, 0) - quotient * rv
-                if value:
-                    remainder[key] = value
-                else:
+                old = remainder.get(key, 0)
+                value = old - quotient * rv
+                if not value:
                     del remainder[key]
+                    continue
+                remainder[key] = value
+                if not old and key // high >= m:
+                    buckets[key // high - m].append(key)
     return remainder
 
 

@@ -4,12 +4,16 @@ A rational matrix is reduced modulo a prime P below ``2^24``, so that every
 product of two residues stays below ``2^48`` and a numpy ``int64`` entry can
 take ``2^15`` such products before it must be reduced again.  Elimination
 modulo P (``rref_mod``) then costs no more than a float elimination and
-makes no rounding error: it reduces only the residues it reads, and folds
-the rest into ``[0, P)`` once at the end (delayed reduction).  What it can
-get wrong is luck: P may divide a minor of the matrix, and then the rank
-drops and the echelon form changes.  Such a prime shows itself by a larger
-nullspace, or by pivots further to the right, than a lucky prime gives
-(``ResidueImage.fold``), and is dropped.
+makes no rounding error: each pivot is one dense update of every row, it
+reduces only the residues it reads, and it folds the rest into ``[0, P)``
+once at the end (delayed reduction).  The nullspace of a column prefix is
+brought to its reduced echelon form from whichever side of the rank is
+smaller (``nullspace_side``): its own basis when the corank is at most the
+rank, else the prefix's row space with the columns reversed.  What the
+elimination can get wrong is luck: P may divide a minor of the matrix, and
+then the rank drops and the echelon form changes.  Such a prime shows
+itself by a larger nullspace, or by pivots further to the right, than a
+lucky prime gives (``ResidueImage.fold``), and is dropped.
 
 The residues of a rational result modulo several primes are joined by the
 Chinese remainder theorem (``crt``), and rational reconstruction
@@ -75,18 +79,23 @@ def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...
 
     The rows of the form restricted to its first w columns are the echelon
     form of the matrix's first w columns, so one elimination serves every
-    column prefix (see ``nullspace_mod``).
+    column prefix (see ``nullspace_side``).
 
-    Reduction is delayed: each step reduces only the column it searches for
-    a pivot and the new pivot row, subtracts ``factor * row`` from the other
-    rows unreduced, and the form is folded into ``[0, prime)`` on return.
-    This is exact.  Each factor and each entry of the pivot row lies in
-    ``[0, prime)``, so an update subtracts at most ``(prime - 1)^2`` from an
-    entry, and an entry in ``[0, prime)`` after k updates lies in ``[-k *
-    (prime - 1)^2, prime)``.  The trailing block is folded every
-    ``_FOLD_PERIOD = 2^63 // (2^24 - 1)^2`` pivots, and each pivot updates
-    an entry at most once, so k is at most that period and ``k * (prime -
-    1)^2 < 2^63``: no entry leaves the ``int64`` range.
+    Each pivot takes one dense update: with the pivot row scaled to 1 at
+    its pivot and its own factor set to 0, every row subtracts ``factor *
+    pivot row`` on the columns from the pivot on, the factors being the
+    pivot column reduced into ``[0, prime)``.  Every row at or below the
+    pivot is 0 modulo ``prime`` left of it, so the columns left of the pivot
+    need no update.  Reduction is delayed: each step reduces only the column
+    it searches and the new pivot row, and the form is folded into ``[0,
+    prime)`` on return.  This is exact.  Each factor and each entry of the
+    pivot row lies in ``[0, prime)``, so a pivot subtracts less than
+    ``(prime - 1)^2`` from an entry, once, and an entry in ``[0, prime)``
+    after k updates lies in ``[-k * (prime - 1)^2, prime)``; the searched
+    column, left unreduced, takes one more subtraction of a factor below
+    ``prime``.  The trailing block is folded every ``_FOLD_PERIOD = 2^63 //
+    (2^24 - 1)^2 = 2^15`` pivots, so k is at most that period and ``k *
+    (prime - 1)^2 + prime < 2^63``: no entry leaves the ``int64`` range.
     """
     if not 1 < prime < WORD_PRIME_BOUND:
         raise ValueError(f"the prime must lie below 2^24, not {prime}")
@@ -98,7 +107,6 @@ def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...
         if rank == rows:
             break
         factors = a[:, col] % prime
-        a[:, col] = factors
         below = np.flatnonzero(factors[rank:])
         if below.size == 0:
             continue
@@ -106,13 +114,9 @@ def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...
         if pivot != rank:
             a[[rank, pivot]] = a[[pivot, rank]]
             factors[[rank, pivot]] = factors[[pivot, rank]]
-        # every row at or below the pivot is zero left of col, so the
-        # update needs only the columns from col on
         a[rank, col:] = a[rank, col:] % prime * pow(int(factors[rank]), -1, prime) % prime
         factors[rank] = 0
-        others = np.flatnonzero(factors)
-        if others.size:
-            a[others, col:] -= factors[others, None] * a[rank, col:]
+        a[:, col:] -= np.multiply.outer(factors, a[rank, col:])
         pivots.append(col)
         if len(pivots) % _FOLD_PERIOD == 0:
             a[:, col + 1 :] %= prime
@@ -133,6 +137,36 @@ def nullspace_mod(rref: np.ndarray, pivots: Sequence[int], width: int, prime: in
     basis[np.arange(len(free)), free] = 1
     basis[:, lead] = (-rref[:rank, free]).T % prime
     return basis
+
+
+def nullspace_side(rref: np.ndarray, pivots: Sequence[int], width: int, prime: int):
+    """The leftmost-pivot reduced echelon form modulo ``prime`` of the
+    nullspace of the first ``width`` columns of a matrix whose reduced row
+    echelon form is ``(rref, pivots)``, from an elimination of min(rank,
+    corank) pivots: returns the matrix to eliminate, and the map that takes
+    its ``rref_mod`` to the form's pivots and rows.
+
+    With r pivots below ``width`` and ``r >= width - r`` the matrix is the
+    nullspace basis of ``nullspace_mod``, and its echelon form is the form.
+    Otherwise it is the row space of the prefix, the r rows of the form cut
+    to ``width`` columns, with the column order reversed: its nullspace,
+    read back in the original order, is the prefix's nullspace.  In the
+    reversed order the null vector of a free column f' is 1 at f', and its
+    only other nonzero entries lie at pivots left of f'.  In the original
+    order its first nonzero entry is therefore the 1 at f = ``width - 1 -
+    f'``, and it is 0 at every other such column.  So these vectors,
+    sorted by f, are a reduced echelon basis of the nullspace with leftmost
+    pivots, and that basis is unique.
+    """
+    rank = sum(1 for c in pivots if c < width)
+    if rank >= width - rank:
+        return nullspace_mod(rref, pivots, width, prime), lambda rows, null_pivots: (null_pivots, rows)
+
+    def form(rows: np.ndarray, row_pivots: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+        null_pivots = sorted(set(range(width)) - {width - 1 - c for c in row_pivots})
+        return tuple(null_pivots), nullspace_mod(rows, row_pivots, width, prime)[::-1, ::-1]
+
+    return rref[:rank, :width][:, ::-1], form
 
 
 def crt(residues: Sequence[int], modulus: int, more: Sequence[int], prime: int) -> list[int]:

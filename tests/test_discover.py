@@ -331,6 +331,58 @@ def test_remainder_is_the_scaled_remainder_of_division(data, m):
     assert remainder == {pack(e): c for e, c in expected.terms.items()}
 
 
+def _remainder_by_level(poly, divisor):
+    """The pseudo-remainder of ``discover._remainder``, level by level: each
+    level of x is found by a scan of the whole remainder."""
+    lead, high, m, rest = divisor
+    top = max((code // high for code in poly), default=0)
+    scale = lead ** max(top - m + 1, 0)
+    remainder = {code: c * scale for code, c in poly.items()}
+    for level in range(top, m - 1, -1):
+        for code in [code for code in remainder if code // high == level]:
+            quotient = remainder.pop(code) // lead
+            shift = code - m * high
+            for rc, rv in rest:
+                key = shift + rc
+                value = remainder.get(key, 0) - quotient * rv
+                if value:
+                    remainder[key] = value
+                else:
+                    del remainder[key]
+    return remainder
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.booleans())
+def test_one_pass_remainder_is_the_remainder_level_by_level(data, m, multiple):
+    # Q_u (lead 1) and the image of S_u (lead 2); a multiple of the divisor
+    # plus a little noise makes codes cancel and come back while the levels
+    # are cleared
+    n, divisor = _remainder_case(data, m)
+    degree = data.draw(st.integers(1, 5))
+    coeff = st.integers(-3, 3).filter(bool)
+    terms = st.dictionaries(st.sampled_from(enumerate_monomials(n, degree)), coeff, min_size=1, max_size=8)
+    p = MultiPoly(n, data.draw(terms))
+    if multiple:
+        p = p * divisor + MultiPoly(n, data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, 2)), coeff, max_size=2)))
+    assume(not p.is_zero)
+    base = p.total_degree() + 3
+    packed = discover._divisor(divisor, base)
+    poly = {discover._pack(e, base): int(c) for e, c in p.terms.items()}
+    assert discover._remainder(poly, packed) == _remainder_by_level(poly, packed)
+
+
+def test_one_pass_remainder_keeps_a_code_that_cancels_and_comes_back():
+    # by x - y - z in (y, z, x): clearing x^2 y cancels the -xyz of the row,
+    # and clearing x^2 z makes xyz again (or the other way round); the row
+    # is (y + z)^3 - yz(y + z) at x = y + z
+    base = 4
+    divisor = discover._divisor(MultiPoly(3, {(0, 0, 1): 1, (1, 0, 0): -1, (0, 1, 0): -1}), base)
+    poly = {discover._pack(e, base): c for e, c in {(1, 0, 2): 1, (0, 1, 2): 1, (1, 1, 1): -1}.items()}
+    expected = {discover._pack(e, base): c for e, c in {(3, 0, 0): 1, (2, 1, 0): 2, (1, 2, 0): 2, (0, 3, 0): 1}.items()}
+    assert discover._remainder(poly, divisor) == _remainder_by_level(poly, divisor) == expected
+
+
 def _r1(d):
     """R_1(u), the quartic relation at unit edge in u = s = t^2."""
     return MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})

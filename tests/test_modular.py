@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexdist import discover, modular
@@ -17,6 +17,7 @@ from simplexdist.modular import (
     ResidueImage,
     crt,
     nullspace_mod,
+    nullspace_side,
     rational_reconstruction,
     rref_mod,
     word_primes,
@@ -135,6 +136,10 @@ def test_rref_mod_is_the_same_at_any_fold_period(monkeypatch, period):
     matrices = [rng.integers(0, P, size=(60, 50)), rng.integers(0, P, size=(50, 60))]
     low = rng.integers(0, P, size=(80, 6)) @ rng.integers(0, 100, size=(6, 40)) % P
     matrices += [low, np.zeros((5, 4), dtype=np.int64), np.eye(7, dtype=np.int64)[::-1] * (P - 1)]
+    # the row side of the nullspace form of low: its 6 rows, columns reversed
+    side, _ = nullspace_side(*rref_mod(low, P), 40, P)
+    assert side.shape == (6, 40)
+    matrices.append(side)
     assert modular._FOLD_PERIOD == 2**15
     expected = [rref_mod(m, P) for m in matrices]
     monkeypatch.setattr(modular, "_FOLD_PERIOD", period)
@@ -168,11 +173,12 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
     monkeypatch.setattr(discover, "rref_mod", recording)
     discover_on_sphere(2, 1, 6, seed=1)
     discover_on_sphere(3, 1, 4, seed=1)
-    # one elimination of the sample matrix per run, then one of the
-    # nullspace basis of each prefix: the 92 x 84 matrix in v at d = 2
-    # degree 6 and its 51 null vectors, and the 23 x 15 matrix in u at
-    # d = 3 degree 4 and the nullspaces of its prefixes of degree 0, 1, 2
-    assert [matrix.shape for matrix, _ in seen] == [(92, 84), (51, 84), (23, 15), (0, 1), (1, 5), (6, 15)]
+    # one elimination of the sample matrix per run, then one per prefix on
+    # the smaller side of its rank: the 92 x 84 matrix in v at d = 2 degree
+    # 6 and its row space of rank 33 < 51, columns reversed, and the 23 x 15
+    # matrix in u at d = 3 degree 4 and the nullspace bases of its prefixes
+    # of degree 0, 1, 2 (coranks 0, 1, 6 against ranks 1, 4, 9)
+    assert [matrix.shape for matrix, _ in seen] == [(92, 84), (33, 84), (23, 15), (0, 1), (1, 5), (6, 15)]
     for matrix, prime in seen:
         _assert_same_rref(matrix, prime)
 
@@ -196,6 +202,40 @@ def test_nullspace_of_every_prefix_from_one_elimination(rows):
         # independent: each vector ends in a 1 at its own free column
         ends = [max(np.flatnonzero(v)) for v in basis]
         assert len(set(ends)) == len(ends) and all(basis[i, e] == 1 for i, e in enumerate(ends))
+
+
+def _null_form_int(rows, width, prime):
+    """The leftmost-pivot echelon form of the nullspace of the first
+    ``width`` columns modulo ``prime``, in Python ints: the nullspace basis
+    read off ``_rref_int`` of the prefix, eliminated by ``_rref_int``."""
+    form, pivots = _rref_int([row[:width] for row in rows], prime)
+    free = [c for c in range(width) if c not in pivots]
+    basis = []
+    for f in free:
+        vector = [int(c == f) for c in range(width)]
+        for row, pivot in zip(form, pivots):
+            vector[pivot] = -row[f] % prime
+        basis.append(vector)
+    rows, null_pivots = _rref_int(basis, prime)
+    return null_pivots, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices(), st.sampled_from([7, 16777213]))
+@example(rows=[[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]], prime=16777213)
+def test_nullspace_side_gives_the_form_of_the_nullspace_basis(rows, prime):
+    # 7 divides many minors of these matrices and drops their ranks; in the
+    # example the prefixes of width 1 and 2 take the nullspace basis, the
+    # wider ones the row space
+    rref, pivots = rref_mod(np.array(rows, dtype=np.int64), prime)
+    for width in range(1, len(rows[0]) + 1):
+        rank = sum(1 for c in pivots if c < width)
+        side, form = nullspace_side(rref, pivots, width, prime)
+        assert side.shape == (min(rank, width - rank), width)
+        null_pivots, got = form(*rref_mod(side, prime))
+        basis, expected_pivots = rref_mod(nullspace_mod(rref, pivots, width, prime), prime)
+        assert (null_pivots, got.tolist()) == (expected_pivots, basis.tolist())
+        assert (null_pivots, got.tolist()) == _null_form_int(rows, width, prime)
 
 
 B = math.isqrt(P // 2)
