@@ -42,7 +42,6 @@ import math
 import numbers
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -250,7 +249,6 @@ def relation_vs_cayley_menger(d: int, edge_sq, squared_t: Sequence):
     return residual, cayley_menger_det(config)
 
 
-@dataclass(frozen=True)
 class ReconstructionResult:
     """Outcome of distance-based point recovery.
 
@@ -259,9 +257,12 @@ class ReconstructionResult:
     remaining quadratic constraint, whose defect is ``residual``.
     """
 
-    feasible: bool
-    point: np.ndarray
-    residual: float
+    __slots__ = ("feasible", "point", "residual")
+
+    def __init__(self, feasible: bool, point: np.ndarray, residual: float):
+        self.feasible = feasible
+        self.point = point
+        self.residual = residual
 
     @property
     def status(self) -> str:
@@ -368,13 +369,15 @@ def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list:
     return out if t.ndim == 2 else out[0]
 
 
-@dataclass
 class ProbeReport:
     """Per-trial completion data of the realizability probe."""
 
-    config: dict
-    trials: list[dict]
-    counts: dict
+    __slots__ = ("config", "trials", "counts")
+
+    def __init__(self, config: dict, trials: list[dict], counts: dict):
+        self.config = config
+        self.trials = trials
+        self.counts = counts
 
     def to_json(self) -> dict:
         return {"config": self.config, "counts": self.counts, "trials": self.trials}

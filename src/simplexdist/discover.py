@@ -85,7 +85,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -129,7 +128,6 @@ def enumerate_monomials(arity: int, max_degree: int) -> tuple[tuple[int, ...], .
     )
 
 
-@dataclass(frozen=True)
 class NullspaceReport:
     """Numeric nullspace with its singular spectrum and decision gap.
 
@@ -139,10 +137,15 @@ class NullspaceReport:
     threshold when it is empty.  ``inconclusive`` flags gaps under 10.
     """
 
-    singular_values: tuple[float, ...]
-    null_dim: int
-    null_basis: np.ndarray | None
-    gap: float
+    __slots__ = ("singular_values", "null_dim", "null_basis", "gap")
+
+    def __init__(
+        self, singular_values: tuple[float, ...], null_dim: int, null_basis: np.ndarray | None, gap: float
+    ):
+        self.singular_values = singular_values
+        self.null_dim = null_dim
+        self.null_basis = null_basis
+        self.gap = gap
 
     @property
     def inconclusive(self) -> bool:
@@ -199,23 +202,33 @@ def rationalize(vector: Sequence[float], max_denominator: int = _MAX_DENOMINATOR
     return tuple(f / lead for f in fracs)
 
 
-@dataclass(frozen=True)
 class CertifiedCandidate:
     """A reconstructed nullspace row with its exactness certificate."""
 
-    poly: MultiPoly
-    certificate: str
+    __slots__ = ("poly", "certificate")
+
+    def __init__(self, poly: MultiPoly, certificate: str):
+        self.poly = poly
+        self.certificate = certificate
 
     def to_json(self) -> dict:
         return {"poly": poly_to_dict(self.poly), "certificate": self.certificate}
 
 
-@dataclass
 class DiscoveryReport:
-    config: dict
-    basis_size: int
-    nullspace: ExactNullspace
-    candidates: list[CertifiedCandidate] = field(default_factory=list)
+    __slots__ = ("config", "basis_size", "nullspace", "candidates")
+
+    def __init__(
+        self,
+        config: dict,
+        basis_size: int,
+        nullspace: ExactNullspace,
+        candidates: list[CertifiedCandidate] | None = None,
+    ):
+        self.config = config
+        self.basis_size = basis_size
+        self.nullspace = nullspace
+        self.candidates = [] if candidates is None else candidates
 
     @property
     def inconclusive(self) -> bool:
@@ -267,7 +280,6 @@ _SQUARES_BASIS = "monomial-mod-p(s/edge_sq)"
 _SEGMENT_BASIS = "monomial-mod-p(t/edge)"
 
 
-@dataclass(frozen=True)
 class ExactNullspace:
     """The vanishing space of a run, by prefix degree k of its matrix in
     the variables of its columns: ``u = s/a^2`` in the parity-split runs
@@ -282,10 +294,13 @@ class ExactNullspace:
     docstring); ``inconclusive`` is its negation, the flag every discovery
     report carries."""
 
-    null_dim: int
-    corank: dict[int, int]
-    ideal_dim: dict[int, int]
-    primes: tuple[int, ...]
+    __slots__ = ("null_dim", "corank", "ideal_dim", "primes")
+
+    def __init__(self, null_dim: int, corank: dict[int, int], ideal_dim: dict[int, int], primes: tuple[int, ...]):
+        self.null_dim = null_dim
+        self.corank = corank
+        self.ideal_dim = ideal_dim
+        self.primes = primes
 
     @property
     def complete(self) -> bool:
@@ -493,7 +508,7 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
     # a prime must be a unit for every scale: one that divides a scale is
     # skipped
     primes = (p for p in word_primes() if all(s % p for s in scales))
-    image = None
+    image, found = None, {}
     for prime in itertools.islice(primes, _MAX_PRIMES):
         pivots, forms = _null_forms(numerators, scales, exponents, widths, prime)
         if image is None:
@@ -503,14 +518,24 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
             if joined is image:  # an unlucky prime
                 continue
             if joined.primes == (prime,):
-                rank_pivots = pivots
+                rank_pivots, found = pivots, {}
             image = joined
+        # a certified row lies in the ideal, so in the rational nullspace,
+        # with 1 at its pivot and 0 at the other pivots of the image: while
+        # the image keeps its pattern, it is the row that a join with a new
+        # prime reconstructs, so only the other rows are reconstructed and
+        # certified again (a replaced image starts afresh)
+        kept = {(k, pivot): entries for k, prefix in found.items() for pivot, entries, certified in prefix if certified}
         found = {}
         for k, (null_pivots, residues) in image.forms.items():
             found[k] = []
             for pivot, row in zip(null_pivots, residues):
-                entries = _reconstruct(row, image.modulus)
-                found[k].append((pivot, entries, entries is not None and certify(entries)))
+                entries = kept.get((k, pivot))
+                certified = entries is not None
+                if not certified:
+                    entries = _reconstruct(row, image.modulus)
+                    certified = entries is not None and certify(entries)
+                found[k].append((pivot, entries, certified))
         if all(certified for prefix in found.values() for _, _, certified in prefix):
             break
 
@@ -619,16 +644,18 @@ def discover_vanishing(
     return _discover_exact(d, a2, max_degree, seed)
 
 
-@dataclass(frozen=True)
 class IndependenceReport:
     """The proof that the distances to a vertex subset satisfy no
     polynomial relation (see ``independence_test``): its certificate is the
     Gram determinant ``gram_det`` of the subset's weight vectors."""
 
-    config: dict
-    gram_det: Fraction
+    __slots__ = ("config", "gram_det")
     verdict = "no-relation-found"
     certificate = CERT_JACOBIAN_RANK
+
+    def __init__(self, config: dict, gram_det: Fraction):
+        self.config = config
+        self.gram_det = gram_det
 
     def to_json(self) -> dict:
         return {
@@ -680,18 +707,27 @@ def independence_test(d: int, edge_sq, subset: Sequence[int]) -> IndependenceRep
     return IndependenceReport(config=config, gram_det=Fraction(d + 1 - len(labels), d + 1))
 
 
-@dataclass
 class SphereDiscoveryReport:
     """Vanishing polynomials of the distance map restricted to the
     circumsphere, with the null dimension at every degree up to D: the rows
     ``certified`` in the circumsphere's ideal, and the ``extras`` that
     failed their certificate, reported as evidence only."""
 
-    config: dict
-    null_dim_by_degree: dict[int, int]
-    nullspace: ExactNullspace
-    certified: list[CertifiedCandidate]
-    extras: list[CertifiedCandidate]
+    __slots__ = ("config", "null_dim_by_degree", "nullspace", "certified", "extras")
+
+    def __init__(
+        self,
+        config: dict,
+        null_dim_by_degree: dict[int, int],
+        nullspace: ExactNullspace,
+        certified: list[CertifiedCandidate],
+        extras: list[CertifiedCandidate],
+    ):
+        self.config = config
+        self.null_dim_by_degree = null_dim_by_degree
+        self.nullspace = nullspace
+        self.certified = certified
+        self.extras = extras
 
     @property
     def inconclusive(self) -> bool:

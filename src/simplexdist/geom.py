@@ -40,7 +40,6 @@ import math
 # the builtin module: ``hashlib`` would load OpenSSL, which costs every
 # command megabytes and milliseconds
 from _blake2 import blake2b
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -104,7 +103,6 @@ def _uniform_rule(hi: int) -> tuple[int, int]:
     return size, 256**size - 256**size % width
 
 
-@dataclass(frozen=True)
 class BarycentricPoint:
     """Rational weights summing to exactly 1.
 
@@ -112,15 +110,15 @@ class BarycentricPoint:
     the vertices, not just the simplex itself.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        ws = tuple(as_fraction(w) for w in self.weights)
+    def __init__(self, weights):
+        ws = tuple(as_fraction(w) for w in weights)
         if len(ws) < 2:
             raise ValueError("need at least two weights (a 1-simplex)")
         if sum(ws) != 1:
             raise ValueError(f"weights must sum to exactly 1, got {sum(ws)}")
-        object.__setattr__(self, "weights", ws)
+        self.weights = ws
 
     @property
     def dim(self) -> int:
@@ -130,7 +128,6 @@ class BarycentricPoint:
         return [frac_str(w) for w in self.weights]
 
 
-@dataclass(frozen=True)
 class DistanceSample:
     """One point's exact squared distances to all vertices.
 
@@ -138,19 +135,18 @@ class DistanceSample:
     squares of the true distances by construction.
     """
 
-    squared: tuple[Fraction, ...]
+    __slots__ = ("squared",)
 
-    def __post_init__(self):
-        sq = tuple(as_fraction(s) for s in self.squared)
+    def __init__(self, squared):
+        sq = tuple(as_fraction(s) for s in squared)
         if any(s < 0 for s in sq):
             raise ValueError("squared distances must be non-negative")
-        object.__setattr__(self, "squared", sq)
+        self.squared = sq
 
     def to_json(self) -> dict:
         return {"mode": "exact", "squared": [frac_str(s) for s in self.squared]}
 
 
-@dataclass(frozen=True)
 class SampleConfig:
     """Deterministic sampling parameters.
 
@@ -159,35 +155,34 @@ class SampleConfig:
     and hence downstream monomial matrices, on a sane scale.
     """
 
-    seed: int
-    count: int
-    box: Fraction = Fraction(3)
+    __slots__ = ("seed", "count", "box")
 
-    def __post_init__(self):
-        if not isinstance(self.seed, int):
+    def __init__(self, seed: int, count: int, box=Fraction(3)):
+        if not isinstance(seed, int):
             raise ValueError("seed must be an integer")
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ValueError(f"count must be a positive integer, got {self.count!r}")
-        box = as_fraction(self.box)
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(f"count must be a positive integer, got {count!r}")
+        box = as_fraction(box)
         if box <= 0:
             raise ValueError("box bound must be positive")
-        object.__setattr__(self, "box", box)
+        self.seed = seed
+        self.count = count
+        self.box = box
 
 
-@dataclass(frozen=True)
 class EmbeddedSimplex:
     """Regular d-simplex with exact rational squared-distance queries."""
 
-    dim: int
-    edge_sq: Fraction
+    __slots__ = ("dim", "edge_sq")
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
-        a2 = as_fraction(self.edge_sq)
+    def __init__(self, dim: int, edge_sq):
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+        a2 = as_fraction(edge_sq)
         if a2 <= 0:
             raise ValueError(f"squared edge length must be positive, got {a2}")
-        object.__setattr__(self, "edge_sq", a2)
+        self.dim = dim
+        self.edge_sq = a2
 
     @property
     def circumradius_sq(self) -> Fraction:

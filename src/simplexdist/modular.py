@@ -29,7 +29,6 @@ TOMS, 2008.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -171,9 +170,11 @@ def nullspace_side(rref: np.ndarray, pivots: Sequence[int], width: int, prime: i
 
 def crt(residues: Sequence[int], modulus: int, more: Sequence[int], prime: int) -> list[int]:
     """The residues modulo ``modulus * prime`` that are ``residues`` modulo
-    ``modulus`` and ``more`` modulo ``prime``, for coprime moduli."""
+    ``modulus`` and ``more`` modulo ``prime``, for coprime moduli.  Equal
+    residues, such as the zeros that fill most of a row of a null form,
+    join to themselves without arithmetic."""
     inverse = pow(modulus, -1, prime)
-    return [x + modulus * ((y - x) * inverse % prime) for x, y in zip(residues, more)]
+    return [x if x == y else x + modulus * ((y - x) * inverse % prime) for x, y in zip(residues, more)]
 
 
 def rational_reconstruction(x: int, modulus: int) -> Fraction | None:
@@ -194,15 +195,17 @@ def rational_reconstruction(x: int, modulus: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-@dataclass(frozen=True)
 class ResidueImage:
     """Echelon forms of the nullspace bases of several matrices, by key,
     modulo ``modulus``, the product of ``primes``: ``forms[key]`` is the
     pivots and the rows, as lists of int residues."""
 
-    modulus: int
-    primes: tuple[int, ...]
-    forms: dict
+    __slots__ = ("modulus", "primes", "forms")
+
+    def __init__(self, modulus: int, primes: tuple[int, ...], forms: dict):
+        self.modulus = modulus
+        self.primes = primes
+        self.forms = forms
 
     def pattern(self, key) -> tuple:
         pivots, _ = self.forms[key]

@@ -37,7 +37,6 @@ is exactly ``remainder == 0``; no term-order machinery is required.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -278,12 +277,14 @@ def proportional(p: MultiPoly, q: MultiPoly) -> bool:
 # -- division ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DivisionResult:
     """Outcome of last-variable division: dividend = quotient*divisor + remainder."""
 
-    quotient: MultiPoly
-    remainder: MultiPoly
+    __slots__ = ("quotient", "remainder")
+
+    def __init__(self, quotient: MultiPoly, remainder: MultiPoly):
+        self.quotient = quotient
+        self.remainder = remainder
 
 
 def divide_last_variable(dividend: MultiPoly, divisor: MultiPoly) -> DivisionResult:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,21 +25,19 @@ _TANGENCY_TOL = 1e-9
 _TANGENCY_SHARE = 1e-6
 
 
-@dataclass(frozen=True)
 class Sphere:
     """A sphere with an oriented (signed) curvature."""
 
-    center: tuple[float, ...]
-    radius: float
-    orientation: int = 1
+    __slots__ = ("center", "radius", "orientation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+    def __init__(self, center, radius, orientation: int = 1):
+        self.center = tuple(float(x) for x in center)
+        self.radius = float(radius)
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ValueError("orientation must be +1 (external) or -1 (enclosing)")
+        self.orientation = orientation
 
     @property
     def curvature(self) -> float:
@@ -85,27 +82,27 @@ def tangency_residuals(spheres: Sequence[Sphere]) -> list[tuple[int, int, float]
     ]
 
 
-@dataclass(frozen=True)
 class TangentConfig:
     """A set of spheres required to be in mutual oriented tangency."""
 
-    dim: int
-    spheres: tuple[Sphere, ...]
+    __slots__ = ("dim", "spheres")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spheres", tuple(self.spheres))
-        if self.dim < 2:
+    def __init__(self, dim: int, spheres):
+        spheres = tuple(spheres)
+        if dim < 2:
             raise ValueError("tangency configurations live in dimension >= 2")
-        if any(len(s.center) != self.dim for s in self.spheres):
+        if any(len(s.center) != dim for s in spheres):
             raise ValueError("sphere centre dimension mismatch")
-        worst = max((r for _, _, r in tangency_residuals(self.spheres)), default=0.0)
+        worst = max((r for _, _, r in tangency_residuals(spheres)), default=0.0)
         # float centres carry rounding relative to their size, so the defect
         # is measured against it; but a defect that is a visible share of
         # the smallest circle means the circles do not touch as placed
-        size = max((abs(x) for s in self.spheres for x in (*s.center, s.radius)), default=0.0)
-        smallest = min((s.radius for s in self.spheres), default=0.0)
+        size = max((abs(x) for s in spheres for x in (*s.center, s.radius)), default=0.0)
+        smallest = min((s.radius for s in spheres), default=0.0)
         if worst > max(_TANGENCY_TOL, min(_TANGENCY_TOL * size, _TANGENCY_SHARE * smallest)):
             raise ValueError(f"configuration is not mutually tangent (residual {worst:.3e})")
+        self.dim = dim
+        self.spheres = spheres
 
     def to_json(self) -> dict:
         return {

@@ -101,6 +101,18 @@ def test_a_closed_stdout_keeps_the_exit_code():
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
+def test_import_loads_no_dataclasses():
+    # every call is a fresh process, and creating a dataclass costs about a
+    # millisecond at import: the package's records are plain classes.  The
+    # import runs in a fresh interpreter, since pytest loads dataclasses
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, simplexdist, simplexdist.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert [path.name for path in (SRC / "simplexdist").glob("*.py") if "@dataclass" in path.read_text()] == []
+
+
 # -- discover family --------------------------------------------------------------
 
 

@@ -24,6 +24,8 @@ from simplexdist.discover import (
     CERT_CIRCUMCIRCLE,
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
+    DiscoveryReport,
+    ExactNullspace,
     _chord,
     _chord_points,
     _conic_points,
@@ -195,6 +197,13 @@ def test_discover_recovers_relation_d2():
     (candidate,) = report.candidates
     assert candidate.certificate == CERT_DIVISIBLE
     assert proportional(candidate.poly, distance_relation(2, 1))
+
+
+def test_reports_built_without_candidates_do_not_share_a_list():
+    nullspace = ExactNullspace(0, {}, {}, (16777213,))
+    first, second = DiscoveryReport({}, 1, nullspace), DiscoveryReport({}, 1, nullspace)
+    first.candidates.append("row")
+    assert first.candidates == ["row"] and second.candidates == []
 
 
 def test_discover_cubic_degree_finds_nothing():
@@ -537,6 +546,33 @@ def test_small_primes_join_by_crt_to_the_same_candidates(monkeypatch):
         assert report.nullspace.complete and _candidates_digest(report) == expected
         used.append(report.nullspace.primes)
     assert max(map(len, used)) > 1 and max(primes[0] for primes in used) > 101
+
+
+def test_a_two_prime_run_certifies_each_row_once(monkeypatch):
+    # d = 1 deg 24 needs two primes: the first certifies 198 of its 253
+    # rows, and the join keeps them, so the second prime reconstructs and
+    # certifies only the other 55
+    membership, null_forms, calls, before_prime = discover._membership, discover._null_forms, [], []
+
+    def counting_membership(*args):
+        certify = membership(*args)
+
+        def counted(entries):
+            calls.append(entries)
+            return certify(entries)
+
+        return counted
+
+    def marking_null_forms(*args):
+        before_prime.append(len(calls))
+        return null_forms(*args)
+
+    monkeypatch.setattr(discover, "_membership", counting_membership)
+    monkeypatch.setattr(discover, "_null_forms", marking_null_forms)
+    report = discover_vanishing(1, 1, 24)
+    assert len(report.nullspace.primes) == 2 and report.all_certified
+    assert before_prime == [0, 198]
+    assert len(calls) == report.nullspace.null_dim == len(report.candidates) == 253
 
 
 def test_a_run_out_of_primes_is_incomplete_and_exits_1(monkeypatch, tmp_path):

@@ -211,6 +211,12 @@ def test_sample_points_respect_box_and_sum():
         assert all(abs(w) <= 2 for w in point.weights)
 
 
+def test_sample_config_box_defaults_to_three():
+    config = SampleConfig(seed=1, count=2)
+    assert config.box == Fraction(3) and isinstance(config.box, Fraction)
+    assert SampleConfig(seed=1, count=2, box="3/2").box == Fraction(3, 2)
+
+
 def test_sample_count_validated():
     with pytest.raises(ValueError):
         SampleConfig(seed=1, count=0)

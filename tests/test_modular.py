@@ -276,6 +276,31 @@ def test_crt_recovers_a_fraction_too_tall_for_one_prime():
     assert rational_reconstruction(joined[0], P * Q) == x
 
 
+def _sparse_residues():
+    # mostly zeros, as in a row of a null form, values below both primes,
+    # whose residues agree, and values that are 0 modulo one prime only
+    return st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(1, Q - 1),
+        st.integers(1, Q - 1).map(lambda k: k * P),
+        st.integers(1, P - 1).map(lambda k: k * Q),
+        st.integers(0, P * Q - 1),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(_sparse_residues(), min_size=n, max_size=n), max_size=4)))
+def test_fold_joins_rows_with_structural_zeros_by_crt(rows):
+    pivots = tuple(range(len(rows)))
+    image = ResidueImage(P, (P,), {"A": (pivots, [[x % P for x in row] for row in rows])})
+    more = {"A": (pivots, [[x % Q for x in row] for row in rows])}
+    joined = image.fold(Q, more)
+    assert joined.modulus == P * Q and joined.primes == (P, Q)
+    assert joined.forms["A"] == (pivots, rows)
+    assert joined.forms["A"][1] == [crt(a, P, b, Q) for a, b in zip(image.forms["A"][1], more["A"][1])]
+
+
 def _null_form(rows, prime):
     rref, pivots = rref_mod(np.array(rows, dtype=np.int64), prime)
     basis, null_pivots = rref_mod(nullspace_mod(rref, pivots, len(rows[0]), prime), prime)

@@ -144,6 +144,18 @@ def test_tangent_config_validates():
         TangentConfig(dim=2, spheres=bad)
 
 
+def test_sphere_and_config_coerce_their_fields():
+    sphere = Sphere([0, 2], 1)
+    assert sphere.center == (0.0, 2.0) and type(sphere.center[0]) is float
+    assert sphere.radius == 1.0 and type(sphere.radius) is float
+    assert sphere.orientation == 1
+    with pytest.raises(ValueError, match="orientation"):
+        Sphere((0, 0), 1, orientation=0)
+    config = TangentConfig(dim=2, spheres=[Sphere((0, 0), 1), Sphere((2, 0), 1)])
+    assert type(config.spheres) is tuple and len(config.spheres) == 2
+    assert TangentConfig(2, iter(config.spheres)).spheres == config.spheres
+
+
 def test_enclosing_tangency_uses_radius_difference():
     inner = Sphere((0.5, 0), 0.5)
     outer = Sphere((0.0, 0), 1.0, orientation=-1)
