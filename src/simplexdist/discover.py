@@ -95,7 +95,7 @@ from .modular import ResidueImage, nullspace_side, rational_reconstruction, rref
 # bound but not called: bench/tracing.py patches a hooked function in every
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
-from .poly import MultiPoly, distance_relation, poly_to_dict, segment_generator
+from .poly import MultiPoly, _poly_doc, distance_relation, segment_generator
 from .rationals import as_fraction, frac_str, rational_sqrt
 
 CERT_DIVISIBLE = "divisible-by-relation"
@@ -203,16 +203,43 @@ def rationalize(vector: Sequence[float], max_denominator: int = _MAX_DENOMINATOR
 
 
 class CertifiedCandidate:
-    """A reconstructed nullspace row with its exactness certificate."""
+    """A reconstructed nullspace row with its exactness certificate.
 
-    __slots__ = ("poly", "certificate")
+    A candidate is held as terms sorted leading first, each with its
+    coefficient and the coefficient's string, and an exponent ``shift``
+    added to every term.  A run shares one tuple of terms among the
+    candidates of every parity class e that lifts the same row, each with
+    shift e: adding a fixed vector to every exponent keeps the graded-lex
+    order, so the shifted terms are still sorted.  ``to_json`` emits from
+    them; ``poly``, the ``MultiPoly``, is built on first read."""
+
+    __slots__ = ("certificate", "_terms", "_shift", "_poly")
 
     def __init__(self, poly: MultiPoly, certificate: str):
-        self.poly = poly
         self.certificate = certificate
+        self._terms = tuple((e, c, frac_str(c)) for e, c in poly.sorted_terms())
+        self._shift = (0,) * poly.arity
+        self._poly = poly
+
+    @classmethod
+    def _lifted(cls, terms: tuple, shift: tuple[int, ...], certificate: str) -> CertifiedCandidate:
+        candidate = object.__new__(cls)
+        candidate.certificate = certificate
+        candidate._terms, candidate._shift, candidate._poly = terms, shift, None
+        return candidate
+
+    @property
+    def poly(self) -> MultiPoly:
+        if self._poly is None:
+            shift = self._shift
+            terms = {tuple(map(operator.add, shift, e)): c for e, c, _ in reversed(self._terms)}
+            self._poly = MultiPoly._canonical(len(shift), terms)
+        return self._poly
 
     def to_json(self) -> dict:
-        return {"poly": poly_to_dict(self.poly), "certificate": self.certificate}
+        shift = self._shift
+        terms = ((list(map(operator.add, shift, e)), text) for e, _, text in self._terms)
+        return {"poly": _poly_doc(len(shift), terms), "certificate": self.certificate}
 
 
 class DiscoveryReport:
@@ -329,10 +356,8 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     ``widths[k]`` columns: its pivots and its rows as int residues.  The
     matrix is eliminated once; each prefix's form then takes a second
     elimination of min(rank, corank) pivots (``nullspace_side``)."""
-    u = np.array(
-        [[x * pow(s, -1, prime) % prime for x in row] for row, s in zip(numerators, scales)],
-        dtype=np.int64,
-    )
+    inverses = (pow(s, -1, prime) for s in scales)
+    u = np.array([[x * inv % prime for x in row] for row, inv in zip(numerators, inverses)], dtype=np.int64)
     top = int(exponents.max())
     powers = np.ones((*u.shape, top + 1), dtype=np.int64)
     for k in range(1, top + 1):
@@ -500,9 +525,11 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
     scales[j]`` in the variables x of the ``columns`` (u or v).  Class e
     lifts each row ``g(x)`` of prefix degree k to ``t^e * g(t^step)``, its
     entry j first scaled by ``inverse[|f_j| - |f0|]`` for its pivot f0
-    (None at unit edge); certified rows carry ``label``.  Returns the
-    candidates in pivot order, the nullspace, and the pivots of the whole
-    matrix modulo the prime of the forms kept."""
+    (None at unit edge); certified rows carry ``label``.  Each row is
+    rescaled, sorted and formatted once, and its candidates in every class
+    share it (``CertifiedCandidate``).  Returns the candidates in pivot
+    order, the nullspace, and the pivots of the whole matrix modulo the
+    prime of the forms kept."""
     widths = {k: math.comb(k + len(columns[0]), k) for k in sorted(set(degrees))}
     exponents = np.asarray(columns)
     # a prime must be a unit for every scale: one that divides a scale is
@@ -541,7 +568,10 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
 
     # the row g(x) of pivot f0, x = t^step / c with c = a^step, gives
     # c^|f0| * g(t^step / c), whose pivot is 1; a row with no rational
-    # reconstruction has nothing to report
+    # reconstruction has nothing to report.  The columns are in graded-lex
+    # order, and so are their exponents in t, so a row's terms are sorted
+    # leading first by their columns, once, and formatted once
+    in_t = [tuple(step * x for x in f) for f in columns]
     at_edge = {k: [] for k in found}
     for k, prefix in found.items():
         for pivot, entries, certified in prefix:
@@ -550,18 +580,13 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
             if inverse is not None:
                 shift = sum(columns[pivot])
                 entries = {j: c * inverse[sum(columns[j]) - shift] for j, c in entries.items()}
-            at_edge[k].append((pivot, entries, certified))
-    n = len(classes[0])
-    in_t = [tuple(step * x for x in f) for f in columns]
+            terms = tuple((in_t[j], c, frac_str(c)) for j, c in sorted(entries.items(), reverse=True))
+            at_edge[k].append((in_t[pivot], terms, label if certified else CERT_UNCERTIFIED))
     lifted = []
     for e, k in zip(classes, degrees):
-        for pivot, entries, certified in at_edge[k]:
-            terms = {tuple(map(operator.add, e, in_t[j])): c for j, c in entries.items()}
-            lead_exponent = tuple(map(operator.add, e, in_t[pivot]))
-            candidate = CertifiedCandidate(
-                MultiPoly._canonical(n, terms), label if certified else CERT_UNCERTIFIED
-            )
-            lifted.append(((sum(lead_exponent), lead_exponent), candidate))
+        for pivot, terms, certificate in at_edge[k]:
+            lead = tuple(map(operator.add, e, pivot))
+            lifted.append(((sum(lead), lead), CertifiedCandidate._lifted(terms, e, certificate)))
     lifted.sort(key=lambda item: item[0])
     nullspace = ExactNullspace(
         null_dim=sum(len(image.forms[k][0]) for k in degrees),

@@ -28,6 +28,7 @@ TOMS, 2008.)
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -223,12 +224,23 @@ class ResidueImage:
         lexicographically least pivots, is the luckier.  The image that is
         luckier on some key and no worse on any replaces the other; equal
         images are joined by CRT; any other new image is dropped.
+
+        Equal images are joined by CRT only where a row can be nonzero.  A
+        row of a reduced echelon form with leftmost pivots is 0 left of its
+        pivot and at every other pivot, so it can be nonzero only at its own
+        pivot and at the non-pivot columns right of it.  When the two images
+        have the same pattern this holds modulo both primes with the same
+        columns, and every other entry is 0 in both, which CRT joins to 0: a
+        row joins at most rank + 1 of its columns.  Each row is still checked
+        to be 0 outside those columns modulo both primes, by counting its
+        zeros, and a row that is not is joined entry by entry, so the join
+        is the CRT of any rows.
         """
         new = ResidueImage(prime, (prime,), forms)
         ours, theirs = ([f(key) for key in self.forms] for f in (self.pattern, new.pattern))
         if theirs == ours:
             joined = {
-                key: (pivots, [crt(a, self.modulus, b, prime) for a, b in zip(rows, forms[key][1])])
+                key: (pivots, _join_rows(pivots, rows, forms[key][1], self.modulus, prime))
                 for key, (pivots, rows) in self.forms.items()
             }
             return ResidueImage(self.modulus * prime, self.primes + (prime,), joined)
@@ -236,3 +248,27 @@ class ResidueImage:
             return new
         return self
 
+
+def _join_rows(pivots, rows, more, modulus: int, prime: int) -> list[list[int]]:
+    """The CRT join of ``rows`` modulo ``modulus`` and ``more`` modulo
+    ``prime``, the rows of two echelon forms with the pivots ``pivots``,
+    computed on each row's pivot and the non-pivot columns right of it (see
+    ``ResidueImage.fold``); a row that is not 0 elsewhere in both is joined
+    whole."""
+    width = len(rows[0]) if rows else 0
+    free = sorted(set(range(width)).difference(pivots))
+    inverse = pow(modulus, -1, prime)
+    joined = []
+    for pivot, x, y in zip(pivots, rows, more):
+        columns = [pivot, *free[bisect.bisect(free, pivot) :]] if pivot < width else []
+        xs, ys = [x[c] for c in columns], [y[c] for c in columns]
+        outside = width - len(columns)
+        if x.count(0) - xs.count(0) == outside == y.count(0) - ys.count(0):
+            row = list(x)
+            for c, a, b in zip(columns, xs, ys):
+                if a != b:  # as in crt
+                    row[c] = a + modulus * ((b - a) * inverse % prime)
+        else:
+            row = crt(x, modulus, y, prime)
+        joined.append(row)
+    return joined

@@ -36,9 +36,11 @@ is exactly ``remainder == 0``; no term-order machinery is required.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .rationals import as_fraction, frac_str
 
@@ -84,7 +86,7 @@ class MultiPoly:
         """A polynomial from terms that are already canonical: int exponent
         tuples of length ``arity`` and nonzero ``Fraction`` coefficients.
         It skips the checks of ``__init__``, for the discovery kernel, which
-        builds thousands of terms of that form."""
+        builds thousands of terms of that form, and the closed-form quartic."""
         p = object.__new__(cls)
         object.__setattr__(p, "arity", arity)
         object.__setattr__(p, "terms", terms)
@@ -359,11 +361,18 @@ def distance_relation(d: int, edge_sq) -> MultiPoly:
     edge_sq``.  Every exponent is even, the coefficient of the last
     variable's fourth power is the constant ``d``, and the polynomial is
     symmetric under any permutation of the variables.
+
+    Expanding the square gives its terms directly: ``d*a^4 + d*sum_j T_j^4
+    - 2*a^2*sum_j T_j^2 - 2*sum_{i<j} T_i^2*T_j^2``, in that order.
     """
     a2 = _validate_dim_edge(d, edge_sq)
     n = d + 1
-    a4 = MultiPoly.constant(a2 * a2, n)
-    return (d + 1) * (a4 + _power_sum(n, 4)) - (MultiPoly.constant(a2, n) + _power_sum(n, 2)) ** 2
+    squares = [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
+    terms = {(0,) * n: d * a2 * a2}
+    terms.update((tuple(2 * x for x in e), Fraction(d)) for e in squares)
+    terms.update((e, -2 * a2) for e in squares)
+    terms.update((tuple(map(operator.add, e, f)), Fraction(-2)) for e, f in itertools.combinations(squares, 2))
+    return MultiPoly._canonical(n, terms)
 
 
 def distance_relation_homogeneous(d: int) -> MultiPoly:
@@ -498,11 +507,15 @@ def poly_to_dict(p: MultiPoly) -> dict:
     """Serialize to the toolkit's polynomial JSON: variables ``T1, T2, ...``,
     graded-lex terms, leading first, coefficients as lowest-term ``"p/q"``
     strings."""
+    return _poly_doc(p.arity, ((list(e), frac_str(c)) for e, c in p.sorted_terms()))
+
+
+def _poly_doc(arity: int, terms: Iterable[tuple[list[int], str]]) -> dict:
+    """The polynomial JSON in ``arity`` variables of ``terms``, pairs of an
+    exponent list and a coefficient string, given leading first."""
     return {
-        "vars": [f"T{i + 1}" for i in range(p.arity)],
-        "terms": [
-            {"coeff": frac_str(c), "exps": list(e)} for e, c in p.sorted_terms()
-        ],
+        "vars": [f"T{i + 1}" for i in range(arity)],
+        "terms": [{"coeff": coeff, "exps": exps} for exps, coeff in terms],
     }
 
 

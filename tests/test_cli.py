@@ -124,6 +124,28 @@ def test_discover_exits_zero_and_reports_candidate(tmp_path):
     assert candidate["certificate"] == "divisible-by-relation"
 
 
+_SUMMARIES = [  # argv, sha256 of the summary lines before "report written to"
+    (("--d", "1", "--max-degree", "6", "--edge-sq", "9/4"), "1ab98d2d39b7f5252669c9ec58790b2de1fd2196fdfffbfc35616fd3c7bfca1d"),
+    (("--d", "2", "--max-degree", "5", "--edge-sq", "3/7"), "da10b91d653956abfc36ebdcdcb766ff2ebb96bb0a5649ce1e3d9e7c2b330a0b"),
+    (("--d", "3", "--max-degree", "6", "--edge-sq", "12345/677"), "efa2240785909b13bab35d50c055a0c260f2158ded25cb33d58ce6ae1edd78bf"),
+    (("--d", "5", "--max-degree", "6", "--seed", "1"), "ed281ee79f5b89fc7cc8a0c7a98dbedf703e9acd1089acbdde481f94a94a42ea"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _SUMMARIES, ids=[" ".join(argv) for argv, _ in _SUMMARIES])
+def test_discover_out_prints_each_candidate_polynomial(tmp_path, capsys, argv, expected):
+    # the summary of a report written to a file is the only output that
+    # prints a candidate's polynomial, built on first read; recorded when
+    # every candidate was built as a polynomial
+    out = tmp_path / "report.json"
+    assert main(["discover", *argv, "--out", str(out)]) == 0
+    *summary, last = capsys.readouterr().out.splitlines()
+    assert last == f"report written to {out}"
+    doc = json.loads(out.read_text())
+    assert len(summary) == 1 + len(doc["result"]["candidates"])
+    assert hashlib.sha256("\n".join(summary).encode()).hexdigest() == expected
+
+
 def test_discover_empty_at_cubic_degree(tmp_path):
     code, doc = run(tmp_path, "discover", "--d", "2", "--max-degree", "3")
     assert code == 0

@@ -45,9 +45,11 @@ from simplexdist.poly import (
     circumsphere_quadratic,
     distance_relation,
     divide_last_variable,
+    poly_to_dict,
     proportional,
     segment_generator,
 )
+from simplexdist.rationals import frac_str
 
 
 # -- monomial bases ---------------------------------------------------------------
@@ -895,6 +897,63 @@ def test_discovery_report_json_round_trips_through_dumps():
     assert parsed["nullspace"]["null_dim"] == 1
     assert parsed["config"]["d"] == 2
     assert parsed["candidates"][0]["certificate"] == CERT_DIVISIBLE
+
+
+_TALL_EDGE = Fraction(12345, 677)
+_LIFT_RUNS = [
+    *((discover_vanishing, d, a2, 6) for d in range(2, 6) for a2 in (Fraction(1), _TALL_EDGE)),
+    # d = 1 needs a rational edge
+    *((discover_vanishing, 1, a2, 6) for a2 in (Fraction(1), _TALL_EDGE**2)),
+    *((discover_on_sphere, d, a2, 6) for d in (2, 3, 4) for a2 in (Fraction(1), _TALL_EDGE)),
+]
+
+
+@pytest.mark.parametrize(
+    "run, d, a2, degree", _LIFT_RUNS, ids=[f"{run.__name__}-d{d}-{a2}" for run, d, a2, _ in _LIFT_RUNS]
+)
+def test_candidates_are_their_rows_shifted_by_their_class(monkeypatch, run, d, a2, degree):
+    # a run lifts each row of its echelon form in t to one candidate per
+    # parity class e, t^e times the row, sharing the row's sorted and
+    # formatted terms: the report and the MultiPoly built on first read
+    # must both be the lift built term by term
+    rows, lifted = {}, discover.CertifiedCandidate._lifted
+
+    def recording(terms, shift, certificate):
+        candidate = lifted(terms, shift, certificate)
+        rows[id(candidate)] = terms, shift
+        return candidate
+
+    monkeypatch.setattr(discover.CertifiedCandidate, "_lifted", recording)
+    report = run(d, a2, degree, seed=1)
+    candidates = report.candidates if run is discover_vanishing else report.certified + report.extras
+    assert candidates and len(rows) == len(candidates)
+    by_row = {}
+    for candidate in candidates:
+        terms, shift = rows[id(candidate)]
+        exponents = [f for f, _, _ in terms]
+        assert exponents == sorted(exponents, key=lambda f: (sum(f), f), reverse=True)
+        assert all(text == frac_str(c) for _, c, text in terms)
+        lift = MultiPoly(d + 1, {tuple(x + y for x, y in zip(shift, f)): c for f, c, _ in terms})
+        poly = candidate.poly
+        assert poly is candidate.poly and poly == lift
+        # in the order of the columns, as a lift of the columns builds it
+        assert list(poly.terms) == sorted(poly.terms, key=lambda f: (sum(f), f))
+        assert candidate.to_json()["poly"] == poly_to_dict(poly)
+        by_row.setdefault(id(terms), []).append((shift, poly))
+    # the candidates of one row are t^e g for one g: t^e2 * p1 == t^e1 * p2
+    for lifts in by_row.values():
+        (e1, p1), *others = lifts
+        for e2, p2 in others:
+            assert MultiPoly(d + 1, {e2: 1}) * p1 == MultiPoly(d + 1, {e1: 1}) * p2
+    if d >= 2 and run is discover_vanishing:
+        assert len(by_row) < len(candidates)
+
+
+def test_a_candidate_built_from_a_polynomial_reports_it():
+    relation = distance_relation(3, Fraction(3, 7))
+    candidate = discover.CertifiedCandidate(relation, CERT_DIVISIBLE)
+    assert candidate.poly is relation
+    assert candidate.to_json() == {"poly": poly_to_dict(relation), "certificate": CERT_DIVISIBLE}
 
 
 # -- the screens of a sphere run: the sample filter and the certificates -------------------

@@ -123,6 +123,21 @@ def test_relation_d1_matches_hand_expansion():
     assert distance_relation(1, 1) == expected
 
 
+@pytest.mark.parametrize("a2", [Fraction(1), Fraction(3, 7), Fraction(2), Fraction(12345, 677)], ids=str)
+@pytest.mark.parametrize("d", range(1, 13))
+def test_closed_form_relation_is_the_definition(d, a2):
+    # (d+1)*(a^4 + sum T^4) - (a^2 + sum T^2)^2, by MultiPoly arithmetic
+    n = d + 1
+    squares = sum((T(i, n) ** 2 for i in range(n)), MultiPoly.zero(n))
+    fourths = sum((T(i, n) ** 4 for i in range(n)), MultiPoly.zero(n))
+    definition = (d + 1) * (C(a2 * a2, n) + fourths) - (C(a2, n) + squares) ** 2
+    relation = distance_relation(d, a2)
+    assert relation.terms == definition.terms and list(relation.terms) == list(definition.terms)
+    assert all(type(c) is Fraction for c in relation.terms.values())
+    assert poly_to_dict(relation) == poly_to_dict(definition)
+    assert len(relation.terms) == 1 + 2 * n + n * (n - 1) // 2
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_leading_coefficient_in_last_variable(d):
     rel = distance_relation(d, Fraction(3, 7))
