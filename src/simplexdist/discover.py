@@ -2,9 +2,15 @@
 
 Every run evaluates a monomial basis at exact sample points, finds the
 polynomials that vanish on them modulo word primes, lifts them to the
-rationals and certifies each exactly; no run forms a float.  One loop
-(``_exact_run``) serves every run; only the samples, the columns and the
-generators of the certificate differ.  Every certificate is membership in
+rationals and certifies each exactly; no run forms a float.  One path
+(``_exact_run``) sets up and runs the four run kinds, ``discover`` at d = 1
+and d >= 2 and ``sphere`` at d = 2 and d >= 3.  A kind supplies its step,
+its sample points, the generators of its certificate, the label of a
+certified row and the name of its sampling; the step decides the rest.
+Step 2 means columns in ``u = s/a^2``, of degree ``D // 2``, split by
+parity; step 1 means columns in ``v = t/a``, of degree D, in one class.
+The columns fix the sample count, and the step the basis name and the
+rescale to the edge.  Every certificate is membership in
 the ideal of the image (``_membership``): the row, scaled to integers, is
 pseudo-divided by the generators in turn and certified when nothing is
 left.  Candidates that fail certification are reported as uncertified,
@@ -96,7 +102,7 @@ from .modular import ResidueImage, nullspace_side, rational_reconstruction, rref
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
 from .poly import MultiPoly, _poly_doc, distance_relation, segment_generator
-from .rationals import as_fraction, frac_str, rational_sqrt
+from .rationals import frac_str, rational_sqrt
 
 CERT_DIVISIBLE = "divisible-by-relation"
 CERT_SPHERE_IDEAL = "in-circumsphere-ideal"
@@ -215,18 +221,9 @@ class CertifiedCandidate:
 
     __slots__ = ("certificate", "_terms", "_shift", "_poly")
 
-    def __init__(self, poly: MultiPoly, certificate: str):
+    def __init__(self, terms: tuple, shift: tuple[int, ...], certificate: str):
         self.certificate = certificate
-        self._terms = tuple((e, c, frac_str(c)) for e, c in poly.sorted_terms())
-        self._shift = (0,) * poly.arity
-        self._poly = poly
-
-    @classmethod
-    def _lifted(cls, terms: tuple, shift: tuple[int, ...], certificate: str) -> CertifiedCandidate:
-        candidate = object.__new__(cls)
-        candidate.certificate = certificate
-        candidate._terms, candidate._shift, candidate._poly = terms, shift, None
-        return candidate
+        self._terms, self._shift, self._poly = terms, shift, None
 
     @property
     def poly(self) -> MultiPoly:
@@ -481,7 +478,7 @@ def _packing_base(columns, polys: Sequence[MultiPoly]) -> int:
     return 1 + max(map(max, itertools.chain(columns, *(p.terms for p in polys))))
 
 
-def _membership(columns, common, branches=((),)) -> Callable[[dict[int, Fraction]], bool]:
+def _membership(columns, common, branches) -> Callable[[dict[int, Fraction]], bool]:
     """The certificate of a run's rows, each given by its entries by column
     on the monomials ``columns``: membership in the ideal of every branch,
     generated by the polynomials ``common`` and those of the branch.  The
@@ -507,30 +504,45 @@ def _membership(columns, common, branches=((),)) -> Callable[[dict[int, Fraction
     return certify
 
 
-def _parity_classes(n: int, max_degree: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def _parity_classes(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """The exponent-parity classes of degree D in n distances, the supports
-    of at most D odd exponents, and the degree in s of each."""
-    classes = [
+    of at most D odd exponents."""
+    return [
         tuple(int(i in odd) for i in range(n))
         for size in range(min(max_degree, n) + 1)
         for odd in itertools.combinations(range(n), size)
     ]
-    return classes, [(max_degree - sum(e)) // 2 for e in classes]
 
 
-def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, certify, label):
-    """The loop of every run: primes, then ``_null_forms``, ``_reconstruct``
-    and ``certify`` (of a row's entries by column), then the rescaling to
-    the edge and the lift to t.  Sample j is the point ``numerators[j] /
-    scales[j]`` in the variables x of the ``columns`` (u or v).  Class e
+def _exact_run(operation, d, a2, max_degree, seed, step, points, common, branches, label, sampling):
+    """The one set-up path and loop of every run.  A run kind supplies its
+    ``step``, its ``points`` (the numerators and scales of the samples of a
+    ``SampleConfig``, sample j the point ``numerators[j] / scales[j]``), the
+    generators ``common`` and ``branches`` of its certificate
+    (``_membership``), the ``label`` of a certified row and its
+    ``sampling``.  The step decides the rest: the columns are in ``x =
+    t^step / a^step`` (``u = s/a^2`` at step 2, ``v = t/a`` at step 1), of
+    degree ``D // step``, with ``_EXTRA_SAMPLES`` samples beyond them; step
+    2 splits them by parity (``_parity_classes``), and step 1 has the one
+    class 0, of degree D.
+
+    The loop: primes, then ``_null_forms``, ``_reconstruct`` and the
+    certificate, then the rescaling to the edge and the lift to t.  Class e
     lifts each row ``g(x)`` of prefix degree k to ``t^e * g(t^step)``, its
-    entry j first scaled by ``inverse[|f_j| - |f0|]`` for its pivot f0
-    (None at unit edge); certified rows carry ``label``.  Each row is
-    rescaled, sorted and formatted once, and its candidates in every class
-    share it (``CertifiedCandidate``).  Returns the candidates in pivot
-    order, the nullspace, and the pivots of the whole matrix modulo the
-    prime of the forms kept."""
-    widths = {k: math.comb(k + len(columns[0]), k) for k in sorted(set(degrees))}
+    entry j first scaled by ``a^-(step * (|f_j| - |f0|))`` for its pivot
+    f0; certified rows carry ``label``.  Each row is rescaled, sorted and
+    formatted once, and its candidates in every class share it
+    (``CertifiedCandidate``).  Returns the report's ``config``, the classes,
+    the candidates in pivot order, the nullspace, and the pivots of the
+    whole matrix modulo the prime of the forms kept."""
+    n, top = d + 1, max_degree // step
+    columns = enumerate_monomials(n, top)
+    count = len(columns) + _EXTRA_SAMPLES
+    numerators, scales = points(SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
+    classes = _parity_classes(n, max_degree) if step == 2 else [(0,) * n]
+    degrees = [(max_degree - sum(e)) // step for e in classes]
+    certify = _membership(columns, common, branches)
+    widths = {k: math.comb(k + n, k) for k in sorted(set(degrees))}
     exponents = np.asarray(columns)
     # a prime must be a unit for every scale: one that divides a scale is
     # skipped
@@ -568,25 +580,30 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
 
     # the row g(x) of pivot f0, x = t^step / c with c = a^step, gives
     # c^|f0| * g(t^step / c), whose pivot is 1; a row with no rational
-    # reconstruction has nothing to report.  The columns are in graded-lex
-    # order, and so are their exponents in t, so a row's terms are sorted
-    # leading first by their columns, once, and formatted once
+    # reconstruction has nothing to report.  a^-m is a power of a^2 over a
+    # where m is odd, which only d = 1 discover has, at a rational edge; the
+    # rows of a sphere run at d = 2 are parity-homogeneous, so an irrational
+    # edge never needs a.  The columns are in graded-lex order, and so are
+    # their exponents in t, so a row's terms are sorted leading first by
+    # their columns, once, and formatted once
+    root = rational_sqrt(a2)
+    inverse = functools.cache(lambda m: a2 ** -(m // 2) / (root if m % 2 else 1))
     in_t = [tuple(step * x for x in f) for f in columns]
     at_edge = {k: [] for k in found}
     for k, prefix in found.items():
         for pivot, entries, certified in prefix:
             if entries is None:
                 continue
-            if inverse is not None:
+            if a2 != 1:
                 shift = sum(columns[pivot])
-                entries = {j: c * inverse[sum(columns[j]) - shift] for j, c in entries.items()}
+                entries = {j: c * inverse(step * (sum(columns[j]) - shift)) for j, c in entries.items()}
             terms = tuple((in_t[j], c, frac_str(c)) for j, c in sorted(entries.items(), reverse=True))
             at_edge[k].append((in_t[pivot], terms, label if certified else CERT_UNCERTIFIED))
     lifted = []
     for e, k in zip(classes, degrees):
         for pivot, terms, certificate in at_edge[k]:
             lead = tuple(map(operator.add, e, pivot))
-            lifted.append(((sum(lead), lead), CertifiedCandidate._lifted(terms, e, certificate)))
+            lifted.append(((sum(lead), lead), CertifiedCandidate(terms, e, certificate)))
     lifted.sort(key=lambda item: item[0])
     nullspace = ExactNullspace(
         null_dim=sum(len(image.forms[k][0]) for k in degrees),
@@ -594,47 +611,40 @@ def _exact_run(columns, numerators, scales, classes, degrees, step, inverse, cer
         ideal_dim={k: sum(certified for _, _, certified in found[k]) for k in widths},
         primes=image.primes,
     )
-    return [c for _, c in lifted], nullspace, rank_pivots
-
-
-def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
-    """``discover_vanishing``, exactly: see the module docstring."""
-    n = d + 1
-    top = max_degree if d == 1 else max_degree // 2
-    columns = enumerate_monomials(n, top)
-    count = len(columns) + _EXTRA_SAMPLES
-    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
-    # the generator at unit edge: the segment cubic in v or R_1(u)
-    if d == 1:
-        # the segment cubic mixes parities: one class, of degree D in v =
-        # t/a; sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
-        classes, degrees, step, unit = [(0, 0)], [top], 1, rational_sqrt(a2)
-        generator = segment_generator(1)
-        draws = _weight_rows(n, config, _segment_branch)
-        numerators = [(abs(r1), abs(r0)) for (r0, r1), _ in draws]
-        scales = [den for _, den in draws]
-    else:
-        classes, degrees = _parity_classes(n, max_degree)
-        step, unit = 2, a2
-        generator = MultiPoly(n, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})
-        draws = _weight_rows(n, config)
-        numerators = [_distance_numerators(nums, den) for nums, den in draws]
-        scales = [2 * den * den for _, den in draws]
-    inverse = None if unit == 1 else [unit**-k for k in range(top + 1)]
-    candidates, nullspace, _ = _exact_run(
-        columns, numerators, scales, classes, degrees, step, inverse,
-        _membership(columns, [generator]), CERT_DIVISIBLE,
-    )
     config = {
-        "operation": "discover",
+        "operation": operation,
         "d": d,
         "edge_sq": frac_str(a2),
         "max_degree": max_degree,
         "n_samples": count,
         "seed": seed,
-        "matrix_basis": _SEGMENT_BASIS if d == 1 else _SQUARES_BASIS,
-        "sampling": _DISCOVERY_SAMPLING,
+        "matrix_basis": _SQUARES_BASIS if step == 2 else _SEGMENT_BASIS,
+        "sampling": sampling,
     }
+    return config, classes, [c for _, c in lifted], nullspace, rank_pivots
+
+
+def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
+    """``discover_vanishing``, exactly (see the module docstring): step 1 at
+    d = 1, where the segment cubic mixes parities, and step 2 at d >= 2."""
+    n = d + 1
+    # the generator at unit edge: the segment cubic in v or R_1(u)
+    if d == 1:
+        step, generator = 1, segment_generator(1)
+    else:
+        step = 2
+        generator = MultiPoly(n, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})
+
+    def points(config: SampleConfig):
+        draws = _weight_rows(n, config, _segment_branch if d == 1 else None)
+        if d == 1:
+            # sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
+            return [(abs(r1), abs(r0)) for (r0, r1), _ in draws], [den for _, den in draws]
+        return [_distance_numerators(nums, den) for nums, den in draws], [2 * den * den for _, den in draws]
+
+    config, _, candidates, nullspace, _ = _exact_run(
+        "discover", d, a2, max_degree, seed, step, points, [generator], ((),), CERT_DIVISIBLE, _DISCOVERY_SAMPLING
+    )
     return DiscoveryReport(config, math.comb(max_degree + n, n), nullspace, candidates)
 
 
@@ -653,18 +663,12 @@ def discover_vanishing(
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("dimension must be a positive integer")
-    a2 = as_fraction(edge_sq)
-    if d >= 2:
-        EmbeddedSimplex(d, a2)
-    else:
-        edge = rational_sqrt(a2)
-        if edge is None:
-            raise ValueError(
-                "in dimension 1 certification needs a rational edge length: "
-                f"edge_sq={a2} is not a perfect rational square"
-            )
-        if edge == 0:
-            raise ValueError("edge length must be positive, got 0")
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
+    if d == 1 and rational_sqrt(a2) is None:
+        raise ValueError(
+            "in dimension 1 certification needs a rational edge length: "
+            f"edge_sq={a2} is not a perfect rational square"
+        )
     _check_degree(max_degree)
     return _discover_exact(d, a2, max_degree, seed)
 
@@ -882,45 +886,24 @@ def discover_on_sphere(
     that fail their certificate are reported as extras."""
     if not isinstance(d, int) or d < 2:
         raise ValueError("circumsphere discovery needs dimension >= 2")
-    a2 = as_fraction(edge_sq)
-    if a2 <= 0:
-        raise ValueError("squared edge length must be positive")
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     _check_degree(max_degree)
 
     n = d + 1
-    top = max_degree if d == 2 else max_degree // 2
-    columns = enumerate_monomials(n, top)
-    count = len(columns) + _EXTRA_SAMPLES
-    config = SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX)
     if d == 2:
-        numerators, scales = _conic_points(config)
-        inverse = None if a2 == 1 else [a2 ** -(k // 2) for k in range(top + 1)]
-        classes, degrees, step, label = [(0, 0, 0)], [top], 1, CERT_CIRCUMCIRCLE
+        step, points, label, sampling = 1, _conic_points, CERT_CIRCUMCIRCLE, _CONIC_SAMPLING
     else:
-        numerators, scales = _chord_points(n, config)
-        classes, degrees = _parity_classes(n, max_degree)
-        inverse = None if a2 == 1 else [a2**-k for k in range(top + 1)]
-        step, label = 2, CERT_SPHERE_IDEAL
-    certify = _membership(columns, *_sphere_ideal(n))
-    candidates, nullspace, pivots = _exact_run(
-        columns, numerators, scales, classes, degrees, step, inverse, certify, label
+        step, points, label, sampling = 2, functools.partial(_chord_points, n), CERT_SPHERE_IDEAL, _CHORD_SAMPLING
+    config, classes, candidates, nullspace, pivots = _exact_run(
+        "sphere", d, a2, max_degree, seed, step, points, *_sphere_ideal(n), label, sampling
     )
 
     # the null dimension at degree k <= D: the coranks of the prefixes of
     # degree (k - |e|) // step, summed over the classes e
-    corank = [math.comb(j + n, n) - sum(p < math.comb(j + n, n) for p in pivots) for j in range(top + 1)]
+    widths = [math.comb(j + n, n) for j in range(max_degree // step + 1)]
+    corank = [width - sum(p < width for p in pivots) for width in widths]
     sizes = [sum(e) for e in classes]
     by_degree = {k: sum(corank[(k - s) // step] for s in sizes if s <= k) for k in range(1, max_degree + 1)}
-    config = {
-        "operation": "sphere",
-        "d": d,
-        "edge_sq": frac_str(a2),
-        "max_degree": max_degree,
-        "n_samples": count,
-        "seed": seed,
-        "matrix_basis": _SEGMENT_BASIS if d == 2 else _SQUARES_BASIS,
-        "sampling": _CONIC_SAMPLING if d == 2 else _CHORD_SAMPLING,
-    }
     return SphereDiscoveryReport(
         config=config,
         null_dim_by_degree=by_degree,

@@ -212,6 +212,21 @@ def test_discovery_commands_reject_degree_zero(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edge_sq", ["-4", "0"])
+@pytest.mark.parametrize("command", [
+    ["discover", "--d", "1"],
+    ["discover", "--d", "2"],
+    ["sphere", "--d", "2"],
+    ["sphere", "--d", "3"],
+], ids=["discover-d1", "discover-d2", "sphere-d2", "sphere-d3"])
+def test_discovery_commands_reject_non_positive_edge(tmp_path, capsys, command, edge_sq):
+    # every run kind checks the edge as reconstruct does, with one message
+    out = tmp_path / "report.json"
+    assert main([*command, "--max-degree", "4", "--edge-sq", edge_sq, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: squared edge length must be positive, got {edge_sq}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["discover", "sphere"])
 def test_negative_degree_gives_the_line_of_degree_zero(capsys, command):
     # the degree is checked before any work, so -1 fails as 0 does

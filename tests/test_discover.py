@@ -911,25 +911,17 @@ _LIFT_RUNS = [
 @pytest.mark.parametrize(
     "run, d, a2, degree", _LIFT_RUNS, ids=[f"{run.__name__}-d{d}-{a2}" for run, d, a2, _ in _LIFT_RUNS]
 )
-def test_candidates_are_their_rows_shifted_by_their_class(monkeypatch, run, d, a2, degree):
+def test_candidates_are_their_rows_shifted_by_their_class(run, d, a2, degree):
     # a run lifts each row of its echelon form in t to one candidate per
     # parity class e, t^e times the row, sharing the row's sorted and
     # formatted terms: the report and the MultiPoly built on first read
     # must both be the lift built term by term
-    rows, lifted = {}, discover.CertifiedCandidate._lifted
-
-    def recording(terms, shift, certificate):
-        candidate = lifted(terms, shift, certificate)
-        rows[id(candidate)] = terms, shift
-        return candidate
-
-    monkeypatch.setattr(discover.CertifiedCandidate, "_lifted", recording)
     report = run(d, a2, degree, seed=1)
     candidates = report.candidates if run is discover_vanishing else report.certified + report.extras
-    assert candidates and len(rows) == len(candidates)
+    assert candidates
     by_row = {}
     for candidate in candidates:
-        terms, shift = rows[id(candidate)]
+        terms, shift = candidate._terms, candidate._shift
         exponents = [f for f, _, _ in terms]
         assert exponents == sorted(exponents, key=lambda f: (sum(f), f), reverse=True)
         assert all(text == frac_str(c) for _, c, text in terms)
@@ -947,13 +939,6 @@ def test_candidates_are_their_rows_shifted_by_their_class(monkeypatch, run, d, a
             assert MultiPoly(d + 1, {e2: 1}) * p1 == MultiPoly(d + 1, {e1: 1}) * p2
     if d >= 2 and run is discover_vanishing:
         assert len(by_row) < len(candidates)
-
-
-def test_a_candidate_built_from_a_polynomial_reports_it():
-    relation = distance_relation(3, Fraction(3, 7))
-    candidate = discover.CertifiedCandidate(relation, CERT_DIVISIBLE)
-    assert candidate.poly is relation
-    assert candidate.to_json() == {"poly": poly_to_dict(relation), "certificate": CERT_DIVISIBLE}
 
 
 # -- the screens of a sphere run: the sample filter and the certificates -------------------

@@ -151,8 +151,13 @@ def test_probe_report_stream(d, expected):
             ["sphere", "--d", "4", "--max-degree", "6", "--edge-sq", "7/3"],
             "1746d6c9275d7e6e4bc184a2be95f98af46103451eb201547b9daa1d60445966",
         ),
+        (
+            # an irrational edge: the conics' rows rescale by powers of a^2 alone
+            ["sphere", "--d", "2", "--max-degree", "8", "--edge-sq", "2"],
+            "c7bd1afcc03f0ecd425170974eec4473b0709ed5db2733abb85ba54e7817442c",
+        ),
     ],
-    ids=["discover-d5", "discover-d1", "discover-d3-tall-edge", "sphere-d2", "sphere-d4"],
+    ids=["discover-d5", "discover-d1", "discover-d3-tall-edge", "sphere-d2", "sphere-d4", "sphere-d2-edge2"],
 )
 def test_discovery_report_stream(argv, expected):
     code, doc = run_cli(argv)
