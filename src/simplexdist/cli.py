@@ -86,7 +86,11 @@ def _emit(args, command: str, config: dict, result: dict, summary: list[str]) ->
     # no indent and no json.dump: either one leaves CPython's C encoder
     text = json.dumps(doc, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        # a path that cannot be written is bad configuration, as in _read_json
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
         lines = [*summary, f"report written to {args.out}"]
     else:
         lines = [text]

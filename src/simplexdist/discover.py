@@ -29,7 +29,9 @@ R_1(s/a^2)``, the run works in ``u = s/a^2``, where a sample is ``u_j = N_j /
 + n, n)`` span the nullspace of the prefix of degree k, and each prefix's
 nullspace is brought to its leftmost-pivot echelon form by a second
 elimination, of its own basis or of the prefix's row space with the columns
-reversed, whichever has fewer rows (``nullspace_side``).  Rational
+reversed, whichever has fewer rows (``modular.null_form``).  A row of the
+form is 1 at its pivot and 0 at the other pivots, so it is kept on the
+prefix's rank-many non-pivot columns, 0 left of its pivot.  Rational
 reconstruction lifts each row and exact division by ``R_1(u)`` certifies it;
 rows that fail call for another prime, joined by CRT, up to
 ``_MAX_PRIMES``.  A certified row ``g(u)`` gives ``g(s/a^2)``, which scaled to
@@ -97,7 +99,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geom import EmbeddedSimplex, SampleConfig, _distance_numerators, _weight_rows
-from .modular import ResidueImage, nullspace_side, rational_reconstruction, rref_mod, word_primes
+from .modular import ResidueImage, null_form, rational_reconstruction, rref_mod, word_primes
 # bound but not called: bench/tracing.py patches a hooked function in every
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
@@ -242,17 +244,11 @@ class CertifiedCandidate:
 class DiscoveryReport:
     __slots__ = ("config", "basis_size", "nullspace", "candidates")
 
-    def __init__(
-        self,
-        config: dict,
-        basis_size: int,
-        nullspace: ExactNullspace,
-        candidates: list[CertifiedCandidate] | None = None,
-    ):
+    def __init__(self, config: dict, basis_size: int, nullspace: ExactNullspace, candidates: list[CertifiedCandidate]):
         self.config = config
         self.basis_size = basis_size
         self.nullspace = nullspace
-        self.candidates = [] if candidates is None else candidates
+        self.candidates = candidates
 
     @property
     def inconclusive(self) -> bool:
@@ -350,9 +346,10 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     ``exponents`` at the points ``numerators[j] / scales[j]`` (one row per
     sample), and, for each prefix degree k of ``widths``, the leftmost-pivot
     echelon form modulo ``prime`` of the nullspace of its first
-    ``widths[k]`` columns: its pivots and its rows as int residues.  The
-    matrix is eliminated once; each prefix's form then takes a second
-    elimination of min(rank, corank) pivots (``nullspace_side``)."""
+    ``widths[k]`` columns: its pivots and its rows as int residues on the
+    prefix's non-pivot columns.  The matrix is eliminated once; each
+    prefix's form then takes a second elimination of min(rank, corank)
+    pivots (``null_form``)."""
     inverses = (pow(s, -1, prime) for s in scales)
     u = np.array([[x * inv % prime for x in row] for row, inv in zip(numerators, inverses)], dtype=np.int64)
     top = int(exponents.max())
@@ -363,25 +360,21 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     for var in range(u.shape[1]):
         matrix = matrix * powers[:, var, exponents[:, var]] % prime
     rref, pivots = rref_mod(matrix, prime)
-    forms = {}
-    for k, width in widths.items():
-        side, form = nullspace_side(rref, pivots, width, prime)
-        null_pivots, rows = form(*rref_mod(side, prime))
-        forms[k] = (null_pivots, rows.tolist())
-    return pivots, forms
+    return pivots, {k: null_form(rref, pivots, width, prime) for k, width in widths.items()}
 
 
-def _reconstruct(row: Sequence[int], modulus: int) -> dict[int, Fraction] | None:
-    """The nonzero entries, by column, of the rational row whose residues
-    modulo ``modulus`` are ``row``, or None if an entry has no rational
+def _reconstruct(pivot: int, columns: Sequence[int], row: Sequence[int], modulus: int) -> dict[int, Fraction] | None:
+    """The nonzero entries, by column, of the rational null-form row of
+    ``pivot`` whose residues modulo ``modulus`` on the non-pivot
+    ``columns`` are ``row``, or None if an entry has no rational
     reconstruction.  The entries of a row share few denominators, so each
     first tries the last one found: if ``x*den`` modulo ``modulus`` lies
     within the bound B of ``rational_reconstruction``, it is the numerator,
     since two fractions with terms up to B that agree modulo ``modulus`` are
     equal (``2*B^2 < modulus``)."""
     bound = math.isqrt(modulus // 2)
-    entries, den = {}, 1
-    for j, x in enumerate(row):
+    entries, den = {pivot: Fraction(1)}, 1
+    for j, x in zip(columns, row):
         if not x:
             continue
         y = x * den % modulus
@@ -568,11 +561,12 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, common, branche
         found = {}
         for k, (null_pivots, residues) in image.forms.items():
             found[k] = []
+            others = sorted(set(range(widths[k])) - set(null_pivots))
             for pivot, row in zip(null_pivots, residues):
                 entries = kept.get((k, pivot))
                 certified = entries is not None
                 if not certified:
-                    entries = _reconstruct(row, image.modulus)
+                    entries = _reconstruct(pivot, others, row, image.modulus)
                     certified = entries is not None and certify(entries)
                 found[k].append((pivot, entries, certified))
         if all(certified for prefix in found.values() for _, _, certified in prefix):

@@ -8,8 +8,10 @@ makes no rounding error: each pivot is one dense update of every row, it
 reduces only the residues it reads, and it folds the rest into ``[0, P)``
 once at the end (delayed reduction).  The nullspace of a column prefix is
 brought to its reduced echelon form from whichever side of the rank is
-smaller (``nullspace_side``): its own basis when the corank is at most the
-rank, else the prefix's row space with the columns reversed.  What the
+smaller (``null_form``): its own basis when the corank is at most the rank,
+else the prefix's row space with the columns reversed.  A row of that form
+is 1 at its own pivot and 0 at the others, so it is kept on the prefix's
+rank-many non-pivot columns alone, where it is 0 left of its pivot.  What the
 elimination can get wrong is luck: P may divide a minor of the matrix, and
 then the rank drops and the echelon form changes.  Such a prime shows
 itself by a larger nullspace, or by pivots further to the right, than a
@@ -28,7 +30,6 @@ TOMS, 2008.)
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -79,7 +80,7 @@ def rref_mod(matrix: np.ndarray, prime: int) -> tuple[np.ndarray, tuple[int, ...
 
     The rows of the form restricted to its first w columns are the echelon
     form of the matrix's first w columns, so one elimination serves every
-    column prefix (see ``nullspace_side``).
+    column prefix (see ``null_form``).
 
     Each pivot takes one dense update: with the pivot row scaled to 1 at
     its pivot and its own factor set to 0, every row subtracts ``factor *
@@ -139,41 +140,41 @@ def nullspace_mod(rref: np.ndarray, pivots: Sequence[int], width: int, prime: in
     return basis
 
 
-def nullspace_side(rref: np.ndarray, pivots: Sequence[int], width: int, prime: int):
+def null_form(rref: np.ndarray, pivots: Sequence[int], width: int, prime: int) -> tuple[tuple[int, ...], list]:
     """The leftmost-pivot reduced echelon form modulo ``prime`` of the
     nullspace of the first ``width`` columns of a matrix whose reduced row
     echelon form is ``(rref, pivots)``, from an elimination of min(rank,
-    corank) pivots: returns the matrix to eliminate, and the map that takes
-    its ``rref_mod`` to the form's pivots and rows.
+    corank) pivots: returns the form's pivots and its rows as int residues
+    on the prefix's rank-many non-pivot columns.  A row is 1 at its own
+    pivot and 0 at every other pivot, so nothing else is kept.
 
-    With r pivots below ``width`` and ``r >= width - r`` the matrix is the
-    nullspace basis of ``nullspace_mod``, and its echelon form is the form.
-    Otherwise it is the row space of the prefix, the r rows of the form cut
-    to ``width`` columns, with the column order reversed: its nullspace,
-    read back in the original order, is the prefix's nullspace.  In the
-    reversed order the null vector of a free column f' is 1 at f', and its
-    only other nonzero entries lie at pivots left of f'.  In the original
-    order its first nonzero entry is therefore the 1 at f = ``width - 1 -
-    f'``, and it is 0 at every other such column.  So these vectors,
-    sorted by f, are a reduced echelon basis of the nullspace with leftmost
-    pivots, and that basis is unique.
+    With r pivots below ``width`` and ``r >= width - r`` the elimination is
+    of the nullspace basis of ``nullspace_mod``, and its echelon form is
+    the form.  Otherwise it is of the row space of the prefix, the r rows
+    of the form cut to ``width`` columns, with the column order reversed:
+    its nullspace, read back in the original order, is the prefix's
+    nullspace.  In the reversed order the null vector of a free column f'
+    is 1 at f', and its only other nonzero entries lie at pivots left of
+    f'.  In the original order its first nonzero entry is therefore the 1
+    at f = ``width - 1 - f'``, and it is 0 at every other such column.  So
+    these vectors, sorted by f, are a reduced echelon basis of the
+    nullspace with leftmost pivots, and that basis is unique.
     """
     rank = sum(1 for c in pivots if c < width)
     if rank >= width - rank:
-        return nullspace_mod(rref, pivots, width, prime), lambda rows, null_pivots: (null_pivots, rows)
-
-    def form(rows: np.ndarray, row_pivots: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-        null_pivots = sorted(set(range(width)) - {width - 1 - c for c in row_pivots})
-        return tuple(null_pivots), nullspace_mod(rows, row_pivots, width, prime)[::-1, ::-1]
-
-    return rref[:rank, :width][:, ::-1], form
+        rows, null_pivots = rref_mod(nullspace_mod(rref, pivots, width, prime), prime)
+    else:
+        side, side_pivots = rref_mod(rref[:rank, :width][:, ::-1], prime)
+        null_pivots = tuple(sorted(set(range(width)) - {width - 1 - c for c in side_pivots}))
+        rows = nullspace_mod(side, side_pivots, width, prime)[::-1, ::-1]
+    return null_pivots, rows[:, sorted(set(range(width)) - set(null_pivots))].tolist()
 
 
 def crt(residues: Sequence[int], modulus: int, more: Sequence[int], prime: int) -> list[int]:
     """The residues modulo ``modulus * prime`` that are ``residues`` modulo
     ``modulus`` and ``more`` modulo ``prime``, for coprime moduli.  Equal
-    residues, such as the zeros that fill most of a row of a null form,
-    join to themselves without arithmetic."""
+    residues, such as the zeros of a null-form row left of its pivot, join
+    to themselves without arithmetic."""
     inverse = pow(modulus, -1, prime)
     return [x if x == y else x + modulus * ((y - x) * inverse % prime) for x, y in zip(residues, more)]
 
@@ -199,7 +200,8 @@ def rational_reconstruction(x: int, modulus: int) -> Fraction | None:
 class ResidueImage:
     """Echelon forms of the nullspace bases of several matrices, by key,
     modulo ``modulus``, the product of ``primes``: ``forms[key]`` is the
-    pivots and the rows, as lists of int residues."""
+    pivots and the rows, as lists of int residues on the non-pivot columns
+    (see ``null_form``)."""
 
     __slots__ = ("modulus", "primes", "forms")
 
@@ -223,52 +225,17 @@ class ResidueImage:
         it.  So, key by key, the image with fewer rows, or else with the
         lexicographically least pivots, is the luckier.  The image that is
         luckier on some key and no worse on any replaces the other; equal
-        images are joined by CRT; any other new image is dropped.
-
-        Equal images are joined by CRT only where a row can be nonzero.  A
-        row of a reduced echelon form with leftmost pivots is 0 left of its
-        pivot and at every other pivot, so it can be nonzero only at its own
-        pivot and at the non-pivot columns right of it.  When the two images
-        have the same pattern this holds modulo both primes with the same
-        columns, and every other entry is 0 in both, which CRT joins to 0: a
-        row joins at most rank + 1 of its columns.  Each row is still checked
-        to be 0 outside those columns modulo both primes, by counting its
-        zeros, and a row that is not is joined entry by entry, so the join
-        is the CRT of any rows.
+        images, whose rows lie on the same columns, are joined by CRT row by
+        row; any other new image is dropped.
         """
         new = ResidueImage(prime, (prime,), forms)
         ours, theirs = ([f(key) for key in self.forms] for f in (self.pattern, new.pattern))
         if theirs == ours:
             joined = {
-                key: (pivots, _join_rows(pivots, rows, forms[key][1], self.modulus, prime))
+                key: (pivots, [crt(x, self.modulus, y, prime) for x, y in zip(rows, forms[key][1])])
                 for key, (pivots, rows) in self.forms.items()
             }
             return ResidueImage(self.modulus * prime, self.primes + (prime,), joined)
         if all(t <= o for t, o in zip(theirs, ours)):
             return new
         return self
-
-
-def _join_rows(pivots, rows, more, modulus: int, prime: int) -> list[list[int]]:
-    """The CRT join of ``rows`` modulo ``modulus`` and ``more`` modulo
-    ``prime``, the rows of two echelon forms with the pivots ``pivots``,
-    computed on each row's pivot and the non-pivot columns right of it (see
-    ``ResidueImage.fold``); a row that is not 0 elsewhere in both is joined
-    whole."""
-    width = len(rows[0]) if rows else 0
-    free = sorted(set(range(width)).difference(pivots))
-    inverse = pow(modulus, -1, prime)
-    joined = []
-    for pivot, x, y in zip(pivots, rows, more):
-        columns = [pivot, *free[bisect.bisect(free, pivot) :]] if pivot < width else []
-        xs, ys = [x[c] for c in columns], [y[c] for c in columns]
-        outside = width - len(columns)
-        if x.count(0) - xs.count(0) == outside == y.count(0) - ys.count(0):
-            row = list(x)
-            for c, a, b in zip(columns, xs, ys):
-                if a != b:  # as in crt
-                    row[c] = a + modulus * ((b - a) * inverse % prime)
-        else:
-            row = crt(x, modulus, y, prime)
-        joined.append(row)
-    return joined

@@ -404,6 +404,21 @@ def test_reduce_missing_file(capsys):
     assert main(["reduce", "--poly", "/nonexistent.json", "--d", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--count", "1"], ["discover", "--d", "2", "--max-degree", "4"]], ids=["verify", "discover"]
+)
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_bad_configuration(tmp_path, capsys, argv, where):
+    # a missing directory or a directory is reported on one error line, with
+    # the code of bad configuration, not as a traceback with the code of a
+    # failed run
+    out = tmp_path / "missing" / "report.json" if where == "missing" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 # -- reconstruct / probe63 ----------------------------------------------------------
 
 

@@ -18,14 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simplexdist import discover
+from simplexdist import discover, modular
 from simplexdist.cmgeom import _bareiss_det
 from simplexdist.discover import (
     CERT_CIRCUMCIRCLE,
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
-    DiscoveryReport,
-    ExactNullspace,
     _chord,
     _chord_points,
     _conic_points,
@@ -199,13 +197,6 @@ def test_discover_recovers_relation_d2():
     (candidate,) = report.candidates
     assert candidate.certificate == CERT_DIVISIBLE
     assert proportional(candidate.poly, distance_relation(2, 1))
-
-
-def test_reports_built_without_candidates_do_not_share_a_list():
-    nullspace = ExactNullspace(0, {}, {}, (16777213,))
-    first, second = DiscoveryReport({}, 1, nullspace), DiscoveryReport({}, 1, nullspace)
-    first.candidates.append("row")
-    assert first.candidates == ["row"] and second.candidates == []
 
 
 def test_discover_cubic_degree_finds_nothing():
@@ -610,6 +601,7 @@ def test_squared_distance_run_reads_every_prefix_from_one_elimination(monkeypatc
         return rref_mod(matrix, prime)
 
     monkeypatch.setattr(discover, "rref_mod", recording_rref_mod)
+    monkeypatch.setattr(modular, "rref_mod", recording_rref_mod)
     report = discover_vanishing(5, 1, 6, seed=1)
     assert report.nullspace.primes == (16777213,)
     assert shapes == [(92, 84), (0, 1), (0, 7), (1, 28), (7, 84)]

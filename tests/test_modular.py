@@ -4,6 +4,7 @@ rational reconstruction and the detection of unlucky primes."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from simplexdist.modular import (
     WORD_PRIME_BOUND,
     ResidueImage,
     crt,
+    null_form,
     nullspace_mod,
-    nullspace_side,
     rational_reconstruction,
     rref_mod,
     word_primes,
@@ -137,7 +138,8 @@ def test_rref_mod_is_the_same_at_any_fold_period(monkeypatch, period):
     low = rng.integers(0, P, size=(80, 6)) @ rng.integers(0, 100, size=(6, 40)) % P
     matrices += [low, np.zeros((5, 4), dtype=np.int64), np.eye(7, dtype=np.int64)[::-1] * (P - 1)]
     # the row side of the nullspace form of low: its 6 rows, columns reversed
-    side, _ = nullspace_side(*rref_mod(low, P), 40, P)
+    rref, pivots = rref_mod(low, P)
+    side = rref[: len(pivots), :40][:, ::-1]
     assert side.shape == (6, 40)
     matrices.append(side)
     assert modular._FOLD_PERIOD == 2**15
@@ -171,6 +173,7 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
         return rref_mod(matrix, prime)
 
     monkeypatch.setattr(discover, "rref_mod", recording)
+    monkeypatch.setattr(modular, "rref_mod", recording)
     discover_on_sphere(2, 1, 6, seed=1)
     discover_on_sphere(3, 1, 4, seed=1)
     # one elimination of the sample matrix per run, then one per prefix on
@@ -222,20 +225,48 @@ def _null_form_int(rows, width, prime):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_matrices(), st.sampled_from([7, 16777213]))
+@example(rows=[[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]], prime=7)
 @example(rows=[[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]], prime=16777213)
-def test_nullspace_side_gives_the_form_of_the_nullspace_basis(rows, prime):
+def test_null_form_is_the_form_of_the_nullspace_on_its_non_pivot_columns(rows, prime):
     # 7 divides many minors of these matrices and drops their ranks; in the
-    # example the prefixes of width 1 and 2 take the nullspace basis, the
-    # wider ones the row space
+    # examples the prefix of width 1 takes the nullspace basis (rank 1,
+    # corank 0), the prefix of width 2 ties (rank 1, corank 1) and takes the
+    # basis too, and the wider ones take the row space
     rref, pivots = rref_mod(np.array(rows, dtype=np.int64), prime)
     for width in range(1, len(rows[0]) + 1):
         rank = sum(1 for c in pivots if c < width)
-        side, form = nullspace_side(rref, pivots, width, prime)
+        with mock.patch.object(modular, "rref_mod", wraps=rref_mod) as second:
+            null_pivots, got = null_form(rref, pivots, width, prime)
+        (call,) = second.call_args_list
+        side = call.args[0]
+        if rank >= width - rank:
+            assert (side == nullspace_mod(rref, pivots, width, prime)).all()
+        else:
+            assert (side == rref[:rank, :width][:, ::-1]).all()
         assert side.shape == (min(rank, width - rank), width)
-        null_pivots, got = form(*rref_mod(side, prime))
-        basis, expected_pivots = rref_mod(nullspace_mod(rref, pivots, width, prime), prime)
-        assert (null_pivots, got.tolist()) == (expected_pivots, basis.tolist())
-        assert (null_pivots, got.tolist()) == _null_form_int(rows, width, prime)
+        expected_pivots, form = _null_form_int(rows, width, prime)
+        # the columns left out hold 1 at the row's own pivot and 0 at the others
+        assert all(row[c] == (c == pivot) for row, pivot in zip(form, expected_pivots) for c in expected_pivots)
+        others = [c for c in range(width) if c not in expected_pivots]
+        assert len(others) == rank
+        assert (null_pivots, got) == (expected_pivots, [[row[c] for c in others] for row in form])
+
+
+def test_discovery_keeps_each_null_form_row_on_the_rank_many_columns(monkeypatch):
+    # sphere --d 2 --max-degree 8 has one prefix of C(8 + 3, 3) = 165
+    # columns, of rank 45: each of its 120 rows keeps 45 entries
+    null_forms, seen = discover._null_forms, []
+
+    def recording(*args):
+        seen.append(null_forms(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(discover, "_null_forms", recording)
+    assert discover_on_sphere(2, 1, 8).nullspace.primes == (P,)
+    ((pivots, forms),) = seen
+    null_pivots, rows = forms[8]
+    assert len(pivots) == 45 and len(null_pivots) == len(rows) == 120
+    assert {len(row) for row in rows} == {45}
 
 
 B = math.isqrt(P // 2)
