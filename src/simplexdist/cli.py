@@ -6,9 +6,9 @@ line of compact JSON with sorted keys; ``python -m json.tool FILE``
 pretty-prints it.  With ``--out`` the JSON goes to the file and a short
 human summary to stdout; without it the JSON document itself is printed.
 Exit codes: 0 success, 1 a ``verify``, ``discover`` or ``sphere`` run that
-completed but failed its own check (a nonzero residual, or a ``discover``
-or ``sphere`` run that is not ``complete`` or has an uncertified
-candidate), 2 bad configuration.  A reader that closes stdout early does
+completed but failed its own check (a ``verify`` run with a nonzero
+residual, or a ``discover`` or ``sphere`` run that is not ``complete``),
+2 bad configuration.  A reader that closes stdout early does
 not change the code.
 """
 
@@ -107,8 +107,8 @@ def _emit(args, command: str, config: dict, result: dict, summary: list[str]) ->
         os.close(devnull)
 
 
-def _add_common(parser, *, d_default=2, count=None, degree=None):
-    parser.add_argument("--d", type=int, default=d_default, help="simplex dimension (default %(default)s)")
+def _add_common(parser, *, count=None, degree=None):
+    parser.add_argument("--d", type=int, default=2, help="simplex dimension (default %(default)s)")
     parser.add_argument(
         "--edge-sq",
         type=_fraction_arg,
@@ -201,7 +201,7 @@ def cmd_discover(args) -> int:
             f"discover: null dimension {ns.null_dim} at degree {args.max_degree}, {verdict}",
         ] + [f"  candidate ({c.certificate}): {c.poly}" for c in report.candidates]
     _emit(args, "discover", doc["config"], doc, summary)
-    return EXIT_OK if report.all_certified and not report.inconclusive else EXIT_FAIL
+    return EXIT_OK if report.nullspace.complete else EXIT_FAIL
 
 
 def cmd_independence(args) -> int:
@@ -223,7 +223,7 @@ def cmd_sphere(args) -> int:
         f"{len(report.certified)} certified, {len(report.extras)} extras",
     ]
     _emit(args, "sphere", doc["config"], doc, summary)
-    return EXIT_OK if not report.extras and not report.inconclusive else EXIT_FAIL
+    return EXIT_OK if report.nullspace.complete else EXIT_FAIL
 
 
 def cmd_reduce(args) -> int:
@@ -235,7 +235,7 @@ def cmd_reduce(args) -> int:
         "quotient": poly.poly_to_dict(division.quotient),
         "remainder": poly.poly_to_dict(division.remainder),
     }
-    cfg = {"d": args.d, "edge_sq": frac_str(as_fraction(args.edge_sq)), "poly": args.poly}
+    cfg = {"d": args.d, "edge_sq": frac_str(args.edge_sq), "poly": args.poly}
     _emit(args, "reduce", cfg, result, [
         f"reduce: member-of-relation-ideal = {member}",
         f"  remainder: {division.remainder}",
@@ -244,13 +244,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    a2 = as_fraction(args.edge_sq)
-    if a2 <= 0:
-        raise ValueError(f"squared edge length must be positive, got {frac_str(a2)}")
-    a2_float = edge_sq_float(a2)
-    if a2_float == 0.0:
-        raise ValueError("edge_sq is below the normal float range: it rounds to 0 as a float")
-    edge = math.sqrt(a2_float)
+    a2 = geom.EmbeddedSimplex(args.d, args.edge_sq).edge_sq
+    edge = math.sqrt(edge_sq_float(a2))
     simplex = geom.CartesianSimplex.build(args.d, edge)
     result = cmgeom.reconstruct_point(simplex, args.t)
     cfg = {"d": args.d, "edge_sq": frac_str(a2), "t": args.t, "tol": cmgeom._RECONSTRUCT_TOL * edge**2}

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
-from .geom import CartesianSimplex, _unit_float_rows
+from .geom import CartesianSimplex, EmbeddedSimplex, _unit_float_rows
 from .rationals import as_fraction, edge_sq_float, frac_str
 
 # relative depth below 0 at which a float configuration's volume^2 is still flat
@@ -120,9 +119,7 @@ class SquaredDistanceMatrix:
         """n points with all pairwise squared distances equal."""
         if n < 2:
             raise ValueError("need at least two points")
-        a2 = as_fraction(edge_sq)
-        if a2 <= 0:
-            raise ValueError("squared edge length must be positive")
+        a2 = EmbeddedSimplex(n - 1, edge_sq).edge_sq
         return cls([[Fraction(0) if i == j else a2 for j in range(n)] for i in range(n)])
 
     def extended_with(self, squared_to_all: Sequence) -> "SquaredDistanceMatrix":
@@ -341,15 +338,24 @@ def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list:
     adds on Python 3.10 and 3.11 (3.12 compensates), and the fourth powers
     are Python float powers (libm ``pow``; numpy's SIMD power can differ
     in the last bit), so every supported Python gives the same roots.  A
-    fourth power beyond the float range raises ``OverflowError``.
+    fourth power beyond the float range raises ``OverflowError``.  Distances
+    that are not finite and non-negative, and an ``edge_sq`` that is not
+    finite and positive, raise ``ValueError``, as in
+    :func:`reconstruct_point`.
     """
     t = np.asarray(first, dtype=float)
     if t.ndim not in (1, 2) or t.shape[-1] != d:
         raise ValueError(f"need the first {d} distances, got shape {t.shape}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d!r}")
-    rows = np.atleast_2d(t)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("distances must be finite")
+    if np.any(t < 0):
+        raise ValueError("distances must be non-negative")
     a2 = float(edge_sq)
+    if not 0 < a2 < math.inf:
+        raise ValueError(f"edge_sq must be a positive finite number, got {edge_sq!r}")
+    rows = np.atleast_2d(t)
     fourth = np.array([x**4 for x in rows.ravel().tolist()]).reshape(rows.shape)
     # the float arithmetic of Python: inf and nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -397,20 +403,14 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
 
     The relation is homogeneous in ``(a^2, t^2)``, so the completion runs in
     units of the edge, where no power of a can overflow or underflow, and
-    the counts do not depend on a.  An ``edge_sq`` below the normal floats
-    is rejected: its float edge would not carry the draws.
+    the counts do not depend on a.  ``d`` and ``edge_sq`` are checked by
+    ``EmbeddedSimplex``, and the float of ``edge_sq`` by ``edge_sq_float``,
+    which rejects one below the normal floats.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
-    a2 = as_fraction(edge_sq)
-    if a2 <= 0:
-        raise ValueError("squared edge length must be positive")
-    a2_float = edge_sq_float(a2)
-    if a2_float < sys.float_info.min:
-        raise ValueError("edge_sq is below the normal float range: its float edge cannot carry the draws")
-    edge = math.sqrt(a2_float)
+    edge = math.sqrt(edge_sq_float(a2))
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
     draws = _unit_float_rows([f"{seed}|probe|{i}" for i in range(trials)], d)
     # Python float powers, as in complete_distance_tuple

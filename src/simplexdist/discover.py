@@ -250,14 +250,6 @@ class DiscoveryReport:
         self.nullspace = nullspace
         self.candidates = candidates
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.nullspace.inconclusive
-
-    @property
-    def all_certified(self) -> bool:
-        return all(c.certificate != CERT_UNCERTIFIED for c in self.candidates)
-
     def to_json(self) -> dict:
         return {
             "config": self.config,
@@ -311,8 +303,10 @@ class ExactNullspace:
     in t, the corank summed over the parity classes.  The run is
     ``complete`` when every prefix certifies its whole corank, which proves
     that the candidates span the vanishing space (see the module
-    docstring); ``inconclusive`` is its negation, the flag every discovery
-    report carries."""
+    docstring).  It is the verdict of a run: it holds exactly when no
+    candidate is uncertified and no row is dropped for want of a rational
+    reconstruction, and the report writes its negation as
+    ``inconclusive``."""
 
     __slots__ = ("null_dim", "corank", "ideal_dim", "primes")
 
@@ -326,10 +320,6 @@ class ExactNullspace:
     def complete(self) -> bool:
         return self.ideal_dim == self.corank
 
-    @property
-    def inconclusive(self) -> bool:
-        return not self.complete
-
     def to_json(self) -> dict:
         return {
             "null_dim": self.null_dim,
@@ -337,7 +327,7 @@ class ExactNullspace:
             "ideal_dim": {str(k): v for k, v in self.ideal_dim.items()},
             "primes": list(self.primes),
             "complete": self.complete,
-            "inconclusive": self.inconclusive,
+            "inconclusive": not self.complete,
         }
 
 
@@ -618,9 +608,27 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, common, branche
     return config, classes, [c for _, c in lifted], nullspace, rank_pivots
 
 
-def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> DiscoveryReport:
-    """``discover_vanishing``, exactly (see the module docstring): step 1 at
-    d = 1, where the segment cubic mixes parities, and step 2 at d >= 2."""
+def discover_vanishing(
+    d: int,
+    edge_sq,
+    max_degree: int,
+    seed: int = 0,
+) -> DiscoveryReport:
+    """Full discovery pipeline over the whole ambient space, exact at every
+    d (see the module docstring): step 1 at d = 1, where the segment cubic
+    mixes parities, and step 2 at d >= 2.  Certification divides by the
+    generator of the vanishing ideal: the quartic relation for d >= 2 and,
+    in the segment case d = 1, where the relation is not the generator, the
+    cubic segment generator, which requires the edge length (the exact
+    square root of ``edge_sq``) to be rational.
+    """
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
+    if d == 1 and rational_sqrt(a2) is None:
+        raise ValueError(
+            "in dimension 1 certification needs a rational edge length: "
+            f"edge_sq={a2} is not a perfect rational square"
+        )
+    _check_degree(max_degree)
     n = d + 1
     # the generator at unit edge: the segment cubic in v or R_1(u)
     if d == 1:
@@ -640,31 +648,6 @@ def _discover_exact(d: int, a2: Fraction, max_degree: int, seed: int) -> Discove
         "discover", d, a2, max_degree, seed, step, points, [generator], ((),), CERT_DIVISIBLE, _DISCOVERY_SAMPLING
     )
     return DiscoveryReport(config, math.comb(max_degree + n, n), nullspace, candidates)
-
-
-def discover_vanishing(
-    d: int,
-    edge_sq,
-    max_degree: int,
-    seed: int = 0,
-) -> DiscoveryReport:
-    """Full discovery pipeline over the whole ambient space, exact at every
-    d.  Certification divides by the generator of the vanishing ideal: the
-    quartic relation for d >= 2 and, in the segment case d = 1, where the
-    relation is not the generator, the cubic segment generator, which
-    requires the edge length (the exact square root of ``edge_sq``) to be
-    rational.
-    """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
-    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
-    if d == 1 and rational_sqrt(a2) is None:
-        raise ValueError(
-            "in dimension 1 certification needs a rational edge length: "
-            f"edge_sq={a2} is not a perfect rational square"
-        )
-    _check_degree(max_degree)
-    return _discover_exact(d, a2, max_degree, seed)
 
 
 class IndependenceReport:
@@ -751,10 +734,6 @@ class SphereDiscoveryReport:
         self.nullspace = nullspace
         self.certified = certified
         self.extras = extras
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.nullspace.inconclusive
 
     def to_json(self) -> dict:
         return {

@@ -42,6 +42,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .geom import EmbeddedSimplex
 from .rationals import as_fraction, frac_str
 
 _ZERO = Fraction(0)
@@ -345,15 +346,6 @@ def _power_sum(arity: int, power: int) -> MultiPoly:
     return MultiPoly(arity, terms)
 
 
-def _validate_dim_edge(d: int, edge_sq) -> Fraction:
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-    a2 = as_fraction(edge_sq)
-    if a2 <= 0:
-        raise ValueError(f"squared edge length must be positive, got {a2}")
-    return a2
-
-
 def distance_relation(d: int, edge_sq) -> MultiPoly:
     """The quartic relation among the d+1 vertex distances of a regular d-simplex.
 
@@ -365,7 +357,7 @@ def distance_relation(d: int, edge_sq) -> MultiPoly:
     Expanding the square gives its terms directly: ``d*a^4 + d*sum_j T_j^4
     - 2*a^2*sum_j T_j^2 - 2*sum_{i<j} T_i^2*T_j^2``, in that order.
     """
-    a2 = _validate_dim_edge(d, edge_sq)
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     n = d + 1
     squares = [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
     terms = {(0,) * n: d * a2 * a2}
@@ -389,7 +381,7 @@ def distance_relation_homogeneous(d: int) -> MultiPoly:
 
 def circumsphere_quadratic(d: int, edge_sq) -> MultiPoly:
     """``sum_j T_j^2 - d*a^2``; zero exactly on the circumsphere."""
-    a2 = _validate_dim_edge(d, edge_sq)
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     if d < 2:
         raise ValueError("circumsphere polynomials need dimension >= 2")
     return _power_sum(d + 1, 2) - MultiPoly.constant(d * a2, d + 1)
@@ -397,7 +389,7 @@ def circumsphere_quadratic(d: int, edge_sq) -> MultiPoly:
 
 def circumsphere_quartic(d: int, edge_sq) -> MultiPoly:
     """``sum_j T_j^4 - d*a^4``; also zero on the circumsphere."""
-    a2 = _validate_dim_edge(d, edge_sq)
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     if d < 2:
         raise ValueError("circumsphere polynomials need dimension >= 2")
     return _power_sum(d + 1, 4) - MultiPoly.constant(d * a2 * a2, d + 1)
@@ -434,7 +426,7 @@ def relation_residual_exact(d: int, edge_sq, squared: Sequence) -> Fraction:
     ``(d+1)*(a^4 + sum s_j^2) - (a^2 + sum s_j)^2``, computed by clearing
     denominators and evaluating :func:`_relation_numerator`.
     """
-    a2 = _validate_dim_edge(d, edge_sq)
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     s = [as_fraction(x) for x in squared]
     if len(s) != d + 1:
         raise ValueError(f"expected {d + 1} squared distances, got {len(s)}")
@@ -488,7 +480,7 @@ def verify_circumsphere_identity(d: int, edge_sq) -> bool:
     It makes each of the three a member of the ideal generated by the other
     two.
     """
-    a2 = _validate_dim_edge(d, edge_sq)
+    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
     if d < 2:
         raise ValueError("identity is stated for dimension >= 2")
     n = d + 1

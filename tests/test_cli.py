@@ -227,6 +227,27 @@ def test_discovery_commands_reject_non_positive_edge(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+_SIMPLEX_COMMANDS = ["verify", "discover", "independence", "probe63", "reconstruct", "reduce"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--d") for c in _SIMPLEX_COMMANDS] + [(c, "--edge-sq") for c in [*_SIMPLEX_COMMANDS, "sphere"]],
+    ids=[f"{c}-d0" for c in _SIMPLEX_COMMANDS] + [f"{c}-edge0" for c in [*_SIMPLEX_COMMANDS, "sphere"]],
+)
+def test_every_command_checks_the_simplex_with_one_message(tmp_path, capsys, command, flag):
+    # geom.EmbeddedSimplex checks d and a^2 for every command; sphere needs
+    # d >= 2 and says so before it reads the edge
+    relation = tmp_path / "relation.json"
+    relation.write_text(json.dumps(poly_to_dict(distance_relation(2, 1))))
+    needs = {"independence": ["--subset", "1"], "reconstruct": ["--t", "1,1,1"], "reduce": ["--poly", str(relation)]}
+    out = tmp_path / "report.json"
+    assert main([command, flag, "0", *needs.get(command, []), "--out", str(out)]) == 2
+    rule = "dimension must be a positive integer" if flag == "--d" else "squared edge length must be positive"
+    assert capsys.readouterr().err == f"error: {rule}, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["discover", "sphere"])
 def test_negative_degree_gives_the_line_of_degree_zero(capsys, command):
     # the degree is checked before any work, so -1 fails as 0 does
@@ -494,6 +515,20 @@ def test_reconstruct_names_an_edge_below_the_float_range(tmp_path, capsys):
     code, doc = run(tmp_path, "reconstruct", "--d", "2", "--t", "1,1,1", "--edge-sq", "1e-400")
     assert code == 2 and doc is None
     assert "error: edge_sq is below the normal float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "2", "--t", "1,1,1"],
+    ["--d", "1", "--t", "5e-161,5e-161"],
+], ids=["d2", "d1"])
+def test_reconstruct_rejects_a_subnormal_edge(tmp_path, capsys, argv):
+    # the float of 1e-320 is subnormal, and the tolerance 1e-9 * a^2 would
+    # underflow to 0; probe63 rejects it with the same line
+    line = "error: edge_sq is below the normal float range: its float edge cannot carry the draws\n"
+    code, doc = run(tmp_path, "reconstruct", *argv, "--edge-sq", "1e-320")
+    assert code == 2 and doc is None and capsys.readouterr().err == line
+    assert main(["probe63", "--count", "2", "--edge-sq", "1e-320"]) == 2
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize(

@@ -415,6 +415,23 @@ def test_complete_tuple_arity():
         complete_distance_tuple(0, 1, [])
 
 
+@pytest.mark.parametrize("edge_sq, first, message", [
+    (-1, [1.0, 1.0], "edge_sq must be a positive finite number"),
+    (0, [1.0, 1.0], "edge_sq must be a positive finite number"),
+    (math.nan, [1.0, 1.0], "edge_sq must be a positive finite number"),
+    (math.inf, [1.0, 1.0], "edge_sq must be a positive finite number"),
+    (1, [-1.0, 1.0], "distances must be non-negative"),
+    (1, [[1.0, 1.0], [1.0, -0.5]], "distances must be non-negative"),
+    (1, [math.nan, 1.0], "distances must be finite"),
+    (1, [1.0, math.inf], "distances must be finite"),
+], ids=["edge-neg", "edge-zero", "edge-nan", "edge-inf", "t-neg", "rows-neg", "t-nan", "t-inf"])
+def test_complete_tuple_rejects_bad_input(edge_sq, first, message):
+    # bad input is an error, as in reconstruct_point, not a tuple with no
+    # root: a negative distance would be completed as its absolute value
+    with pytest.raises(ValueError, match=message):
+        complete_distance_tuple(2, edge_sq, first)
+
+
 def reference_completion(d, a2, first):
     """The completion one tuple at a time in Python floats, the power sums
     added left to right."""
