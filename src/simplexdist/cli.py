@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cmgeom, discover, geom, poly, soddy
-from .rationals import as_fraction, edge_sq_float, frac_str
+from .rationals import as_fraction, frac_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -244,11 +244,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    a2 = geom.EmbeddedSimplex(args.d, args.edge_sq).edge_sq
-    edge = math.sqrt(edge_sq_float(a2))
-    simplex = geom.CartesianSimplex.build(args.d, edge)
-    result = cmgeom.reconstruct_point(simplex, args.t)
-    cfg = {"d": args.d, "edge_sq": frac_str(a2), "t": args.t, "tol": cmgeom._RECONSTRUCT_TOL * edge**2}
+    simplex = geom.EmbeddedSimplex(args.d, args.edge_sq)
+    result = cmgeom.reconstruct_point(geom.CartesianSimplex.build(args.d, simplex.edge), args.t)
+    cfg = {"d": args.d, "edge_sq": frac_str(simplex.edge_sq), "t": args.t, "tol": result.tol}
     _emit(args, "reconstruct", cfg, result.to_json(), [
         f"reconstruct: {result.status}, point {np.round(result.point, 9).tolist()}, "
         f"residual {result.residual:.3e}",

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geom import CartesianSimplex, EmbeddedSimplex, _unit_float_rows
-from .rationals import as_fraction, edge_sq_float, frac_str
+from .rationals import as_fraction, frac_str
 
 # relative depth below 0 at which a float configuration's volume^2 is still flat
 _FLAT = Fraction(1, 10**9)
@@ -251,15 +251,17 @@ class ReconstructionResult:
 
     ``point`` is always the solution of the linearised system (the unique
     candidate); ``feasible`` records whether it also satisfies the one
-    remaining quadratic constraint, whose defect is ``residual``.
+    remaining quadratic constraint, whose defect is ``residual``, to within
+    the tolerance ``tol``.
     """
 
-    __slots__ = ("feasible", "point", "residual")
+    __slots__ = ("feasible", "point", "residual", "tol")
 
-    def __init__(self, feasible: bool, point: np.ndarray, residual: float):
+    def __init__(self, feasible: bool, point: np.ndarray, residual: float, tol: float):
         self.feasible = feasible
         self.point = point
         self.residual = residual
+        self.tol = tol
 
     @property
     def status(self) -> str:
@@ -318,8 +320,8 @@ def reconstruct_point(simplex: CartesianSimplex, distances: Sequence[float]) -> 
         raise ValueError(
             f"distances {t.tolist()} are too large: the point they give overflows a float"
         )
-    feasible = residual <= _RECONSTRUCT_TOL * simplex.edge**2
-    return ReconstructionResult(feasible=feasible, point=x, residual=residual)
+    tol = _RECONSTRUCT_TOL * simplex.edge**2
+    return ReconstructionResult(feasible=residual <= tol, point=x, residual=residual, tol=tol)
 
 
 def complete_distance_tuple(d: int, edge_sq, first: Sequence) -> list:
@@ -404,13 +406,13 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
     The relation is homogeneous in ``(a^2, t^2)``, so the completion runs in
     units of the edge, where no power of a can overflow or underflow, and
     the counts do not depend on a.  ``d`` and ``edge_sq`` are checked by
-    ``EmbeddedSimplex``, and the float of ``edge_sq`` by ``edge_sq_float``,
+    ``EmbeddedSimplex``, and its float edge by ``EmbeddedSimplex.edge``,
     which rejects one below the normal floats.
     """
-    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
+    simplex = EmbeddedSimplex(d, edge_sq)
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
-    edge = math.sqrt(edge_sq_float(a2))
+    edge = simplex.edge
     counts = {"no_real_root": 0, "feasible": 0, "infeasible": 0}
     draws = _unit_float_rows([f"{seed}|probe|{i}" for i in range(trials)], d)
     # Python float powers, as in complete_distance_tuple
@@ -424,5 +426,5 @@ def probe_realizability(d: int, edge_sq, trials: int, seed: int = 0) -> ProbeRep
         if not roots:
             counts["no_real_root"] += 1
         rows.append({"trial": i, "t_first": first, "roots": roots, "verdicts": verdicts})
-    config = {"d": d, "edge_sq": frac_str(a2), "trials": trials, "seed": seed}
+    config = {"d": d, "edge_sq": frac_str(simplex.edge_sq), "trials": trials, "seed": seed}
     return ProbeReport(config=config, trials=rows, counts=counts)

@@ -98,7 +98,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geom import EmbeddedSimplex, SampleConfig, _distance_numerators, _weight_rows
+from .geom import EmbeddedSimplex, SampleConfig, _distance_numerators, _weight_rows, circumsphere_dim
 from .modular import ResidueImage, null_form, rational_reconstruction, rref_mod, word_primes
 # bound but not called: bench/tracing.py patches a hooked function in every
 # module that binds it, and bench/test_bench.py checks this binding
@@ -857,9 +857,7 @@ def discover_on_sphere(
     d >= 2: in the ideal of the circumsphere quadratic and the quartic at
     d >= 3, on the Ptolemy conics at d = 2 (see the module docstring).  Rows
     that fail their certificate are reported as extras."""
-    if not isinstance(d, int) or d < 2:
-        raise ValueError("circumsphere discovery needs dimension >= 2")
-    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
+    a2 = EmbeddedSimplex(circumsphere_dim(d), edge_sq).edge_sq
     _check_degree(max_degree)
 
     n = d + 1

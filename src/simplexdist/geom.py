@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 # the builtin module: ``hashlib`` would load OpenSSL, which costs every
 # command megabytes and milliseconds
 from _blake2 import blake2b
@@ -45,7 +46,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .rationals import as_fraction, edge_sq_float, frac_str
+from .rationals import as_fraction, frac_str
 
 # weight numerators are drawn on this 1/64 grid before renormalisation
 _WEIGHT_GRID = 64
@@ -185,6 +186,20 @@ class EmbeddedSimplex:
         self.edge_sq = a2
 
     @property
+    def edge(self) -> float:
+        """The edge length a as a float, for the float samplers and
+        tolerances; an ``edge_sq`` beyond the float range, or below the
+        normal floats, where the floats scaled by it lose precision, raises
+        ``ValueError``."""
+        try:
+            a2 = float(self.edge_sq)
+        except OverflowError:
+            raise ValueError("edge_sq is out of float range: it is too large for a float") from None
+        if a2 < sys.float_info.min:
+            raise ValueError("edge_sq is below the normal float range: its float loses precision")
+        return math.sqrt(a2)
+
+    @property
     def circumradius_sq(self) -> Fraction:
         return self.edge_sq * self.dim / (2 * (self.dim + 1))
 
@@ -201,6 +216,14 @@ class EmbeddedSimplex:
         norm_sq = sum((x * x for x in w), Fraction(0))
         half_a2 = self.edge_sq / 2
         return tuple(half_a2 * (norm_sq - 2 * x + 1) for x in w)
+
+
+def circumsphere_dim(d: int) -> int:
+    """``d``, checked to be an integer >= 2 for the circumsphere code: a
+    segment's "circumsphere" is just its two endpoints."""
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"circumsphere needs dimension >= 2, got {d!r}")
+    return d
 
 
 class CartesianSimplex:
@@ -422,12 +445,11 @@ def sample_circumsphere(simplex: EmbeddedSimplex, config: SampleConfig) -> np.nd
     sums to 0 with ``|u|^2 = d/(d+1)``, and ``t_j = a*sqrt(d/(d+1) - u_j)``.
     Sample k takes u from d+1 Gaussians (Box-Muller on the uniforms of
     ``seed|sphere|k|attempt``) with their mean removed, rescaled (Muller,
-    CACM 1959); an attempt too short to rescale is redrawn.  A 1-simplex,
-    whose "circumsphere" is its two endpoints, is rejected.
+    CACM 1959); an attempt too short to rescale is redrawn.  A 1-simplex
+    is rejected (:func:`circumsphere_dim`), and so is an edge that
+    :attr:`EmbeddedSimplex.edge` cannot carry.
     """
-    d, n = simplex.dim, simplex.dim + 1
-    if d < 2:
-        raise ValueError("circumsphere sampling needs dimension >= 2")
+    d, n = circumsphere_dim(simplex.dim), simplex.dim + 1
     width = n + n % 2
     # attempt 0 of every sample in one round; the rare redraw hashes its own key
     draws = _unit_float_rows([f"{config.seed}|sphere|{k}|0" for k in range(config.count)], width)
@@ -443,8 +465,7 @@ def sample_circumsphere(simplex: EmbeddedSimplex, config: SampleConfig) -> np.nd
                 break
             v = _unit_float_rows([f"{config.seed}|sphere|{k}|{attempt}"], width)[0].tolist()
         rows.append([x / norm for x in u])
-    a = math.sqrt(edge_sq_float(simplex.edge_sq))
-    return a * np.sqrt(np.maximum(d / n - math.sqrt(d / n) * np.array(rows), 0.0))
+    return simplex.edge * np.sqrt(np.maximum(d / n - math.sqrt(d / n) * np.array(rows), 0.0))
 
 
 def sample_document(simplex: EmbeddedSimplex, config: SampleConfig, samples) -> dict:

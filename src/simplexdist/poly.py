@@ -42,7 +42,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .geom import EmbeddedSimplex
+from .geom import EmbeddedSimplex, circumsphere_dim
 from .rationals import as_fraction, frac_str
 
 _ZERO = Fraction(0)
@@ -381,17 +381,13 @@ def distance_relation_homogeneous(d: int) -> MultiPoly:
 
 def circumsphere_quadratic(d: int, edge_sq) -> MultiPoly:
     """``sum_j T_j^2 - d*a^2``; zero exactly on the circumsphere."""
-    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
-    if d < 2:
-        raise ValueError("circumsphere polynomials need dimension >= 2")
+    a2 = EmbeddedSimplex(circumsphere_dim(d), edge_sq).edge_sq
     return _power_sum(d + 1, 2) - MultiPoly.constant(d * a2, d + 1)
 
 
 def circumsphere_quartic(d: int, edge_sq) -> MultiPoly:
     """``sum_j T_j^4 - d*a^4``; also zero on the circumsphere."""
-    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
-    if d < 2:
-        raise ValueError("circumsphere polynomials need dimension >= 2")
+    a2 = EmbeddedSimplex(circumsphere_dim(d), edge_sq).edge_sq
     return _power_sum(d + 1, 4) - MultiPoly.constant(d * a2 * a2, d + 1)
 
 
@@ -480,9 +476,7 @@ def verify_circumsphere_identity(d: int, edge_sq) -> bool:
     It makes each of the three a member of the ideal generated by the other
     two.
     """
-    a2 = EmbeddedSimplex(d, edge_sq).edge_sq
-    if d < 2:
-        raise ValueError("identity is stated for dimension >= 2")
+    a2 = EmbeddedSimplex(circumsphere_dim(d), edge_sq).edge_sq
     n = d + 1
     relation = distance_relation(d, a2)
     quad = circumsphere_quadratic(d, a2)

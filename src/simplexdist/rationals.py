@@ -8,7 +8,6 @@ format stays consistent.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 
@@ -36,19 +35,6 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
 def frac_str(value: Fraction) -> str:
     """Format a rational for JSON: lowest terms, ``"p/q"`` or plain ``"p"``."""
     return str(value)
-
-
-def edge_sq_float(value: Fraction) -> float:
-    """A positive squared edge length rounded to a float; one beyond the
-    float range, or below the normal floats, where its edge and the draws
-    and tolerances scaled by it lose precision, raises ``ValueError``."""
-    try:
-        a2 = float(value)
-    except OverflowError:
-        raise ValueError("edge_sq is out of float range: it is too large for a float") from None
-    if a2 < sys.float_info.min:
-        raise ValueError("edge_sq is below the normal float range: its float edge cannot carry the draws")
-    return a2
 
 
 def rational_sqrt(value) -> Fraction | None:

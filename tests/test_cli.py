@@ -18,6 +18,9 @@ import pytest
 from simplexdist import cli, soddy
 from simplexdist.cli import main
 from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
+from simplexdist.discover import discover_on_sphere
+from simplexdist.geom import EmbeddedSimplex, SampleConfig, sample_circumsphere
+from simplexdist.poly import circumsphere_quadratic, circumsphere_quartic, verify_circumsphere_identity
 from simplexdist.poly import distance_relation, divide_last_variable, poly_from_dict, poly_to_dict
 from simplexdist.poly import MultiPoly
 from simplexdist.rationals import frac_str
@@ -46,11 +49,6 @@ def test_verify_exits_zero(tmp_path):
 def test_verify_d1_holds(tmp_path):
     code, doc = run(tmp_path, "verify", "--d", "1", "--count", "100")
     assert code == 0 and doc["result"]["violations"] == []
-
-
-def test_verify_rejects_d0(tmp_path, capsys):
-    assert main(["verify", "--d", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_rational_edge(tmp_path):
@@ -231,20 +229,46 @@ _SIMPLEX_COMMANDS = ["verify", "discover", "independence", "probe63", "reconstru
 
 
 @pytest.mark.parametrize(
-    "command, flag",
-    [(c, "--d") for c in _SIMPLEX_COMMANDS] + [(c, "--edge-sq") for c in [*_SIMPLEX_COMMANDS, "sphere"]],
-    ids=[f"{c}-d0" for c in _SIMPLEX_COMMANDS] + [f"{c}-edge0" for c in [*_SIMPLEX_COMMANDS, "sphere"]],
+    "command, option",
+    [(c, ["--d", "0"]) for c in _SIMPLEX_COMMANDS]
+    + [(c, ["--edge-sq", "0"]) for c in [*_SIMPLEX_COMMANDS, "sphere"]]
+    + [("reconstruct", ["--edge-sq=-1"]), ("reconstruct", ["--edge-sq=0"])],
+    ids=[f"{c}-d0" for c in _SIMPLEX_COMMANDS]
+    + [f"{c}-edge0" for c in [*_SIMPLEX_COMMANDS, "sphere"]]
+    + ["reconstruct-edge=-1", "reconstruct-edge=0"],
 )
-def test_every_command_checks_the_simplex_with_one_message(tmp_path, capsys, command, flag):
+def test_every_command_checks_the_simplex_with_one_message(tmp_path, capsys, command, option):
     # geom.EmbeddedSimplex checks d and a^2 for every command; sphere needs
     # d >= 2 and says so before it reads the edge
     relation = tmp_path / "relation.json"
     relation.write_text(json.dumps(poly_to_dict(distance_relation(2, 1))))
     needs = {"independence": ["--subset", "1"], "reconstruct": ["--t", "1,1,1"], "reduce": ["--poly", str(relation)]}
     out = tmp_path / "report.json"
-    assert main([command, flag, "0", *needs.get(command, []), "--out", str(out)]) == 2
+    assert main([command, *option, *needs.get(command, []), "--out", str(out)]) == 2
+    flag, value = "=".join(option).split("=")
     rule = "dimension must be a positive integer" if flag == "--d" else "squared edge length must be positive"
-    assert capsys.readouterr().err == f"error: {rule}, got 0\n"
+    assert capsys.readouterr() == ("", f"error: {rule}, got {value}\n")
+    assert not out.exists()
+
+
+def test_the_circumsphere_needs_d2_with_one_message(tmp_path, capsys):
+    # geom.circumsphere_dim is the one check, for the sampler, both
+    # polynomials, the identity, the discovery run and the sphere command
+    line = "circumsphere needs dimension >= 2, got 1"
+    calls = [
+        lambda: discover_on_sphere(1, 1, 2),
+        lambda: sample_circumsphere(EmbeddedSimplex(1, 1), SampleConfig(seed=0, count=1)),
+        lambda: circumsphere_quadratic(1, 1),
+        lambda: circumsphere_quartic(1, 1),
+        lambda: verify_circumsphere_identity(1, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == line
+    out = tmp_path / "report.json"
+    assert main(["sphere", "--d", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
     assert not out.exists()
 
 
@@ -450,12 +474,6 @@ def test_reconstruct_vertex(tmp_path):
     assert doc["result"]["point"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
-@pytest.mark.parametrize("edge_sq", ["-1", "0"])
-def test_reconstruct_rejects_non_positive_edge(capsys, edge_sq):
-    assert main(["reconstruct", f"--edge-sq={edge_sq}", "--t", "1,1,1"]) == 2
-    assert "squared edge length must be positive" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_reconstruct_rejects_non_finite_distance(tmp_path, capsys, bad):
     # a NaN in the report would not be valid JSON
@@ -524,7 +542,7 @@ def test_reconstruct_names_an_edge_below_the_float_range(tmp_path, capsys):
 def test_reconstruct_rejects_a_subnormal_edge(tmp_path, capsys, argv):
     # the float of 1e-320 is subnormal, and the tolerance 1e-9 * a^2 would
     # underflow to 0; probe63 rejects it with the same line
-    line = "error: edge_sq is below the normal float range: its float edge cannot carry the draws\n"
+    line = "error: edge_sq is below the normal float range: its float loses precision\n"
     code, doc = run(tmp_path, "reconstruct", *argv, "--edge-sq", "1e-320")
     assert code == 2 and doc is None and capsys.readouterr().err == line
     assert main(["probe63", "--count", "2", "--edge-sq", "1e-320"]) == 2
@@ -559,13 +577,6 @@ def test_probe63_roots_do_not_depend_on_the_python_version(tmp_path):
     assert code == 0
     assert trial["t_first"] == [0.9002316560320776, 1.3493547067147182, 1.1569184366770804]
     assert trial["roots"] == [0.5069663957572673, 1.7481634245760298]
-
-
-def test_probe63_rejects_d0(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["probe63", "--d", "0", "--out", str(out)]) == 2
-    assert "dimension must be a positive integer" in capsys.readouterr().err
-    assert not out.exists()
 
 
 # -- soddy / cm ----------------------------------------------------------------------
