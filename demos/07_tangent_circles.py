@@ -4,8 +4,8 @@ d+2 mutually tangent spheres in d-space satisfy a quadratic relation in
 their oriented curvatures, so three circles determine the fourth's
 curvature up to two roots: the small circle in the middle gap and the
 large one enclosing everything (negative curvature).  Construction makes
-the algebra visible: a root's circle closes all three tangencies, any
-other curvature leaves the third tangency hanging.
+the algebra visible: a root's circle closes all three tangencies, and a
+circle of any other curvature misses all three circles.
 """
 
 import math

@@ -292,16 +292,15 @@ def cmd_soddy(args) -> int:
     if args.d == 2:
         try:
             config = soddy.build_tangent_circles_2d(*args.radii)
-            # the roots solve the Descartes relation, so a root with no
-            # circle is a failure of the float placement too
-            built = [_fourth_circle(config, k4) for k4 in roots or []] if args.k4 is None else None
+            # every nonzero root places; a root of 0 is a line, not a circle
+            built = [_fourth_circle(config, k4) for k4 in roots or [] if k4] if args.k4 is None else None
         except ValueError as exc:
             # radii too far apart for a float placement: the roots still stand
             result["circles"] = None
             result["circles_error"] = str(exc)
         else:
             result["circles"] = config.to_json()
-            # a --k4 that no circle has is bad configuration
+            # a --k4 of 0, or one whose radius 1/|k4| overflows, is bad configuration
             result["constructed"] = built if built is not None else [_fourth_circle(config, args.k4)]
             summary += [
                 f"  k={b['curvature']:.6f}: third-tangency residual {b['third_tangency_residual']:.3e}"

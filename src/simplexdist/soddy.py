@@ -1,6 +1,7 @@
 """Descartes circle theorem machinery: oriented curvatures of mutually
 tangent spheres, the quadratic for a missing curvature, and constructive
-placement of tangent circles in the plane.
+placement of tangent circles in the plane, the fourth by the theorem's
+complex form.
 
 For d+2 spheres in d-space in mutual oriented tangency the curvatures
 ``k_j = orientation_j / r_j`` satisfy ``d * sum(k_j^2) = (sum k_j)^2``.
@@ -15,8 +16,6 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 # largest centre-distance defect a mutually tangent configuration may have,
 # relative to its largest centre coordinate or radius (and at least this)
@@ -120,8 +119,6 @@ def descartes_residual(curvatures: Sequence[float], dim: int) -> float:
     ks = [float(k) for k in curvatures]
     if len(ks) != dim + 2:
         raise ValueError(f"need {dim + 2} curvatures in dimension {dim}, got {len(ks)}")
-    if any(k == 0 for k in ks):
-        raise ValueError("curvatures must be nonzero")
     s1 = sum(ks)
     s2 = sum(k * k for k in ks)
     return dim * s2 - s1 * s1
@@ -185,16 +182,27 @@ def build_tangent_circles_2d(r1: float, r2: float, r3: float) -> TangentConfig:
 
 
 def build_soddy_circle_2d(config: TangentConfig, k4: float) -> tuple[Sphere, float]:
-    """Construct the fourth circle of curvature ``k4`` tangent to the first
-    two circles, and report how far it misses tangency with the third.
+    """Construct the fourth circle of curvature ``k4`` against the three
+    circles of ``config``, and report how far it misses the third.
 
-    The centre comes from the linearised two-circle solve: intersecting the
-    distance constraints to circles 1 and 2 leaves a line and a circle,
-    hence two mirror candidates; the one closer to third-circle tangency is
-    returned.  For a curvature actually satisfying the Descartes relation
-    the returned residual is at floating-point scale; any other curvature
-    yields a visibly nonzero residual, which is reported rather than raised.
+    The centre comes from the complex Descartes theorem (Lagarias, Mallows &
+    Wilks, "Beyond the Descartes circle theorem", 2002).  With the origin at
+    one of the centres and ``p = k_j z_j``, ``q = k_k z_k`` for the other two
+    centres as complex numbers, ``k4 * z4`` is a root of ``X^2 - 2wX + c``,
+    where ``w = p + q`` and ``c = (p - q)^2``, so that ``w^2 - c = 4pq``.
+    These are exact in the float centres and radii.  The far root is
+    ``w + 2 sqrt(pq)`` with the root's sign aligned to w, free of
+    cancellation, and the near root is ``c / far`` (Vieta), as in
+    solve_missing_curvature.  One root belongs to each of the two Descartes
+    curvatures, and the three origins round differently, so of the six
+    candidates the one whose largest exact tangency residual against the
+    three circles is smallest is returned, with its residual against the
+    third.  For a curvature satisfying the Descartes relation that residual
+    is at floating-point scale; any other curvature misses all three
+    circles, and its residual is reported rather than raised.
     """
+    import cmath  # only here: importing simplexdist does not load it
+
     if config.dim != 2 or len(config.spheres) != 3:
         raise ValueError("need a planar configuration of exactly three circles")
     k4 = float(k4)
@@ -202,32 +210,22 @@ def build_soddy_circle_2d(config: TangentConfig, k4: float) -> tuple[Sphere, flo
         raise ValueError("curvature must be nonzero")
     r4 = 1.0 / abs(k4)
     orientation = 1 if k4 > 0 else -1
-    new = Sphere((0.0, 0.0), r4, orientation)  # placeholder for target arithmetic
-    exact = [_tangency_target(s, new) for s in config.spheres]
-    targets = [float(t) for t in exact]
-    c1 = np.asarray(config.spheres[0].center)
-    c2 = np.asarray(config.spheres[1].center)
-    c3 = np.asarray(config.spheres[2].center)
-    axis = c2 - c1
-    span = float(np.linalg.norm(axis))
-    u = axis / span
-    perp = np.array([-u[1], u[0]])
-    along = (span * span + targets[0] ** 2 - targets[1] ** 2) / (2.0 * span)
-    # t0^2 - along^2, formed exactly for the reason given in build_tangent_circles_2d
-    e_span, e0, e1 = Fraction(span), exact[0], exact[1]
-    height_sq = (4 * e_span**2 * e0**2 - (e_span**2 + e0**2 - e1**2) ** 2) / (4 * e_span**2)
-    if height_sq < -1e-9 * (e0**2 + 1):
-        raise ValueError(
-            "no circle of that curvature is simultaneously tangent to the first two"
+    spheres = config.spheres
+    candidates = []
+    for i, origin in enumerate(spheres):
+        o = [Fraction(x) for x in origin.center]
+        (p0, p1), (q0, q1) = (
+            [Fraction(s.orientation) / Fraction(s.radius) * (Fraction(x) - y) for x, y in zip(s.center, o)]
+            for s in (spheres[i - 1], spheres[i - 2])
         )
-    height = math.sqrt(max(height_sq, 0.0))
-    best_center = None
-    best_residual = math.inf
-    for side in (1.0, -1.0):
-        center = c1 + along * u + side * height * perp
-        residual = abs(float(np.linalg.norm(center - c3)) - targets[2])
-        if residual < best_residual:
-            best_residual = residual
-            best_center = center
-    sphere = Sphere(tuple(best_center), r4, orientation)
-    return sphere, best_residual
+        w = complex(float(p0 + q0), float(p1 + q1))
+        root = 2 * cmath.sqrt(complex(float(p0 * q0 - p1 * q1), float(p0 * q1 + p1 * q0)))
+        if (w * root.conjugate()).real < 0:
+            root = -root
+        far = w + root
+        near = complex(float((p0 - q0) ** 2 - (p1 - q1) ** 2), float(2 * (p0 - q0) * (p1 - q1))) / far
+        for x in (far, near):
+            center = (origin.center[0] + x.real / k4, origin.center[1] + x.imag / k4)
+            candidates.append(Sphere(center, r4, orientation))
+    circle = min(candidates, key=lambda s: max(_tangency_residual(t, s) for t in spheres))
+    return circle, _tangency_residual(spheres[2], circle)

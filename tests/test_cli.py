@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplexdist import cli, soddy
+from simplexdist import cli
 from simplexdist.cli import main
 from simplexdist.cmgeom import SquaredDistanceMatrix, _bareiss_det, cayley_menger_det, simplex_volume
 from simplexdist.discover import discover_on_sphere
@@ -618,7 +618,7 @@ def test_soddy_huge_radius_keeps_its_small_root(tmp_path, radius, error):
 
 def test_soddy_places_circles_around_a_large_radius(tmp_path):
     # the small root of (1e-6, 1, 1) is formed without cancellation, close
-    # enough for the fourth circle to be placed against the first two
+    # enough for its fourth circle to touch all three
     code, doc = run(tmp_path, "soddy", "--radii", "1e6,1,1")
     assert code == 0
     with localcontext() as ctx:
@@ -629,58 +629,92 @@ def test_soddy_places_circles_around_a_large_radius(tmp_path):
     small = doc["result"]["roots"][1]
     assert abs(small - expected) <= 1e-15 * abs(expected)
     assert [c["curvature"] for c in doc["result"]["constructed"]] == doc["result"]["roots"]
-    # the large root's circle is placed with an exact height^2 (6.0e-7 in floats)
+    # the large root's circle is placed from exact w and c
     assert doc["result"]["constructed"][0]["third_tangency_residual"] < 1e-10
 
 
 def test_soddy_places_circles_at_radius_1e10(tmp_path):
-    # y3^2 = s13^2 - x3^2 and the fourth circle's height^2 are formed exactly,
-    # so a radius 1e10 times the others no longer cancels to a false residual
+    # y3^2 = s13^2 - x3^2, and the w and c that place the fourth circle, are
+    # formed exactly, so a radius 1e10 times the others does not cancel;
+    # the reported residual is exact, and under one ulp of the radii (the
+    # enclosing circle misses by 2.0e-10, where one ulp of 1e10 is 1.9e-6)
     code, doc = run(tmp_path, "soddy", "--radii", "1e10,1,1")
     assert code == 0
     result = doc["result"]
     assert "circles_error" not in result
     assert max(r["residual"] for r in result["circles"]["tangency_residuals"]) < 1e-9
     assert [c["curvature"] for c in result["constructed"]] == result["roots"]
-    assert all(c["third_tangency_residual"] < 1e-10 for c in result["constructed"])
+    assert all(c["third_tangency_residual"] < math.ulp(1e10) for c in result["constructed"])
 
 
 @pytest.mark.parametrize("radius", ["1e8", "1e9"])
 def test_soddy_measures_tangency_against_the_size_of_the_circles(tmp_path, radius):
     # the three circles miss exact tangency by 5.1e-9 and 2.0e-9, under one
-    # float step of their centres near 1e8 and 1e9, so they are placed; at
-    # 1e8 the enclosing root still has no float circle
+    # float step of their centres near 1e8 and 1e9, so they are placed, and
+    # so is the fourth circle of each root, the enclosing one too
     code, doc = run(tmp_path, "soddy", "--radii", f"{radius},1,1")
     assert code == 0
     result = doc["result"]
+    assert "circles_error" not in result
+    residuals = [r["residual"] for r in result["circles"]["tangency_residuals"]]
     if radius == "1e8":
-        assert result["circles_error"].startswith("no circle of that curvature")
-        spheres = soddy.build_tangent_circles_2d(1e8, 1, 1).spheres
-        assert 5e-9 < max(r for _, _, r in soddy.tangency_residuals(spheres)) < 6e-9
+        assert 5e-9 < max(residuals) < 6e-9
     else:
-        assert "circles_error" not in result
-        assert [r["residual"] for r in result["circles"]["tangency_residuals"]] == [0.0, 1.999999998e-09, 0.0]
-        assert [c["curvature"] for c in result["constructed"]] == result["roots"]
+        assert residuals == [0.0, 1.999999998e-09, 0.0]
+    assert [c["curvature"] for c in result["constructed"]] == result["roots"]
 
 
 @pytest.mark.parametrize("radius", ["1e7", "1e8", "1e15", "1e20"])
 def test_soddy_placement_failure_keeps_the_report(tmp_path, radius):
-    # three circles that floats cannot resolve (1e20), or a root whose circle
-    # they cannot place, give a circles_error, not a failed run (1e8 exited 2)
+    # three circles that floats cannot resolve (1e20) give a circles_error,
+    # not a failed run (1e8 exited 2); where they place, every root does
     code, doc = run(tmp_path, "soddy", "--radii", f"{radius},1,1")
     assert code == 0
     result = doc["result"]
     assert result["roots"][0] == pytest.approx(4.0)
-    if result["circles"] is None:
+    if radius == "1e20":
+        assert result["circles"] is None
         assert result["circles_error"] and "constructed" not in result
     else:
+        assert "circles_error" not in result
         assert [c["curvature"] for c in result["constructed"]] == result["roots"]
 
 
-@pytest.mark.parametrize("k4", ["1e-320", "0", "inf", "-0.6"])
+def test_soddy_places_a_small_circle_beside_a_large_one(tmp_path):
+    # the fourth circles, of radius 1.9e-8 like the third, touch it within
+    # one ulp of the largest radius
+    code, doc = run(tmp_path, "soddy", "--radii", "1.3,1e7,1.9e-8")
+    assert code == 0
+    built = doc["result"]["constructed"]
+    assert [c["curvature"] for c in built] == doc["result"]["roots"]
+    assert all(c["third_tangency_residual"] < math.ulp(1e7) for c in built)
+
+
+def test_soddy_reports_a_root_of_zero_as_a_line(tmp_path):
+    # curvatures 1, 1, 4 have the roots 12 and 0: the circle of curvature 12
+    # is constructed, and the root 0, a line, is not
+    code, doc = run(tmp_path, "soddy", "--radii", "1,1,0.25")
+    assert code == 0
+    result = doc["result"]
+    assert result["roots"] == [12.0, 0.0] and result["root_residuals"] == [0.0, 0.0]
+    (built,) = result["constructed"]
+    assert built["curvature"] == 12.0 and built["sphere"]["radius"] == 1 / 12
+    assert built["third_tangency_residual"] < 1e-15
+
+
+def test_soddy_reports_how_far_a_fourth_curvature_that_is_not_a_root_misses(tmp_path):
+    # no circle of curvature -0.6 touches three unit circles: it is built,
+    # and its miss of the third circle is reported
+    code, doc = run(tmp_path, "soddy", "--radii", "1,1,1", "--k4", "-0.6")
+    assert code == 0
+    (built,) = doc["result"]["constructed"]
+    assert built["sphere"]["orientation"] == -1
+    assert built["third_tangency_residual"] == pytest.approx(0.2265, abs=1e-4)
+
+
+@pytest.mark.parametrize("k4", ["1e-320", "0", "inf"])
 def test_soddy_rejects_a_fourth_curvature_with_no_circle(tmp_path, capsys, k4):
-    # 1/1e-320 overflows to an infinite radius; -0.6 encloses no pair of
-    # touching unit circles
+    # 0 is a line, and 1/1e-320 overflows to an infinite radius
     code, doc = run(tmp_path, "soddy", "--radii", "1,1,1", "--k4", k4)
     assert code == 2 and doc is None
     assert capsys.readouterr().err.startswith("error: ")

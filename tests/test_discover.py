@@ -729,11 +729,6 @@ def test_sphere_degree_two_d3():
     assert proportional(candidate.poly, circumsphere_quadratic(3, 1))
 
 
-def test_sphere_rejects_low_dimension():
-    with pytest.raises(ValueError):
-        discover_on_sphere(1, 1, 2)
-
-
 def _in_sphere_ideal_reference(p, d, a2):
     """Membership in the ideal (Q, R) of the circumsphere quadratic and the
     quartic, in t: Q is monic in the last variable and R's image modulo Q

@@ -594,12 +594,6 @@ def test_sphere_sampling_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_sphere_sampling_rejects_segment():
-    s = EmbeddedSimplex(1, 1)
-    with pytest.raises(ValueError):
-        sample_circumsphere(s, SampleConfig(seed=0, count=1))
-
-
 @pytest.mark.parametrize("edge_sq", [Fraction(1), Fraction(7, 3), Fraction(12345, 677)])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_sphere_rows_satisfy_both_power_sums(d, edge_sq):

@@ -216,11 +216,6 @@ def test_circumsphere_polynomials_at_vertex():
     assert circumsphere_quartic(2, 1).eval([0, 1, 1]) == 0
 
 
-def test_circumsphere_polynomials_reject_d1():
-    with pytest.raises(ValueError):
-        circumsphere_quadratic(1, 1)
-
-
 @pytest.mark.parametrize("d,edge_sq", [(2, 1), (5, Fraction(3, 7)), (8, Fraction(2))])
 def test_circumsphere_identity(d, edge_sq):
     assert verify_circumsphere_identity(d, edge_sq)
