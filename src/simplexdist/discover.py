@@ -12,9 +12,9 @@ parity; step 1 means columns in ``v = t/a``, of degree D, in one class.
 The columns fix the sample count, and the step the basis name and the
 rescale to the edge.  Every certificate is membership in
 the ideal of the image (``_membership``): the row, scaled to integers, is
-pseudo-divided by the generators in turn and certified when nothing is
-left.  Candidates that fail certification are reported as uncertified,
-never dropped.
+pseudo-divided by the generators in turn (``poly._remainder``) and
+certified when nothing is left.  Candidates that fail certification are
+reported as uncertified, never dropped.
 
 **d >= 2: split by parity, in u.**  The quartic relation has only even
 powers of the distances, so it is a quadric ``R(s)`` in ``s = t^2``, and its
@@ -104,6 +104,7 @@ from .modular import ResidueImage, null_form, rational_reconstruction, rref_mod,
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
 from .poly import MultiPoly, _poly_doc, distance_relation, segment_generator
+from .poly import _divisor, _integer_row, _pack, _packing_base, _remainder
 from .rationals import frac_str, rational_sqrt
 
 CERT_DIVISIBLE = "divisible-by-relation"
@@ -380,87 +381,6 @@ def _reconstruct(pivot: int, columns: Sequence[int], row: Sequence[int], modulus
     return entries
 
 
-def _pack(exponent: Sequence[int], base: int) -> int:
-    """One int for an exponent vector, in base ``base``, the last variable
-    most significant."""
-    return sum(x * base**i for i, x in enumerate(exponent))
-
-
-def _divisor(poly: MultiPoly, base: int) -> tuple:
-    """``poly``, with integer coefficients and a constant lead in the last
-    variable x that occurs in it, as ``(lead, high, m, rest)`` packed in
-    ``base``: ``lead * x^m + rest``, m the degree in x, x of weight
-    ``high``, and ``rest`` the packed exponents and coefficients of the
-    other terms."""
-    var = max(i for f in poly.terms for i, x in enumerate(f) if x)
-    m = max(f[var] for f in poly.terms)
-    high = base**var
-    packed = {_pack(f, base): int(c) for f, c in poly.terms.items()}
-    return packed.pop(m * high), high, m, list(packed.items())
-
-
-def _integer_row(entries: dict[int, Fraction], codes: Sequence[int]) -> dict[int, int]:
-    """The row with ``entries`` by column, scaled by the common denominator,
-    on the packed exponents ``codes`` of the columns."""
-    common = math.lcm(*(c.denominator for c in entries.values()))
-    return {codes[j]: c.numerator * (common // c.denominator) for j, c in entries.items()}
-
-
-def _remainder(poly: dict[int, int], divisor: tuple) -> dict[int, int]:
-    """The integer pseudo-remainder of the polynomial with integer
-    coefficients ``poly``, by packed exponent, by ``divisor``: the remainder
-    of ``lead^(top - m + 1) * poly``, with top its degree in x, which is 0
-    exactly when the divisor divides ``poly``.  No variable after x occurs
-    in ``poly``, and x is the most significant digit of a code, so top is
-    the level of the largest code.
-
-    Every quotient term is exact.  After the scaling each coefficient at
-    level ``L >= m`` of x is divisible by ``lead^(L - m + 1)``: clearing
-    level L divides its coefficients by lead once, and adds their quotients
-    times terms of ``rest``, divisible by ``lead^(L - m)``, to lower levels
-    only.  So the codes of level at least m are put in buckets by level
-    once, and the levels are cleared from the top down in one pass: a code
-    that a quotient term creates joins the bucket of its level, below the
-    one being cleared, and a code that cancels is skipped when its bucket
-    comes."""
-    lead, high, m, rest = divisor
-    top = max(poly, default=0) // high
-    scale = lead ** max(top - m + 1, 0)
-    remainder = {code: c * scale for code, c in poly.items()}
-    buckets = [[] for _ in range(m, top + 1)]
-    for code in remainder:
-        if code // high >= m:
-            buckets[code // high - m].append(code)
-    for bucket in reversed(buckets):
-        for code in bucket:
-            value = remainder.pop(code, 0)
-            if not value:
-                continue
-            quotient = value // lead
-            shift = code - m * high
-            for rc, rv in rest:
-                key = shift + rc
-                old = remainder.get(key, 0)
-                value = old - quotient * rv
-                if not value:
-                    del remainder[key]
-                    continue
-                remainder[key] = value
-                if not old and key // high >= m:
-                    buckets[key // high - m].append(key)
-    return remainder
-
-
-def _packing_base(columns, polys: Sequence[MultiPoly]) -> int:
-    """The base that packs the rows on the monomials ``columns`` and the
-    divisors ``polys`` of a certificate: one above their largest exponent.
-    The columns hold every monomial up to their degree, so their largest
-    exponent is their largest total degree, and a divisor's lead has its top
-    total degree, so reduction never raises a term's total degree: no
-    exponent outgrows the base."""
-    return 1 + max(map(max, itertools.chain(columns, *(p.terms for p in polys))))
-
-
 def _membership(columns, common, branches) -> Callable[[dict[int, Fraction]], bool]:
     """The certificate of a run's rows, each given by its entries by column
     on the monomials ``columns``: membership in the ideal of every branch,
@@ -480,9 +400,12 @@ def _membership(columns, common, branches) -> Callable[[dict[int, Fraction]], bo
     common = [_divisor(p, base) for p in common]
     branches = [[_divisor(p, base) for p in branch] for branch in branches]
 
+    def remainder(row: dict[int, int], divisor: tuple) -> dict[int, int]:
+        return _remainder(row, divisor)[1]
+
     def certify(entries: dict[int, Fraction]) -> bool:
-        row = functools.reduce(_remainder, common, _integer_row(entries, codes))
-        return not any(functools.reduce(_remainder, branch, row) for branch in branches)
+        row = functools.reduce(remainder, common, _integer_row(entries, codes))
+        return not any(functools.reduce(remainder, branch, row) for branch in branches)
 
     return certify
 

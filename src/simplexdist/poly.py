@@ -32,6 +32,12 @@ by :func:`reduce_by_relation`.  The relation, viewed in its last variable,
 has the nonzero constant ``d`` as leading coefficient, so ordinary
 last-variable division terminates with a unique remainder and membership
 is exactly ``remainder == 0``; no term-order machinery is required.
+
+The package divides polynomials in one loop, ``_remainder``: integer
+pseudo-division (Knuth, TAOCP vol. 2, 4.6.1) with exponent vectors packed
+into ints.  :func:`divide_last_variable` clears denominators, packs both
+polynomials, runs it and scales the quotient and remainder back; the
+certificates of ``simplexdist.discover`` run it on rows scaled to integers.
 """
 
 from __future__ import annotations
@@ -290,6 +296,89 @@ class DivisionResult:
         self.remainder = remainder
 
 
+def _pack(exponent: Sequence[int], base: int) -> int:
+    """One int for an exponent vector, in base ``base``, the last variable
+    most significant."""
+    return sum(x * base**i for i, x in enumerate(exponent))
+
+
+def _divisor(poly: MultiPoly, base: int) -> tuple:
+    """``poly``, with integer coefficients and a constant lead in the last
+    variable x that occurs in it (the last variable, for a constant), as
+    ``(lead, high, m, rest)`` packed in ``base``: ``lead * x^m + rest``, m
+    the degree in x, x of weight ``high``, and ``rest`` the packed exponents
+    and coefficients of the other terms."""
+    var = max((i for f in poly.terms for i, x in enumerate(f) if x), default=poly.arity - 1)
+    m = max(f[var] for f in poly.terms)
+    high = base**var
+    packed = {_pack(f, base): int(c) for f, c in poly.terms.items()}
+    return packed.pop(m * high), high, m, list(packed.items())
+
+
+def _integer_row(entries: dict[int, Fraction], codes: Sequence[int]) -> dict[int, int]:
+    """The row with ``entries`` by column, scaled by the common denominator,
+    on the packed exponents ``codes`` of the columns."""
+    common = math.lcm(*(c.denominator for c in entries.values()))
+    return {codes[j]: c.numerator * (common // c.denominator) for j, c in entries.items()}
+
+
+def _remainder(poly: dict[int, int], divisor: tuple) -> tuple[dict[int, int], dict[int, int]]:
+    """The integer pseudo-division of the polynomial with integer
+    coefficients ``poly``, by packed exponent, by ``divisor``: the quotient
+    q and the remainder r, of degree below m in x, of ``lead^k * poly = q *
+    divisor + r`` for ``k = max(top - m + 1, 0)``, with top the degree of
+    ``poly`` in x.  They are unique, and r is 0 exactly when the divisor
+    divides ``poly``.  No variable after x occurs in ``poly``, and x is the
+    most significant digit of a code, so top is the level of the largest
+    code.
+
+    Every quotient term is exact.  After the scaling each coefficient at
+    level ``L >= m`` of x is divisible by ``lead^(L - m + 1)``: clearing
+    level L divides its coefficients by lead once, and adds their quotients
+    times terms of ``rest``, divisible by ``lead^(L - m)``, to lower levels
+    only.  So the codes of level at least m are put in buckets by level
+    once, and the levels are cleared from the top down in one pass: a code
+    that a quotient term creates joins the bucket of its level, below the
+    one being cleared, and a code that cancels is skipped when its bucket
+    comes."""
+    lead, high, m, rest = divisor
+    top = max(poly, default=0) // high
+    scale = lead ** max(top - m + 1, 0)
+    quotient, remainder = {}, {code: c * scale for code, c in poly.items()}
+    buckets = [[] for _ in range(m, top + 1)]
+    for code in remainder:
+        if code // high >= m:
+            buckets[code // high - m].append(code)
+    for bucket in reversed(buckets):
+        for code in bucket:
+            value = remainder.pop(code, 0)
+            if not value:
+                continue
+            shift = code - m * high
+            quotient[shift] = factor = value // lead
+            for rc, rv in rest:
+                key = shift + rc
+                old = remainder.get(key, 0)
+                value = old - factor * rv
+                if not value:
+                    del remainder[key]
+                    continue
+                remainder[key] = value
+                if not old and key // high >= m:
+                    buckets[key // high - m].append(key)
+    return quotient, remainder
+
+
+def _packing_base(columns, polys: Sequence[MultiPoly]) -> int:
+    """The base that packs the rows on the monomials ``columns`` and the
+    divisors ``polys`` of a certificate: one above their largest exponent.
+    The columns hold every monomial up to their degree, so their largest
+    exponent is their largest total degree, and a divisor's lead has its top
+    total degree, so reduction never raises a term's total degree: no
+    exponent outgrows the base."""
+    return 1 + max(map(max, itertools.chain(columns, *(p.terms for p in polys))))
+
+
 def divide_last_variable(dividend: MultiPoly, divisor: MultiPoly) -> DivisionResult:
     """Divide by a polynomial whose last-variable leading coefficient is constant.
 
@@ -299,6 +388,15 @@ def divide_last_variable(dividend: MultiPoly, divisor: MultiPoly) -> DivisionRes
     division applies: the quotient and remainder are unique with
     ``degree_in(last)(remainder) < degree_in(last)(divisor)``, and
     divisibility is certified by a zero remainder.
+
+    The two are scaled to integers, ``P = dp * dividend`` and ``G = dg *
+    divisor``, packed and pseudo-divided (``_remainder``): ``lead^k * P = Q
+    * G + R`` gives the quotient ``Q * dg / (lead^k * dp)`` and the
+    remainder ``R / (lead^k * dp)``.  The base bounds every exponent the
+    division makes: clearing a term lowers its degree in the last variable
+    by at least 1 and raises each other exponent by at most the divisor's
+    largest exponent, at most k times in a row, so by ``x - y^3`` the
+    dividend ``x^2`` leaves ``y^6``.
     """
     if dividend.arity != divisor.arity:
         raise ValueError(f"arity mismatch: {dividend.arity} vs {divisor.arity}")
@@ -307,32 +405,24 @@ def divide_last_variable(dividend: MultiPoly, divisor: MultiPoly) -> DivisionRes
     n = divisor.arity
     last = n - 1
     m = divisor.degree_in(last)
-    lead_terms = [(e, c) for e, c in divisor.terms.items() if e[last] == m]
-    if len(lead_terms) != 1 or any(lead_terms[0][0][:last]):
+    lead_terms = [e for e in divisor.terms if e[last] == m]
+    if len(lead_terms) != 1 or any(lead_terms[0][:last]):
         raise ValueError(
             "divisor's leading coefficient in the last variable must be a nonzero constant"
         )
-    lead = lead_terms[0][1]
+    k = max(dividend.degree_in(last) - m + 1, 0)
+    base = 1 + max(map(max, dividend.terms), default=0) + k * max(map(max, divisor.terms))
+    dp = math.lcm(*(c.denominator for c in dividend.terms.values()))
+    dg = math.lcm(*(c.denominator for c in divisor.terms.values()))
+    lead, *_ = packed = _divisor(divisor.scale(dg), base)
+    quotient, remainder = _remainder({_pack(e, base): int(c * dp) for e, c in dividend.terms.items()}, packed)
+    den = lead**k * dp
 
-    rem = dict(dividend.terms)
-    quo: dict[tuple[int, ...], Fraction] = {}
-    while rem:
-        k = max(e[last] for e in rem)
-        if k < m:
-            break
-        block = [(e, c) for e, c in rem.items() if e[last] == k]
-        for e, c in block:
-            q_exps = e[:last] + (k - m,)
-            q_coeff = c / lead
-            quo[q_exps] = q_coeff
-            for fe, fc in divisor.terms.items():
-                te = tuple(a + b for a, b in zip(q_exps, fe))
-                new = rem.get(te, _ZERO) - q_coeff * fc
-                if new:
-                    rem[te] = new
-                else:
-                    rem.pop(te, None)
-    return DivisionResult(MultiPoly(n, quo), MultiPoly(n, rem))
+    def unpacked(codes: dict[int, int], factor: int) -> MultiPoly:
+        terms = {tuple(code // base**i % base for i in range(n)): Fraction(c * factor, den) for code, c in codes.items()}
+        return MultiPoly(n, terms)
+
+    return DivisionResult(unpacked(quotient, dg), unpacked(remainder, 1))
 
 
 # -- named polynomials -------------------------------------------------------

@@ -37,6 +37,8 @@ class Sphere:
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 (external) or -1 (enclosing)")
         self.orientation = orientation
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"the sphere of curvature {self.curvature!r} has a centre that is not finite")
 
     @property
     def curvature(self) -> float:
@@ -115,13 +117,20 @@ class TangentConfig:
 
 def descartes_residual(curvatures: Sequence[float], dim: int) -> float:
     """``d * sum(k^2) - (sum k)^2`` for d+2 oriented curvatures; zero iff the
-    Descartes relation holds."""
+    Descartes relation holds.
+
+    It is formed on the curvatures scaled by the power of two 2^-e that
+    brings the largest below 1, and scaled back by 2^2e.  Both scalings are
+    exact, so the value is that of the plain float formula wherever that
+    formula's squares stay finite, and finite where they overflow."""
     ks = [float(k) for k in curvatures]
     if len(ks) != dim + 2:
         raise ValueError(f"need {dim + 2} curvatures in dimension {dim}, got {len(ks)}")
+    e = math.frexp(max(map(abs, ks)))[1]
+    ks = [math.ldexp(k, -e) for k in ks]
     s1 = sum(ks)
     s2 = sum(k * k for k in ks)
-    return dim * s2 - s1 * s1
+    return math.ldexp(dim * s2 - s1 * s1, 2 * e)
 
 
 def solve_missing_curvature(known: Sequence[float], dim: int) -> tuple[float, float] | None:
@@ -140,14 +149,18 @@ def solve_missing_curvature(known: Sequence[float], dim: int) -> tuple[float, fl
     # the sums are exact in the float curvatures; the root of the sign of S1
     # comes from |S1| + root, free of cancellation, and the other from the
     # product of the roots (Vieta), (d*S2 - S1^2) / (d-1), where |S1| - root
-    # would cancel when one radius dwarfs the others
+    # would cancel when one radius dwarfs the others.  The root of the
+    # discriminant N/D is isqrt(N*D*4^128) / (D*2^128), to 128 bits past the
+    # point, and the far root is formed from it exactly and rounded once: the
+    # discriminant itself can overflow a float although both roots are finite
     exact = [Fraction(k) for k in ks]
     s1 = sum(exact)
     s2 = sum(k * k for k in exact)
     disc = dim * (s1 * s1 - (dim - 1) * s2)
     if disc < 0:
         return None
-    far = (float(s1) + math.copysign(math.sqrt(disc), s1)) / (dim - 1)
+    root = Fraction(math.isqrt(disc.numerator * disc.denominator << 256), disc.denominator << 128)
+    far = float((s1 + root if s1 >= 0 else s1 - root) / (dim - 1))
     if far == 0:  # every known curvature is 0, and so are both roots
         return 0.0, 0.0
     near = float(Fraction(dim * s2 - s1 * s1, dim - 1) / Fraction(far))

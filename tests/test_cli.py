@@ -720,6 +720,25 @@ def test_soddy_rejects_a_fourth_curvature_with_no_circle(tmp_path, capsys, k4):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_soddy_roots_whose_discriminant_overflows_a_float(tmp_path):
+    # every square of the curvatures 1, 1e154, 1e154 is finite, but the
+    # discriminant 2*(S1^2 - S2), about 4e308, is not: its root is taken
+    # from its exact numerator and denominator
+    code, doc = run(tmp_path, "soddy", "--radii", "1,1e-154,1e-154")
+    assert code == 0
+    result = doc["result"]
+    assert result["roots"] == [pytest.approx(4e154, rel=1e-15), -1.0]
+    assert all(map(math.isfinite, result["root_residuals"]))
+
+
+def test_soddy_names_the_curvature_of_a_circle_whose_centre_overflows(tmp_path, capsys):
+    # the radius 1/k4 = 1e308 is finite, but the centre, near x/k4 for the
+    # x of a root's circle, is not
+    code, doc = run(tmp_path, "soddy", "--radii", "1,1,1", "--k4", "1e-308")
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err == "error: the sphere of curvature 1e-308 has a centre that is not finite\n"
+
+
 def test_soddy_wrong_radii_count(capsys):
     assert main(["soddy", "--radii", "1,1", "--d", "2"]) == 2
 

@@ -41,6 +41,11 @@ from simplexdist.discover import (
 from simplexdist.geom import EmbeddedSimplex, SampleConfig, _weight_rows, sample_circumsphere, sample_points
 from simplexdist.poly import (
     MultiPoly,
+    _divisor,
+    _integer_row,
+    _pack,
+    _packing_base,
+    _remainder,
     circumsphere_quadratic,
     distance_relation,
     divide_last_variable,
@@ -267,6 +272,27 @@ def _divisor_case(data, m):
     return d + 1, MultiPoly(d + 1, terms)
 
 
+def _unpacked(codes, base, n):
+    return MultiPoly(n, {_unpack(code, base, n): c for code, c in codes.items()})
+
+
+def _pseudo_division(row, divisor, generator, base):
+    """The remainder of the packed pseudo-division of ``row`` by
+    ``divisor``, ``generator`` packed in ``base``, checked by its defining
+    identity: ``lead^k * row = q * generator + r`` for ``k = max(top - m +
+    1, 0)``, top the level of the row's largest code, with r of degree below
+    m in x.  The generator's lead is constant, so the identity fixes q and
+    r: no second division is needed."""
+    lead, high, m, _ = divisor
+    n = generator.arity
+    quotient, remainder = _remainder(row, divisor)
+    k = max(max(row, default=0) // high - m + 1, 0)
+    expected = _unpacked(row, base, n).scale(lead**k)
+    assert _unpacked(quotient, base, n) * generator + _unpacked(remainder, base, n) == expected
+    assert all(code // high < m for code in remainder)
+    return remainder
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([2, 3]), st.booleans())
 def test_divisible_agrees_with_division(data, m, multiple):
@@ -281,19 +307,13 @@ def test_divisible_agrees_with_division(data, m, multiple):
     assume(not p.is_zero)
     # the packing of the kernel: base degree + 1, the last variable highest
     base = degree + 1
-    high = base ** (n - 1)
-
-    def pack(e):
-        return sum(x * base**i for i, x in enumerate(e))
-
-    divisor = discover._divisor(generator, base)
-    assert divisor[:3] == (generator.terms[(0,) * (n - 1) + (m,)], high, m)
+    divisor = _divisor(generator, base)
+    assert divisor[:3] == (generator.terms[(0,) * (n - 1) + (m,)], base ** (n - 1), m)
     index = {e: j for j, e in enumerate(columns)}
     entries = {index[e]: c for e, c in p.terms.items()}
-    row = discover._integer_row(entries, [pack(e) for e in columns])
-    found = not discover._remainder(row, divisor)
-    assert found == divide_last_variable(p, generator).remainder.is_zero
-    assert found or not multiple
+    row = _integer_row(entries, [_pack(e, base) for e in columns])
+    remainder = _pseudo_division(row, divisor, generator, base)
+    assert not (multiple and remainder)
 
 
 def _remainder_case(data, m):
@@ -314,45 +334,36 @@ def _remainder_case(data, m):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([1, 2]))
 def test_remainder_is_the_scaled_remainder_of_division(data, m):
-    # the pseudo-remainder of lead^(top - m + 1) * p equals that multiple of
-    # the remainder of true division, at m = 1 (lead 1) and m = 2 (lead 2)
+    # the pseudo-remainder of lead^(top - m + 1) * p is that multiple of the
+    # remainder of true division, at m = 1 (lead 1) and m = 2 (lead 2): the
+    # identity of the pseudo-division fixes it
     n, divisor = _remainder_case(data, m)
     degree = data.draw(st.integers(1, 5))
     coeff = st.integers(-9, 9).filter(bool)
     terms = data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, degree)), coeff, min_size=1, max_size=8))
-    p = MultiPoly(n, terms)
     base = max(degree, 2) + 1
-
-    def pack(e):
-        return sum(x * base**i for i, x in enumerate(e))
-
-    packed = discover._divisor(divisor, base)
-    remainder = discover._remainder({pack(e): int(c) for e, c in p.terms.items()}, packed)
-    top = p.degree_in(n - 1)
-    scale = packed[0] ** max(top - m + 1, 0)
-    expected = divide_last_variable(p, divisor).remainder.scale(scale)
-    assert remainder == {pack(e): c for e, c in expected.terms.items()}
+    _pseudo_division({_pack(e, base): c for e, c in terms.items()}, _divisor(divisor, base), divisor, base)
 
 
 def _remainder_by_level(poly, divisor):
-    """The pseudo-remainder of ``discover._remainder``, level by level: each
+    """The pseudo-division of ``poly._remainder``, level by level: each
     level of x is found by a scan of the whole remainder."""
     lead, high, m, rest = divisor
     top = max((code // high for code in poly), default=0)
     scale = lead ** max(top - m + 1, 0)
-    remainder = {code: c * scale for code, c in poly.items()}
+    quotient, remainder = {}, {code: c * scale for code, c in poly.items()}
     for level in range(top, m - 1, -1):
         for code in [code for code in remainder if code // high == level]:
-            quotient = remainder.pop(code) // lead
             shift = code - m * high
+            quotient[shift] = remainder.pop(code) // lead
             for rc, rv in rest:
                 key = shift + rc
-                value = remainder.get(key, 0) - quotient * rv
+                value = remainder.get(key, 0) - quotient[shift] * rv
                 if value:
                     remainder[key] = value
                 else:
                     del remainder[key]
-    return remainder
+    return quotient, remainder
 
 
 @settings(max_examples=300, deadline=None)
@@ -370,9 +381,9 @@ def test_one_pass_remainder_is_the_remainder_level_by_level(data, m, multiple):
         p = p * divisor + MultiPoly(n, data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, 2)), coeff, max_size=2)))
     assume(not p.is_zero)
     base = p.total_degree() + 3
-    packed = discover._divisor(divisor, base)
-    poly = {discover._pack(e, base): int(c) for e, c in p.terms.items()}
-    assert discover._remainder(poly, packed) == _remainder_by_level(poly, packed)
+    packed = _divisor(divisor, base)
+    poly = {_pack(e, base): int(c) for e, c in p.terms.items()}
+    assert _remainder(poly, packed) == _remainder_by_level(poly, packed)
 
 
 def test_one_pass_remainder_keeps_a_code_that_cancels_and_comes_back():
@@ -380,10 +391,12 @@ def test_one_pass_remainder_keeps_a_code_that_cancels_and_comes_back():
     # and clearing x^2 z makes xyz again (or the other way round); the row
     # is (y + z)^3 - yz(y + z) at x = y + z
     base = 4
-    divisor = discover._divisor(MultiPoly(3, {(0, 0, 1): 1, (1, 0, 0): -1, (0, 1, 0): -1}), base)
-    poly = {discover._pack(e, base): c for e, c in {(1, 0, 2): 1, (0, 1, 2): 1, (1, 1, 1): -1}.items()}
-    expected = {discover._pack(e, base): c for e, c in {(3, 0, 0): 1, (2, 1, 0): 2, (1, 2, 0): 2, (0, 3, 0): 1}.items()}
-    assert discover._remainder(poly, divisor) == _remainder_by_level(poly, divisor) == expected
+    divisor = _divisor(MultiPoly(3, {(0, 0, 1): 1, (1, 0, 0): -1, (0, 1, 0): -1}), base)
+    poly = {_pack(e, base): c for e, c in {(1, 0, 2): 1, (0, 1, 2): 1, (1, 1, 1): -1}.items()}
+    expected = {_pack(e, base): c for e, c in {(3, 0, 0): 1, (2, 1, 0): 2, (1, 2, 0): 2, (0, 3, 0): 1}.items()}
+    quotient, remainder = _remainder(poly, divisor)
+    assert (quotient, remainder) == _remainder_by_level(poly, divisor)
+    assert remainder == expected
 
 
 def _r1(d):
@@ -421,10 +434,10 @@ def test_divisor_keeps_every_term_at_the_packing_base(columns, generators):
     # every column and every term of every divisor unpacks to itself at the
     # base of the run's certificate
     n = len(columns[0])
-    base = discover._packing_base(columns, generators)
-    assert [_unpack(discover._pack(f, base), base, n) for f in columns] == list(columns)
+    base = _packing_base(columns, generators)
+    assert [_unpack(_pack(f, base), base, n) for f in columns] == list(columns)
     for generator in generators:
-        lead, high, m, rest = discover._divisor(generator, base)
+        lead, high, m, rest = _divisor(generator, base)
         terms = {_unpack(code, base, n): c for code, c in [(m * high, lead), *rest]}
         assert terms == generator.terms
 

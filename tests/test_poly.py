@@ -307,6 +307,40 @@ def test_membership_soundness(q, r):
     assert divide_last_variable(q * rel, rel).remainder.is_zero
 
 
+def test_divide_rejects_the_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        divide_last_variable(T(0, 2), MultiPoly.zero(2))
+
+
+def test_division_keeps_the_exponents_the_divisor_makes():
+    # by x - y^3 the dividend x^2 leaves y^6, twice the largest exponent of
+    # either: the division packs at a base that allows for that growth
+    y, x = T(0, 2), T(1, 2)
+    result = divide_last_variable(x * x, x - y**3)
+    assert (result.quotient, result.remainder) == (x + y**3, y**6)
+
+
+def test_division_by_a_constant_divides_every_coefficient():
+    # no variable occurs in the divisor, so every term has degree m = 0 or
+    # more in the last variable and is cleared
+    p = T(0, 3) ** 2 * T(2, 3) - T(1, 3) + C(Fraction(5, 2), 3)
+    result = divide_last_variable(p, C(Fraction(-3, 4), 3))
+    assert result.quotient == p.scale(Fraction(-4, 3)) and result.remainder.is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(arity=3, max_terms=4, max_exp=3), st.integers(1, 3), small_fractions().filter(bool), polys(max_exp=4))
+def test_division_by_a_divisor_whose_rest_outranks_its_lead(dividend, m, lead, rest):
+    # lead * x^m plus y^4 z^4 and terms of degree below m in x: the rest has
+    # a higher total degree than the lead, and each term cleared from the
+    # dividend raises the exponents of y and z by up to 4
+    rest = MultiPoly(3, {e: c for e, c in rest.terms.items() if e[2] < m})
+    divisor = C(lead, 3) * T(2, 3) ** m + T(0, 3) ** 4 * T(1, 3) ** 4 + rest
+    result = divide_last_variable(dividend, divisor)
+    assert result.quotient * divisor + result.remainder == dividend
+    assert result.remainder.degree_in(2) < m
+
+
 def _lift(q, parity):
     """``t^parity * q(t^2)``."""
     return MultiPoly(q.arity, {tuple(e + 2 * f for e, f in zip(parity, fs)): c for fs, c in q.terms.items()})

@@ -39,6 +39,24 @@ def test_residual_validation():
     assert descartes_residual([1, 1, 4, 0], 2) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=4, max_size=4))
+def test_residual_is_the_plain_float_formula(ks):
+    # the power-of-two scaling is exact: bit for bit the unscaled formula
+    s1, s2 = sum(ks), sum(k * k for k in ks)
+    assert descartes_residual(ks, 2) == 2 * s2 - s1 * s1
+
+
+def test_residual_of_curvatures_whose_squares_overflow():
+    # 1e154^2 + 1e154^2 and (4e154)^2 overflow a float; the residual of
+    # either root of 1, 1e154, 1e154 does not
+    large, small = solve_missing_curvature([1.0, 1e154, 1e154], 2)
+    assert large == pytest.approx(4e154, rel=1e-15) and small == -1.0
+    for k in (large, small):
+        residual = descartes_residual([1.0, 1e154, 1e154, k], 2)
+        assert abs(residual) < 1e-14 * large * large
+
+
 def test_unit_circle_roots():
     roots = solve_missing_curvature([1, 1, 1], 2)
     assert abs(roots[0] - (3 + 2 * math.sqrt(3))) < 1e-12
@@ -166,6 +184,12 @@ def test_enclosing_tangency_uses_radius_difference():
 def test_sphere_rejects_a_radius_that_is_not_finite_and_positive(radius):
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         Sphere((0.0, 0.0), radius)
+
+
+@pytest.mark.parametrize("center", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+def test_sphere_rejects_a_centre_that_is_not_finite(center):
+    with pytest.raises(ValueError, match=r"the sphere of curvature -0\.5 has a centre that is not finite"):
+        Sphere(center, 2.0, orientation=-1)
 
 
 def test_tangency_residuals_are_exact_in_the_float_centres():
