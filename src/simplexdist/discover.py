@@ -5,8 +5,9 @@ polynomials that vanish on them modulo word primes, lifts them to the
 rationals and certifies each exactly; no run forms a float.  One path
 (``_exact_run``) sets up and runs the four run kinds, ``discover`` at d = 1
 and d >= 2 and ``sphere`` at d = 2 and d >= 3.  A kind supplies its step,
-its sample points, the generators of its certificate, the label of a
-certified row and the name of its sampling; the step decides the rest.
+its sample points, the coranks it expects (see the prefix pass below), the
+generators of its certificate, the label of a certified row and the name of
+its sampling; the step decides the rest.
 Step 2 means columns in ``u = s/a^2``, of degree ``D // 2``, split by
 parity; step 1 means columns in ``v = t/a``, of degree D, in one class.
 The columns fix the sample count, and the step the basis name and the
@@ -50,6 +51,23 @@ nullspace of dimension ``corank_P`` modulo P has ``c <= dim V <= corank_Q <=
 corank_P``, for V its vanishing space and ``corank_Q`` the dimension over the
 rationals, so ``c = corank_P`` on every prefix means that the candidates span
 the whole vanishing space.
+
+**The prefix pass.**  The same proof holds on a prefix of the samples, so a
+run first eliminates only the first ``r = columns - e + _EXTRA_SAMPLES`` of
+them, for e the corank its kind expects of the top prefix: the Hilbert
+function of the image's ideal in that degree (Cox, Little & O'Shea,
+"Ideals, Varieties, and Algorithms", ch. 9).  Let ``N_r`` be the nullspace
+of those rows and N that of all of them.  The vanishing space I lies in
+both, and N in ``N_r``, so ``I <= N <= N_r`` as spaces; when every row of
+``N_r`` certifies, ``N_r = I``, and the forms, the pivots and the
+candidates are those of all the rows.  So are the primes: if at every
+prime P of the pass each prefix has its expected corank e_k modulo P, a
+complete pass gives ``e_k <= dim I <= corank_P(all rows) <= corank_P(r
+rows) = e_k``, so modulo every prime used the nullspace of all the rows is
+that of the prefix.  A pass that meets another corank stops at once, and
+one that ends with a row uncertified is dropped: the run then eliminates
+every row, as it would without the pass.  A prefix too short leaves rows
+uncertified; it never certifies a wrong one.
 
 **The circumsphere, d >= 3: chords, in u.**  There ``u_j = 1 - w_j`` for
 weights with ``sum w = sum w^2 = 1``, so the image is ``V(Q_u, S_u)``, ``Q_u =
@@ -282,10 +300,12 @@ def _check_degree(max_degree) -> None:
         raise ValueError("max_degree must be a positive integer")
 
 
-# samples beyond the columns of a run's matrix: a square part has the rank
-# of the whole map for almost every draw, and the extra rows spare a run
-# from the draws where it has not.  They serve the rank alone: no
-# certificate reads the samples
+# rows beyond the rank that a run expects: every run draws this many
+# samples beyond the columns of its matrix, and its prefix pass eliminates
+# this many beyond the expected rank.  A square part has the rank of the
+# whole map for almost every draw, and the extra rows spare a run from the
+# draws where it has not.  They serve the rank alone: no certificate reads
+# the samples
 _EXTRA_SAMPLES = 8
 # primes a run tries before it reports itself incomplete
 _MAX_PRIMES = 16
@@ -334,8 +354,9 @@ class ExactNullspace:
 
 def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int], prime: int):
     """The pivots modulo ``prime`` of the matrix of the monomials
-    ``exponents`` at the points ``numerators[j] / scales[j]`` (one row per
-    sample), and, for each prefix degree k of ``widths``, the leftmost-pivot
+    ``exponents`` at the points ``numerators[j] / scales[j]``, one row per
+    point given (the first samples of a run in its prefix pass, all of them
+    after), and, for each prefix degree k of ``widths``, the leftmost-pivot
     echelon form modulo ``prime`` of the nullspace of its first
     ``widths[k]`` columns: its pivots and its rows as int residues on the
     prefix's non-pivot columns.  The matrix is eliminated once; each
@@ -420,42 +441,24 @@ def _parity_classes(n: int, max_degree: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _exact_run(operation, d, a2, max_degree, seed, step, points, common, branches, label, sampling):
-    """The one set-up path and loop of every run.  A run kind supplies its
-    ``step``, its ``points`` (the numerators and scales of the samples of a
-    ``SampleConfig``, sample j the point ``numerators[j] / scales[j]``), the
-    generators ``common`` and ``branches`` of its certificate
-    (``_membership``), the ``label`` of a certified row and its
-    ``sampling``.  The step decides the rest: the columns are in ``x =
-    t^step / a^step`` (``u = s/a^2`` at step 2, ``v = t/a`` at step 1), of
-    degree ``D // step``, with ``_EXTRA_SAMPLES`` samples beyond them; step
-    2 splits them by parity (``_parity_classes``), and step 1 has the one
-    class 0, of degree D.
+def _run_primes(numerators, scales, exponents, widths, primes, certify, expected):
+    """The prime loop of a run on the samples ``numerators[j] / scales[j]``:
+    for each of ``primes``, ``_null_forms``, then ``_reconstruct`` and
+    ``certify`` of each row not yet certified, until every prefix of
+    ``widths`` certifies its whole corank.  Returns the image, the rows
+    found by prefix, as ``(pivot, entries, certified)``, and the pivots of
+    the whole matrix modulo the prime of the forms kept.
 
-    The loop: primes, then ``_null_forms``, ``_reconstruct`` and the
-    certificate, then the rescaling to the edge and the lift to t.  Class e
-    lifts each row ``g(x)`` of prefix degree k to ``t^e * g(t^step)``, its
-    entry j first scaled by ``a^-(step * (|f_j| - |f0|))`` for its pivot
-    f0; certified rows carry ``label``.  Each row is rescaled, sorted and
-    formatted once, and its candidates in every class share it
-    (``CertifiedCandidate``).  Returns the report's ``config``, the classes,
-    the candidates in pivot order, the nullspace, and the pivots of the
-    whole matrix modulo the prime of the forms kept."""
-    n, top = d + 1, max_degree // step
-    columns = enumerate_monomials(n, top)
-    count = len(columns) + _EXTRA_SAMPLES
-    numerators, scales = points(SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
-    classes = _parity_classes(n, max_degree) if step == 2 else [(0,) * n]
-    degrees = [(max_degree - sum(e)) // step for e in classes]
-    certify = _membership(columns, common, branches)
-    widths = {k: math.comb(k + n, k) for k in sorted(set(degrees))}
-    exponents = np.asarray(columns)
-    # a prime must be a unit for every scale: one that divides a scale is
-    # skipped
-    primes = (p for p in word_primes() if all(s % p for s in scales))
+    A prefix pass gives ``expected``, the corank of each prefix: it returns
+    None at the first prime at which a corank differs from it, and when it
+    ends with a row uncertified.  Every prime it uses then has the coranks
+    and, by the module docstring, the forms of the run on every sample, so
+    its folds, and with them its result and primes, are that run's."""
     image, found = None, {}
-    for prime in itertools.islice(primes, _MAX_PRIMES):
+    for prime in primes:
         pivots, forms = _null_forms(numerators, scales, exponents, widths, prime)
+        if expected is not None and any(len(forms[k][0]) != expected[k] for k in widths):
+            return None
         if image is None:
             image, rank_pivots = ResidueImage(prime, (prime,), forms), pivots
         else:
@@ -483,7 +486,64 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, common, branche
                     certified = entries is not None and certify(entries)
                 found[k].append((pivot, entries, certified))
         if all(certified for prefix in found.values() for _, _, certified in prefix):
-            break
+            return image, found, rank_pivots
+    return None if expected is not None else (image, found, rank_pivots)
+
+
+def _binomial(a: int, b: int) -> int:
+    """``C(a, b)``, 0 when ``a < b``."""
+    return math.comb(a, b) if a >= b else 0
+
+
+def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, common, branches, label, sampling):
+    """The one set-up path and loop of every run.  A run kind supplies its
+    ``step``, its ``points`` (the numerators and scales of the samples of a
+    ``SampleConfig``, sample j the point ``numerators[j] / scales[j]``), the
+    expected ``corank(k)`` of the prefix of degree k (the Hilbert function
+    of its ideal, which decides only how many rows the prefix pass
+    eliminates), the generators ``common`` and ``branches`` of its
+    certificate (``_membership``), the ``label`` of a certified row and its
+    ``sampling``.  The step decides the rest: the columns are in ``x =
+    t^step / a^step`` (``u = s/a^2`` at step 2, ``v = t/a`` at step 1), of
+    degree ``D // step``, with ``_EXTRA_SAMPLES`` samples beyond them; step
+    2 splits them by parity (``_parity_classes``), and step 1 has the one
+    class 0, of degree D.
+
+    The loop (``_run_primes``) runs first on the first ``columns -
+    corank(D // step) + _EXTRA_SAMPLES`` samples, when they are fewer than
+    all, and on every sample when that prefix pass returns None.  Then come
+    the rescaling to the edge and the lift to t.  Class e
+    lifts each row ``g(x)`` of prefix degree k to ``t^e * g(t^step)``, its
+    entry j first scaled by ``a^-(step * (|f_j| - |f0|))`` for its pivot
+    f0; certified rows carry ``label``.  Each row is rescaled, sorted and
+    formatted once, and its candidates in every class share it
+    (``CertifiedCandidate``).  Returns the report's ``config``, the classes,
+    the candidates in pivot order, the nullspace, and the pivots of the
+    whole matrix modulo the prime of the forms kept."""
+    n, top = d + 1, max_degree // step
+    columns = enumerate_monomials(n, top)
+    count = len(columns) + _EXTRA_SAMPLES
+    numerators, scales = points(SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
+    classes = _parity_classes(n, max_degree) if step == 2 else [(0,) * n]
+    degrees = [(max_degree - sum(e)) // step for e in classes]
+    certify = _membership(columns, common, branches)
+    widths = {k: math.comb(k + n, k) for k in sorted(set(degrees))}
+    expected = {k: corank(k) for k in widths}
+    exponents = np.asarray(columns)
+
+    def primes():
+        # a prime must be a unit for every scale, also of the rows that the
+        # prefix pass leaves out, so that both passes try the same primes:
+        # one that divides a scale is skipped
+        return itertools.islice((p for p in word_primes() if all(s % p for s in scales)), _MAX_PRIMES)
+
+    rows = len(columns) - expected[top] + _EXTRA_SAMPLES
+    run = None
+    if rows < count:
+        run = _run_primes(numerators[:rows], scales[:rows], exponents, widths, primes(), certify, expected)
+    if run is None:
+        run = _run_primes(numerators, scales, exponents, widths, primes(), certify, None)
+    image, found, rank_pivots = run
 
     # the row g(x) of pivot f0, x = t^step / c with c = a^step, gives
     # c^|f0| * g(t^step / c), whose pivot is 1; a row with no rational
@@ -531,6 +591,15 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, common, branche
     return config, classes, [c for _, c in lifted], nullspace, rank_pivots
 
 
+def _discover_corank(n: int) -> Callable[[int], int]:
+    """The dimension of the degree-k part of the ideal of a ``discover`` run
+    in n variables: the multiples of its generator, the cubic in v at d = 1
+    and ``R_1(u)`` at d >= 2."""
+    if n == 2:
+        return lambda k: _binomial(k - 1, 2)
+    return lambda k: _binomial(k - 2 + n, n)
+
+
 def discover_vanishing(
     d: int,
     edge_sq,
@@ -568,7 +637,8 @@ def discover_vanishing(
         return [_distance_numerators(nums, den) for nums, den in draws], [2 * den * den for _, den in draws]
 
     config, _, candidates, nullspace, _ = _exact_run(
-        "discover", d, a2, max_degree, seed, step, points, [generator], ((),), CERT_DIVISIBLE, _DISCOVERY_SAMPLING
+        "discover", d, a2, max_degree, seed, step, points, _discover_corank(n), [generator], ((),), CERT_DIVISIBLE,
+        _DISCOVERY_SAMPLING,
     )
     return DiscoveryReport(config, math.comb(max_degree + n, n), nullspace, candidates)
 
@@ -770,6 +840,20 @@ def _sphere_ideal(n: int) -> tuple[list[MultiPoly], tuple[list[MultiPoly], ...]]
     return [x[-1] - rest, sum((y * y for y in x[:-1]), rest * rest) - d], ((),)
 
 
+def _sphere_corank(n: int) -> Callable[[int], int]:
+    """The dimension of the degree-k part of the ideal of a sphere run in n
+    variables, its Hilbert function (Cox, Little & O'Shea, "Ideals,
+    Varieties, and Algorithms", ch. 9).  At d >= 3 ``(Q_u, S_u)`` is a
+    complete intersection of degrees 1 and 2, which gives ``C(k - 1 + n, n)
+    + C(k - 2 + n, n) - C(k - 3 + n, n)``.  At d = 2 the three conics meet
+    pairwise in 2 points, a curve of degree 6 and arithmetic genus 4, on
+    which the polynomials of degree <= k span ``6k - 3`` dimensions for k >=
+    2; at k = 1 no plane contains it."""
+    if n == 3:
+        return lambda k: math.comb(k + 3, 3) - 6 * k + 3 if k >= 2 else 0
+    return lambda k: _binomial(k - 1 + n, n) + _binomial(k - 2 + n, n) - _binomial(k - 3 + n, n)
+
+
 def discover_on_sphere(
     d: int,
     edge_sq,
@@ -789,7 +873,7 @@ def discover_on_sphere(
     else:
         step, points, label, sampling = 2, functools.partial(_chord_points, n), CERT_SPHERE_IDEAL, _CHORD_SAMPLING
     config, classes, candidates, nullspace, pivots = _exact_run(
-        "sphere", d, a2, max_degree, seed, step, points, *_sphere_ideal(n), label, sampling
+        "sphere", d, a2, max_degree, seed, step, points, _sphere_corank(n), *_sphere_ideal(n), label, sampling
     )
 
     # the null dimension at degree k <= D: the coranks of the prefixes of

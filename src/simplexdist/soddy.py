@@ -119,13 +119,19 @@ def descartes_residual(curvatures: Sequence[float], dim: int) -> float:
     """``d * sum(k^2) - (sum k)^2`` for d+2 oriented curvatures; zero iff the
     Descartes relation holds.
 
-    It is formed on the curvatures scaled by the power of two 2^-e that
-    brings the largest below 1, and scaled back by 2^2e.  Both scalings are
-    exact, so the value is that of the plain float formula wherever that
-    formula's squares stay finite, and finite where they overflow."""
+    It is the plain float formula wherever that is finite.  Where it is
+    not, it is formed on the curvatures scaled by the power of two 2^-e
+    that brings the largest below 1, and scaled back by 2^2e, so it is
+    finite where the squares overflow.  The scaled formula is not used
+    throughout: where squares fall below the normal floats it gives other
+    bits than the plain one."""
     ks = [float(k) for k in curvatures]
     if len(ks) != dim + 2:
         raise ValueError(f"need {dim + 2} curvatures in dimension {dim}, got {len(ks)}")
+    s1 = sum(ks)
+    plain = dim * sum(k * k for k in ks) - s1 * s1
+    if math.isfinite(plain):
+        return plain
     e = math.frexp(max(map(abs, ks)))[1]
     ks = [math.ldexp(k, -e) for k in ks]
     s1 = sum(ks)

@@ -2,7 +2,10 @@
 the whole space and on the circumsphere, and the numeric library
 functions that no run calls."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -293,16 +296,35 @@ def _pseudo_division(row, divisor, generator, base):
     return remainder
 
 
+def _coefficients(values):
+    """One flat strategy for the coefficients of a dividend, simplest first
+    (where hypothesis shrinks to): the nested strategies of fractions and of
+    filtered integers cost more to draw than the division they feed."""
+    return st.sampled_from(sorted(set(values), key=lambda c: (Fraction(c).denominator, abs(c), c)))
+
+
+@functools.cache
+def _terms(n, degree, coeff, min_size, max_size):
+    """The terms of a dividend in n variables of degree <= ``degree``, a
+    strategy built once for each shape rather than once per example."""
+    return st.dictionaries(st.sampled_from(enumerate_monomials(n, degree)), coeff, min_size=min_size, max_size=max_size)
+
+
+# the fractions with denominators up to 7 in [-9, 9], and the nonzero
+# integers in [-9, 9] and [-3, 3]
+_FRACTIONS = _coefficients(Fraction(a, b) for b in range(1, 8) for a in range(-9 * b, 9 * b + 1))
+_NONZERO_9 = _coefficients(c for c in range(-9, 10) if c)
+_NONZERO_3 = _coefficients(c for c in range(-3, 4) if c)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([2, 3]), st.booleans())
 def test_divisible_agrees_with_division(data, m, multiple):
     n, generator = _divisor_case(data, m)
     degree = data.draw(st.integers(m, 6))
     columns = enumerate_monomials(n, degree)
-    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-    quotient_terms = st.sampled_from(enumerate_monomials(n, degree - m))
-    quotient = MultiPoly(n, data.draw(st.dictionaries(quotient_terms, coeff, min_size=1, max_size=4)))
-    noise = {} if multiple else data.draw(st.dictionaries(st.sampled_from(columns), coeff, min_size=1, max_size=3))
+    quotient = MultiPoly(n, data.draw(_terms(n, degree - m, _FRACTIONS, 1, 4)))
+    noise = {} if multiple else data.draw(_terms(n, degree, _FRACTIONS, 1, 3))
     p = quotient * generator + MultiPoly(n, noise)
     assume(not p.is_zero)
     # the packing of the kernel: base degree + 1, the last variable highest
@@ -339,8 +361,7 @@ def test_remainder_is_the_scaled_remainder_of_division(data, m):
     # identity of the pseudo-division fixes it
     n, divisor = _remainder_case(data, m)
     degree = data.draw(st.integers(1, 5))
-    coeff = st.integers(-9, 9).filter(bool)
-    terms = data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, degree)), coeff, min_size=1, max_size=8))
+    terms = data.draw(_terms(n, degree, _NONZERO_9, 1, 8))
     base = max(degree, 2) + 1
     _pseudo_division({_pack(e, base): c for e, c in terms.items()}, _divisor(divisor, base), divisor, base)
 
@@ -374,11 +395,9 @@ def test_one_pass_remainder_is_the_remainder_level_by_level(data, m, multiple):
     # are cleared
     n, divisor = _remainder_case(data, m)
     degree = data.draw(st.integers(1, 5))
-    coeff = st.integers(-3, 3).filter(bool)
-    terms = st.dictionaries(st.sampled_from(enumerate_monomials(n, degree)), coeff, min_size=1, max_size=8)
-    p = MultiPoly(n, data.draw(terms))
+    p = MultiPoly(n, data.draw(_terms(n, degree, _NONZERO_3, 1, 8)))
     if multiple:
-        p = p * divisor + MultiPoly(n, data.draw(st.dictionaries(st.sampled_from(enumerate_monomials(n, 2)), coeff, max_size=2)))
+        p = p * divisor + MultiPoly(n, data.draw(_terms(n, 2, _NONZERO_3, 0, 2)))
     assume(not p.is_zero)
     base = p.total_degree() + 3
     packed = _divisor(divisor, base)
@@ -604,10 +623,98 @@ def test_a_run_out_of_primes_is_incomplete_and_exits_1(monkeypatch, tmp_path):
         assert divides == (candidate.certificate == CERT_DIVISIBLE)
 
 
+@pytest.mark.parametrize(
+    "run, corank, d, degrees",
+    [
+        (discover_vanishing, discover._discover_corank, 1, range(1, 16)),
+        (discover_vanishing, discover._discover_corank, 2, range(1, 13)),
+        (discover_vanishing, discover._discover_corank, 3, range(1, 11)),
+        *((discover_vanishing, discover._discover_corank, d, range(1, 9)) for d in (4, 5, 6)),
+        (discover_on_sphere, discover._sphere_corank, 2, range(1, 11)),
+        (discover_on_sphere, discover._sphere_corank, 3, range(1, 9)),
+        *((discover_on_sphere, discover._sphere_corank, d, range(1, 7)) for d in (4, 5, 6)),
+    ],
+    ids=[f"discover-d{d}" for d in range(1, 7)] + [f"sphere-d{d}" for d in range(2, 7)],
+)
+def test_expected_coranks_are_the_coranks_of_every_prefix(monkeypatch, run, corank, d, degrees):
+    # the Hilbert functions that size the prefix pass are the coranks that
+    # the runs report, prefix by prefix at seeds 0 and 1, and every run
+    # proves itself in one pass: on its prefix, or on every row when the
+    # prefix would take them all
+    run_primes, passes = discover._run_primes, []
+
+    def counting(*args):
+        passes.append(args)
+        return run_primes(*args)
+
+    monkeypatch.setattr(discover, "_run_primes", counting)
+    for degree in degrees:
+        for seed in (0, 1):
+            passes.clear()
+            nullspace = run(d, 1, degree, seed=seed).nullspace
+            assert nullspace.corank == {k: corank(d + 1)(k) for k in nullspace.corank}
+            assert nullspace.complete and len(passes) == 1
+
+
+def _report(argv):
+    from simplexdist.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    doc = json.loads(out.getvalue())
+    del doc["generated_at"]
+    return code, doc
+
+
+@pytest.mark.parametrize("error", [-1, 1], ids=["too-low", "too-high"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sphere", "--d", "2", "--max-degree", "8"], ["discover", "--d", "5", "--max-degree", "6", "--seed", "1"]],
+    ids=["sphere-d2", "discover-d5"],
+)
+def test_a_wrong_expected_corank_falls_back_after_one_prime(monkeypatch, argv, error):
+    # an expected corank off by one sizes the prefix wrongly, and the prefix
+    # pass stops at its first prime: the run on every row gives the report
+    # and the exit code of the true counts
+    expected = _report(argv)
+    null_forms, rows = discover._null_forms, []
+
+    def recording(numerators, *rest):
+        rows.append(len(numerators))
+        return null_forms(numerators, *rest)
+
+    for name in ("_discover_corank", "_sphere_corank"):
+        counts = getattr(discover, name)
+        monkeypatch.setattr(discover, name, lambda n, counts=counts: lambda k: counts(n)(k) + error)
+    monkeypatch.setattr(discover, "_null_forms", recording)
+    assert _report(argv) == expected
+    samples = expected[1]["result"]["config"]["n_samples"]
+    assert len(rows) == 2 and rows[0] < rows[1] == samples
+
+
+def test_an_incomplete_prefix_pass_falls_back_to_every_row(monkeypatch):
+    # discover --d 1 --max-degree 24 needs two primes: with one, the prefix
+    # pass on the first 325 - 253 + 8 = 80 rows ends with rows uncertified,
+    # and the run eliminates all 333 before it reports itself incomplete
+    null_forms, rows = discover._null_forms, []
+
+    def recording(numerators, *rest):
+        rows.append(len(numerators))
+        return null_forms(numerators, *rest)
+
+    monkeypatch.setattr(discover, "_MAX_PRIMES", 1)
+    monkeypatch.setattr(discover, "_null_forms", recording)
+    report = discover_vanishing(1, 1, 24)
+    assert not report.nullspace.complete and report.nullspace.corank == {24: 253}
+    assert rows == [80, 333] and report.config["n_samples"] == 333
+
+
 def test_squared_distance_run_reads_every_prefix_from_one_elimination(monkeypatch):
     # d=5 deg 6: the 64 parity classes e need the prefixes of degree
     # (6 - |e|) // 2 = 3, 2, 1, 0 of one matrix in s over C(3 + 6, 6) = 84
-    # monomials: one elimination of the 92 x 84 matrix, then one of the
+    # monomials: one elimination of the first 84 - 7 + 8 = 85 of its 92
+    # rows (the rank the expected corank 7 leaves, plus 8), then one of the
     # nullspace basis of each prefix; the report counts each prefix once
     # per class
     rref_mod, shapes = discover.rref_mod, []
@@ -620,7 +727,7 @@ def test_squared_distance_run_reads_every_prefix_from_one_elimination(monkeypatc
     monkeypatch.setattr(modular, "rref_mod", recording_rref_mod)
     report = discover_vanishing(5, 1, 6, seed=1)
     assert report.nullspace.primes == (16777213,)
-    assert shapes == [(92, 84), (0, 1), (0, 7), (1, 28), (7, 84)]
+    assert shapes == [(85, 84), (0, 1), (0, 7), (1, 28), (7, 84)]
     assert report.config["n_samples"] == 84 + 8
     assert report.nullspace.corank == {0: 0, 1: 0, 2: 1, 3: 7}
     assert report.nullspace.ideal_dim == report.nullspace.corank

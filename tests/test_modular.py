@@ -176,12 +176,12 @@ def test_rref_matches_reference_on_discovery_rows(monkeypatch):
     monkeypatch.setattr(modular, "rref_mod", recording)
     discover_on_sphere(2, 1, 6, seed=1)
     discover_on_sphere(3, 1, 4, seed=1)
-    # one elimination of the sample matrix per run, then one per prefix on
-    # the smaller side of its rank: the 92 x 84 matrix in v at d = 2 degree
-    # 6 and its row space of rank 33 < 51, columns reversed, and the 23 x 15
-    # matrix in u at d = 3 degree 4 and the nullspace bases of its prefixes
-    # of degree 0, 1, 2 (coranks 0, 1, 6 against ranks 1, 4, 9)
-    assert [matrix.shape for matrix, _ in seen] == [(92, 84), (33, 84), (23, 15), (0, 1), (1, 5), (6, 15)]
+    # one elimination of the first rank + 8 sample rows per run, then one per
+    # prefix on the smaller side of its rank: 41 of the 92 rows in v at d = 2
+    # degree 6 and its row space of rank 33 < 51, columns reversed, and 17
+    # of the 23 rows in u at d = 3 degree 4 and the nullspace bases of its
+    # prefixes of degree 0, 1, 2 (coranks 0, 1, 6 against ranks 1, 4, 9)
+    assert [matrix.shape for matrix, _ in seen] == [(41, 84), (33, 84), (17, 15), (0, 1), (1, 5), (6, 15)]
     for matrix, prime in seen:
         _assert_same_rref(matrix, prime)
 
