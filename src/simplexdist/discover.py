@@ -5,17 +5,18 @@ polynomials that vanish on them modulo word primes, lifts them to the
 rationals and certifies each exactly; no run forms a float.  One path
 (``_exact_run``) sets up and runs the four run kinds, ``discover`` at d = 1
 and d >= 2 and ``sphere`` at d = 2 and d >= 3.  A kind supplies its step,
-its sample points, the coranks it expects (see the prefix pass below), the
-generators of its certificate, the label of a certified row and the name of
-its sampling; the step decides the rest.
+its sample points, the coranks it expects (see the prefix pass below), its
+certificate, the label of a certified row and the name of its sampling; the
+step decides the rest.
 Step 2 means columns in ``u = s/a^2``, of degree ``D // 2``, split by
 parity; step 1 means columns in ``v = t/a``, of degree D, in one class.
 The columns fix the sample count, and the step the basis name and the
-rescale to the edge.  Every certificate is membership in
-the ideal of the image (``_membership``): the row, scaled to integers, is
-pseudo-divided by the generators in turn (``poly._remainder``) and
-certified when nothing is left.  Candidates that fail certification are
-reported as uncertified, never dropped.
+rescale to the edge.  Every certificate is membership in the ideal of the
+image.  ``_membership`` pseudo-divides the row, scaled to integers, by the
+generators in turn (``poly._remainder``) and certifies it when nothing is
+left; at d = 2 ``_conic_certificate`` evaluates it exactly at one far point
+of each conic instead.  Candidates that fail certification are reported as
+uncertified, never dropped.
 
 **d >= 2: split by parity, in u.**  The quartic relation has only even
 powers of the distances, so it is a quadric ``R(s)`` in ``s = t^2``, and its
@@ -90,14 +91,17 @@ v_j + v_l, sum v^2 = 2}``, on which the Pompeiu cubic vanishes outside (Q,
 R).  Sample k lies on conic ``i = k mod 3`` (``_conic_points``).  The curve is
 symmetric under ``v -> -v``, so its ideal is graded by the parity of the
 total degree: the run has one class, every monomial of degree <= D, and its
-rows rescale to t by powers of ``a^2``.  A row is certified by membership
-in the ideal of each conic.  A conic is irreducible, so its ideal is
-generated by its line solved for ``v_2``, ``v_2 - x``, and the circle at
-``v_2 = x``, whose lead in ``v_1`` is 2.  That pair is a lex Groebner basis,
-so a row vanishes on the image exactly when its remainder by each of the
-three pairs is 0 (Cox, Little & O'Shea, "Ideals, Varieties, and
-Algorithms", ch. 2).  The circle ``sum v^2 - 2`` lies in all three ideals,
-and the remainder by it is taken once, before the three branches.
+rows rescale to t by powers of ``a^2``.  A conic is irreducible, so a row
+lies in its ideal exactly when it vanishes on it, and ``v = x/w``
+(``_conic_point``) parametrizes conic i by quadratic forms in ``(p, q)``:
+for the row z, scaled to integers, the binary form ``F_i = sum_f z_f * x^f *
+w^(D - |f|)`` must be 0.  The coefficients of each of ``x_0, x_1, x_2, w``
+have an absolute sum of at most 3, so those of F_i are at most ``A = 3^D *
+sum |z_f|``, and at ``Q > A`` the top nonzero term ``c_K * Q^K`` of ``F_i(1,
+Q)`` outweighs the rest, ``A * (Q^K - 1) / (Q - 1) < Q^K``: ``F_i(1, Q) =
+0`` forces ``F_i = 0`` (Kronecker substitution; von zur Gathen & Gerhard,
+"Modern Computer Algebra", ch. 8).  ``Q = 2^b``, for b the bit length of A
+rounded up to a multiple of 64, lets a few tables serve every row.
 
 ``enumerate_monomials`` gives the columns of every run, as the graded-lex
 tuple of exponent vectors.  ``numeric_nullspace`` (an SVD with a
@@ -402,31 +406,24 @@ def _reconstruct(pivot: int, columns: Sequence[int], row: Sequence[int], modulus
     return entries
 
 
-def _membership(columns, common, branches) -> Callable[[dict[int, Fraction]], bool]:
+def _membership(generators, columns) -> Callable[[dict[int, Fraction]], bool]:
     """The certificate of a run's rows, each given by its entries by column
-    on the monomials ``columns``: membership in the ideal of every branch,
-    generated by the polynomials ``common`` and those of the branch.  The
-    row, scaled to integers, is replaced by its pseudo-remainder
-    (``_remainder``) by each polynomial of ``common`` in turn, then by those
-    of each branch in turn; it is a member when every branch leaves 0.
-
-    The polynomials of ``common`` must lie in the ideal of every branch, and
-    each polynomial must have a constant lead in the last variable that
-    those before it leave, a new variable for each polynomial of a branch.
-    A branch is then a lex Groebner basis of its ideal, and what it leaves,
-    divisible by none of the leads, is the row's normal form, 0 exactly when
-    the row is a member."""
-    base = _packing_base(columns, [*common, *itertools.chain(*branches)])
+    on the monomials ``columns``: membership in the ideal of the polynomials
+    ``generators``.  The row, scaled to integers, is replaced by its
+    pseudo-remainder (``_remainder``) by each generator in turn, and is a
+    member when nothing is left.  Each generator must have a constant lead
+    in the last variable that those before it leave, a new variable for
+    each: they are then a lex Groebner basis of their ideal, and what they
+    leave is the row's normal form, 0 exactly when the row is a member."""
+    base = _packing_base(columns, generators)
     codes = [_pack(f, base) for f in columns]
-    common = [_divisor(p, base) for p in common]
-    branches = [[_divisor(p, base) for p in branch] for branch in branches]
-
-    def remainder(row: dict[int, int], divisor: tuple) -> dict[int, int]:
-        return _remainder(row, divisor)[1]
+    divisors = [_divisor(p, base) for p in generators]
 
     def certify(entries: dict[int, Fraction]) -> bool:
-        row = functools.reduce(remainder, common, _integer_row(entries, codes))
-        return not any(functools.reduce(remainder, branch, row) for branch in branches)
+        row = _integer_row(entries, codes)
+        for divisor in divisors:
+            row = _remainder(row, divisor)[1]
+        return not row
 
     return certify
 
@@ -495,15 +492,16 @@ def _binomial(a: int, b: int) -> int:
     return math.comb(a, b) if a >= b else 0
 
 
-def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, common, branches, label, sampling):
+def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, certificate, label, sampling):
     """The one set-up path and loop of every run.  A run kind supplies its
     ``step``, its ``points`` (the numerators and scales of the samples of a
     ``SampleConfig``, sample j the point ``numerators[j] / scales[j]``), the
     expected ``corank(k)`` of the prefix of degree k (the Hilbert function
     of its ideal, which decides only how many rows the prefix pass
-    eliminates), the generators ``common`` and ``branches`` of its
-    certificate (``_membership``), the ``label`` of a certified row and its
-    ``sampling``.  The step decides the rest: the columns are in ``x =
+    eliminates), its ``certificate``, which maps the columns to the test of
+    a row given by its entries by column (``_membership``, or
+    ``_conic_certificate`` at d = 2), the ``label`` of a certified row and
+    its ``sampling``.  The step decides the rest: the columns are in ``x =
     t^step / a^step`` (``u = s/a^2`` at step 2, ``v = t/a`` at step 1), of
     degree ``D // step``, with ``_EXTRA_SAMPLES`` samples beyond them; step
     2 splits them by parity (``_parity_classes``), and step 1 has the one
@@ -526,7 +524,7 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, common,
     numerators, scales = points(SampleConfig(seed=seed, count=count, box=_DISCOVERY_BOX))
     classes = _parity_classes(n, max_degree) if step == 2 else [(0,) * n]
     degrees = [(max_degree - sum(e)) // step for e in classes]
-    certify = _membership(columns, common, branches)
+    certify = certificate(columns)
     widths = {k: math.comb(k + n, k) for k in sorted(set(degrees))}
     expected = {k: corank(k) for k in widths}
     exponents = np.asarray(columns)
@@ -637,8 +635,8 @@ def discover_vanishing(
         return [_distance_numerators(nums, den) for nums, den in draws], [2 * den * den for _, den in draws]
 
     config, _, candidates, nullspace, _ = _exact_run(
-        "discover", d, a2, max_degree, seed, step, points, _discover_corank(n), [generator], ((),), CERT_DIVISIBLE,
-        _DISCOVERY_SAMPLING,
+        "discover", d, a2, max_degree, seed, step, points, _discover_corank(n),
+        functools.partial(_membership, [generator]), CERT_DIVISIBLE, _DISCOVERY_SAMPLING,
     )
     return DiscoveryReport(config, math.comb(max_degree + n, n), nullspace, candidates)
 
@@ -805,39 +803,54 @@ def _chord_points(n: int, config: SampleConfig) -> tuple[list[list[int]], list[i
     return [nums for nums, _ in points], [s for _, s in points]
 
 
+def _conic_point(i: int, p: int, q: int) -> tuple[tuple[int, int, int], int]:
+    """The point ``v = x/w`` at ``(p, q)`` of conic i, ``{v_i = v_j + v_l,
+    sum v^2 = 2}`` for ``(j, l) = (i + 1, i + 2) mod 3``."""
+    x = [0, 0, 0]
+    x[i], x[(i + 1) % 3], x[(i + 2) % 3] = -q * (2 * p + q), p * p - q * q, -p * (p + 2 * q)
+    return tuple(x), p * p + p * q + q * q
+
+
 def _conic_points(config: SampleConfig) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The numerators and scales of the points v of a sphere run at d = 2:
-    sample k on conic ``i = k mod 3``, ``{v_i = v_j + v_l, sum v^2 = 2}``,
-    ``(j, l) = (i + 1, i + 2) mod 3``, at ``v_j = (p^2 - q^2)/w``, ``v_l =
-    -p(p + 2q)/w`` and ``v_i = -q(2p + q)/w``, ``w = p^2 + pq + q^2``, for the
+    sample k at the point of conic ``k mod 3`` (``_conic_point``) of the
     k-th 2-weight draw ``(p, q)``, redrawn when ``q = 0``."""
-    numerators, scales = [], []
     draws = _weight_rows(2, config, lambda ks, nums: nums[:, 1] != 0)
-    for k, ((p, q), _) in enumerate(draws):
-        i = k % 3
-        x = [0, 0, 0]
-        x[i], x[(i + 1) % 3], x[(i + 2) % 3] = -q * (2 * p + q), p * p - q * q, -p * (p + 2 * q)
-        numerators.append(tuple(x))
-        scales.append(p * p + p * q + q * q)
-    return numerators, scales
+    points = [_conic_point(k % 3, p, q) for k, ((p, q), _) in enumerate(draws)]
+    return [x for x, _ in points], [w for _, w in points]
 
 
-def _sphere_ideal(n: int) -> tuple[list[MultiPoly], tuple[list[MultiPoly], ...]]:
-    """The ``common`` generators and the ``branches`` of ``_membership`` for
-    a sphere run in n variables (see the module docstring): at d = 2 the
-    circle ``sum v^2 - 2``, then, on conic i, ``v_2 - x`` and the circle at
-    ``v_2 = x``, for ``x = v_0 + v_1``, ``v_0 - v_1`` and ``v_1 - v_0``
-    (conics 2, 0 and 1); at d >= 3 ``Q_u`` (``u_last = d - sum others``) and
-    the image of ``S_u`` modulo ``Q_u``, whose lead in ``u_{n-2}`` is 2."""
+def _conic_certificate(columns) -> Callable[[dict[int, Fraction]], bool]:
+    """The certificate of a sphere run at d = 2 on the monomials ``columns``
+    of degree <= D: a row is 0 at the far point ``(p, q) = (1, 2^b)`` of each
+    conic (see the module docstring).  The tables of b hold ``x^f * w^(D -
+    |f|)`` there by column f; conic i's at f is conic 0's at f rotated by i."""
+    top = sum(columns[-1])
+
+    @functools.cache
+    def tables(bits: int) -> list[list[int]]:
+        x, w = _conic_point(0, 1, 1 << bits)
+        powers = [list(itertools.accumulate(itertools.repeat(y, top), operator.mul, initial=1)) for y in (*x, w)]
+        value = {f: powers[0][f[0]] * powers[1][f[1]] * powers[2][f[2]] * powers[3][top - sum(f)] for f in columns}
+        return [[value[f[i:] + f[:i]] for f in columns] for i in range(3)]
+
+    def certify(entries: dict[int, Fraction]) -> bool:
+        row = _integer_row(entries, range(len(columns)))
+        bound = 3**top * sum(map(abs, row.values()))
+        bits = -(-bound.bit_length() // 64) * 64
+        return not any(sum(z * table[j] for j, z in row.items()) for table in tables(bits))
+
+    return certify
+
+
+def _sphere_ideal(n: int) -> list[MultiPoly]:
+    """The generators of ``_membership`` for a sphere run in n variables at
+    d >= 3: ``Q_u`` (``u_last = d - sum others``) and the image of ``S_u``
+    modulo ``Q_u``, whose lead in ``u_{n-2}`` is 2."""
     x = [MultiPoly.variable(j, n) for j in range(n)]
-    if n == 3:
-        v0, v1, v2 = x
-        two = MultiPoly.constant(2, 3)
-        conics = tuple([v2 - w, v0 * v0 + v1 * v1 + w * w - two] for w in (v0 + v1, v0 - v1, v1 - v0))
-        return [v0 * v0 + v1 * v1 + v2 * v2 - two], conics
     d = MultiPoly.constant(n - 1, n)
     rest = d - sum(x[:-1], MultiPoly.zero(n))
-    return [x[-1] - rest, sum((y * y for y in x[:-1]), rest * rest) - d], ((),)
+    return [x[-1] - rest, sum((y * y for y in x[:-1]), rest * rest) - d]
 
 
 def _sphere_corank(n: int) -> Callable[[int], int]:
@@ -869,11 +882,14 @@ def discover_on_sphere(
 
     n = d + 1
     if d == 2:
-        step, points, label, sampling = 1, _conic_points, CERT_CIRCUMCIRCLE, _CONIC_SAMPLING
+        step, points, certificate = 1, _conic_points, _conic_certificate
+        label, sampling = CERT_CIRCUMCIRCLE, _CONIC_SAMPLING
     else:
-        step, points, label, sampling = 2, functools.partial(_chord_points, n), CERT_SPHERE_IDEAL, _CHORD_SAMPLING
+        step, points = 2, functools.partial(_chord_points, n)
+        certificate = functools.partial(_membership, _sphere_ideal(n))
+        label, sampling = CERT_SPHERE_IDEAL, _CHORD_SAMPLING
     config, classes, candidates, nullspace, pivots = _exact_run(
-        "sphere", d, a2, max_degree, seed, step, points, _sphere_corank(n), *_sphere_ideal(n), label, sampling
+        "sphere", d, a2, max_degree, seed, step, points, _sphere_corank(n), certificate, label, sampling
     )
 
     # the null dimension at degree k <= D: the coranks of the prefixes of

@@ -30,6 +30,7 @@ from simplexdist.discover import (
     CERT_UNCERTIFIED,
     _chord,
     _chord_points,
+    _conic_certificate,
     _conic_points,
     _membership,
     _sphere_ideal,
@@ -423,9 +424,19 @@ def _r1(d):
     return MultiPoly(d + 1, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})
 
 
+def _conic_divisors():
+    """The lex Groebner basis of the ideal of each Ptolemy conic i, ``{v_i
+    = v_j + v_l, sum v^2 = 2}``, in conic order: its line solved for v_2,
+    ``v_2 - x``, and the circle at ``v_2 = x``, whose lead in v_1 is 2."""
+    v0, v1, v2 = (MultiPoly.variable(j, 3) for j in range(3))
+    two = MultiPoly.constant(2, 3)
+    return [(v2 - x, v0 * v0 + v1 * v1 + x * x - two) for x in (v0 - v1, v1 - v0, v0 + v1)]
+
+
 def _sphere_generators(n):
-    common, branches = _sphere_ideal(n)
-    return [*common, *itertools.chain(*branches)]
+    """The divisors of a sphere run's certificate at d >= 3, and of the
+    reference test of the conics at d = 2."""
+    return [*itertools.chain(*_conic_divisors())] if n == 3 else _sphere_ideal(n)
 
 
 def _unpack(code, base, n):
@@ -442,7 +453,8 @@ def _unpack(code, base, n):
         (enumerate_monomials(3, 1), [_r1(2)]),
         (enumerate_monomials(4, 4), [_r1(3)]),
         (enumerate_monomials(6, 3), [_r1(5)]),
-        # sphere at d = 2, degree 1 and 4, and at d = 3, degree 2 and 6
+        # the reference of sphere at d = 2, degree 1 and 4, and sphere at d =
+        # 3, degree 2 and 6
         (enumerate_monomials(3, 1), _sphere_generators(3)),
         (enumerate_monomials(3, 4), _sphere_generators(3)),
         (enumerate_monomials(4, 1), _sphere_generators(4)),
@@ -746,6 +758,8 @@ def test_squared_distance_run_reads_every_prefix_from_one_elimination(monkeypatc
 @pytest.mark.parametrize("args, expected", [
     ((2, 1, 4), "7a496a960d7ffe14766559412a8cd879dab5fc549114d5c82d252e0bb13e1c50"),
     ((3, 1, 3), "4d6660f8da5edad98397f44d2fcfbf2d0c799221f690109bf722e1a5ee141335"),
+    ((2, 1, 8), "b404749a51a00b38db0349ce56e384d1e91cfb687092939b57c049f933761717"),
+    ((2, Fraction(9, 4), 6), "e07f403f2df95ab3b648e619f788aa5480e3bf2b7db413a25cb27d5e642883b4"),
 ])
 def test_sphere_runs_keep_their_reports(args, expected):
     # the exact sphere runs, pinned by the digest of the whole report
@@ -872,7 +886,7 @@ def _certifies(certify, columns, p):
 
 def _u_certificate(d, degree):
     columns = enumerate_monomials(d + 1, degree)
-    return lambda p: _certifies(_membership(columns, *_sphere_ideal(d + 1)), columns, p)
+    return lambda p: _certifies(_membership(_sphere_ideal(d + 1), columns), columns, p)
 
 
 def _u_generators(d):
@@ -1127,11 +1141,61 @@ def _random_poly(rng, arity, degree):
     return MultiPoly(arity, terms)
 
 
+@functools.cache
 def _v_certificate(degree):
     """The membership test of a d = 2 run of degree ``degree``, in the
-    ideals of the three Ptolemy conics."""
+    ideals of the three Ptolemy conics: one certificate, whose tables serve
+    every call."""
     columns = enumerate_monomials(3, degree)
-    return lambda p: _certifies(_membership(columns, *_sphere_ideal(3)), columns, p)
+    certify = _conic_certificate(columns)
+    return lambda p: _certifies(certify, columns, p)
+
+
+def _on_conics_reference(p):
+    """Whether p in v vanishes on each Ptolemy conic, in conic order: its
+    remainder by ``v_2 - x`` is a polynomial in (v_0, v_1), whose remainder
+    by the circle at ``v_2 = x`` is 0 (``_conic_divisors``)."""
+
+    def in_plane(f):
+        return MultiPoly(2, {e[:2]: c for e, c in f.terms.items()})
+
+    rests = ((divide_last_variable(p, line).remainder, circle) for line, circle in _conic_divisors())
+    return [divide_last_variable(in_plane(rest), in_plane(circle)).remainder.is_zero for rest, circle in rests]
+
+
+_V = [MultiPoly.variable(j, 3) for j in range(3)]
+_CIRCLE = sum((x * x for x in _V), MultiPoly.constant(-2, 3))
+# form i vanishes on conic i alone
+_PTOLEMY_FORMS = [_V[1] + _V[2] - _V[0], _V[2] + _V[0] - _V[1], _V[0] + _V[1] - _V[2]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["member", "two conics", "non-member"]), st.integers(0, 40))
+def test_conic_certificate_agrees_with_division_by_each_conic(data, kind, power):
+    # the far-point certificate of a degree-6 run against the Groebner basis
+    # of each conic: members of (sum v^2 - 2, Pompeiu cubic) pass, products
+    # of two Ptolemy forms vanish on their two conics and, but for a rare
+    # factor, not on the third, and random rows rarely vanish anywhere; a
+    # row scaled by 10^power past about 10^16 is tested at a far point
+    # beyond 2^64, with a table of its own
+    def random_poly(degree, size):
+        return MultiPoly(3, data.draw(_terms(3, degree, _FRACTIONS, 1, size)))
+
+    if kind == "member":
+        p = random_poly(4, 4) * _CIRCLE + random_poly(3, 4) * _pompeiu()
+    elif kind == "two conics":
+        i, j = data.draw(st.sampled_from(list(itertools.combinations(range(3), 2))))
+        p = _PTOLEMY_FORMS[i] * _PTOLEMY_FORMS[j] * random_poly(4, 4) + random_poly(4, 2) * _CIRCLE
+    else:
+        p = random_poly(6, 8)
+    assume(not p.is_zero)
+    p = p.scale(10**power)
+    verdicts = _on_conics_reference(p)
+    assert _v_certificate(6)(p) == all(verdicts)
+    if kind == "member":
+        assert all(verdicts)
+    elif kind == "two conics":
+        assert verdicts[i] and verdicts[j]
 
 
 @pytest.mark.parametrize("a2", _SCREEN_EDGES)
@@ -1166,11 +1230,9 @@ def test_screen_never_refutes_a_member(d, a2):
 def test_circumcircle_certificate_needs_all_three_conics():
     # the Ptolemy form of conic i vanishes on conic i alone, so the Pompeiu
     # cubic, their product, vanishes on the image, and no product of two of
-    # them does: each branch of the certificate refutes what misses its conic
+    # them does: the far point of each conic refutes what misses the conic
     certifies = _v_certificate(6)
-    v = [MultiPoly.variable(j, 3) for j in range(3)]
-    forms = [v[1] + v[2] - v[0], v[2] + v[0] - v[1], v[0] + v[1] - v[2]]
-    circle = sum((x * x for x in v), MultiPoly.constant(-2, 3))
+    v, forms, circle = _V, _PTOLEMY_FORMS, _CIRCLE
     assert forms[0] * forms[1] * forms[2] == _pompeiu()
     assert certifies(_pompeiu())
     assert certifies(circle) and certifies(circle * v[0]) and certifies(circle * forms[2] ** 3)
