@@ -83,8 +83,10 @@ def _emit(args, command: str, config: dict, result: dict, summary: list[str]) ->
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "result": result,
     }
-    # no indent and no json.dump: either one leaves CPython's C encoder
-    text = json.dumps(doc, sort_keys=True)
+    # no indent and no json.dump: either one leaves CPython's C encoder.
+    # Every report is a tree that its command builds, never a cycle, so the
+    # encoder need not track the containers it is inside
+    text = json.dumps(doc, sort_keys=True, check_circular=False)
     if args.out:
         # a path that cannot be written is bad configuration, as in _read_json
         try:

@@ -11,12 +11,16 @@ step decides the rest.
 Step 2 means columns in ``u = s/a^2``, of degree ``D // 2``, split by
 parity; step 1 means columns in ``v = t/a``, of degree D, in one class.
 The columns fix the sample count, and the step the basis name and the
-rescale to the edge.  Every certificate is membership in the ideal of the
-image.  ``_membership`` pseudo-divides the row, scaled to integers, by the
-generators in turn (``poly._remainder``) and certifies it when nothing is
-left; at d = 2 ``_conic_certificate`` evaluates it exactly at one far point
-of each conic instead.  Candidates that fail certification are reported as
-uncertified, never dropped.
+rescale to the edge.  A row is an integer vector from its reconstruction
+to the report: ``_reconstruct`` gives its numerators by column over one
+common denominator, the certificates take those integers as they are, and
+the lift forms each coefficient and its string from them; a ``Fraction`` is
+built only when a candidate's ``poly`` is first read.  Every certificate is
+membership in the ideal of the image.  ``_membership`` pseudo-divides the
+row by the generators in turn (``poly._remainder``) and certifies it when
+nothing is left; at d = 2 ``_conic_certificate`` evaluates it exactly at
+one far point of each conic instead.  Candidates that fail certification
+are reported as uncertified, never dropped.
 
 **d >= 2: split by parity, in u.**  The quartic relation has only even
 powers of the distances, so it is a quadric ``R(s)`` in ``s = t^2``, and its
@@ -94,14 +98,15 @@ total degree: the run has one class, every monomial of degree <= D, and its
 rows rescale to t by powers of ``a^2``.  A conic is irreducible, so a row
 lies in its ideal exactly when it vanishes on it, and ``v = x/w``
 (``_conic_point``) parametrizes conic i by quadratic forms in ``(p, q)``:
-for the row z, scaled to integers, the binary form ``F_i = sum_f z_f * x^f *
-w^(D - |f|)`` must be 0.  The coefficients of each of ``x_0, x_1, x_2, w``
-have an absolute sum of at most 3, so those of F_i are at most ``A = 3^D *
-sum |z_f|``, and at ``Q > A`` the top nonzero term ``c_K * Q^K`` of ``F_i(1,
-Q)`` outweighs the rest, ``A * (Q^K - 1) / (Q - 1) < Q^K``: ``F_i(1, Q) =
-0`` forces ``F_i = 0`` (Kronecker substitution; von zur Gathen & Gerhard,
-"Modern Computer Algebra", ch. 8).  ``Q = 2^b``, for b the bit length of A
-rounded up to a multiple of 64, lets a few tables serve every row.
+for the row's integer numerators z, the binary form ``F_i = sum_f z_f *
+x^f * w^(D - |f|)`` must be 0.  The coefficients of each of ``x_0, x_1,
+x_2, w`` have an absolute sum of at most 3, so those of F_i are at most ``A
+= 3^D * sum |z_f|``, and at ``Q > A`` the top nonzero term ``c_K * Q^K`` of
+``F_i(1, Q)`` outweighs the rest, ``A * (Q^K - 1) / (Q - 1) < Q^K``:
+``F_i(1, Q) = 0`` forces ``F_i = 0`` (Kronecker substitution; von zur
+Gathen & Gerhard, "Modern Computer Algebra", ch. 8).  ``Q = 2^b``, for b
+the bit length of A rounded up to a multiple of 64, lets a few tables serve
+every row.
 
 ``enumerate_monomials`` gives the columns of every run, as the graded-lex
 tuple of exponent vectors.  ``numeric_nullspace`` (an SVD with a
@@ -126,7 +131,7 @@ from .modular import ResidueImage, null_form, rational_reconstruction, rref_mod,
 # module that binds it, and bench/test_bench.py checks this binding
 from .geom import sample_points  # noqa: F401
 from .poly import MultiPoly, _poly_doc, distance_relation, segment_generator
-from .poly import _divisor, _integer_row, _pack, _packing_base, _remainder
+from .poly import _divisor, _pack, _packing_base, _remainder
 from .rationals import frac_str, rational_sqrt
 
 CERT_DIVISIBLE = "divisible-by-relation"
@@ -237,12 +242,14 @@ class CertifiedCandidate:
     """A reconstructed nullspace row with its exactness certificate.
 
     A candidate is held as terms sorted leading first, each with its
-    coefficient and the coefficient's string, and an exponent ``shift``
-    added to every term.  A run shares one tuple of terms among the
-    candidates of every parity class e that lifts the same row, each with
-    shift e: adding a fixed vector to every exponent keeps the graded-lex
-    order, so the shifted terms are still sorted.  ``to_json`` emits from
-    them; ``poly``, the ``MultiPoly``, is built on first read."""
+    coefficient as integers, numerator and positive denominator in lowest
+    terms, and the coefficient's string, and an exponent ``shift`` added to
+    every term.  A run shares one tuple of terms among the candidates of
+    every parity class e that lifts the same row, each with shift e: adding
+    a fixed vector to every exponent keeps the graded-lex order, so the
+    shifted terms are still sorted.  ``to_json`` emits from them; ``poly``,
+    the ``MultiPoly``, is built on first read, and its ``Fraction``
+    coefficients with it."""
 
     __slots__ = ("certificate", "_terms", "_shift", "_poly")
 
@@ -254,13 +261,13 @@ class CertifiedCandidate:
     def poly(self) -> MultiPoly:
         if self._poly is None:
             shift = self._shift
-            terms = {tuple(map(operator.add, shift, e)): c for e, c, _ in reversed(self._terms)}
+            terms = {tuple(map(operator.add, shift, e)): Fraction(n, d) for e, n, d, _ in reversed(self._terms)}
             self._poly = MultiPoly._canonical(len(shift), terms)
         return self._poly
 
     def to_json(self) -> dict:
         shift = self._shift
-        terms = ((list(map(operator.add, shift, e)), text) for e, _, text in self._terms)
+        terms = ((list(map(operator.add, shift, e)), text) for e, _, _, text in self._terms)
         return {"poly": _poly_doc(len(shift), terms), "certificate": self.certificate}
 
 
@@ -379,48 +386,60 @@ def _null_forms(numerators, scales, exponents: np.ndarray, widths: dict[int, int
     return pivots, {k: null_form(rref, pivots, width, prime) for k, width in widths.items()}
 
 
-def _reconstruct(pivot: int, columns: Sequence[int], row: Sequence[int], modulus: int) -> dict[int, Fraction] | None:
-    """The nonzero entries, by column, of the rational null-form row of
-    ``pivot`` whose residues modulo ``modulus`` on the non-pivot
-    ``columns`` are ``row``, or None if an entry has no rational
-    reconstruction.  The entries of a row share few denominators, so each
-    first tries the last one found: if ``x*den`` modulo ``modulus`` lies
-    within the bound B of ``rational_reconstruction``, it is the numerator,
-    since two fractions with terms up to B that agree modulo ``modulus`` are
-    equal (``2*B^2 < modulus``)."""
+def _reconstruct(
+    pivot: int, columns: Sequence[int], row: Sequence[int], modulus: int
+) -> tuple[int, dict[int, int]] | None:
+    """The rational null-form row of ``pivot`` whose residues modulo
+    ``modulus`` on the non-pivot ``columns`` are ``row``, as ``(common,
+    numerators)``: its nonzero entries are ``numerators[j] / common`` by
+    column j, over their least common denominator, so ``numerators[pivot]
+    = common`` and the numerators have no factor in common with it.  None
+    if an entry has no rational reconstruction.  The entries of a row share
+    few denominators, so each first tries the last one found, den: if
+    ``x*den`` modulo ``modulus`` lies within the bound B of
+    ``rational_reconstruction``, it is the numerator over den, since two
+    fractions with terms up to B that agree modulo ``modulus`` are equal
+    (``2*B^2 < modulus``).  A new den that does not divide ``common`` raises
+    it to their lcm, and the numerators found so far with it."""
     bound = math.isqrt(modulus // 2)
-    entries, den = {pivot: Fraction(1)}, 1
+    numerators, common, den, scale = {pivot: 1}, 1, 1, 1
     for j, x in zip(columns, row):
         if not x:
             continue
         y = x * den % modulus
         if y > bound:
             y -= modulus
-        if y >= -bound:
-            entries[j] = Fraction(y, den)
-            continue
-        c = rational_reconstruction(x, modulus)
-        if c is None:
-            return None
-        entries[j], den = c, c.denominator
-    return entries
+        if y < -bound:
+            pair = rational_reconstruction(x, modulus)
+            if pair is None:
+                return None
+            y, den = pair
+            grow = den // math.gcd(common, den)
+            if grow > 1:
+                common *= grow
+                for k in numerators:
+                    numerators[k] *= grow
+            scale = common // den
+        numerators[j] = y * scale
+    return common, numerators
 
 
-def _membership(generators, columns) -> Callable[[dict[int, Fraction]], bool]:
-    """The certificate of a run's rows, each given by its entries by column
-    on the monomials ``columns``: membership in the ideal of the polynomials
-    ``generators``.  The row, scaled to integers, is replaced by its
-    pseudo-remainder (``_remainder``) by each generator in turn, and is a
-    member when nothing is left.  Each generator must have a constant lead
-    in the last variable that those before it leave, a new variable for
-    each: they are then a lex Groebner basis of their ideal, and what they
-    leave is the row's normal form, 0 exactly when the row is a member."""
+def _membership(generators, columns) -> Callable[[dict[int, int]], bool]:
+    """The certificate of a run's rows, each given as integers by column on
+    the monomials ``columns`` (the numerators of ``_reconstruct``):
+    membership in the ideal of the polynomials ``generators``.  The row,
+    packed, is replaced by its pseudo-remainder (``_remainder``) by each
+    generator in turn, and is a member when nothing is left.  Each
+    generator must have a constant lead in the last variable that those
+    before it leave, a new variable for each: they are then a lex Groebner
+    basis of their ideal, and what they leave is the row's normal form, 0
+    exactly when the row is a member."""
     base = _packing_base(columns, generators)
     codes = [_pack(f, base) for f in columns]
     divisors = [_divisor(p, base) for p in generators]
 
-    def certify(entries: dict[int, Fraction]) -> bool:
-        row = _integer_row(entries, codes)
+    def certify(numerators: dict[int, int]) -> bool:
+        row = {codes[j]: z for j, z in numerators.items()}
         for divisor in divisors:
             row = _remainder(row, divisor)[1]
         return not row
@@ -443,7 +462,8 @@ def _run_primes(numerators, scales, exponents, widths, primes, certify, expected
     for each of ``primes``, ``_null_forms``, then ``_reconstruct`` and
     ``certify`` of each row not yet certified, until every prefix of
     ``widths`` certifies its whole corank.  Returns the image, the rows
-    found by prefix, as ``(pivot, entries, certified)``, and the pivots of
+    found by prefix, as ``(pivot, entries, certified)`` with ``entries`` the
+    ``(common, numerators)`` of ``_reconstruct``, and the pivots of
     the whole matrix modulo the prime of the forms kept.
 
     A prefix pass gives ``expected``, the corank of each prefix: it returns
@@ -480,7 +500,7 @@ def _run_primes(numerators, scales, exponents, widths, primes, certify, expected
                 certified = entries is not None
                 if not certified:
                     entries = _reconstruct(pivot, others, row, image.modulus)
-                    certified = entries is not None and certify(entries)
+                    certified = entries is not None and certify(entries[1])
                 found[k].append((pivot, entries, certified))
         if all(certified for prefix in found.values() for _, _, certified in prefix):
             return image, found, rank_pivots
@@ -499,7 +519,7 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, certifi
     expected ``corank(k)`` of the prefix of degree k (the Hilbert function
     of its ideal, which decides only how many rows the prefix pass
     eliminates), its ``certificate``, which maps the columns to the test of
-    a row given by its entries by column (``_membership``, or
+    a row given by its integer numerators by column (``_membership``, or
     ``_conic_certificate`` at d = 2), the ``label`` of a certified row and
     its ``sampling``.  The step decides the rest: the columns are in ``x =
     t^step / a^step`` (``u = s/a^2`` at step 2, ``v = t/a`` at step 1), of
@@ -513,11 +533,15 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, certifi
     the rescaling to the edge and the lift to t.  Class e
     lifts each row ``g(x)`` of prefix degree k to ``t^e * g(t^step)``, its
     entry j first scaled by ``a^-(step * (|f_j| - |f0|))`` for its pivot
-    f0; certified rows carry ``label``.  Each row is rescaled, sorted and
-    formatted once, and its candidates in every class share it
-    (``CertifiedCandidate``).  Returns the report's ``config``, the classes,
-    the candidates in pivot order, the nullspace, and the pivots of the
-    whole matrix modulo the prime of the forms kept."""
+    f0; certified rows carry ``label``.  A row stays in integers throughout:
+    its numerators over one common denominator (``_reconstruct``) are what
+    the certificate tests, and each lifted coefficient is that numerator
+    times an integer power of a^2 (or of the rational a), over the common
+    denominator times another, in lowest terms by one gcd.  Each row is
+    rescaled, sorted and formatted once, and its candidates in every class
+    share it (``CertifiedCandidate``).  Returns the report's ``config``, the
+    classes, the candidates in pivot order, the nullspace, and the pivots of
+    the whole matrix modulo the prime of the forms kept."""
     n, top = d + 1, max_degree // step
     columns = enumerate_monomials(n, top)
     count = len(columns) + _EXTRA_SAMPLES
@@ -544,26 +568,42 @@ def _exact_run(operation, d, a2, max_degree, seed, step, points, corank, certifi
     image, found, rank_pivots = run
 
     # the row g(x) of pivot f0, x = t^step / c with c = a^step, gives
-    # c^|f0| * g(t^step / c), whose pivot is 1; a row with no rational
-    # reconstruction has nothing to report.  a^-m is a power of a^2 over a
-    # where m is odd, which only d = 1 discover has, at a rational edge; the
-    # rows of a sphere run at d = 2 are parity-homogeneous, so an irrational
-    # edge never needs a.  The columns are in graded-lex order, and so are
-    # their exponents in t, so a row's terms are sorted leading first by
-    # their columns, once, and formatted once
+    # c^|f0| * g(t^step / c), whose pivot is 1: its numerator z at column f
+    # gives the coefficient z * a^-m / common, m = step * (|f| - |f0|) >= 0;
+    # a row with no rational reconstruction has nothing to report.  a^-m is
+    # a power of 1/a^2, times 1/a where m is odd, which only d = 1
+    # discover has, at a rational edge; the rows of a sphere run at d = 2
+    # are parity-homogeneous, so an irrational edge never needs a.  The
+    # columns are in graded-lex order, and so are their exponents in t, so a
+    # row's terms are sorted leading first by their columns, once, and
+    # formatted once
     root = rational_sqrt(a2)
-    inverse = functools.cache(lambda m: a2 ** -(m // 2) / (root if m % 2 else 1))
+
+    @functools.cache
+    def inverse(m: int) -> tuple[int, int]:
+        # a^-m as (numerator, denominator)
+        if m % 2:
+            return root.denominator**m, root.numerator**m
+        return a2.denominator ** (m // 2), a2.numerator ** (m // 2)
+
+    unit, degree = a2 == 1, [sum(f) for f in columns]
     in_t = [tuple(step * x for x in f) for f in columns]
     at_edge = {k: [] for k in found}
     for k, prefix in found.items():
         for pivot, entries, certified in prefix:
             if entries is None:
                 continue
-            if a2 != 1:
-                shift = sum(columns[pivot])
-                entries = {j: c * inverse(step * (sum(columns[j]) - shift)) for j, c in entries.items()}
-            terms = tuple((in_t[j], c, frac_str(c)) for j, c in sorted(entries.items(), reverse=True))
-            at_edge[k].append((in_t[pivot], terms, label if certified else CERT_UNCERTIFIED))
+            common, numerators = entries
+            terms = []
+            for j, num in sorted(numerators.items(), reverse=True):
+                den = common
+                if not unit:
+                    up, down = inverse(step * (degree[j] - degree[pivot]))
+                    num, den = num * up, den * down
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                terms.append((in_t[j], num, den, f"{num}/{den}" if den != 1 else str(num)))
+            at_edge[k].append((in_t[pivot], tuple(terms), label if certified else CERT_UNCERTIFIED))
     lifted = []
     for e, k in zip(classes, degrees):
         for pivot, terms, certificate in at_edge[k]:
@@ -820,9 +860,10 @@ def _conic_points(config: SampleConfig) -> tuple[list[tuple[int, int, int]], lis
     return [x for x, _ in points], [w for _, w in points]
 
 
-def _conic_certificate(columns) -> Callable[[dict[int, Fraction]], bool]:
+def _conic_certificate(columns) -> Callable[[dict[int, int]], bool]:
     """The certificate of a sphere run at d = 2 on the monomials ``columns``
-    of degree <= D: a row is 0 at the far point ``(p, q) = (1, 2^b)`` of each
+    of degree <= D: a row, given as integers by column (the numerators of
+    ``_reconstruct``), is 0 at the far point ``(p, q) = (1, 2^b)`` of each
     conic (see the module docstring).  The tables of b hold ``x^f * w^(D -
     |f|)`` there by column f; conic i's at f is conic 0's at f rotated by i."""
     top = sum(columns[-1])
@@ -834,8 +875,7 @@ def _conic_certificate(columns) -> Callable[[dict[int, Fraction]], bool]:
         value = {f: powers[0][f[0]] * powers[1][f[1]] * powers[2][f[2]] * powers[3][top - sum(f)] for f in columns}
         return [[value[f[i:] + f[:i]] for f in columns] for i in range(3)]
 
-    def certify(entries: dict[int, Fraction]) -> bool:
-        row = _integer_row(entries, range(len(columns)))
+    def certify(row: dict[int, int]) -> bool:
         bound = 3**top * sum(map(abs, row.values()))
         bits = -(-bound.bit_length() // 64) * 64
         return not any(sum(z * table[j] for j, z in row.items()) for table in tables(bits))

@@ -290,7 +290,7 @@ def _weight_draws(
     are redrawn at the next attempt; sample k therefore depends only on
     ``(seed, k)``.  ``accept(ks, nums)`` takes the sample numbers and the
     sign-fixed numerators of a set of draws, one row each, and returns a
-    row mask.
+    row mask; it sees only the draws that pass the first two rules.
 
     The attempts are hashed in rounds, each round taking further attempts
     of every sample still open and parsing all their digests at once (see
@@ -349,7 +349,10 @@ def _weight_draws(
             passed = (2 * row_dens >= _WEIGHT_GRID) & (q * np.abs(raw).max(axis=1) <= p * row_dens)
             row_nums = np.where((total > 0)[:, None], raw, -raw)
             if accept is not None:
-                passed &= accept(row_ks, row_nums)
+                # a rejected row stays rejected, so accept, which may cost far
+                # more than the rules above, sees only the rows they pass
+                rows = np.flatnonzero(passed)
+                passed[rows] = accept(row_ks[rows], row_nums[rows])
             # the first passing row of each sample, or the end when none does
             first = np.minimum.reduceat(np.where(passed, np.arange(len(owner)), len(owner)), starts)
             found = first < starts + tries

@@ -31,7 +31,6 @@ TOMS, 2008.)
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -179,12 +178,13 @@ def crt(residues: Sequence[int], modulus: int, more: Sequence[int], prime: int) 
     return [x if x == y else x + modulus * ((y - x) * inverse % prime) for x, y in zip(residues, more)]
 
 
-def rational_reconstruction(x: int, modulus: int) -> Fraction | None:
+def rational_reconstruction(x: int, modulus: int) -> tuple[int, int] | None:
     """The rational ``n/d`` with ``n = d*x`` modulo ``modulus``, ``|n| <= B``
-    and ``0 < d <= B`` for ``B = isqrt(modulus // 2)``, or None if there is
-    none.  As ``2*B^2 < modulus``, there is at most one (Wang's algorithm:
-    the extended Euclidean remainders of ``(modulus, x)`` are ``n = d*x``
-    modulo ``modulus``, and the first one at most B is the candidate)."""
+    and ``0 < d <= B`` for ``B = isqrt(modulus // 2)``, as the pair ``(n, d)``
+    in lowest terms, or None if there is none.  As ``2*B^2 < modulus``, there
+    is at most one (Wang's algorithm: the extended Euclidean remainders of
+    ``(modulus, x)`` are ``n = d*x`` modulo ``modulus``, and the first one at
+    most B is the candidate)."""
     bound = math.isqrt(modulus // 2)
     r0, r1 = modulus, x % modulus
     s0, s1 = 0, 1
@@ -194,7 +194,7 @@ def rational_reconstruction(x: int, modulus: int) -> Fraction | None:
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 class ResidueImage:

@@ -315,13 +315,6 @@ def _divisor(poly: MultiPoly, base: int) -> tuple:
     return packed.pop(m * high), high, m, list(packed.items())
 
 
-def _integer_row(entries: dict[int, Fraction], codes: Sequence[int]) -> dict[int, int]:
-    """The row with ``entries`` by column, scaled by the common denominator,
-    on the packed exponents ``codes`` of the columns."""
-    common = math.lcm(*(c.denominator for c in entries.values()))
-    return {codes[j]: c.numerator * (common // c.denominator) for j, c in entries.items()}
-
-
 def _remainder(poly: dict[int, int], divisor: tuple) -> tuple[dict[int, int], dict[int, int]]:
     """The integer pseudo-division of the polynomial with integer
     coefficients ``poly``, by packed exponent, by ``divisor``: the quotient

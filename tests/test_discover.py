@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplexdist import discover, modular
@@ -46,7 +46,6 @@ from simplexdist.geom import EmbeddedSimplex, SampleConfig, _weight_rows, sample
 from simplexdist.poly import (
     MultiPoly,
     _divisor,
-    _integer_row,
     _pack,
     _packing_base,
     _remainder,
@@ -276,6 +275,13 @@ def _divisor_case(data, m):
     return d + 1, MultiPoly(d + 1, terms)
 
 
+def _numerators(entries):
+    """Rational ``entries`` by key as the integer row a certificate takes:
+    their numerators over their least common denominator."""
+    common = math.lcm(*(c.denominator for c in entries.values()))
+    return {k: c.numerator * (common // c.denominator) for k, c in entries.items()}
+
+
 def _unpacked(codes, base, n):
     return MultiPoly(n, {_unpack(code, base, n): c for code, c in codes.items()})
 
@@ -333,8 +339,8 @@ def test_divisible_agrees_with_division(data, m, multiple):
     divisor = _divisor(generator, base)
     assert divisor[:3] == (generator.terms[(0,) * (n - 1) + (m,)], base ** (n - 1), m)
     index = {e: j for j, e in enumerate(columns)}
-    entries = {index[e]: c for e, c in p.terms.items()}
-    row = _integer_row(entries, [_pack(e, base) for e in columns])
+    codes = [_pack(e, base) for e in columns]
+    row = {codes[j]: z for j, z in _numerators({index[e]: c for e, c in p.terms.items()}).items()}
     remainder = _pseudo_division(row, divisor, generator, base)
     assert not (multiple and remainder)
 
@@ -586,6 +592,58 @@ def test_small_primes_join_by_crt_to_the_same_candidates(monkeypatch):
     assert max(map(len, used)) > 1 and max(primes[0] for primes in used) > 101
 
 
+_P, _Q = itertools.islice(modular.word_primes(), 2)
+_BOUND = math.isqrt(_P // 2)
+# the first residue modulo _P past the integers up to the bound with no
+# rational reconstruction
+_NO_FRACTION = next(x for x in range(_BOUND + 1, _P) if modular.rational_reconstruction(x, _P) is None)
+# the entries of a row: zeros, fractions with terms up to the bound of one
+# prime over a few denominators, which rows share, and raw residues, some of
+# them fractions with terms up to the bound and some not
+_ROW_ENTRIES = st.one_of(
+    st.just(0),
+    st.builds(Fraction, st.integers(-_BOUND, _BOUND), st.sampled_from([1, 2, 3, 4, 6, 35, 2310, _BOUND])),
+    st.integers(1, _P - 1),
+)
+
+
+def _fraction_reconstruct(pivot, columns, row, modulus):
+    """The null-form row of ``pivot`` as ``Fraction``s by column, each entry
+    by ``rational_reconstruction`` on its own, or None: the rational row that
+    ``_reconstruct`` gives as integers."""
+    entries = {pivot: Fraction(1)}
+    for j, x in zip(columns, row):
+        if x:
+            pair = modular.rational_reconstruction(x, modulus)
+            if pair is None:
+                return None
+            entries[j] = Fraction(*pair)
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW_ENTRIES, max_size=12), st.booleans())
+@example([Fraction(1, 2), Fraction(3, 2), 0, Fraction(1, 3), Fraction(5, 6), Fraction(-7, 12), Fraction(1, 2)], False)
+@example([Fraction(1, 2), Fraction(1, 3), _NO_FRACTION, Fraction(1, 5)], False)
+def test_integer_reconstruction_equals_the_fraction_one(entries, two_primes):
+    # the row comes back as its numerators over their least common
+    # denominator, entry by entry the fractions that each residue gives on
+    # its own, also where the denominator changes part-way through the row
+    # (the first example); a residue with no reconstruction leaves None
+    modulus = _P * _Q if two_primes else _P
+    row = [x if isinstance(x, int) else x.numerator * pow(x.denominator, -1, modulus) % modulus for x in entries]
+    columns = range(1, len(row) + 1)
+    expected = _fraction_reconstruct(0, columns, row, modulus)
+    got = discover._reconstruct(0, columns, row, modulus)
+    if expected is None:
+        assert got is None
+        return
+    common, numerators = got
+    assert common == math.lcm(*(c.denominator for c in expected.values())) == numerators[0]
+    assert list(numerators) == list(expected)
+    assert all(type(z) is int and Fraction(z, common) == expected[j] for j, z in numerators.items())
+
+
 def test_a_two_prime_run_certifies_each_row_once(monkeypatch):
     # d = 1 deg 24 needs two primes: the first certifies 198 of its 253
     # rows, and the join keeps them, so the second prime reconstructs and
@@ -595,9 +653,9 @@ def test_a_two_prime_run_certifies_each_row_once(monkeypatch):
     def counting_membership(*args):
         certify = membership(*args)
 
-        def counted(entries):
-            calls.append(entries)
-            return certify(entries)
+        def counted(row):
+            calls.append(row)
+            return certify(row)
 
         return counted
 
@@ -612,6 +670,8 @@ def test_a_two_prime_run_certifies_each_row_once(monkeypatch):
     assert all(c.certificate != CERT_UNCERTIFIED for c in report.candidates)
     assert before_prime == [0, 198]
     assert len(calls) == report.nullspace.null_dim == len(report.candidates) == 253
+    # each row reaches its certificate as integers by column
+    assert all(type(z) is int for row in calls for z in row.values())
 
 
 def test_a_run_out_of_primes_is_incomplete_and_exits_1(monkeypatch, tmp_path):
@@ -879,9 +939,10 @@ def _in_sphere_ideal_reference(p, d, a2):
 
 def _certifies(certify, columns, p):
     """The sphere certificate ``certify`` of a run on the monomials
-    ``columns`` applied to the polynomial p in the run's variables."""
+    ``columns`` applied to the polynomial p in the run's variables, given as
+    a run gives its rows: integers by column."""
     index = {e: j for j, e in enumerate(columns)}
-    return certify({index[e]: c for e, c in p.terms.items()})
+    return certify(_numerators({index[e]: c for e, c in p.terms.items()}))
 
 
 def _u_certificate(d, degree):
@@ -1038,7 +1099,7 @@ _LIFT_RUNS = [
 def test_candidates_are_their_rows_shifted_by_their_class(run, d, a2, degree):
     # a run lifts each row of its echelon form in t to one candidate per
     # parity class e, t^e times the row, sharing the row's sorted and
-    # formatted terms: the report and the MultiPoly built on first read
+    # formatted integer terms: the report and the MultiPoly built on first read
     # must both be the lift built term by term
     report = run(d, a2, degree, seed=1)
     candidates = report.candidates if run is discover_vanishing else report.certified + report.extras
@@ -1046,10 +1107,12 @@ def test_candidates_are_their_rows_shifted_by_their_class(run, d, a2, degree):
     by_row = {}
     for candidate in candidates:
         terms, shift = candidate._terms, candidate._shift
-        exponents = [f for f, _, _ in terms]
+        exponents = [f for f, _, _, _ in terms]
         assert exponents == sorted(exponents, key=lambda f: (sum(f), f), reverse=True)
-        assert all(text == frac_str(c) for _, c, text in terms)
-        lift = MultiPoly(d + 1, {tuple(x + y for x, y in zip(shift, f)): c for f, c, _ in terms})
+        # each coefficient is held as integers in lowest terms, and formatted
+        assert all(type(n) is type(q) is int and q > 0 and math.gcd(n, q) == 1 for _, n, q, _ in terms)
+        assert all(text == frac_str(Fraction(n, q)) for _, n, q, text in terms)
+        lift = MultiPoly(d + 1, {tuple(x + y for x, y in zip(shift, f)): Fraction(n, q) for f, n, q, _ in terms})
         poly = candidate.poly
         assert poly is candidate.poly and poly == lift
         # in the order of the columns, as a lift of the columns builds it

@@ -359,6 +359,33 @@ def test_a_sample_with_no_passing_draw_is_named_in_sample_order(monkeypatch):
     assert 65536 < sum(hashed) < 65536 * 5 // 4
 
 
+@pytest.mark.parametrize("d, box", [(1, Fraction(3, 2)), (3, Fraction(3, 2)), (8, Fraction(5, 2))])
+def test_accept_sees_only_rows_that_pass_the_sum_and_box_rules(monkeypatch, d, box):
+    # accept may cost far more than the other rules (the square-free test of
+    # the sphere chords), so it is asked only about the rows with 2T >= 64
+    # whose weights stay in the box, and the draws are those of the rule
+    # that asks it about every row
+    raw_weights, hashed, seen = geom._raw_weights, [], []
+
+    def counting(keys, *rest):
+        hashed.append(len(keys))
+        return raw_weights(keys, *rest)
+
+    def recording(ks, nums):
+        seen.extend(nums.tolist())
+        return nums[:, 0] > 0
+
+    monkeypatch.setattr(geom, "_raw_weights", counting)
+    config = SampleConfig(seed=d, count=60, box=box)
+    draws = _weight_rows(d + 1, config, recording)
+    expected = reference_weights(config, d + 1, lambda k, weights: weights[0] > 0)
+    assert [tuple(Fraction(r, den) for r in nums) for nums, den in draws] == expected
+    p, q = box.numerator, box.denominator
+    assert seen and all(2 * sum(r) >= 64 and q * max(map(abs, r)) <= p * sum(r) for r in seen)
+    # the rules turned some rows down before accept saw them
+    assert len(seen) < sum(hashed)
+
+
 @pytest.mark.parametrize("d, box, dtype", [
     (2, 3, np.int64), (8, 3, np.int64), (40, 3, np.int64), (40, 1000, object),
 ])

@@ -156,8 +156,22 @@ def test_probe_report_stream(d, expected):
             ["sphere", "--d", "2", "--max-degree", "8", "--edge-sq", "2"],
             "c7bd1afcc03f0ecd425170974eec4473b0709ed5db2733abb85ba54e7817442c",
         ),
+        (
+            # two primes joined by CRT, and rows rescaled by odd powers of the
+            # rational edge a = 3/2
+            ["discover", "--d", "1", "--max-degree", "24", "--edge-sq", "9/4"],
+            "546dd4732fcc8e047c3d8a1bc670043b37457b5adfeafab4c44b30b0ce0c6924",
+        ),
+        (
+            # the chords at d = 3, certified by membership in (Q_u, S_u)
+            ["sphere", "--d", "3", "--max-degree", "6"],
+            "7cfaef4f1b5f30fe72d0c26f300959dfc4b335674f2dd8a5b9b4c2439d254734",
+        ),
     ],
-    ids=["discover-d5", "discover-d1", "discover-d3-tall-edge", "sphere-d2", "sphere-d4", "sphere-d2-edge2"],
+    ids=[
+        "discover-d5", "discover-d1", "discover-d3-tall-edge", "sphere-d2", "sphere-d4", "sphere-d2-edge2",
+        "discover-d1-deg24-edge", "sphere-d3",
+    ],
 )
 def test_discovery_report_stream(argv, expected):
     code, doc = run_cli(argv)
