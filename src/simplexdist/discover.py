@@ -78,14 +78,27 @@ uncertified; it never certifies a wrong one.
 weights with ``sum w = sum w^2 = 1``, so the image is ``V(Q_u, S_u)``, ``Q_u =
 sum u - d``, ``S_u = sum u^2 - d``.  Sample k is the second point where the
 line through vertex ``i = k mod n`` and the k-th box-3/2 draw meets the
-sphere (``_chord``), redrawn when a nonempty subset product of the ``u_j``
-is a rational square, 0 included (``_square_free``).  At the points kept the
-square roots of those products are linearly independent over the rationals
-(Besicovitch, "On the linear independence of fractional powers of
-integers", J. London Math. Soc., 1940), so the parity split of d >= 2 holds:
-its classes, its columns and ``dim V_D <= sum_e corank``.  A row is certified
-by membership in ``(Q_u, S_u)``: dividing by ``Q_u`` (``u_last = d - sum
-others``) must leave a multiple of the image of ``S_u``, whose lead in
+sphere (``_chord``).  The parity split of d >= 2 holds at any sample
+points, because the ideal of the image is prime.  Take a = 1 and n = d + 1
+>= 4.  ``X = V(sum t^2 - d, sum t^4 - d)`` is a complete intersection of
+dimension d - 1 >= 2.  Its gradients ``(t_j)`` and ``(t_j^3)`` are dependent
+only where every nonzero ``t_j^2`` is equal, which on X leaves d coordinates
++-1 and one 0, and at infinity (``sum t^2 = sum t^4 = 0``) none: the
+singular locus is finite.  So X is normal (Serre's criterion: a complete
+intersection is Cohen-Macaulay), and its projective closure, which has no
+component at infinity, is connected (Hartshorne, "Algebraic Geometry",
+III.7.9), so X is irreducible and its ideal P is prime.  The nonnegative
+real points of X, the image, have real dimension d - 1, so they are
+Zariski dense in X: a polynomial vanishes on the image exactly when it lies
+in P.  P is invariant under every sign flip ``t_j -> -t_j``, and ``k[t]`` is
+free over ``k[t^2]`` with basis ``t^e``, so P is the direct sum of its parts
+in the ``t^e * k[t^2]``; as P is prime and no ``t_j`` lies in it, ``t^e *
+q(t^2)`` lies in P exactly when ``q(u)`` lies in ``(Q_u, S_u)``, itself prime (a
+smooth quadric in a hyperplane).  Such a q of degree <= k vanishes at every
+sample, so it is in the nullspace of its class's prefix, and ``dim V_D <=
+sum_e corank``, with the classes and columns of d >= 2.  A row is
+certified by membership in ``(Q_u, S_u)``: dividing by ``Q_u`` (``u_last = d -
+sum others``) must leave a multiple of the image of ``S_u``, whose lead in
 ``u_{n-2}`` is 2.  ``u = t^2/a^2`` maps ``(Q_u, S_u)`` into the ideal (Q, R) of
 the circumsphere quadratic and the quartic (``verify_circumsphere_identity``).
 
@@ -304,6 +317,22 @@ def _segment_branch(ks: np.ndarray, nums: np.ndarray) -> np.ndarray:
     branch needs D+1 samples."""
     branch = np.where(nums[:, 0] < 0, 1, np.where(nums[:, 1] < 0, 2, 0))
     return branch == ks % 3
+
+
+def _segment_points(config: SampleConfig) -> tuple[list[tuple[int, int]], list[int]]:
+    """The numerators and scales of the points v of a discover run at d = 1:
+    sample k on branch k mod 3 of the segment (``_segment_branch``), at ``t0
+    = a|w1|`` and ``t1 = a|w0|``."""
+    draws = _weight_rows(2, config, _segment_branch)
+    return [(abs(r1), abs(r0)) for (r0, r1), _ in draws], [den for _, den in draws]
+
+
+def _box_points(n: int, config: SampleConfig) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The numerators and scales of the points u of a discover run at d >=
+    2: the squared distances ``N_j / (2*T^2)`` of the box draws
+    (``_distance_numerators``)."""
+    draws = _weight_rows(n, config)
+    return [_distance_numerators(nums, den) for nums, den in draws], [2 * den * den for _, den in draws]
 
 
 def _check_degree(max_degree) -> None:
@@ -653,26 +682,20 @@ def discover_vanishing(
     square root of ``edge_sq``) to be rational.
     """
     a2 = EmbeddedSimplex(d, edge_sq).edge_sq
-    if d == 1 and rational_sqrt(a2) is None:
-        raise ValueError(
-            "in dimension 1 certification needs a rational edge length: "
-            f"edge_sq={a2} is not a perfect rational square"
-        )
-    _check_degree(max_degree)
     n = d + 1
-    # the generator at unit edge: the segment cubic in v or R_1(u)
+    # the kind: its step, its points and its generator at unit edge, the
+    # segment cubic in v or R_1(u)
     if d == 1:
-        step, generator = 1, segment_generator(1)
+        if rational_sqrt(a2) is None:
+            raise ValueError(
+                "in dimension 1 certification needs a rational edge length: "
+                f"edge_sq={a2} is not a perfect rational square"
+            )
+        step, points, generator = 1, _segment_points, segment_generator(1)
     else:
-        step = 2
+        step, points = 2, functools.partial(_box_points, n)
         generator = MultiPoly(n, {tuple(x // 2 for x in e): c for e, c in distance_relation(d, 1).terms.items()})
-
-    def points(config: SampleConfig):
-        draws = _weight_rows(n, config, _segment_branch if d == 1 else None)
-        if d == 1:
-            # sample k lies on branch k mod 3, at t0 = a|w1| and t1 = a|w0|
-            return [(abs(r1), abs(r0)) for (r0, r1), _ in draws], [den for _, den in draws]
-        return [_distance_numerators(nums, den) for nums, den in draws], [2 * den * den for _, den in draws]
+    _check_degree(max_degree)
 
     config, _, candidates, nullspace, _ = _exact_run(
         "discover", d, a2, max_degree, seed, step, points, _discover_corank(n),
@@ -785,8 +808,9 @@ def _chord(k: int, r: Sequence[int]) -> tuple[list[int], int]:
     from its draw ``r/T``: with ``i = k mod n`` and ``V = r - T*e_i``, the
     line through vertex i in the direction V meets the sphere again at ``w
     = e_i - 2*V_i*V/|V|^2``, so ``S = |V|^2``, ``N_i = 2*V_i^2`` and ``N_j =
-    S + 2*V_i*V_j`` for j != i.  Every ``N_j`` is nonnegative, and all are 0
-    when V is."""
+    S + 2*V_i*V_j`` for j != i.  Every ``N_j`` is nonnegative; ``N_j = 0``
+    where the chord ends at vertex j, a point of the sphere like any other.
+    ``S = 0`` exactly when V is 0, which ``_chord_points`` redraws."""
     i = k % len(r)
     v = list(r)
     v[i] -= sum(r)
@@ -796,48 +820,17 @@ def _chord(k: int, r: Sequence[int]) -> tuple[list[int], int]:
     return nums, s
 
 
-def _odd_primes(x: int) -> set[int]:
-    """The primes that divide the positive integer x to an odd power, by
-    trial division."""
-    odd, p = set(), 2
-    while p * p <= x:
-        while x % p == 0:
-            x //= p
-            odd ^= {p}
-        p += 1 + (p > 2)
-    return odd ^ {x} if x > 1 else odd
-
-
-def _square_free(nums: Sequence[int], s: int) -> bool:
-    """Whether no nonempty subset product of the ``u_j = nums[j] / s`` is a
-    rational square, 0 included.
-
-    ``u_j * s^2 = N_j * s``, so the product over U is a square exactly when
-    the sets of primes that divide the ``N_j * s`` to an odd power have an
-    empty symmetric difference over U.  The points pass when no ``N_j`` is 0
-    and these n sets are linearly independent over GF(2), which an
-    elimination on them decides without forming the ``2^n - 1`` products."""
-    if 0 in nums:
-        return False
-    shared = _odd_primes(s)
-    pivots = {}
-    for x in nums:
-        row = _odd_primes(x) ^ shared
-        while row and max(row) in pivots:
-            row ^= pivots[max(row)]
-        if not row:
-            return False
-        pivots[max(row)] = row
-    return True
-
-
 def _chord_points(n: int, config: SampleConfig) -> tuple[list[list[int]], list[int]]:
     """The numerators and scales of the points u of a sphere run at d >= 3:
-    the chords of the box draws, each draw redrawn until its point passes
-    ``_square_free``, so sample k depends only on the seed and k."""
+    the chords of the box draws (``_chord``), a draw redrawn when it is
+    vertex ``i = k mod n`` itself, every weight but ``r_i`` 0, which spans no
+    chord (``V = 0``); so sample k depends only on the seed and k, and no
+    scale is 0."""
 
     def accept(ks: np.ndarray, nums: np.ndarray) -> np.ndarray:
-        return np.array([_square_free(*_chord(k, r)) for k, r in zip(ks.tolist(), nums.tolist())], dtype=bool)
+        off = nums != 0
+        off[np.arange(len(ks)), ks % n] = False
+        return off.any(axis=1)
 
     points = [_chord(k, r) for k, (r, _) in enumerate(_weight_rows(n, config, accept))]
     return [nums for nums, _ in points], [s for _, s in points]

@@ -21,20 +21,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplexdist import discover, modular
+from simplexdist import discover, geom, modular
 from simplexdist.cmgeom import _bareiss_det
 from simplexdist.discover import (
     CERT_CIRCUMCIRCLE,
     CERT_DIVISIBLE,
     CERT_SPHERE_IDEAL,
     CERT_UNCERTIFIED,
-    _chord,
     _chord_points,
     _conic_certificate,
     _conic_points,
     _membership,
     _sphere_ideal,
-    _square_free,
     discover_on_sphere,
     discover_vanishing,
     enumerate_monomials,
@@ -42,7 +40,7 @@ from simplexdist.discover import (
     numeric_nullspace,
     rationalize,
 )
-from simplexdist.geom import EmbeddedSimplex, SampleConfig, _weight_rows, sample_circumsphere, sample_points
+from simplexdist.geom import EmbeddedSimplex, SampleConfig, sample_circumsphere, sample_points
 from simplexdist.poly import (
     MultiPoly,
     _divisor,
@@ -1128,18 +1126,7 @@ def test_candidates_are_their_rows_shifted_by_their_class(run, d, a2, degree):
         assert len(by_row) < len(candidates)
 
 
-# -- the screens of a sphere run: the sample filter and the certificates -------------------
-
-
-def _squares_free_reference(nums, s):
-    """The filter by its definition: no nonempty subset product of the
-    ``u_j = nums[j] / s`` is a rational square, 0 included."""
-    for size in range(1, len(nums) + 1):
-        for subset in itertools.combinations(nums, size):
-            y = math.prod(subset) * s ** (size % 2)
-            if math.isqrt(y) ** 2 == y:
-                return False
-    return True
+# -- the screens of a sphere run: the samples and the certificates -------------------
 
 
 def _sphere_points(d, count, seed=1):
@@ -1158,8 +1145,8 @@ _SCREEN_EDGES = (Fraction(1), Fraction(7, 3), Fraction(12345, 677))
 @pytest.mark.parametrize("a2", _SCREEN_EDGES)
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_screen_points_lie_on_the_circumsphere_variety(d, a2):
-    # the sample points lie exactly on the circumsphere, and at d >= 3 they
-    # pass the square-product filter; at d = 2 each lies on its Ptolemy conic
+    # the sample points lie exactly on the circumsphere; at d = 2 each lies
+    # on its Ptolemy conic
     numerators, scales = _sphere_points(d, 30)
     assert len(set(map(tuple, numerators))) == 30
     relation = _s_relation(d, a2)
@@ -1171,22 +1158,59 @@ def test_screen_points_lie_on_the_circumsphere_variety(d, a2):
             squares = [a2 * c * c for c in x]  # s = t^2 with t = a*v
             assert sum(c * c for c in x) == 2
         else:
-            assert _square_free(nums, s) and _squares_free_reference(nums, s)
             squares = [a2 * c for c in x]  # s = a^2 * u
             assert sum(x) == d and sum(c * c for c in x) == d
         assert sum(squares) == d * a2 and sum(c * c for c in squares) == d * a2 * a2
         assert relation.eval(squares) == 0
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_square_free_is_the_subset_product_test(d):
-    # on raw chords, redrawn or not, and on points built to fail
-    rows = [r for r, _ in _weight_rows(d + 1, SampleConfig(seed=1, count=200, box=Fraction(3, 2)))]
-    verdicts = [_square_free(*_chord(k, r)) for k, r in enumerate(rows)]
-    assert verdicts == [_squares_free_reference(*_chord(k, r)) for k, r in enumerate(rows)]
-    assert not all(verdicts)
-    assert not _square_free([2, 8, 3], 5) and not _square_free([3, 0, 7], 11)
-    assert not _square_free([6, 10, 15], 1) and _square_free([2, 3, 5], 7)
+@pytest.mark.parametrize("d, count", [(3, 43), (40, 50)])
+def test_chord_points_take_few_attempts(monkeypatch, d, count):
+    # every chord is a sample point, so a chord sample takes about as many
+    # attempts as a box draw, also at d = 40 (the counts of `sphere --d 3
+    # --max-degree 6` and `sphere --d 40 --max-degree 2`)
+    raw_weights, hashed = geom._raw_weights, []
+
+    def counting(keys, *rest):
+        hashed.append(len(keys))
+        return raw_weights(keys, *rest)
+
+    monkeypatch.setattr(geom, "_raw_weights", counting)
+    numerators, scales = _chord_points(d + 1, SampleConfig(seed=1, count=count, box=Fraction(3, 2)))
+    assert len(numerators) == len(scales) == count
+    assert sum(hashed) < 2 * count
+
+
+def test_chord_points_redraw_only_the_vertex_itself(monkeypatch):
+    # attempt 0 of an even sample k is vertex i = k mod n itself, which spans
+    # no chord (S = 0) and is redrawn; that of an odd sample lies on the edge
+    # from vertex i to i + 1, whose chord ends at vertex i + 1 (N_{i+1} = 0),
+    # a point of the sphere that is kept
+    n, raw_weights = 4, geom._raw_weights
+
+    def vertex_first(keys, width, hi, dtype):
+        raw = raw_weights(keys, width, hi, dtype)
+        for row, key in enumerate(keys):
+            _, _, k, attempt = key.split("|")
+            k = int(k)
+            if attempt == "0":
+                raw[row] = 0
+                if k % 2:
+                    raw[row, k % n], raw[row, (k + 1) % n] = 32, 64
+                else:
+                    raw[row, k % n] = 96
+        return raw
+
+    monkeypatch.setattr(geom, "_raw_weights", vertex_first)
+    numerators, scales = _chord_points(n, SampleConfig(seed=1, count=12, box=Fraction(3, 2)))
+    assert all(s > 0 for s in scales)
+    for k, (nums, s) in enumerate(zip(numerators, scales)):
+        u = [Fraction(x, s) for x in nums]
+        assert sum(u) == n - 1 and sum(x * x for x in u) == n - 1
+        if k % 2:
+            expected = [1] * n
+            expected[(k + 1) % n] = 0
+            assert u == expected
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

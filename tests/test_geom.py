@@ -361,8 +361,8 @@ def test_a_sample_with_no_passing_draw_is_named_in_sample_order(monkeypatch):
 
 @pytest.mark.parametrize("d, box", [(1, Fraction(3, 2)), (3, Fraction(3, 2)), (8, Fraction(5, 2))])
 def test_accept_sees_only_rows_that_pass_the_sum_and_box_rules(monkeypatch, d, box):
-    # accept may cost far more than the other rules (the square-free test of
-    # the sphere chords), so it is asked only about the rows with 2T >= 64
+    # accept may cost more than the other rules (a caller's test may look at
+    # each row in Python), so it is asked only about the rows with 2T >= 64
     # whose weights stay in the box, and the draws are those of the rule
     # that asks it about every row
     raw_weights, hashed, seen = geom._raw_weights, [], []

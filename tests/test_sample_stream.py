@@ -167,10 +167,19 @@ def test_probe_report_stream(d, expected):
             ["sphere", "--d", "3", "--max-degree", "6"],
             "7cfaef4f1b5f30fe72d0c26f300959dfc4b335674f2dd8a5b9b4c2439d254734",
         ),
+        (
+            # the chords at d = 40, where most samples have equal u_j
+            ["sphere", "--d", "40", "--max-degree", "2"],
+            "6841dab8561b62846d4e389697440c08ceb2c0fbd2f7c25514b6a65cb71a23d0",
+        ),
+        (
+            ["sphere", "--d", "5", "--max-degree", "6", "--seed", "2"],
+            "5f56953f9f1e4a1fe7615b055805fa21e79fcfc988be2135217735be7e2c2ae0",
+        ),
     ],
     ids=[
         "discover-d5", "discover-d1", "discover-d3-tall-edge", "sphere-d2", "sphere-d4", "sphere-d2-edge2",
-        "discover-d1-deg24-edge", "sphere-d3",
+        "discover-d1-deg24-edge", "sphere-d3", "sphere-d40", "sphere-d5-seed2",
     ],
 )
 def test_discovery_report_stream(argv, expected):
